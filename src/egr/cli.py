@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -40,7 +39,6 @@ from .solver import (
     DEFAULT_BUDGET,
     five_point_logic_scan,
     solve_gr,
-    verify_coloring,
 )
 from .tetra import (
     build_anchor_gadget,
@@ -223,23 +221,9 @@ def _cmd_copies(args) -> int:
     return EXIT_OK
 
 
-def _resolve_budget(args) -> float:
-    if args.budget is not None:
-        return float(args.budget)
-    env = os.environ.get("EGL_BUDGET")
-    if env:
-        return float(env)
-    return DEFAULT_BUDGET
-
-
 def _cmd_solve(args) -> int:
     problem = ColoringProblem.from_json_dict(read_json(args.problem))
-    result = solve_gr(problem, budget=_resolve_budget(args))
-    if result.witness is not None:
-        replay = verify_coloring(problem, result.witness)
-        if not replay["clean"]:
-            print(f"witness failed re-verification: {replay}", file=sys.stderr)
-            return EXIT_ERROR
+    result = solve_gr(problem, budget=args.budget)
     payload = result.to_json_dict()
     payload["r"] = problem.r
     payload["points"] = len(problem.cfg.points)
@@ -304,7 +288,6 @@ def _cmd_report(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="egr")
-    parser.add_argument("--seed", type=int, default=0, help="seed for any sampled quantities")
     verbs = parser.add_subparsers(dest="verb", required=True)
 
     construct = verbs.add_parser("construct", help="build and write a configuration")
@@ -383,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = verbs.add_parser("solve", help="run the coloring search on a problem file")
     solve.add_argument("problem")
-    solve.add_argument("--budget", type=float)
+    solve.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
     solve.add_argument("-o", "--output", required=True)
 
     scan = verbs.add_parser("scan", help="run an exhaustive logic scan")
@@ -415,6 +398,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as err:  # exit 1 is reserved for verified findings
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -45,9 +45,11 @@ class ConstraintViolation(GeometryError):
 class ToleranceConfig:
     """Comparison policy for squared distances.
 
-    Two squared distances d1, d2 are considered equal when
-    ``|d1 - d2| <= rel_tol * max(d1, d2) + abs_tol``.  All congruence and
-    copy-enumeration decisions go through this single predicate.
+    Two rules.  Per pair, ``sq_close`` (elementwise on arrays) calls d1
+    and d2 equal when ``|d1 - d2| <= rel_tol * max(d1, d2) + abs_tol``;
+    congruence testing and copy enumeration use it.  Per copy,
+    ``check_copies`` allows every entry the slack ``sq_slack`` of the
+    largest wanted squared distance.
     """
 
     rel_tol: float = 1e-9
@@ -59,8 +61,8 @@ class ToleranceConfig:
             if not (0.0 < v < 1e-3):
                 raise GeometryError(f"{name} must lie in (0, 1e-3), got {v}")
 
-    def sq_close(self, d1: float, d2: float) -> bool:
-        return abs(d1 - d2) <= self.rel_tol * max(d1, d2) + self.abs_tol
+    def sq_close(self, d1, d2):
+        return np.abs(d1 - d2) <= self.rel_tol * np.maximum(d1, d2) + self.abs_tol
 
     def sq_slack(self, scale: float) -> float:
         """Absolute slack granted to a squared quantity of the given scale."""
@@ -100,6 +102,36 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     d = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (pts @ pts.T)
     np.fill_diagonal(d, 0.0)
     return np.maximum(d, 0.0)
+
+
+_GATHER_ENTRIES = 1 << 20  # coordinates a chunked check gathers at once
+_PAIR_CHUNK = 1 << 16  # candidate pairs the coincidence sweep holds at once
+_PROJECTIONS = 8
+
+
+def check_copies(points, tuples, sq_dist, tol: ToleranceConfig = DEFAULT_TOL, what: str = "copy"):
+    """Raise GeometryError, naming the first bad tuple, unless every
+    index tuple t realizes ``sq_dist`` in row order: each
+    ``| |p[t[i]] - p[t[j]]|^2 - sq_dist[i, j] |`` is at most
+    ``tol.sq_slack(max sq_dist)``.  Tuples are gathered in chunks, one
+    batched matrix product per chunk.
+    """
+    pts = np.asarray(points, dtype=float)
+    want = np.asarray(sq_dist, dtype=float)
+    k = want.shape[0]
+    idx = np.asarray(tuples, dtype=np.intp).reshape(len(tuples), k)
+    slack = tol.sq_slack(float(want.max()))
+    step = max(1, _GATHER_ENTRIES // (k * pts.shape[1]))
+    for start in range(0, len(idx), step):
+        sub = pts[idx[start : start + step]]
+        gram = sub @ sub.transpose(0, 2, 1)
+        norms = np.einsum("tii->ti", gram)
+        err = np.abs(norms[:, :, None] + norms[:, None, :] - 2.0 * gram - want).max(axis=(1, 2))
+        bad = np.flatnonzero(err > slack)
+        if bad.size:
+            tup = tuple(int(i) for i in idx[start + bad[0]])
+            off = float(err[bad[0]])
+            raise GeometryError(f"{what} {tup} is off the wanted squared distances by {off:.3g}")
 
 
 def _check_copy_tuples(copies, n: int, name: str):
@@ -151,30 +183,45 @@ class Configuration:
                 raise GeometryError(f"points {dup[0]} and {dup[1]} coincide within tolerance")
 
     def _find_coincident(self):
+        """A pair of points within the coincidence threshold, or None.
+
+        Exact at every size and dimension: a projection onto a unit
+        direction never lengthens a distance, so a close pair stays
+        within the window on every projection.  Pairs inside the window
+        of the first (sorted) projection are enumerated in chunks,
+        filtered on the other projections, and the survivors tested
+        exactly.
+        """
         pts = self.points
-        n = len(pts)
-        scale = float(np.max(np.abs(pts))) if pts.size else 1.0
+        n, dim = pts.shape
+        scale = float(np.max(np.abs(pts)))
         thresh = self.tol.sq_slack(scale * scale)
-        if n <= 2000:
-            d = pairwise_sq_dists(pts)
-            iu = np.triu_indices(n, k=1)
-            hits = np.nonzero(d[iu] <= thresh)[0]
-            if hits.size:
-                h = hits[0]
-                return int(iu[0][h]), int(iu[1][h])
-            return None
-        # Large configurations: bucket points on a rounded grid and only
-        # compare within buckets.  Catches exact/near-exact collisions,
-        # which are the failure mode index-sharing bugs produce.
-        buckets: dict[bytes, list[int]] = {}
-        rounded = np.round(pts, 6)
-        for i in range(n):
-            key = rounded[i].tobytes()
-            for j in buckets.get(key, ()):
-                diff = pts[i] - pts[j]
-                if float(np.dot(diff, diff)) <= thresh:
-                    return j, i
-            buckets.setdefault(key, []).append(i)
+        # Widened a hair so rounding in the projections cannot drop a
+        # pair right at the threshold; survivors are tested exactly.
+        window = 1.001 * math.sqrt(thresh)
+        dirs = np.random.default_rng(0).standard_normal((dim, _PROJECTIONS))
+        proj = pts @ (dirs / np.linalg.norm(dirs, axis=0))
+        order = np.argsort(proj[:, 0], kind="stable")
+        proj = proj[order]
+        ends = np.searchsorted(proj[:, 0], proj[:, 0] + window, side="right")
+        counts = ends - np.arange(1, n + 1)
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        gather = max(1, _GATHER_ENTRIES // dim)
+        lo = 0
+        while lo < n:
+            hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _PAIR_CHUNK, "right")) - 1)
+            i = np.repeat(np.arange(lo, hi), counts[lo:hi])
+            j = i + 1 + np.arange(i.size) - np.repeat(starts[lo:hi] - starts[lo], counts[lo:hi])
+            for axis in range(1, _PROJECTIONS):
+                keep = np.abs(proj[i, axis] - proj[j, axis]) <= window
+                i, j = i[keep], j[keep]
+            for s in range(0, i.size, gather):
+                diff = pts[order[i[s : s + gather]]] - pts[order[j[s : s + gather]]]
+                hit = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= thresh)
+                if hit.size:
+                    a, b = order[i[s + hit[0]]], order[j[s + hit[0]]]
+                    return int(min(a, b)), int(max(a, b))
+            lo = hi
         return None
 
     def __len__(self) -> int:
@@ -412,7 +459,6 @@ def enumerate_copies(cfg: Configuration, spec: SimplexSpec, tol: ToleranceConfig
         return []
     d = pairwise_sq_dists(cfg.points)
     s = spec.sq_dist
-    slack = np.vectorize(lambda x, y: tol.sq_close(float(x), float(y)))
     found: set[frozenset] = set()
     assign: list[int] = []
 
@@ -422,9 +468,7 @@ def enumerate_copies(cfg: Configuration, spec: SimplexSpec, tol: ToleranceConfig
             return
         mask = np.ones(n, dtype=bool)
         for t in range(i):
-            col = d[:, assign[t]]
-            target = s[i, t]
-            mask &= np.abs(col - target) <= tol.rel_tol * np.maximum(col, target) + tol.abs_tol
+            mask &= tol.sq_close(d[:, assign[t]], s[i, t])
         for t in range(i):
             mask[assign[t]] = False
         for j in np.nonzero(mask)[0]:

@@ -29,6 +29,7 @@ from .geometry import (
     GeometryError,
     SimplexSpec,
     ToleranceConfig,
+    check_copies,
     embed_from_distances,
     is_nondegenerate,
     pairwise_sq_dists,
@@ -241,11 +242,7 @@ def lifted_base_copy(
     shift = np.zeros(grid.n1)
     shift[d:] = grid.eps * u
     pts = base + shift
-
-    sq = pairwise_sq_dists(pts)
-    scale = float(grid.delta_spec.sq_dist.max())
-    if float(np.abs(sq - grid.delta_spec.sq_dist).max()) > tol.sq_slack(scale):
-        raise GeometryError("lifted base copy is not congruent to the simplex")
+    check_copies(pts, [range(d + 1)], grid.delta_spec.sq_dist, tol, "lifted base copy")
     return Configuration(
         points=pts,
         labels=[f"q{i}" for i in range(d + 1)],

@@ -25,6 +25,7 @@ from .geometry import (
     GeometryError,
     SimplexSpec,
     ToleranceConfig,
+    check_copies,
     embed_from_distances,
     pairwise_sq_dists,
     squared_distance,
@@ -165,11 +166,8 @@ class ProductConfig:
     def verify(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
         sq_l = pairwise_sq_dists(self.left.points)
         sq_r = pairwise_sq_dists(self.right.points)
-        sq_p = pairwise_sq_dists(self.product.points)
         expected = np.kron(sq_l, np.ones_like(sq_r)) + np.kron(np.ones_like(sq_l), sq_r)
-        scale = float(expected.max(initial=0.0))
-        if float(np.abs(sq_p - expected).max()) > tol.sq_slack(scale):
-            raise GeometryError("product squared distances do not split across the factors")
+        check_copies(self.product.points, [range(len(expected))], expected, tol, "product")
 
 
 def product_config(
@@ -225,8 +223,7 @@ def _census_classify(
     attribute, so it aborts.
     """
     sq = pairwise_sq_dists(points)
-    x_sq = x * x
-    close = np.abs(sq - x_sq) <= tol.rel_tol * np.maximum(sq, x_sq) + tol.abs_tol
+    close = tol.sq_close(sq, x * x)
     fiber = endpoint = 0
     for p, q in zip(*np.nonzero(np.triu(close, k=1))):
         li, ri = divmod(int(p), n_right)

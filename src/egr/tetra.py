@@ -31,6 +31,7 @@ from .geometry import (
     SimplexSpec,
     ToleranceConfig,
     cayley_menger_volume,
+    check_copies,
     congruence_check,
     embed_from_distances,
     pairwise_sq_dists,
@@ -76,6 +77,14 @@ def _solve_foot(face2d: np.ndarray, sq_to_vertices, height_sq: float, tol: Toler
         if abs(got - rhs[j]) > tol.sq_slack(scale):
             raise GeometryError(f"apex foot inconsistent at face vertex {j}")
     return f
+
+
+def _in_row_order(indices, roles) -> tuple:
+    """Copy tuple in simplex row order: point indices[m] plays row roles[m]."""
+    out = [0] * len(roles)
+    for i, role in zip(indices, roles):
+        out[role] = int(i)
+    return tuple(out)
 
 
 def _circumcenter_2d(v: np.ndarray) -> np.ndarray:
@@ -185,11 +194,7 @@ class HingePair:
         return math.acos(max(-1.0, min(1.0, cosang)))
 
     def verify(self, spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-        scale = float(spec.sq_dist.max())
-        for tetra in ([self.a, self.b, self.c, self.d], [self.a_prime, self.b, self.c, self.d]):
-            sq = pairwise_sq_dists(np.vstack(tetra))
-            if float(np.abs(sq - spec.sq_dist).max()) > tol.sq_slack(scale):
-                raise GeometryError("hinge copy does not match the simplex distances")
+        check_copies(self.points(), [(0, 1, 2, 3), (4, 1, 2, 3)], spec.sq_dist, tol, "hinge copy")
         if abs(self.realized_angle() - self.phi) > 1e-9:
             raise GeometryError(
                 f"hinge angle {self.realized_angle()} misses requested {self.phi}"
@@ -309,16 +314,9 @@ def dense_quadruple(profile: TetraProfile, tol: ToleranceConfig = DEFAULT_TOL) -
     z = np.array([f[0], f[1], g[0], g[1], z0 + h_r])
 
     quad = DenseQuadruple(z=z, y=y, x=x)
-    pts = quad.points()
-    scale = float(sq.max())
-    order_zy = (i_r,) + face_r
-    order_yx = (i_h,) + face_h
-    checks = [((0, 1, 2, 3), order_zy)] + [((k, 4, 5, 6), order_yx) for k in (1, 2, 3)]
-    for tup, order in checks:
-        got = pairwise_sq_dists(pts[list(tup)])
-        want = sq[np.ix_(order, order)]
-        if float(np.abs(got - want).max()) > tol.sq_slack(scale):
-            raise GeometryError(f"dense quadruple copy {tup} is not congruent")
+    copies = [_in_row_order((0, 1, 2, 3), (i_r,) + face_r)]
+    copies += [_in_row_order((k, 4, 5, 6), (i_h,) + face_h) for k in (1, 2, 3)]
+    check_copies(quad.points(), copies, sq, tol, "dense quadruple copy")
     return quad
 
 
@@ -535,17 +533,7 @@ class LinkedConfig:
     shared_faces: list
 
     def verify(self, spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-        scale = float(spec.sq_dist.max())
-        slack = tol.sq_slack(scale)
-        ref = None
-        for tup in self.tetra_copies:
-            pts = self.cfg.points[list(tup)]
-            if float(np.abs(pairwise_sq_dists(pts) - spec.sq_dist).max()) <= slack:
-                continue
-            if ref is None:
-                ref = embed_from_distances(spec, tol=tol)
-            if congruence_check(pts, ref, tol=tol) is None:
-                raise GeometryError(f"copy {tup} is not congruent to the simplex")
+        check_copies(self.cfg.points, self.tetra_copies, spec.sq_dist, tol, "tetra copy")
         for i, j, shared in self.shared_faces:
             common = set(self.tetra_copies[i]) & set(self.tetra_copies[j])
             if not set(shared) <= common:
@@ -581,7 +569,8 @@ class _Builder:
 
     All stored copy tuples are labeled in the row order of the original
     simplex; hinge copies built under rotated vertex roles are mapped
-    back before storage.
+    back before storage.  Copies are checked once, by the final
+    ``LinkedConfig.verify``: workspace rows never change once added.
     """
 
     def __init__(self, profile: TetraProfile, dim: int, tol: ToleranceConfig):
@@ -600,13 +589,7 @@ class _Builder:
             self._role_profiles[perm] = tetra_profile(sub, tol=self.tol)
         return self._role_profiles[perm]
 
-    def add_copy(self, tup) -> tuple:
-        tup = tuple(int(i) for i in tup)
-        pts = np.vstack([self.ws.point(i) for i in tup])
-        scale = float(self.spec.sq_dist.max())
-        err = float(np.abs(pairwise_sq_dists(pts) - self.spec.sq_dist).max())
-        if err > self.tol.sq_slack(scale):
-            raise GeometryError(f"copy {tup} violates the simplex distances by {err}")
+    def add_copy(self, tup: tuple) -> tuple:
         self.copies.append(tup)
         return tup
 
@@ -635,11 +618,7 @@ class _Builder:
         for a1, a2 in zip(fan, fan[1:]):
             z1, z2 = self._place_hinge(role_prof, a1, i_center, a2)
             for apex in (a1, a2):
-                roles = (apex, i_center, z1, z2)
-                stored = [0, 0, 0, 0]
-                for pos in range(4):
-                    stored[perm[pos]] = roles[pos]
-                self.add_copy(stored)
+                self.add_copy(_in_row_order((apex, i_center, z1, z2), perm))
 
     def walk_path(self, path, perm, corner_angle) -> None:
         for i in range(1, len(path) - 1):
@@ -726,12 +705,6 @@ class _Builder:
         return LinkedConfig(cfg=cfg, tetra_copies=list(self.copies), shared_faces=shared)
 
 
-def _check_labeled_copy(points: np.ndarray, spec: SimplexSpec, tol: ToleranceConfig) -> None:
-    scale = float(spec.sq_dist.max())
-    if float(np.abs(pairwise_sq_dists(points) - spec.sq_dist).max()) > tol.sq_slack(scale):
-        raise ConstraintViolation("seed_congruence", "points do not realize the simplex rows")
-
-
 def build_link(
     profile: TetraProfile,
     t1_points,
@@ -748,8 +721,11 @@ def build_link(
         raise GeometryError("endpoints must be two 4-point arrays of equal dimension")
     if k_b < 1 or k_d < 1:
         raise GeometryError("subdivision counts must be at least 1")
-    _check_labeled_copy(t1_points, profile.spec, tol)
-    _check_labeled_copy(t2_points, profile.spec, tol)
+    ends = np.vstack([t1_points, t2_points])
+    try:
+        check_copies(ends, [(0, 1, 2, 3), (4, 5, 6, 7)], profile.spec.sq_dist, tol, "endpoint")
+    except GeometryError as err:
+        raise ConstraintViolation("seed_congruence", str(err)) from None
     _validate_corner_angle(profile, corner_angle)
 
     b = _Builder(profile, t1_points.shape[1], tol)
@@ -757,7 +733,7 @@ def build_link(
     # Points shared between the endpoint copies are identified by
     # coordinates once, here at the seam; everything downstream shares
     # by index.
-    cross_sq = pairwise_sq_dists(np.vstack([t1_points, t2_points]))[:4, 4:]
+    cross_sq = pairwise_sq_dists(ends)[:4, 4:]
     slack = tol.sq_slack(float(profile.spec.sq_dist.max()) + 1.0)
     t2 = tuple(
         int(t1[np.nonzero(cross_sq[:, j] <= slack)[0][0]])
@@ -878,18 +854,8 @@ def build_anchor_gadget(
         tri_idx is in face row order; returns the four copy tuples."""
         new = extend_isometry(b.ws, dq.x, np.vstack([dq.y, dq.z]), list(tri_idx), tol=tol)
         ys, z = new[:3], new[3]
-        added = []
-        for yi in ys:
-            tup = [0, 0, 0, 0]
-            tup[i_h] = yi
-            for row, j in enumerate(face):
-                tup[j] = tri_idx[row]
-            added.append(b.add_copy(tup))
-        ztup = [0, 0, 0, 0]
-        ztup[profile.rhomin_vertex] = z
-        for row, j in enumerate(face_r):
-            ztup[j] = ys[row]
-        added.append(b.add_copy(ztup))
+        added = [b.add_copy(_in_row_order((yi,) + tuple(tri_idx), (i_h,) + face)) for yi in ys]
+        added.append(b.add_copy(_in_row_order([z] + ys, (profile.rhomin_vertex,) + face_r)))
         return added
 
     # Each path edge spans a parallelogram congruent to (a1, a2, x, a3)

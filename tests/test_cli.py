@@ -105,19 +105,21 @@ def test_solve_counterexample_exit_one(tmp_path):
 
 def test_solve_truncated_input_exit_two(tmp_path):
     problem = tmp_path / "p.json"
-    text = json.dumps(census_problem_payload(7).to_json_dict())
-    problem.write_text(text[: len(text) // 2])
+    payload = census_problem_payload(7).to_json_dict()
+    text = json.dumps(payload)
     out = tmp_path / "result.json"
-    assert main(["solve", str(problem), "-o", str(out)]) == 2
-    assert not out.exists()
+    # a torn file, and a well-formed file whose mono targets are not a list
+    for body in (text[: len(text) // 2], json.dumps({**payload, "mono": 5})):
+        problem.write_text(body)
+        assert main(["solve", str(problem), "-o", str(out)]) == 2
+        assert not out.exists()
 
 
-def test_solve_budget_env_and_flag(tmp_path, monkeypatch):
+def test_solve_budget_flag(tmp_path):
     problem = tmp_path / "p.json"
     write_json_atomic(str(problem), census_problem_payload(7).to_json_dict())
     out = tmp_path / "result.json"
-    monkeypatch.setenv("EGL_BUDGET", "0.000001")
-    assert main(["solve", str(problem), "-o", str(out)]) == 2
+    assert main(["solve", str(problem), "--budget", "0.000001", "-o", str(out)]) == 2
     assert not out.exists()
     assert main(["solve", str(problem), "--budget", "300", "-o", str(out)]) == 0
 
@@ -179,3 +181,6 @@ def test_report_rejects_junk(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["report", str(broken)]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["report", str(listed)]) == 2

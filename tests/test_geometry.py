@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from egr import geometry
 from egr.geometry import (
     Configuration,
     DEFAULT_TOL,
@@ -12,6 +13,7 @@ from egr.geometry import (
     SimplexSpec,
     ToleranceConfig,
     cayley_menger_volume,
+    check_copies,
     congruence_check,
     embed_from_distances,
     enumerate_copies,
@@ -66,13 +68,62 @@ def test_tolerance_config_validation():
     assert not tol.sq_close(1.0, 1.0 + 5e-9)
 
 
+def straddling_lattice():
+    """2197 lattice points plus a pair 2e-8 apart on either side of a
+    6-decimal rounding boundary, at indices 2197 and 2198."""
+    axis = np.arange(13) * 0.1
+    grid = np.array(list(itertools.product(axis, axis, axis)))
+    pair = np.array([[0.05, 0.05, 0.05000049], [0.05, 0.05, 0.05000051]])
+    return grid, pair
+
+
+def high_dim_cloud():
+    """2500 points in E^200 plus one far point that widens the window,
+    so the first projection's window holds about 190,000 candidate
+    pairs; the near pair sits at indices 2501 and 2502."""
+    rng = np.random.default_rng(5)
+    cloud = rng.uniform(0.0, 1.0, size=(2500, 200))
+    far = np.zeros((1, 200))
+    far[0, 0] = 1000.0
+    p = rng.uniform(0.0, 1.0, size=200)
+    pair = np.vstack([p, p + 0.01 / math.sqrt(200)])
+    return np.vstack([cloud, far]), pair
+
+
 def test_configuration_rejects_coincident_points():
     with pytest.raises(GeometryError):
         Configuration(points=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+    for base, pair in (straddling_lattice(), high_dim_cloud()):
+        Configuration(points=np.vstack([base, pair[:1]]))
+        n = len(base)
+        with pytest.raises(GeometryError, match=f"points {n} and {n + 1} coincide"):
+            Configuration(points=np.vstack([base, pair]))
     cfg = Configuration(
         points=np.array([[0.0, 0.0], [0.0, 0.0]]), allow_coincident=True
     )
     assert len(cfg) == 2
+
+
+def test_check_copies_names_the_bad_tuple():
+    pts = np.vstack([embed_from_distances(SimplexSpec.triangle(1.0, 1.2, 1.4)), np.zeros((1, 2))])
+    spec = SimplexSpec.triangle(1.0, 1.2, 1.4).sq_dist
+    check_copies(pts, [(0, 1, 2)], spec)
+    tampered = pts.copy()
+    tampered[2, 0] += 1e-4
+    with pytest.raises(GeometryError, match=r"copy \(0, 1, 2\)"):
+        check_copies(tampered, [(0, 1, 2)], spec)
+    # a relabeled copy of a scalene triangle is not in row order
+    with pytest.raises(GeometryError, match=r"copy \(1, 0, 2\)"):
+        check_copies(pts, [(0, 1, 2), (1, 0, 2)], spec)
+
+    # a batch several chunks long whose only bad tuple is the last one
+    wide = np.zeros((4, 4096))
+    wide[:, :2] = pts
+    per_chunk = geometry._GATHER_ENTRIES // (3 * wide.shape[1])
+    batch = [(0, 1, 2)] * (3 * per_chunk + 5) + [(0, 1, 3)]
+    with pytest.raises(GeometryError, match=r"copy \(0, 1, 3\)"):
+        check_copies(wide, batch, spec)
+    check_copies(wide, batch[:-1], spec)
 
 
 def test_configuration_validates_copies_and_labels():

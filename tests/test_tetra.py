@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from egr.geometry import (
     pairwise_sq_dists,
 )
 from egr.tetra import (
+    LinkedConfig,
     Workspace,
     apex_circle,
     build_anchor_gadget,
@@ -256,6 +258,11 @@ def test_x1_accepts_relabeled_seed():
     first = out.cfg.points[list(out.tetra_copies[0])]
     assert np.abs(pairwise_sq_dists(first) - SKEW.sq_dist).max() < 1e-9
     out.verify(SKEW)
+    # stored copies must be in row order; a relabeled one is rejected
+    copies = list(out.tetra_copies)
+    copies[5] = tuple(copies[5][i] for i in (2, 0, 3, 1))
+    with pytest.raises(GeometryError, match=re.escape(f"tetra copy {copies[5]}")):
+        LinkedConfig(out.cfg, copies, out.shared_faces).verify(SKEW)
 
 
 def test_x1_rejects_incongruent_seed():

@@ -11,11 +11,9 @@ rainbow copy of another, by exhaustive or backtracking search.
 from .geometry import (
     Configuration,
     ConstraintViolation,
-    DEFAULT_TOL,
     GeometryError,
     NonRealizableError,
     SimplexSpec,
-    ToleranceConfig,
     cayley_menger_volume,
     congruence_check,
     embed_from_distances,
@@ -26,11 +24,9 @@ from .geometry import (
 __all__ = [
     "Configuration",
     "ConstraintViolation",
-    "DEFAULT_TOL",
     "GeometryError",
     "NonRealizableError",
     "SimplexSpec",
-    "ToleranceConfig",
     "cayley_menger_volume",
     "congruence_check",
     "embed_from_distances",

@@ -41,35 +41,25 @@ class ConstraintViolation(GeometryError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+
+
+def sq_close(d1, d2):
     """Comparison policy for squared distances.
 
     Two rules.  Per pair, ``sq_close`` (elementwise on arrays) calls d1
-    and d2 equal when ``|d1 - d2| <= rel_tol * max(d1, d2) + abs_tol``;
+    and d2 equal when ``|d1 - d2| <= REL_TOL * max(d1, d2) + ABS_TOL``;
     congruence testing and copy enumeration use it.  Per copy,
     ``check_copies`` allows every entry the slack ``sq_slack`` of the
     largest wanted squared distance.
     """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1e-3):
-                raise GeometryError(f"{name} must lie in (0, 1e-3), got {v}")
-
-    def sq_close(self, d1, d2):
-        return np.abs(d1 - d2) <= self.rel_tol * np.maximum(d1, d2) + self.abs_tol
-
-    def sq_slack(self, scale: float) -> float:
-        """Absolute slack granted to a squared quantity of the given scale."""
-        return self.rel_tol * max(scale, 0.0) + self.abs_tol
+    return np.abs(d1 - d2) <= REL_TOL * np.maximum(d1, d2) + ABS_TOL
 
 
-DEFAULT_TOL = ToleranceConfig()
+def sq_slack(scale: float) -> float:
+    """Absolute slack granted to a squared quantity of the given scale."""
+    return REL_TOL * max(scale, 0.0) + ABS_TOL
 
 
 def as_point(p) -> np.ndarray:
@@ -109,18 +99,18 @@ _PAIR_CHUNK = 1 << 16  # candidate pairs the coincidence sweep holds at once
 _PROJECTIONS = 8
 
 
-def check_copies(points, tuples, sq_dist, tol: ToleranceConfig = DEFAULT_TOL, what: str = "copy"):
+def check_copies(points, tuples, sq_dist, what: str = "copy"):
     """Raise GeometryError, naming the first bad tuple, unless every
     index tuple t realizes ``sq_dist`` in row order: each
     ``| |p[t[i]] - p[t[j]]|^2 - sq_dist[i, j] |`` is at most
-    ``tol.sq_slack(max sq_dist)``.  Tuples are gathered in chunks, one
+    ``sq_slack(max sq_dist)``.  Tuples are gathered in chunks, one
     batched matrix product per chunk.
     """
     pts = np.asarray(points, dtype=float)
     want = np.asarray(sq_dist, dtype=float)
     k = want.shape[0]
     idx = np.asarray(tuples, dtype=np.intp).reshape(len(tuples), k)
-    slack = tol.sq_slack(float(want.max()))
+    slack = sq_slack(float(want.max()))
     step = max(1, _GATHER_ENTRIES // (k * pts.shape[1]))
     for start in range(0, len(idx), step):
         sub = pts[idx[start : start + step]]
@@ -161,7 +151,6 @@ class Configuration:
     named_copies: dict[str, list[tuple[int, ...]]] = field(default_factory=dict)
     allow_coincident: bool = False
     notes: dict | None = None
-    tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -195,7 +184,7 @@ class Configuration:
         pts = self.points
         n, dim = pts.shape
         scale = float(np.max(np.abs(pts)))
-        thresh = self.tol.sq_slack(scale * scale)
+        thresh = sq_slack(scale * scale)
         # Widened a hair so rounding in the projections cannot drop a
         # pair right at the threshold; survivors are tested exactly.
         window = 1.001 * math.sqrt(thresh)
@@ -247,7 +236,7 @@ class Configuration:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict, allow_coincident: bool = False) -> "Configuration":
+    def from_json_dict(cls, data: dict) -> "Configuration":
         try:
             pts = np.asarray(data["points"], dtype=float)
             dim = int(data["dim"])
@@ -259,7 +248,6 @@ class Configuration:
             points=pts,
             labels=data.get("labels"),
             named_copies={k: [tuple(t) for t in v] for k, v in data.get("copies", {}).items()},
-            allow_coincident=allow_coincident,
             notes=data.get("notes"),
         )
 
@@ -267,8 +255,8 @@ class Configuration:
         write_json_atomic(path, self.to_json_dict())
 
     @classmethod
-    def load(cls, path: str, allow_coincident: bool = False) -> "Configuration":
-        return cls.from_json_dict(read_json(path), allow_coincident=allow_coincident)
+    def load(cls, path: str) -> "Configuration":
+        return cls.from_json_dict(read_json(path))
 
 
 def gram_from_sq_dist(sq: np.ndarray) -> np.ndarray:
@@ -285,16 +273,16 @@ def min_gram_eigenvalue(sq: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(g)[0])
 
 
-def is_realizable(sq: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_realizable(sq: np.ndarray) -> bool:
     """True when the squared-distance matrix embeds in Euclidean space."""
     scale = float(np.max(sq)) if sq.size else 1.0
-    return min_gram_eigenvalue(sq) >= -tol.sq_slack(scale)
+    return min_gram_eigenvalue(sq) >= -sq_slack(scale)
 
 
-def is_nondegenerate(sq: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_nondegenerate(sq: np.ndarray) -> bool:
     """True when the k points realizing ``sq`` span a full (k-1)-flat."""
     scale = float(np.max(sq)) if sq.size else 1.0
-    return min_gram_eigenvalue(sq) > tol.sq_slack(scale)
+    return min_gram_eigenvalue(sq) > sq_slack(scale)
 
 
 @dataclass(frozen=True)
@@ -385,7 +373,33 @@ class SimplexSpec:
         return cls.from_json_dict(read_json(path))
 
 
-def congruence_check(A, B, tol: ToleranceConfig = DEFAULT_TOL):
+def _embeddings(d: np.ndarray, s: np.ndarray):
+    """Yield, in lexicographic order, every injective assignment ``a`` of
+    the k rows of ``s`` to the points of ``d`` with
+    ``sq_close(d[a[i], a[t]], s[i, t])`` for all i, t.  Backtracking; the
+    candidates for row i are the points close to every earlier row.
+    """
+    n, k = d.shape[0], s.shape[0]
+    assign: list[int] = []
+
+    def extend(i: int):
+        mask = np.ones(n, dtype=bool)
+        for t in range(i):
+            mask &= sq_close(d[:, assign[t]], s[i, t])
+        for t in range(i):
+            mask[assign[t]] = False
+        for j in np.nonzero(mask)[0].tolist():
+            if i + 1 == k:
+                yield (*assign, j)
+            else:
+                assign.append(j)
+                yield from extend(i + 1)
+                assign.pop()
+
+    return extend(0) if k else iter([()])
+
+
+def congruence_check(A, B):
     """Search for a bijection making all pairwise squared distances agree.
 
     Returns a tuple ``perm`` with ``|A_i A_j| == |B_perm[i] B_perm[j]|``
@@ -401,48 +415,17 @@ def congruence_check(A, B, tol: ToleranceConfig = DEFAULT_TOL):
         raise GeometryError(f"point counts differ: {n} vs {B.shape[0]}")
     if n > 12:
         raise GeometryError("congruence_check capped at 12 points")
-    if n == 1:
-        return (0,)
     da = pairwise_sq_dists(A)
     db = pairwise_sq_dists(B)
 
     # Quick reject on the sorted distance multisets.
     iu = np.triu_indices(n, k=1)
-    ma = np.sort(da[iu])
-    mb = np.sort(db[iu])
-    for x, y in zip(ma, mb):
-        if not tol.sq_close(float(x), float(y)):
-            return None
-
-    perm = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j]:
-                continue
-            ok = True
-            for t in range(i):
-                if not tol.sq_close(float(da[i, t]), float(db[j, perm[t]])):
-                    ok = False
-                    break
-            if ok:
-                perm[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-                perm[i] = -1
-        return False
-
-    if extend(0):
-        return tuple(perm)
-    return None
+    if not np.all(sq_close(np.sort(da[iu]), np.sort(db[iu]))):
+        return None
+    return next(_embeddings(db, da), None)
 
 
-def enumerate_copies(cfg: Configuration, spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL):
+def enumerate_copies(cfg: Configuration, spec: SimplexSpec):
     """All k-subsets of ``cfg`` congruent to ``spec``.
 
     Returns sorted index tuples in lexicographic order; every subset
@@ -457,30 +440,11 @@ def enumerate_copies(cfg: Configuration, spec: SimplexSpec, tol: ToleranceConfig
         raise GeometryError("enumerate_copies capped at 200 configuration points")
     if k > n:
         return []
-    d = pairwise_sq_dists(cfg.points)
-    s = spec.sq_dist
-    found: set[frozenset] = set()
-    assign: list[int] = []
-
-    def extend(i: int):
-        if i == k:
-            found.add(frozenset(assign))
-            return
-        mask = np.ones(n, dtype=bool)
-        for t in range(i):
-            mask &= tol.sq_close(d[:, assign[t]], s[i, t])
-        for t in range(i):
-            mask[assign[t]] = False
-        for j in np.nonzero(mask)[0]:
-            assign.append(int(j))
-            extend(i + 1)
-            assign.pop()
-
-    extend(0)
+    found = {frozenset(a) for a in _embeddings(pairwise_sq_dists(cfg.points), spec.sq_dist)}
     return sorted(tuple(sorted(fs)) for fs in found)
 
 
-def cayley_menger_volume(spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def cayley_menger_volume(spec: SimplexSpec) -> float:
     """(k-1)-dimensional content of the simplex given by ``spec``.
 
     Zero for degenerate (flat) simplices; raises when the determinant
@@ -495,12 +459,12 @@ def cayley_menger_volume(spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) 
     det = float(np.linalg.det(m))
     content2 = (-1.0) ** k * det / (2.0**j * math.factorial(j) ** 2)
     scale = float(np.max(sq)) ** j if sq.size else 1.0
-    if content2 < -tol.sq_slack(scale):
+    if content2 < -sq_slack(scale):
         raise NonRealizableError(f"negative squared content {content2}")
     return math.sqrt(max(content2, 0.0))
 
 
-def embed_from_distances(spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def embed_from_distances(spec: SimplexSpec) -> np.ndarray:
     """Deterministic coordinates realizing ``spec`` in E^(k-1).
 
     Point 0 sits at the origin, point 1 on the positive first axis, and
@@ -513,7 +477,7 @@ def embed_from_distances(spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) 
     dim = max(1, k - 1)
     x = np.zeros((k, dim))
     scale = float(np.max(sq))
-    pivot_floor = math.sqrt(tol.sq_slack(scale))
+    pivot_floor = math.sqrt(sq_slack(scale))
     for i in range(1, k):
         v = np.zeros(dim)
         for m in range(i - 1):
@@ -522,14 +486,14 @@ def embed_from_distances(spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) 
             proj = float(np.dot(x[m + 1, :m], v[:m]))
             v[m] = (g - proj) / pivot if pivot > pivot_floor else 0.0
         h2 = sq[0, i] - float(np.dot(v[: i - 1], v[: i - 1]))
-        if h2 < -tol.sq_slack(scale):
+        if h2 < -sq_slack(scale):
             raise NonRealizableError(f"embedding failed at point {i}: height^2 = {h2}")
         v[i - 1] = math.sqrt(max(h2, 0.0))
         x[i] = v
     got = pairwise_sq_dists(x)
     for i in range(k):
         for j2 in range(i):
-            if not tol.sq_close(float(got[i, j2]), float(sq[i, j2])):
+            if not sq_close(float(got[i, j2]), float(sq[i, j2])):
                 raise NonRealizableError(
                     f"embedding round trip failed on pair ({j2}, {i}): "
                     f"{got[i, j2]} vs {sq[i, j2]}"

@@ -25,10 +25,8 @@ import numpy as np
 from .geometry import (
     Configuration,
     ConstraintViolation,
-    DEFAULT_TOL,
     GeometryError,
     SimplexSpec,
-    ToleranceConfig,
     check_copies,
     embed_from_distances,
     is_nondegenerate,
@@ -42,30 +40,30 @@ def _contracted_sq(sq: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def _contraction_ok(sq: np.ndarray, eps: float, tol: ToleranceConfig) -> bool:
+def _contraction_ok(sq: np.ndarray, eps: float) -> bool:
     out = _contracted_sq(sq, eps)
     off = out[np.triu_indices(len(out), k=1)]
     if off.size and off.min() <= 0.0:
         return False
-    return is_nondegenerate(out, tol)
+    return is_nondegenerate(out)
 
 
-def eps_max(spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def eps_max(spec: SimplexSpec) -> float:
     """Largest eps (within 1e-9) whose contraction stays nondegenerate.
 
     The contracted Gram matrix decreases monotonically in eps, so the
     admissible set is an interval [0, eps_max) and bisection applies.
     """
     sq = spec.sq_dist
-    if not is_nondegenerate(sq, tol):
+    if not is_nondegenerate(sq):
         raise GeometryError("degenerate simplex has no contraction margin")
     off = sq[np.triu_indices(len(sq), k=1)]
     lo, hi = 0.0, math.sqrt(float(off.min()) / 2.0)
-    if _contraction_ok(sq, hi, tol):
+    if _contraction_ok(sq, hi):
         raise GeometryError("contraction bracket failed to pin the collapse point")
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if _contraction_ok(sq, mid, tol):
+        if _contraction_ok(sq, mid):
             lo = mid
         else:
             hi = mid
@@ -80,18 +78,14 @@ class ContractionResult:
     eps_max: float
 
 
-def contract_simplex(
-    spec: SimplexSpec, eps: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> ContractionResult:
+def contract_simplex(spec: SimplexSpec, eps: float) -> ContractionResult:
     """Shrink every squared side by 2*eps^2."""
     if eps < 0.0:
         raise GeometryError(f"eps must be nonnegative, got {eps}")
-    if eps > 0.0 and not _contraction_ok(spec.sq_dist, eps, tol):
+    if eps > 0.0 and not _contraction_ok(spec.sq_dist, eps):
         raise ConstraintViolation("eps_too_large", f"contraction by eps={eps} degenerates the simplex")
     contracted = SimplexSpec(_contracted_sq(spec.sq_dist, eps))
-    return ContractionResult(
-        original=spec, eps=eps, contracted=contracted, eps_max=eps_max(spec, tol)
-    )
+    return ContractionResult(original=spec, eps=eps, contracted=contracted, eps_max=eps_max(spec))
 
 
 @dataclass(frozen=True)
@@ -141,7 +135,6 @@ def build_perturbation_grid(
     delta_spec: SimplexSpec,
     m_counts,
     eps: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> PerturbationGrid:
     d = len(delta_spec.sq_dist) - 1
     m_counts = tuple(int(m) for m in m_counts)
@@ -152,7 +145,7 @@ def build_perturbation_grid(
     if eps <= 0.0:
         raise GeometryError(f"eps must be positive, got {eps}")
 
-    w = embed_from_distances(delta_spec, tol=tol)
+    w = embed_from_distances(delta_spec)
     steps = tuple(float(np.linalg.norm(w[i + 1])) / m_counts[i] for i in range(d))
     for i, step in enumerate(steps):
         if step >= eps:
@@ -203,7 +196,6 @@ def build_perturbation_grid(
                 "n1": n1,
                 "eps_steps": list(steps),
             },
-            tol=tol,
         ),
     )
 
@@ -220,9 +212,7 @@ def build_perturbation_grid(
     return grid
 
 
-def lifted_base_copy(
-    grid: PerturbationGrid, unit_dir, tol: ToleranceConfig = DEFAULT_TOL
-) -> Configuration:
+def lifted_base_copy(grid: PerturbationGrid, unit_dir) -> Configuration:
     """Base simplex translated by eps along one fiber direction.
 
     The translated vertices all sit at distance eps from their base
@@ -242,12 +232,11 @@ def lifted_base_copy(
     shift = np.zeros(grid.n1)
     shift[d:] = grid.eps * u
     pts = base + shift
-    check_copies(pts, [range(d + 1)], grid.delta_spec.sq_dist, tol, "lifted base copy")
+    check_copies(pts, [range(d + 1)], grid.delta_spec.sq_dist, "lifted base copy")
     return Configuration(
         points=pts,
         labels=[f"q{i}" for i in range(d + 1)],
         notes={"kind": "lifted_base_copy", "eps": grid.eps},
-        tol=tol,
     )
 
 

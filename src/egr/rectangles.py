@@ -21,29 +21,28 @@ import numpy as np
 
 from .geometry import (
     Configuration,
-    DEFAULT_TOL,
     GeometryError,
     SimplexSpec,
-    ToleranceConfig,
     check_copies,
     embed_from_distances,
     pairwise_sq_dists,
+    sq_close,
+    sq_slack,
     squared_distance,
 )
 
 
-def regular_simplex(n: int, x: float, tol: ToleranceConfig = DEFAULT_TOL) -> Configuration:
+def regular_simplex(n: int, x: float) -> Configuration:
     """n points in E^{n-1} with all pairwise distances equal to x."""
     if n < 2:
         raise GeometryError(f"regular simplex needs at least 2 points, got {n}")
     if x <= 0.0:
         raise GeometryError(f"side length must be positive, got {x}")
-    pts = embed_from_distances(SimplexSpec.regular(n, x), tol=tol)
+    pts = embed_from_distances(SimplexSpec.regular(n, x))
     return Configuration(
         points=pts,
         labels=[f"u{i}" for i in range(n)],
         notes={"kind": "regular_simplex", "n": n, "side": x},
-        tol=tol,
     )
 
 
@@ -62,8 +61,8 @@ class PathConfig:
     radius: float
     step_angle: float
 
-    def verify(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-        slack = tol.sq_slack(max(self.x, self.y) ** 2)
+    def verify(self) -> None:
+        slack = sq_slack(max(self.x, self.y) ** 2)
         for i in range(self.t):
             d = squared_distance(self.points[i], self.points[i + 1])
             if abs(d - self.y * self.y) > slack:
@@ -72,7 +71,7 @@ class PathConfig:
         if abs(d - self.x * self.x) > slack:
             raise GeometryError(f"endpoint gap squared is {d}, wanted {self.x ** 2}")
 
-    def as_configuration(self, tol: ToleranceConfig = DEFAULT_TOL) -> Configuration:
+    def as_configuration(self) -> Configuration:
         return Configuration(
             points=self.points,
             labels=[f"v{i}" for i in range(self.t + 1)],
@@ -88,7 +87,6 @@ class PathConfig:
                 "radius": self.radius,
                 "step_angle": self.step_angle,
             },
-            tol=tol,
         )
 
 
@@ -97,7 +95,7 @@ def _arc_span(alpha: float, t: int, y: float) -> float:
     return y * math.sin(t * alpha / 2.0) / math.sin(alpha / 2.0)
 
 
-def path_config(t: int, x: float, y: float, tol: ToleranceConfig = DEFAULT_TOL) -> PathConfig:
+def path_config(t: int, x: float, y: float) -> PathConfig:
     """Path of t edges of length y on an arc, endpoints x apart.
 
     The step angle solves span(alpha) = x by bisection; span is
@@ -143,7 +141,7 @@ def path_config(t: int, x: float, y: float, tol: ToleranceConfig = DEFAULT_TOL) 
     pts[t][1] = 0.0
 
     path = PathConfig(t=t, x=x, y=y, points=pts, radius=radius, step_angle=alpha)
-    path.verify(tol)
+    path.verify()
     return path
 
 
@@ -163,16 +161,14 @@ class ProductConfig:
     def flat_index(self, i: int, j: int) -> int:
         return i * len(self.right.points) + j
 
-    def verify(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    def verify(self) -> None:
         sq_l = pairwise_sq_dists(self.left.points)
         sq_r = pairwise_sq_dists(self.right.points)
         expected = np.kron(sq_l, np.ones_like(sq_r)) + np.kron(np.ones_like(sq_l), sq_r)
-        check_copies(self.product.points, [range(len(expected))], expected, tol, "product")
+        check_copies(self.product.points, [range(len(expected))], expected, "product")
 
 
-def product_config(
-    left: Configuration, right: Configuration, tol: ToleranceConfig = DEFAULT_TOL
-) -> ProductConfig:
+def product_config(left: Configuration, right: Configuration) -> ProductConfig:
     """Cartesian product with concatenated coordinates."""
     n_l, d_l = left.points.shape
     n_r, d_r = right.points.shape
@@ -205,15 +201,14 @@ def product_config(
         labels=labels,
         named_copies=copies,
         notes={"kind": "product", "left_size": n_l, "right_size": n_r},
-        tol=tol,
     )
     out = ProductConfig(left=left, right=right, product=prod)
-    out.verify(tol)
+    out.verify()
     return out
 
 
 def _census_classify(
-    points: np.ndarray, n_right: int, endpoint_j: int, x: float, tol: ToleranceConfig
+    points: np.ndarray, n_right: int, endpoint_j: int, x: float
 ) -> tuple[int, int]:
     """Classify every pair at distance x in a product point array.
 
@@ -223,7 +218,7 @@ def _census_classify(
     attribute, so it aborts.
     """
     sq = pairwise_sq_dists(points)
-    close = tol.sq_close(sq, x * x)
+    close = sq_close(sq, x * x)
     fiber = endpoint = 0
     for p, q in zip(*np.nonzero(np.triu(close, k=1))):
         li, ri = divmod(int(p), n_right)
@@ -240,9 +235,7 @@ def _census_classify(
     return fiber, endpoint
 
 
-def count_distance_pairs(
-    m: int, x: float, y: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> dict[str, int]:
+def count_distance_pairs(m: int, x: float, y: float) -> dict[str, int]:
     """Census of distance-x pairs in S_{3m+1}(x) x B_m(x, y).
 
     Every such pair is either a within-fiber simplex pair, one of
@@ -258,10 +251,10 @@ def count_distance_pairs(
         raise GeometryError(f"path B_{m}({x}, {y}) is infeasible")
 
     n = 3 * m + 1
-    simplex = regular_simplex(n, x, tol=tol)
-    path = path_config(m, x, y, tol=tol).as_configuration(tol=tol)
-    prod = product_config(simplex, path, tol=tol)
-    fiber, endpoint = _census_classify(prod.product.points, m + 1, m, x, tol)
+    simplex = regular_simplex(n, x)
+    path = path_config(m, x, y).as_configuration()
+    prod = product_config(simplex, path)
+    fiber, endpoint = _census_classify(prod.product.points, m + 1, m, x)
 
     formula_q = (m + 1) * math.comb(n, 2) + n
     enumerated = fiber + endpoint

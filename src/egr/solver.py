@@ -131,10 +131,13 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     only take an already-used color or the lowest unused one; the
     variable order picks the smallest remaining domain (ties by index),
     which keeps the pruned tree isomorphic under color permutation and
-    the verdict deterministic.
+    the verdict deterministic.  The search keeps its own stack, so its
+    depth is not bounded by the interpreter's recursion limit.
     """
     n = len(problem.cfg.points)
-    r = problem.r
+    # First-use symmetry breaking opens at most one new color per point,
+    # so colors beyond the point count are never reached.
+    r = min(problem.r, n)
     full = (1 << r) - 1
     colors = [-1] * n
     domains = [full] * n
@@ -221,35 +224,45 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
         return best
 
     def dfs() -> bool:
+        # The point being colored lives in locals; every point above it
+        # is saved as (point, colors still to try, trail of its color).
+        stack: list[tuple[int, int, list]] = []
         idx = pick()
-        if idx < 0:
-            return True
-        used_mask = 0
-        for c in range(r):
-            if use_count[c]:
-                used_mask |= 1 << c
-        fresh = (~used_mask) & full
-        allowed = domains[idx] & (used_mask | (fresh & -fresh))
-        cand = allowed
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            c = bit.bit_length() - 1
-            stats.nodes += 1
-            if stats.nodes % 2048 == 0 and time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"no verdict after {stats.nodes} nodes within {budget} s"
-                )
-            colors[idx] = c
-            use_count[c] += 1
-            trail: list[tuple[int, int]] = []
-            if propagate(idx, trail) and dfs():
-                return True
-            for p, dom in reversed(trail):
-                domains[p] = dom
-            colors[idx] = -1
-            use_count[c] -= 1
-        return False
+        while idx >= 0:
+            used_mask = 0
+            for c in range(r):
+                if use_count[c]:
+                    used_mask |= 1 << c
+            fresh = (~used_mask) & full
+            cand = domains[idx] & (used_mask | (fresh & -fresh))
+            trail = None
+            while True:
+                if trail is not None:
+                    for p, dom in reversed(trail):
+                        domains[p] = dom
+                    use_count[colors[idx]] -= 1
+                    colors[idx] = -1
+                if not cand:
+                    if not stack:
+                        return False
+                    idx, cand, trail = stack.pop()
+                    continue
+                bit = cand & -cand
+                cand ^= bit
+                c = bit.bit_length() - 1
+                stats.nodes += 1
+                if stats.nodes % 2048 == 0 and time.monotonic() > deadline:
+                    raise BudgetExceeded(
+                        f"no verdict after {stats.nodes} nodes within {budget} s"
+                    )
+                colors[idx] = c
+                use_count[c] += 1
+                trail = []
+                if propagate(idx, trail):
+                    break
+            stack.append((idx, cand, trail))
+            idx = pick()
+        return True
 
     try:
         found = dfs()
@@ -274,13 +287,13 @@ def _digit_matrix(codes: np.ndarray, n: int, r: int) -> np.ndarray:
     return digits
 
 
-def exhaustive_oracle(problem: ColoringProblem, cap: int = ORACLE_CAP) -> SearchResult:
+def exhaustive_oracle(problem: ColoringProblem) -> SearchResult:
     """Enumerate every coloring; independent reference for solve_gr."""
     n = len(problem.cfg.points)
     r = problem.r
     total = r**n
-    if total > cap:
-        raise ValueError(f"{r}^{n} = {total} colorings exceed the oracle cap {cap}")
+    if total > ORACLE_CAP:
+        raise ValueError(f"{r}^{n} = {total} colorings exceed the oracle cap {ORACLE_CAP}")
     start = time.monotonic()
     stats = SearchStats()
     chunk = 1 << 14

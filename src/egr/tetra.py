@@ -26,15 +26,14 @@ import numpy as np
 from .geometry import (
     Configuration,
     ConstraintViolation,
-    DEFAULT_TOL,
     GeometryError,
     SimplexSpec,
-    ToleranceConfig,
     cayley_menger_volume,
     check_copies,
     congruence_check,
     embed_from_distances,
     pairwise_sq_dists,
+    sq_slack,
     squared_distance,
 )
 from .rectangles import path_config
@@ -57,7 +56,7 @@ def _face_circumradius(spec: SimplexSpec, face) -> float:
     return math.sqrt(sq[i][j] * sq[i][k] * sq[j][k]) / (4.0 * area)
 
 
-def _solve_foot(face2d: np.ndarray, sq_to_vertices, height_sq: float, tol: ToleranceConfig):
+def _solve_foot(face2d: np.ndarray, sq_to_vertices, height_sq: float):
     """Planar point at prescribed distances from a 2-D triangle.
 
     Solves ||f - v_j||^2 = sq_to_vertices[j] - height_sq; two vertex
@@ -74,7 +73,7 @@ def _solve_foot(face2d: np.ndarray, sq_to_vertices, height_sq: float, tol: Toler
     scale = max(abs(x) for x in rhs) + 1.0
     for j in range(3):
         got = float(np.dot(f - v[j], f - v[j]))
-        if abs(got - rhs[j]) > tol.sq_slack(scale):
+        if abs(got - rhs[j]) > sq_slack(scale):
             raise GeometryError(f"apex foot inconsistent at face vertex {j}")
     return f
 
@@ -133,21 +132,21 @@ class TetraProfile:
         return out
 
 
-def tetra_profile(spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) -> TetraProfile:
+def tetra_profile(spec: SimplexSpec) -> TetraProfile:
     if spec.k != 4:
         raise GeometryError(f"profile needs 4 points, got {spec.k}")
-    volume = cayley_menger_volume(spec, tol=tol)
+    volume = cayley_menger_volume(spec)
     scale = float(spec.sq_dist.max())
-    if volume <= math.sqrt(tol.sq_slack(scale)) ** 3:
+    if volume <= math.sqrt(sq_slack(scale)) ** 3:
         raise ConstraintViolation("degenerate", "coplanar points have no hinge geometry")
 
     faces = [tuple(j for j in range(4) if j != i) for i in range(4)]
     heights = tuple(3.0 * volume / _face_area(spec, f) for f in faces)
     radii = tuple(_face_circumradius(spec, f) for f in faces)
 
-    base2d = embed_from_distances(SimplexSpec(spec.sq_dist[np.ix_(faces[0], faces[0])]), tol=tol)
+    base2d = embed_from_distances(SimplexSpec(spec.sq_dist[np.ix_(faces[0], faces[0])]))
     d = heights[0]
-    foot = _solve_foot(base2d, [spec.sq_dist[0][j] for j in faces[0]], d * d, tol)
+    foot = _solve_foot(base2d, [spec.sq_dist[0][j] for j in faces[0]], d * d)
     theta = math.asin(min(1.0, d / math.sqrt(spec.sq_dist[0][1])))
 
     return TetraProfile(
@@ -193,26 +192,23 @@ class HingePair:
         cosang = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
         return math.acos(max(-1.0, min(1.0, cosang)))
 
-    def verify(self, spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-        check_copies(self.points(), [(0, 1, 2, 3), (4, 1, 2, 3)], spec.sq_dist, tol, "hinge copy")
+    def verify(self, spec: SimplexSpec) -> None:
+        check_copies(self.points(), [(0, 1, 2, 3), (4, 1, 2, 3)], spec.sq_dist, "hinge copy")
         if abs(self.realized_angle() - self.phi) > 1e-9:
             raise GeometryError(
                 f"hinge angle {self.realized_angle()} misses requested {self.phi}"
             )
 
-    def as_configuration(self, tol: ToleranceConfig = DEFAULT_TOL) -> Configuration:
+    def as_configuration(self) -> Configuration:
         return Configuration(
             points=self.points(),
             labels=["a", "b", "c", "d", "a_prime"],
             named_copies={"tetra": [(0, 1, 2, 3), (4, 1, 2, 3)]},
             notes={"kind": "hinge_pair", "phi": self.phi},
-            tol=tol,
         )
 
 
-def glue_two_copies(
-    profile: TetraProfile, phi: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> HingePair:
+def glue_two_copies(profile: TetraProfile, phi: float) -> HingePair:
     """Place two copies sharing the base face at apex angle phi.
 
     The apex circle parameter gap solves
@@ -232,11 +228,11 @@ def glue_two_copies(
     gap = math.acos(max(-1.0, min(1.0, cos_gap)))
     a = apex_circle(profile, gap / 2.0)
     a_prime = apex_circle(profile, -gap / 2.0)
-    if squared_distance(a, a_prime) <= tol.sq_slack(float(profile.spec.sq_dist.max())):
+    if squared_distance(a, a_prime) <= sq_slack(float(profile.spec.sq_dist.max())):
         raise ConstraintViolation("apex_coincidence", f"apexes coincide at phi={phi}")
     base = profile.base_in_e4()
     pair = HingePair(a=a, b=base[0], c=base[1], d=base[2], a_prime=a_prime, phi=phi)
-    pair.verify(profile.spec, tol)
+    pair.verify(profile.spec)
     return pair
 
 
@@ -263,17 +259,16 @@ class DenseQuadruple:
         center = _circumcenter_2d(self.y[:, 2:4])
         return float(np.linalg.norm(self.y[0, 2:4] - center))
 
-    def as_configuration(self, tol: ToleranceConfig = DEFAULT_TOL) -> Configuration:
+    def as_configuration(self) -> Configuration:
         return Configuration(
             points=self.points(),
             labels=["z", "y1", "y2", "y3", "x1", "x2", "x3"],
             named_copies={"tetra": self.tetra_tuples()},
             notes={"kind": "dense_quadruple"},
-            tol=tol,
         )
 
 
-def dense_quadruple(profile: TetraProfile, tol: ToleranceConfig = DEFAULT_TOL) -> DenseQuadruple:
+def dense_quadruple(profile: TetraProfile) -> DenseQuadruple:
     """Four congruent copies stacked over one face in E^5.
 
     Needs the largest height to exceed the smallest face circumradius:
@@ -292,17 +287,17 @@ def dense_quadruple(profile: TetraProfile, tol: ToleranceConfig = DEFAULT_TOL) -
     i_h = profile.hmax_vertex
     face_h = tuple(j for j in range(4) if j != i_h)
     big_h = profile.heights[i_h]
-    x2d = embed_from_distances(SimplexSpec(sq[np.ix_(face_h, face_h)]), tol=tol)
-    f = _solve_foot(x2d, [sq[i_h][j] for j in face_h], big_h * big_h, tol)
+    x2d = embed_from_distances(SimplexSpec(sq[np.ix_(face_h, face_h)]))
+    f = _solve_foot(x2d, [sq[i_h][j] for j in face_h], big_h * big_h)
 
     i_r = profile.rhomin_vertex
     face_r = tuple(j for j in range(4) if j != i_r)
     rho = profile.face_circumradii[i_r]
-    r2d = embed_from_distances(SimplexSpec(sq[np.ix_(face_r, face_r)]), tol=tol)
+    r2d = embed_from_distances(SimplexSpec(sq[np.ix_(face_r, face_r)]))
     center = _circumcenter_2d(r2d)
     t = r2d - center
     h_r = profile.heights[i_r]
-    g = _solve_foot(r2d, [sq[i_r][j] for j in face_r], h_r * h_r, tol) - center
+    g = _solve_foot(r2d, [sq[i_r][j] for j in face_r], h_r * h_r) - center
 
     z0 = math.sqrt(big_h * big_h - rho * rho)
     x = np.zeros((3, 5))
@@ -316,16 +311,15 @@ def dense_quadruple(profile: TetraProfile, tol: ToleranceConfig = DEFAULT_TOL) -
     quad = DenseQuadruple(z=z, y=y, x=x)
     copies = [_in_row_order((0, 1, 2, 3), (i_r,) + face_r)]
     copies += [_in_row_order((k, 4, 5, 6), (i_h,) + face_h) for k in (1, 2, 3)]
-    check_copies(quad.points(), copies, sq, tol, "dense quadruple copy")
+    check_copies(quad.points(), copies, sq, "dense quadruple copy")
     return quad
 
 
 class Workspace:
     """Growing point store that can allocate fresh orthogonal axes."""
 
-    def __init__(self, dim: int, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, dim: int):
         self.dim = int(dim)
-        self.tol = tol
         self._rows: list[np.ndarray] = []
         self.aux_axes = 0
 
@@ -359,7 +353,6 @@ def extend_isometry(
     src_anchors,
     src_extras,
     dst_anchor_idx,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list:
     """Add images of extra points matching all distances to the anchors.
 
@@ -373,7 +366,7 @@ def extend_isometry(
     dst = np.vstack([ws.point(i) for i in dst_anchor_idx])
     scale = float(pairwise_sq_dists(src_anchors).max()) + 1.0
     gap = float(np.abs(pairwise_sq_dists(src_anchors) - pairwise_sq_dists(dst)).max())
-    if gap > tol.sq_slack(scale):
+    if gap > sq_slack(scale):
         raise GeometryError(f"anchor images are not isometric to the anchors (off by {gap})")
 
     u = src_anchors[1:] - src_anchors[0]
@@ -389,7 +382,7 @@ def extend_isometry(
     basis: list[np.ndarray] = []
     axis_ids: list[int] = []
     rows = []
-    floor = math.sqrt(tol.sq_slack(scale))
+    floor = math.sqrt(sq_slack(scale))
     for res in residuals:
         comps = []
         vec = res.copy()
@@ -416,9 +409,7 @@ def extend_isometry(
     return out
 
 
-def _equilateral_leg(
-    ws: Workspace, i_start: int, i_end: int, step: float, min_edges: int, tol: ToleranceConfig
-) -> list:
+def _equilateral_leg(ws: Workspace, i_start: int, i_end: int, step: float, min_edges: int) -> list:
     """Vertex indices of an equal-step path from i_start to i_end.
 
     Zero-length and single-step legs stay direct; anything else lands
@@ -428,13 +419,13 @@ def _equilateral_leg(
     if i_start == i_end:
         return [i_start]
     gap = math.dist(ws.point(i_start), ws.point(i_end))
-    slack = math.sqrt(tol.sq_slack(step * step))
+    slack = math.sqrt(sq_slack(step * step))
     if abs(gap - step) <= slack and min_edges <= 1:
         return [i_start, i_end]
     t = max(2, min_edges, math.ceil(gap / step))
     while gap >= t * step:
         t += 1
-    arc = path_config(t, gap, step, tol=tol)
+    arc = path_config(t, gap, step)
     axis = ws.add_axis()
     p = ws.point(i_start)
     e1 = (ws.point(i_end) - p) / gap
@@ -454,8 +445,7 @@ def _corner_fan(
     i_next: int,
     step: float,
     corner_angle: float,
-    tol: ToleranceConfig,
-    registry: dict | None = None,
+    registry: dict,
 ) -> list:
     """Fan of points at radius ``step`` around a path corner.
 
@@ -475,7 +465,7 @@ def _corner_fan(
     v1 = ws.point(i_next) - c
     n0 = float(np.linalg.norm(v0))
     n1 = float(np.linalg.norm(v1))
-    slack = math.sqrt(tol.sq_slack(step * step))
+    slack = math.sqrt(sq_slack(step * step))
     if abs(n0 - step) > slack or abs(n1 - step) > slack:
         raise GeometryError("corner neighbors are not at the path step distance")
     cos_psi = max(-1.0, min(1.0, float(np.dot(v0, v1)) / (n0 * n1)))
@@ -484,7 +474,7 @@ def _corner_fan(
     if substeps == 1:
         return [i_prev, i_next]
     lo, hi = sorted((i_prev, i_next))
-    if registry is not None and (lo, hi, i_center, substeps, 1) in registry:
+    if (lo, hi, i_center, substeps, 1) in registry:
         mids = [registry[(lo, hi, i_center, substeps, j)] for j in range(1, substeps)]
         if i_prev != lo:
             mids.reverse()
@@ -505,9 +495,8 @@ def _corner_fan(
     for j in range(1, substeps):
         ang = psi * j / substeps
         idx = ws.add_point(c + step * (math.cos(ang) * e1 + math.sin(ang) * e2))
-        if registry is not None:
-            key_j = j if i_prev == lo else substeps - j
-            registry[(lo, hi, i_center, substeps, key_j)] = idx
+        key_j = j if i_prev == lo else substeps - j
+        registry[(lo, hi, i_center, substeps, key_j)] = idx
         out.append(idx)
     out.append(i_next)
     return out
@@ -532,8 +521,8 @@ class LinkedConfig:
     tetra_copies: list
     shared_faces: list
 
-    def verify(self, spec: SimplexSpec, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-        check_copies(self.cfg.points, self.tetra_copies, spec.sq_dist, tol, "tetra copy")
+    def verify(self, spec: SimplexSpec) -> None:
+        check_copies(self.cfg.points, self.tetra_copies, spec.sq_dist, "tetra copy")
         for i, j, shared in self.shared_faces:
             common = set(self.tetra_copies[i]) & set(self.tetra_copies[j])
             if not set(shared) <= common:
@@ -573,11 +562,10 @@ class _Builder:
     ``LinkedConfig.verify``: workspace rows never change once added.
     """
 
-    def __init__(self, profile: TetraProfile, dim: int, tol: ToleranceConfig):
+    def __init__(self, profile: TetraProfile, dim: int):
         self.profile = profile
         self.spec = profile.spec
-        self.ws = Workspace(dim, tol=tol)
-        self.tol = tol
+        self.ws = Workspace(dim)
         self.copies: list = []
         self.fan_registry: dict = {}
         self._role_profiles = {IDENTITY_ROLES: profile}
@@ -586,7 +574,7 @@ class _Builder:
         if perm not in self._role_profiles:
             idx = list(perm)
             sub = SimplexSpec(self.spec.sq_dist[np.ix_(idx, idx)])
-            self._role_profiles[perm] = tetra_profile(sub, tol=self.tol)
+            self._role_profiles[perm] = tetra_profile(sub)
         return self._role_profiles[perm]
 
     def add_copy(self, tup: tuple) -> tuple:
@@ -596,13 +584,12 @@ class _Builder:
     def _place_hinge(self, role_prof: TetraProfile, i_apex1: int, i_center: int, i_apex2: int):
         """Complete two fan neighbors around a corner into a hinge pair."""
         phi = _angle_at(self.ws, i_apex1, i_center, i_apex2)
-        pair = glue_two_copies(role_prof, phi, tol=self.tol)
+        pair = glue_two_copies(role_prof, phi)
         new_idx = extend_isometry(
             self.ws,
             np.vstack([pair.a, pair.b, pair.a_prime]),
             np.vstack([pair.c, pair.d]),
             [i_apex1, i_center, i_apex2],
-            tol=self.tol,
         )
         return new_idx[0], new_idx[1]
 
@@ -611,10 +598,7 @@ class _Builder:
         copies, stored in original row order."""
         role_prof = self.role_profile(perm)
         step = math.sqrt(role_prof.spec.sq_dist[0][1])
-        fan = _corner_fan(
-            self.ws, i_prev, i_center, i_next, step, corner_angle, self.tol,
-            registry=self.fan_registry,
-        )
+        fan = _corner_fan(self.ws, i_prev, i_center, i_next, step, corner_angle, self.fan_registry)
         for a1, a2 in zip(fan, fan[1:]):
             z1, z2 = self._place_hinge(role_prof, a1, i_center, a2)
             for apex in (a1, a2):
@@ -641,12 +625,12 @@ class _Builder:
         ang_cd = _role_angle(self.role_profile(SWAPPED_ROLES), corner_angle)
 
         step_ab = math.sqrt(self.spec.sq_dist[0][1])
-        leg = _equilateral_leg(self.ws, t1[0], t2[0], step_ab, k_b, self.tol)
+        leg = _equilateral_leg(self.ws, t1[0], t2[0], step_ab, k_b)
         self.walk_path([t1[1]] + leg + [t2[1]], IDENTITY_ROLES, ang_ab)
         self.add_copy(t2)
 
         step_cd = math.sqrt(self.spec.sq_dist[2][3])
-        leg = _equilateral_leg(self.ws, t1[3], t2[3], step_cd, k_d, self.tol)
+        leg = _equilateral_leg(self.ws, t1[3], t2[3], step_cd, k_d)
         start = len(self.copies)
         self.walk_path([t1[2]] + leg + [t2[2]], SWAPPED_ROLES, ang_cd)
         self.copies[start:] = reversed(self.copies[start:])
@@ -663,7 +647,7 @@ class _Builder:
         poly = [order[0]]
         for hop, nxt in enumerate(order[1:] + [order[0]]):
             edges = 1 if hop == 0 else min_leg_edges
-            leg = _equilateral_leg(self.ws, poly[-1], nxt, step, edges, self.tol)
+            leg = _equilateral_leg(self.ws, poly[-1], nxt, step, edges)
             poly.extend(leg[1:])
         poly = poly[:-1]
         before = len(self.copies)
@@ -683,24 +667,21 @@ class _Builder:
             self.link(t1, t2, 1, 1, corner_angle)
         return phi1, phi2, len(self.copies) - before
 
-    def finish(self, labels=None, extra_notes=None) -> LinkedConfig:
+    def finish(self, extra_notes: dict) -> LinkedConfig:
         notes = {
             "aux_axes": self.ws.aux_axes,
             "dim": self.ws.dim,
             "placement": "paths and hinge completions use fresh orthogonal axes",
         }
-        if extra_notes:
-            notes.update(extra_notes)
+        notes.update(extra_notes)
         shared = []
         for i in range(len(self.copies) - 1):
             common = tuple(sorted(set(self.copies[i]) & set(self.copies[i + 1])))
             shared.append((i, i + 1, common))
         cfg = Configuration(
             points=self.ws.matrix(),
-            labels=labels,
             named_copies={"tetra": [tuple(t) for t in self.copies]},
             notes=notes,
-            tol=self.tol,
         )
         return LinkedConfig(cfg=cfg, tetra_copies=list(self.copies), shared_faces=shared)
 
@@ -712,7 +693,6 @@ def build_link(
     k_b: int = 1,
     k_d: int = 1,
     corner_angle: float | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> LinkedConfig:
     """Chain two placed copies of the simplex through hinge corners."""
     t1_points = np.asarray(t1_points, dtype=float)
@@ -723,18 +703,18 @@ def build_link(
         raise GeometryError("subdivision counts must be at least 1")
     ends = np.vstack([t1_points, t2_points])
     try:
-        check_copies(ends, [(0, 1, 2, 3), (4, 5, 6, 7)], profile.spec.sq_dist, tol, "endpoint")
+        check_copies(ends, [(0, 1, 2, 3), (4, 5, 6, 7)], profile.spec.sq_dist, "endpoint")
     except GeometryError as err:
         raise ConstraintViolation("seed_congruence", str(err)) from None
     _validate_corner_angle(profile, corner_angle)
 
-    b = _Builder(profile, t1_points.shape[1], tol)
+    b = _Builder(profile, t1_points.shape[1])
     t1 = tuple(b.ws.add_point(p) for p in t1_points)
     # Points shared between the endpoint copies are identified by
     # coordinates once, here at the seam; everything downstream shares
     # by index.
     cross_sq = pairwise_sq_dists(ends)[:4, 4:]
-    slack = tol.sq_slack(float(profile.spec.sq_dist.max()) + 1.0)
+    slack = sq_slack(float(profile.spec.sq_dist.max()) + 1.0)
     t2 = tuple(
         int(t1[np.nonzero(cross_sq[:, j] <= slack)[0][0]])
         if bool(np.any(cross_sq[:, j] <= slack))
@@ -744,7 +724,7 @@ def build_link(
 
     b.link(t1, t2, k_b, k_d, corner_angle)
     out = b.finish(extra_notes={"kind": "link", "k_b": k_b, "k_d": k_d})
-    out.verify(profile.spec, tol)
+    out.verify(profile.spec)
     return out
 
 
@@ -753,7 +733,6 @@ def build_x1(
     seed_points,
     min_leg_edges: int = 1,
     corner_angle: float | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> LinkedConfig:
     """Glued links around one placed copy of the simplex.
 
@@ -769,12 +748,12 @@ def build_x1(
     if min_leg_edges < 1:
         raise GeometryError("subdivision counts must be at least 1")
     _validate_corner_angle(profile, corner_angle)
-    perm = congruence_check(embed_from_distances(profile.spec, tol=tol), seed_points, tol=tol)
+    perm = congruence_check(embed_from_distances(profile.spec), seed_points)
     if perm is None:
         raise ConstraintViolation("seed_congruence", "seed is not congruent to the simplex")
     seed_points = seed_points[list(perm)]
 
-    b = _Builder(profile, seed_points.shape[1], tol)
+    b = _Builder(profile, seed_points.shape[1])
     seed = b.add_copy(tuple(b.ws.add_point(p) for p in seed_points))
     phi1, phi2, link_copies = b.glued_polygons(seed, corner_angle, min_leg_edges)
     out = b.finish(
@@ -785,7 +764,7 @@ def build_x1(
             "link_copies": link_copies,
         }
     )
-    out.verify(profile.spec, tol)
+    out.verify(profile.spec)
     return out
 
 
@@ -794,7 +773,6 @@ def build_anchor_gadget(
     edge=None,
     k: int = 1,
     corner_angle: float | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> LinkedConfig:
     """Parallelogram path gadget anchored at an edge of the
     largest-height face.
@@ -825,9 +803,9 @@ def build_anchor_gadget(
     a3 = next(j for j in face if j not in (a1, a2))
 
     # Canonical copy: largest-height face in the plane, apex above it.
-    face2d = embed_from_distances(SimplexSpec(spec.sq_dist[np.ix_(face, face)]), tol=tol)
+    face2d = embed_from_distances(SimplexSpec(spec.sq_dist[np.ix_(face, face)]))
     big_h = profile.heights[i_h]
-    foot = _solve_foot(face2d, [spec.sq_dist[i_h][j] for j in face], big_h * big_h, tol)
+    foot = _solve_foot(face2d, [spec.sq_dist[i_h][j] for j in face], big_h * big_h)
     pts4 = np.zeros((4, 3))
     for row, j in enumerate(face):
         pts4[j, :2] = face2d[row]
@@ -838,21 +816,21 @@ def build_anchor_gadget(
     x = p2 + p3 - p1
     d_step = float(np.linalg.norm(p1 - x))
 
-    b = _Builder(profile, 3, tol)
+    b = _Builder(profile, 3)
     idx4 = b.add_copy(tuple(b.ws.add_point(p) for p in pts4))
 
-    bpath = _equilateral_leg(b.ws, idx4[a1], idx4[a2], d_step, k + 1, tol)
+    bpath = _equilateral_leg(b.ws, idx4[a1], idx4[a2], d_step, k + 1)
     if len(bpath) != k + 2:
         raise GeometryError(f"edge gap admits no {k + 1}-edge path at the diagonal step")
 
-    dq = dense_quadruple(profile, tol=tol)
+    dq = dense_quadruple(profile)
     face_r = tuple(j for j in range(4) if j != profile.rhomin_vertex)
 
     def attach_dense(tri_idx):
         """Dense-quadruple attachment over one placed face triangle.
 
         tri_idx is in face row order; returns the four copy tuples."""
-        new = extend_isometry(b.ws, dq.x, np.vstack([dq.y, dq.z]), list(tri_idx), tol=tol)
+        new = extend_isometry(b.ws, dq.x, np.vstack([dq.y, dq.z]), list(tri_idx))
         ys, z = new[:3], new[3]
         added = [b.add_copy(_in_row_order((yi,) + tuple(tri_idx), (i_h,) + face)) for yi in ys]
         added.append(b.add_copy(_in_row_order([z] + ys, (profile.rhomin_vertex,) + face_r)))
@@ -865,7 +843,7 @@ def build_anchor_gadget(
     attachments = []
     for i in range(len(bpath) - 1):
         c1, c2 = extend_isometry(
-            b.ws, np.vstack([p1, x]), np.vstack([p2, p3]), [bpath[i], bpath[i + 1]], tol=tol
+            b.ws, np.vstack([p1, x]), np.vstack([p2, p3]), [bpath[i], bpath[i + 1]]
         )
         tri1 = [0, 0, 0]
         tri1[row_a1], tri1[row_a2], tri1[row_a3] = bpath[i], c1, c2
@@ -892,5 +870,5 @@ def build_anchor_gadget(
             "gluing_copy_counts": gluing_counts,
         }
     )
-    out.verify(spec, tol)
+    out.verify(spec)
     return out

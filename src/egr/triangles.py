@@ -17,11 +17,11 @@ import numpy as np
 from .geometry import (
     Configuration,
     ConstraintViolation,
-    DEFAULT_TOL,
     GeometryError,
-    ToleranceConfig,
     as_point,
     congruence_check,
+    sq_close,
+    sq_slack,
     squared_distance,
 )
 
@@ -152,9 +152,9 @@ class FivePointGadget:
             worst = max(worst, abs(squared_distance(pts[i], pts[j]) - target))
         return worst
 
-    def verify(self, tol: ToleranceConfig = DEFAULT_TOL):
+    def verify(self):
         err = self.max_sq_error()
-        if err > tol.sq_slack(self.c * self.c):
+        if err > sq_slack(self.c * self.c):
             raise GeometryError(f"five-point distances off by {err}")
 
     def triangle_copies(self) -> dict[str, tuple[int, int, int]]:
@@ -239,16 +239,16 @@ class SphereChain:
     def hops(self) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(len(self.nodes) - 1)]
 
-    def verify(self, tol: ToleranceConfig = DEFAULT_TOL):
+    def verify(self):
         s_sq = self.s * self.s
         for node in self.nodes:
             got = squared_distance(node, self.center)
-            if not tol.sq_close(got, s_sq):
+            if not sq_close(got, s_sq):
                 raise GeometryError(f"chain node off sphere: |X-center|^2 = {got} vs {s_sq}")
         d_sq = self.d * self.d
         for i, j in self.hops():
             got = squared_distance(self.nodes[i], self.nodes[j])
-            if not tol.sq_close(got, d_sq):
+            if not sq_close(got, d_sq):
                 raise GeometryError(f"hop ({i},{j}) has squared length {got} vs {d_sq}")
 
     def as_configuration(self) -> Configuration:
@@ -287,7 +287,7 @@ def _chain_profile(uv: float, d: float, k: int):
     return f
 
 
-def chain_on_sphere(center, s: float, U, V, d: float, tol: ToleranceConfig = DEFAULT_TOL) -> SphereChain:
+def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
     """Connect U to V on the sphere by the smallest workable equal-hop chain.
 
     Solves f(x) = 2(k+1) asin(d/2x) - 2 asin(|UV|/2x) for a radius
@@ -309,22 +309,22 @@ def chain_on_sphere(center, s: float, U, V, d: float, tol: ToleranceConfig = DEF
     s_sq = s * s
     for name, pt in (("U", U), ("V", V)):
         got = squared_distance(pt, center)
-        if not tol.sq_close(got, s_sq):
+        if not sq_close(got, s_sq):
             raise GeometryError(f"{name} is off the sphere: |{name}-center|^2 = {got} vs {s_sq}")
 
     uv_sq = squared_distance(U, V)
-    scale_slack = tol.sq_slack(s_sq)
+    scale_slack = sq_slack(s_sq)
     if uv_sq <= scale_slack:
         # Coincident endpoints: nothing to connect.
         return SphereChain(center=center, s=s, d=d, nodes=U[None, :].copy(), k=0, s_prime=None)
 
-    if tol.sq_close(uv_sq, 4.0 * s_sq):
+    if sq_close(uv_sq, 4.0 * s_sq):
         # Antipodal endpoints: one deterministic pre-hop off the axis.
         radial = (U - center) / s
         e = _unit_orthogonal([radial], dim)
         xi = 2.0 * math.asin(d / (2.0 * s))
         u_pre = center + math.cos(xi) * (U - center) + math.sin(xi) * s * e
-        inner = chain_on_sphere(center, s, u_pre, V, d, tol=tol)
+        inner = chain_on_sphere(center, s, u_pre, V, d)
         nodes = np.vstack([U[None, :], inner.nodes])
         return SphereChain(
             center=center,
@@ -421,7 +421,7 @@ def chain_on_sphere(center, s: float, U, V, d: float, tol: ToleranceConfig = DEF
         nodes.append(o_circ + s_prime * (math.cos(ang) * e_a + math.sin(ang) * e_b))
     nodes.append(V)
     chain = SphereChain(center=center, s=s, d=d, nodes=np.vstack(nodes), k=k, s_prime=s_prime)
-    chain.verify(tol)
+    chain.verify()
     return chain
 
 
@@ -461,7 +461,7 @@ class MonoSphereWitness:
         pts = np.vstack([self.A, self.B, self.nodes])
         hops = [(2 + i, 3 + i) for i in range(len(self.nodes) - 1)]
         copies = {"hop_tetra_ABxy": [(0, 1, i, j) for i, j in hops]}
-        return Configuration(points=pts, named_copies=copies, allow_coincident=False)
+        return Configuration(points=pts, named_copies=copies)
 
 
 def equal_chord_sphere(c: float, eps: float) -> tuple[np.ndarray, float]:
@@ -477,7 +477,6 @@ def mono_sphere_witness(
     eps: float,
     U,
     V,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> MonoSphereWitness:
     """Chain U to V across the equal-distance sphere of the gadget.
 
@@ -497,12 +496,12 @@ def mono_sphere_witness(
     for name, pt in (("U", U), ("V", V)):
         for anchor_name, anchor in (("A", A4), ("B", B4)):
             got = squared_distance(pt, anchor)
-            if not tol.sq_close(got, c_sq):
+            if not sq_close(got, c_sq):
                 raise GeometryError(
                     f"{name} is not at distance c from {anchor_name}: {got} vs {c_sq}"
                 )
     _, radius = equal_chord_sphere(c, eps)
-    chain3 = chain_on_sphere(np.zeros(3), radius, U[1:], V[1:], gadget.ell, tol=tol)
+    chain3 = chain_on_sphere(np.zeros(3), radius, U[1:], V[1:], gadget.ell)
     nodes = np.zeros((len(chain3.nodes), 4))
     nodes[:, 1:] = chain3.nodes
 
@@ -510,7 +509,7 @@ def mono_sphere_witness(
     checked = 0
     for i in range(len(nodes) - 1):
         tetra = np.vstack([nodes[i], nodes[i + 1], A4, B4])
-        if congruence_check(tetra, ref, tol=tol) is None:
+        if congruence_check(tetra, ref) is None:
             raise GeometryError(f"hop {i} is not congruent to the gadget tetrahedron")
         checked += 1
     return MonoSphereWitness(
@@ -548,8 +547,8 @@ class CaseBCertificate:
     def pq(self) -> float:
         return math.dist(self.P, self.Q)
 
-    def verify(self, tol: ToleranceConfig = DEFAULT_TOL):
-        slack = tol.sq_slack(self.c * self.c)
+    def verify(self):
+        slack = sq_slack(self.c * self.c)
         oq_sq = squared_distance(self.O, self.Q)
         lo = (self.rho - self.delta) ** 2
         hi = self.rho * self.rho
@@ -565,15 +564,15 @@ class CaseBCertificate:
         for name, z in (("Z1", self.Z1), ("Z2", self.Z2)):
             for pname, pt in (("P", self.P), ("Q", self.Q)):
                 got = squared_distance(z, pt)
-                if not tol.sq_close(got, c_sq):
+                if not sq_close(got, c_sq):
                     raise GeometryError(f"|{name} {pname}|^2 = {got} vs c^2 = {c_sq}")
-        if not tol.sq_close(squared_distance(self.Z1, self.O), self.rad_S**2):
+        if not sq_close(squared_distance(self.Z1, self.O), self.rad_S**2):
             raise GeometryError("Z1 is off the outer sphere")
-        if not tol.sq_close(squared_distance(self.Z2, self.O), self.rad_W**2):
+        if not sq_close(squared_distance(self.Z2, self.O), self.rad_W**2):
             raise GeometryError("Z2 is off the forced sphere")
         op_sq = squared_distance(self.O, self.P)
         if self.branch == "on_sphere":
-            if not tol.sq_close(op_sq, self.rad_S**2):
+            if not sq_close(op_sq, self.rad_S**2):
                 raise GeometryError("branch on_sphere but P is off S")
         else:
             if not (hi - slack < op_sq < self.rad_S**2 + slack):
@@ -620,7 +619,6 @@ def case_b_certificate(
     eps: float,
     rho: float,
     delta: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> CaseBCertificate:
     """Assemble the P, Q, Z1, Z2 certificate in explicit E^3 coordinates.
 
@@ -639,7 +637,7 @@ def case_b_certificate(
     rho_floor = math.sqrt(3.0 * c * c / 4.0 - (eps * eps) / 4.0)
     if rho <= rho_floor:
         raise ConstraintViolation("rho_min", f"rho must exceed {rho_floor}")
-    slack = math.sqrt(tol.sq_slack(rad_s * rad_s))
+    slack = math.sqrt(sq_slack(rad_s * rad_s))
     if rho > rad_s + slack:
         raise ConstraintViolation("rho_max", f"rho must not exceed rad_S = {rad_s}")
     rho = min(rho, rad_s)
@@ -647,7 +645,7 @@ def case_b_certificate(
         raise ConstraintViolation("delta_positive", "delta must be positive")
     if delta >= (c * c - rho * rho) / (2.0 * rho):
         raise ConstraintViolation("delta1", f"delta must be below (c^2 - rho^2)/(2 rho)")
-    on_sphere = tol.sq_close(rho * rho, rad_s * rad_s)
+    on_sphere = sq_close(rho * rho, rad_s * rad_s)
     if not on_sphere and delta >= (rad_s * rad_s - rho * rho) / (2.0 * rho):
         raise ConstraintViolation("delta2", "delta must be below (rad_S^2 - rho^2)/(2 rho)")
     if delta >= inv.h * inv.h / (2.0 * rho):
@@ -707,5 +705,5 @@ def case_b_certificate(
         rad_S=rad_s,
         rad_W=rad_w,
     )
-    cert.verify(tol)
+    cert.verify()
     return cert

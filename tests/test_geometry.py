@@ -7,11 +7,9 @@ import pytest
 from egr import geometry
 from egr.geometry import (
     Configuration,
-    DEFAULT_TOL,
     GeometryError,
     NonRealizableError,
     SimplexSpec,
-    ToleranceConfig,
     cayley_menger_volume,
     check_copies,
     congruence_check,
@@ -20,11 +18,12 @@ from egr.geometry import (
     is_nondegenerate,
     is_realizable,
     pairwise_sq_dists,
+    sq_close,
     squared_distance,
 )
 
 
-def brute_force_congruence(A, B, tol=DEFAULT_TOL):
+def brute_force_congruence(A, B):
     """Oracle: try every bijection explicitly."""
     A = np.asarray(A, float)
     B = np.asarray(B, float)
@@ -35,7 +34,7 @@ def brute_force_congruence(A, B, tol=DEFAULT_TOL):
         ok = True
         for i in range(n):
             for j in range(i):
-                if not tol.sq_close(float(da[i, j]), float(db[perm[i], perm[j]])):
+                if not sq_close(float(da[i, j]), float(db[perm[i], perm[j]])):
                     ok = False
                     break
             if not ok:
@@ -58,14 +57,9 @@ def test_squared_distance_basic():
         squared_distance([0.0, 0.0], [1.0, 2.0, 3.0])
 
 
-def test_tolerance_config_validation():
-    with pytest.raises(GeometryError):
-        ToleranceConfig(rel_tol=0.0)
-    with pytest.raises(GeometryError):
-        ToleranceConfig(abs_tol=1.0)
-    tol = ToleranceConfig()
-    assert tol.sq_close(1.0, 1.0 + 5e-10)
-    assert not tol.sq_close(1.0, 1.0 + 5e-9)
+def test_sq_close_policy():
+    assert sq_close(1.0, 1.0 + 5e-10)
+    assert not sq_close(1.0, 1.0 + 5e-9)
 
 
 def straddling_lattice():
@@ -203,7 +197,7 @@ def test_congruence_matches_brute_force_on_random_sets():
             db = pairwise_sq_dists(b)
             for i in range(n):
                 for j in range(n):
-                    assert DEFAULT_TOL.sq_close(float(da[i, j]), float(db[fast[i], fast[j]]))
+                    assert sq_close(float(da[i, j]), float(db[fast[i], fast[j]]))
 
 
 def test_congruence_size_mismatch_and_cap():
@@ -300,7 +294,7 @@ def test_embed_round_trip_random_specs():
         got = pairwise_sq_dists(pts)
         for i in range(k):
             for j in range(i):
-                assert DEFAULT_TOL.sq_close(float(got[i, j]), float(spec.sq_dist[i, j]))
+                assert sq_close(float(got[i, j]), float(spec.sq_dist[i, j]))
         # Triangular frame: point i has zeros beyond axis i-1.
         for i in range(k):
             assert np.all(pts[i, max(i, 1):] == 0.0)

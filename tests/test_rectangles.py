@@ -19,7 +19,6 @@ from egr.rectangles import (
     product_config,
     regular_simplex,
 )
-from egr.geometry import DEFAULT_TOL
 
 
 def test_regular_simplex_small():
@@ -164,4 +163,4 @@ def test_census_aborts_on_unattributable_pair():
     # pair, so classification must fail.
     pts = np.array([[0.0, 1.5, 3.0]]).T
     with pytest.raises(GeometryError, match="not generic"):
-        _census_classify(pts, 3, 2, 1.5, DEFAULT_TOL)
+        _census_classify(pts, 3, 2, 1.5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,37 @@ def test_budget_exceeded_is_an_error():
     p = long_pair_census_problem(7)
     with pytest.raises(BudgetExceeded):
         solve_gr(p, budget=0.0)
+
+
+def test_deep_search_does_not_recurse():
+    # One search level per point, past the default recursion limit.
+    n = 1200
+    cfg = Configuration(points=np.arange(n, dtype=float)[:, None])
+    mono = [(i, i + 1) for i in range(n - 1)]
+    p = ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=[], r=2)
+    out = solve_gr(p)
+    assert out.verdict == COUNTEREXAMPLE
+    assert verify_coloring(p, out.witness)["clean"]
+
+
+def test_colors_beyond_the_point_count_cost_nothing():
+    cfg = Configuration(points=np.arange(6, dtype=float)[:, None])
+
+    def problem(r):
+        mono = [(0, 1), (1, 2), (3, 4)]
+        rainbow = [(0, 2, 4), (1, 3, 5), (2, 3, 4, 5)]
+        return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
+
+    small = solve_gr(problem(6))
+    tracemalloc.start()
+    try:
+        big = solve_gr(problem(10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert small.verdict == big.verdict == COUNTEREXAMPLE
+    assert big.witness == small.witness
+    assert peak < 1 << 20
 
 
 def random_problem(rng):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from egr.geometry import ConstraintViolation, DEFAULT_TOL, GeometryError, squared_distance
+from egr.geometry import ConstraintViolation, GeometryError, squared_distance
 from egr.triangles import (
     build_five_point,
     case_b_certificate,

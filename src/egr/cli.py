@@ -164,7 +164,7 @@ def _construct_contract(args) -> Configuration:
             "kind": "contracted_simplex",
             "eps": result.eps,
             "eps_max": result.eps_max,
-            "original_sq_dist": [[float(x) for x in row] for row in spec.sq_dist],
+            "original_sq_dist": spec.sq_dist.tolist(),
         },
     )
 

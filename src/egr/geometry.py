@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -60,6 +61,17 @@ def sq_close(d1, d2):
 def sq_slack(scale: float) -> float:
     """Absolute slack granted to a squared quantity of the given scale."""
     return REL_TOL * max(scale, 0.0) + ABS_TOL
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as a Python int.  Only integers pass, numpy ones too; a
+    float, string or bool is refused rather than truncated or parsed."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise GeometryError(f"{what} must be an integer, got {value!r}")
 
 
 def as_point(p) -> np.ndarray:
@@ -126,8 +138,9 @@ def check_copies(points, tuples, sq_dist, what: str = "copy"):
 
 def _check_copy_tuples(copies, n: int, name: str):
     out = []
+    what = f"copy index in {name!r}"
     for tup in copies:
-        tup = tuple(int(i) for i in tup)
+        tup = tuple(as_index(i, what) for i in tup)
         for i in tup:
             if not (0 <= i < n):
                 raise GeometryError(f"copy index {i} out of range in {name!r}")
@@ -226,7 +239,7 @@ class Configuration:
     def to_json_dict(self) -> dict:
         out = {
             "dim": self.dim,
-            "points": [[float(x) for x in row] for row in self.points],
+            "points": self.points.tolist(),
             "copies": {k: [list(t) for t in v] for k, v in self.named_copies.items()},
         }
         if self.labels is not None:
@@ -239,7 +252,7 @@ class Configuration:
     def from_json_dict(cls, data: dict) -> "Configuration":
         try:
             pts = np.asarray(data["points"], dtype=float)
-            dim = int(data["dim"])
+            dim = as_index(data["dim"], "dim")
         except (KeyError, TypeError, ValueError) as exc:
             raise GeometryError(f"malformed configuration payload: {exc}") from None
         if pts.ndim != 2 or pts.shape[1] != dim:
@@ -356,7 +369,7 @@ class SimplexSpec:
         return cls.from_points(pts)
 
     def to_json_dict(self) -> dict:
-        return {"sq_dist": [[float(x) for x in row] for row in self.sq_dist]}
+        return {"sq_dist": self.sq_dist.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplexSpec":
@@ -502,13 +515,16 @@ def embed_from_distances(spec: SimplexSpec) -> np.ndarray:
 
 
 def write_json_atomic(path: str, payload: dict):
-    """Write JSON via a temp file plus rename so readers never see a torn file."""
+    """Write compact one-line JSON via a temp file plus rename so readers
+    never see a torn file.  One-shot ``json.dumps`` without an indent is
+    the only call that runs CPython's C encoder; floats are written with
+    ``float.__repr__`` either way, so they reload bit-identical."""
+    text = json.dumps(payload) + "\n"
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Configuration
+from .geometry import Configuration, as_index
 
 FORCED = "FORCED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -37,8 +37,9 @@ class BudgetExceeded(RuntimeError):
 
 def _check_targets(name: str, targets, n: int) -> list[tuple[int, ...]]:
     out = []
+    what = f"{name} target index"
     for t in targets:
-        tt = tuple(int(i) for i in t)
+        tt = tuple(as_index(i, what) for i in t)
         if len(tt) < 2:
             raise ValueError(f"{name} target {tt} needs at least 2 points")
         if len(set(tt)) != len(tt):
@@ -60,7 +61,7 @@ class ColoringProblem:
         n = len(self.cfg.points)
         self.mono_targets = _check_targets("mono", self.mono_targets, n)
         self.rainbow_targets = _check_targets("rainbow", self.rainbow_targets, n)
-        self.r = int(self.r)
+        self.r = as_index(self.r, "color count")
         if self.r < 1:
             raise ValueError(f"color count must be positive, got {self.r}")
 

@@ -108,8 +108,13 @@ def test_solve_truncated_input_exit_two(tmp_path):
     payload = census_problem_payload(7).to_json_dict()
     text = json.dumps(payload)
     out = tmp_path / "result.json"
-    # a torn file, and a well-formed file whose mono targets are not a list
-    for body in (text[: len(text) // 2], json.dumps({**payload, "mono": 5})):
+    # a torn file, a well-formed file whose mono targets are not a list,
+    # and colour counts or target indices that are not integers: none of
+    # them may be truncated or parsed into a solvable problem
+    bodies = [text[: len(text) // 2], json.dumps({**payload, "mono": 5})]
+    bodies += [json.dumps({**payload, "r": r}) for r in (1.9, True, "3", 3.0)]
+    bodies.append(json.dumps({**payload, "mono": [[0.7, 1], *payload["mono"]]}))
+    for body in bodies:
         problem.write_text(body)
         assert main(["solve", str(problem), "-o", str(out)]) == 2
         assert not out.exists()
@@ -184,3 +189,9 @@ def test_report_rejects_junk(tmp_path):
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
     assert main(["report", str(listed)]) == 2
+    # a copy index or a dim that is not an integer
+    fractional = tmp_path / "fractional.json"
+    for body in ({"dim": 1, "points": [[0.0], [1.0]], "copies": {"pair": [[0.9, 1]]}},
+                 {"dim": 1.9, "points": [[0.0], [1.0]]}):
+        fractional.write_text(json.dumps(body))
+        assert main(["report", str(fractional)]) == 2

@@ -1,14 +1,18 @@
-"""Exit-code contract of ``egr solve`` and ``egr report`` under fuzzed input.
+"""Exit-code contract of ``egr solve``, ``egr report`` and ``egr copies``
+under fuzzed input.
 
 Every payload, malformed or valid but odd, must end in exit 0, 1 or 2
 without an exception escaping ``main``; exit 1 only with a written
-witness that replays clean against the problem it came from.
+witness that replays clean against the problem it came from, and exit 0
+from ``copies`` only with exactly the copies a brute-force search finds.
 """
 
+import itertools
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -16,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from egr.cli import main
+from egr.geometry import sq_close
 from egr.solver import ColoringProblem, verify_coloring
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -66,14 +71,70 @@ artifact_payloads = st.dictionaries(artifact_keys, json_values, max_size=6).flat
 )
 
 
-def _run(verb, payload):
-    """Exit code of ``egr <verb>`` on the payload, and the JSON it wrote."""
+@st.composite
+def copies_inputs(draw):
+    """A configuration of at most 8 half-integer lattice points and a spec
+    of k <= 4 points, taken from the configuration when it has k points,
+    each pair carrying at most one flaw: an asymmetric, non-realizable or
+    degenerate spec, a coincident point, bad copy indices, or a field
+    replaced by junk."""
+    n = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-6, 6).map(lambda v: v / 2), min_size=dim, max_size=dim)
+    points = draw(st.lists(row, min_size=n, max_size=n, unique_by=tuple))
+    k = draw(st.integers(2, 4))
+    if k <= n:
+        picked = np.array([points[i] for i in draw(st.permutations(range(n)))[:k]])
+        sq = ((picked[:, None] - picked[None]) ** 2).sum(axis=-1)
+    else:
+        sq = np.zeros((k, k))
+        sq[np.triu_indices(k, 1)] = draw(st.lists(st.integers(1, 8), min_size=k * (k - 1) // 2,
+                                                  max_size=k * (k - 1) // 2))
+        sq += sq.T
+    config = {"dim": dim, "points": points}
+    spec = {"sq_dist": sq.tolist()}
+    flaw = draw(st.sampled_from(
+        [None, None, None, "asymmetric", "unrealizable", "degenerate", "coincide", "copies", "junk"]
+    ))
+    if flaw == "asymmetric":
+        spec["sq_dist"][0][1] += 0.5
+    elif flaw == "unrealizable":
+        spec["sq_dist"] = [[0.0, 1.0, 16.0], [1.0, 0.0, 1.0], [16.0, 1.0, 0.0]]
+    elif flaw == "degenerate":
+        spec["sq_dist"][0][1] = spec["sq_dist"][1][0] = 0.0
+    elif flaw == "coincide":
+        points[-1] = list(points[0])
+    elif flaw == "copies":
+        config["copies"] = {"pair": draw(st.sampled_from([[[0, n]], [[0.5, 0]], [[True, 0]], [["0", 1]], 7]))}
+    elif flaw == "junk":
+        target = draw(st.sampled_from(["config", "dim", "points", "spec", "sq_dist"]))
+        if target == "config":
+            config = draw(json_values)
+        elif target == "spec":
+            spec = draw(json_values)
+        elif target == "sq_dist":
+            spec["sq_dist"] = draw(json_values)
+        else:
+            config[target] = draw(json_values)
+    return config, spec
+
+
+def _run(verb, *payloads):
+    """Exit code of ``egr <verb>`` on the payloads (for ``copies``, the
+    configuration and then the spec), and the JSON it wrote."""
     with tempfile.TemporaryDirectory() as tmp:
-        src = os.path.join(tmp, "in.json")
+        paths = [os.path.join(tmp, f"in{i}.json") for i in range(len(payloads))]
+        for path, payload in zip(paths, payloads):
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
         out = os.path.join(tmp, "out.json")
-        with open(src, "w") as fh:
-            json.dump(payload, fh)
-        rc = main(["solve", src, "-o", out] if verb == "solve" else ["report", src])
+        if verb == "copies":
+            argv = ["copies", paths[0], "--spec", paths[1], "-o", out]
+        elif verb == "solve":
+            argv = ["solve", paths[0], "-o", out]
+        else:
+            argv = ["report", paths[0]]
+        rc = main(argv)
         if not os.path.exists(out):
             return rc, None
         with open(out) as fh:
@@ -95,3 +156,22 @@ def test_solve_exit_codes_hold_on_any_payload(payload):
 def test_report_exit_codes_hold_on_any_payload(payload):
     rc, _ = _run("report", payload)
     assert rc in (0, 2)
+
+
+@FUZZ
+@given(copies_inputs())
+def test_copies_exit_codes_hold_on_any_payload(inputs):
+    config, spec = inputs
+    rc, written = _run("copies", config, spec)
+    assert rc in (0, 2)
+    if rc == 0:
+        pts = np.asarray(config["points"], dtype=float)
+        d = ((pts[:, None] - pts[None]) ** 2).sum(axis=-1)
+        want = np.asarray(spec["sq_dist"], dtype=float)
+        realizing = [
+            list(t)
+            for t in itertools.combinations(range(len(pts)), len(want))
+            if any(np.all(sq_close(d[np.ix_(p, p)], want)) for p in itertools.permutations(t))
+        ]
+        assert written["copies"] == realizing
+        assert written["count"] == len(realizing)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from egr.geometry import (
     pairwise_sq_dists,
     sq_close,
     squared_distance,
+    write_json_atomic,
 )
 
 
@@ -126,8 +128,12 @@ def test_configuration_validates_copies_and_labels():
         Configuration(points=pts, labels=["a"])
     with pytest.raises(GeometryError):
         Configuration(points=pts, named_copies={"bad": [(0, 5)]})
-    cfg = Configuration(points=pts, labels=["a", "b"], named_copies={"pair": [(0, 1)]})
+    for bad in [(0.9, 1), (True, 0), ("1", 0)]:
+        with pytest.raises(GeometryError):
+            Configuration(points=pts, named_copies={"bad": [bad]})
+    cfg = Configuration(points=pts, labels=["a", "b"], named_copies={"pair": [(np.int64(0), 1)]})
     assert cfg.named_copies["pair"] == [(0, 1)]
+    assert type(cfg.named_copies["pair"][0][0]) is int
 
 
 def test_configuration_json_round_trip(tmp_path):
@@ -142,6 +148,27 @@ def test_configuration_json_round_trip(tmp_path):
     assert np.array_equal(back.points, cfg.points)
     assert back.labels == cfg.labels
     assert back.named_copies == cfg.named_copies
+    # every bit survives; array_equal calls -0.0 equal to 0.0, so compare bit patterns
+    edge = Configuration(points=np.array([[-0.0, 5e-324, 1.0 / 3.0, 1e308]]))
+    edge.save(str(path))
+    back = Configuration.load(str(path))
+    assert np.array_equal(back.points.view(np.uint64), edge.points.view(np.uint64))
+
+
+def test_write_json_atomic_is_one_compact_dump(tmp_path):
+    payload = {"dim": 2, "points": [[0.1, -2.5], [1e-300, 3.0]], "notes": {"kind": "x", "ok": True}}
+    path = tmp_path / "out.json"
+    write_json_atomic(str(path), payload)
+    assert path.read_text() == json.dumps(payload) + "\n"
+
+
+def test_write_json_atomic_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        write_json_atomic(str(path), {"points": {1, 2}})
+    assert path.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_simplex_spec_validation():

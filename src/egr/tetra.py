@@ -40,42 +40,21 @@ from .rectangles import path_config
 
 IDENTITY_ROLES = (0, 1, 2, 3)
 SWAPPED_ROLES = (2, 3, 0, 1)
+# Largest points x dim a builder workspace may reach: 512 MB as dense
+# float64, so an oversized build ends in GeometryError, not an OOM kill.
+MAX_COORDINATES = 1 << 26
 
 
-def _face_area(spec: SimplexSpec, face) -> float:
-    sub = SimplexSpec(spec.sq_dist[np.ix_(face, face)])
-    return cayley_menger_volume(sub)
+def _face_frame(sq: np.ndarray, apex: int):
+    """The face opposite ``apex`` and the simplex embedded face-first.
 
-
-def _face_circumradius(spec: SimplexSpec, face) -> float:
-    i, j, k = face
-    sq = spec.sq_dist
-    area = _face_area(spec, face)
-    if area <= 0.0:
-        raise ConstraintViolation("degenerate", f"face {face} has zero area")
-    return math.sqrt(sq[i][j] * sq[i][k] * sq[j][k]) / (4.0 * area)
-
-
-def _solve_foot(face2d: np.ndarray, sq_to_vertices, height_sq: float):
-    """Planar point at prescribed distances from a 2-D triangle.
-
-    Solves ||f - v_j||^2 = sq_to_vertices[j] - height_sq; two vertex
-    differences pin f down and the remaining equation is a consistency
-    check.
+    Rows 0-2 of the frame hold that face, in face order, in the plane
+    of the first two axes; row 3 is the apex, with its foot in the
+    first two coordinates and its height over the face in the third.
     """
-    rhs = [s - height_sq for s in sq_to_vertices]
-    v = face2d
-    a = 2.0 * (v[1:] - v[0])
-    b = np.array(
-        [np.dot(v[j], v[j]) - np.dot(v[0], v[0]) - (rhs[j] - rhs[0]) for j in (1, 2)]
-    )
-    f = np.linalg.solve(a, b)
-    scale = max(abs(x) for x in rhs) + 1.0
-    for j in range(3):
-        got = float(np.dot(f - v[j], f - v[j]))
-        if abs(got - rhs[j]) > sq_slack(scale):
-            raise GeometryError(f"apex foot inconsistent at face vertex {j}")
-    return f
+    face = tuple(j for j in range(4) if j != apex)
+    order = list(face) + [apex]
+    return face, embed_from_distances(SimplexSpec(sq[np.ix_(order, order)]))
 
 
 def _in_row_order(indices, roles) -> tuple:
@@ -84,6 +63,18 @@ def _in_row_order(indices, roles) -> tuple:
     for i, role in zip(indices, roles):
         out[role] = int(i)
     return tuple(out)
+
+
+def _angle(u: np.ndarray, v: np.ndarray) -> float:
+    cosang = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    return math.acos(max(-1.0, min(1.0, cosang)))
+
+
+def _check_hinge_range(profile: TetraProfile, value: float, name: str, what: str) -> None:
+    """Raise ConstraintViolation ``name`` unless value lies in (0, 2*theta]."""
+    two_theta = 2.0 * profile.theta
+    if not 0.0 < value <= two_theta + 1e-12:
+        raise ConstraintViolation(name, f"{what} must lie in (0, {two_theta}], got {value}")
 
 
 def _circumcenter_2d(v: np.ndarray) -> np.ndarray:
@@ -135,19 +126,22 @@ class TetraProfile:
 def tetra_profile(spec: SimplexSpec) -> TetraProfile:
     if spec.k != 4:
         raise GeometryError(f"profile needs 4 points, got {spec.k}")
+    sq = spec.sq_dist
     volume = cayley_menger_volume(spec)
-    scale = float(spec.sq_dist.max())
-    if volume <= math.sqrt(sq_slack(scale)) ** 3:
+    if volume <= math.sqrt(sq_slack(float(sq.max()))) ** 3:
         raise ConstraintViolation("degenerate", "coplanar points have no hinge geometry")
 
     faces = [tuple(j for j in range(4) if j != i) for i in range(4)]
-    heights = tuple(3.0 * volume / _face_area(spec, f) for f in faces)
-    radii = tuple(_face_circumradius(spec, f) for f in faces)
+    areas = [cayley_menger_volume(SimplexSpec(sq[np.ix_(f, f)])) for f in faces]
+    heights = tuple(3.0 * volume / area for area in areas)
+    radii = tuple(
+        math.sqrt(sq[i][j] * sq[i][k] * sq[j][k]) / (4.0 * area)
+        for (i, j, k), area in zip(faces, areas)
+    )
 
-    base2d = embed_from_distances(SimplexSpec(spec.sq_dist[np.ix_(faces[0], faces[0])]))
+    _, frame = _face_frame(sq, 0)
     d = heights[0]
-    foot = _solve_foot(base2d, [spec.sq_dist[0][j] for j in faces[0]], d * d)
-    theta = math.asin(min(1.0, d / math.sqrt(spec.sq_dist[0][1])))
+    theta = math.asin(min(1.0, d / math.sqrt(sq[0][1])))
 
     return TetraProfile(
         spec=spec,
@@ -158,8 +152,8 @@ def tetra_profile(spec: SimplexSpec) -> TetraProfile:
         hmax_vertex=int(np.argmax(heights)),
         rhomin_vertex=int(np.argmin(radii)),
         condition_flag=max(heights) > min(radii),
-        base2d=base2d,
-        apex_foot=foot,
+        base2d=frame[:3, :2],
+        apex_foot=frame[3, :2],
         apex_height=d,
         theta=theta,
     )
@@ -187,10 +181,7 @@ class HingePair:
         return np.vstack([self.a, self.b, self.c, self.d, self.a_prime])
 
     def realized_angle(self) -> float:
-        u = self.a - self.b
-        v = self.a_prime - self.b
-        cosang = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-        return math.acos(max(-1.0, min(1.0, cosang)))
+        return _angle(self.a - self.b, self.a_prime - self.b)
 
     def verify(self, spec: SimplexSpec) -> None:
         check_copies(self.points(), [(0, 1, 2, 3), (4, 1, 2, 3)], spec.sq_dist, "hinge copy")
@@ -216,11 +207,7 @@ def glue_two_copies(profile: TetraProfile, phi: float) -> HingePair:
     apex-foot-to-b distance and A2 the squared apex height, so phi is
     attainable exactly for phi in (0, 2*theta].
     """
-    two_theta = 2.0 * profile.theta
-    if not 0.0 < phi <= two_theta + 1e-12:
-        raise ConstraintViolation(
-            "phi_range", f"hinge angle must lie in (0, {two_theta}], got {phi}"
-        )
+    _check_hinge_range(profile, phi, "phi_range", "hinge angle")
     rel = profile.base2d[0] - profile.apex_foot
     b2 = float(np.dot(rel, rel))
     a2 = profile.apex_height**2
@@ -243,17 +230,20 @@ class DenseQuadruple:
     x1 x2 x3 realizes the face under the largest height; y1 y2 y3 sit
     on the sphere of apex positions over it, arranged as the face of
     smallest circumradius; z completes y1 y2 y3 to a fourth copy.
+    ``copies`` indexes ``points()`` (z, y1..y3, x1..x3) in simplex row
+    order: the three y-over-x copies, then the z copy.
     """
 
     z: np.ndarray
     y: np.ndarray
     x: np.ndarray
+    copies: list
 
     def points(self) -> np.ndarray:
         return np.vstack([self.z, self.y, self.x])
 
     def tetra_tuples(self):
-        return [(0, 1, 2, 3), (1, 4, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6)]
+        return list(self.copies)
 
     def y_circumradius(self) -> float:
         center = _circumcenter_2d(self.y[:, 2:4])
@@ -283,55 +273,55 @@ def dense_quadruple(profile: TetraProfile) -> DenseQuadruple:
             f"face circumradius {profile.rho_min}",
         )
     sq = profile.spec.sq_dist
-
-    i_h = profile.hmax_vertex
-    face_h = tuple(j for j in range(4) if j != i_h)
-    big_h = profile.heights[i_h]
-    x2d = embed_from_distances(SimplexSpec(sq[np.ix_(face_h, face_h)]))
-    f = _solve_foot(x2d, [sq[i_h][j] for j in face_h], big_h * big_h)
-
-    i_r = profile.rhomin_vertex
-    face_r = tuple(j for j in range(4) if j != i_r)
-    rho = profile.face_circumradii[i_r]
-    r2d = embed_from_distances(SimplexSpec(sq[np.ix_(face_r, face_r)]))
-    center = _circumcenter_2d(r2d)
-    t = r2d - center
-    h_r = profile.heights[i_r]
-    g = _solve_foot(r2d, [sq[i_r][j] for j in face_r], h_r * h_r) - center
+    i_h, i_r = profile.hmax_vertex, profile.rhomin_vertex
+    face_h, xf = _face_frame(sq, i_h)
+    face_r, rf = _face_frame(sq, i_r)
+    big_h, rho = profile.H_max, profile.rho_min
+    center = _circumcenter_2d(rf[:3, :2])
 
     z0 = math.sqrt(big_h * big_h - rho * rho)
     x = np.zeros((3, 5))
-    x[:, :2] = x2d
+    x[:, :2] = xf[:3, :2]
     y = np.zeros((3, 5))
-    y[:, :2] = f
-    y[:, 2:4] = t
+    y[:, :2] = xf[3, :2]
+    y[:, 2:4] = rf[:3, :2] - center
     y[:, 4] = z0
-    z = np.array([f[0], f[1], g[0], g[1], z0 + h_r])
+    z = np.concatenate([xf[3, :2], rf[3, :2] - center, [z0 + profile.heights[i_r]]])
 
-    quad = DenseQuadruple(z=z, y=y, x=x)
-    copies = [_in_row_order((0, 1, 2, 3), (i_r,) + face_r)]
-    copies += [_in_row_order((k, 4, 5, 6), (i_h,) + face_h) for k in (1, 2, 3)]
+    copies = [_in_row_order((k, 4, 5, 6), (i_h,) + face_h) for k in (1, 2, 3)]
+    copies.append(_in_row_order((0, 1, 2, 3), (i_r,) + face_r))
+    quad = DenseQuadruple(z=z, y=y, x=x, copies=copies)
     check_copies(quad.points(), copies, sq, "dense quadruple copy")
     return quad
 
 
 class Workspace:
-    """Growing point store that can allocate fresh orthogonal axes."""
+    """Growing point store that can allocate fresh orthogonal axes.
+
+    Growth past ``MAX_COORDINATES`` (points x dim, the size of the dense
+    matrix the builders end with) raises GeometryError.
+    """
 
     def __init__(self, dim: int):
         self.dim = int(dim)
         self._rows: list[np.ndarray] = []
         self.aux_axes = 0
 
-    def __len__(self) -> int:
-        return len(self._rows)
+    def _check_size(self, points: int, dim: int) -> None:
+        if points * dim > MAX_COORDINATES:
+            raise GeometryError(
+                f"workspace of {points} points x {dim} axes = {points * dim} coordinates "
+                f"exceeds the limit of {MAX_COORDINATES}"
+            )
 
     def add_axis(self) -> int:
+        self._check_size(len(self._rows), self.dim + 1)
         self.dim += 1
         self.aux_axes += 1
         return self.dim - 1
 
     def add_point(self, coords) -> int:
+        self._check_size(len(self._rows) + 1, self.dim)
         row = np.zeros(self.dim)
         c = np.asarray(coords, dtype=float)
         row[: len(c)] = c
@@ -345,7 +335,10 @@ class Workspace:
         return np.concatenate([row, np.zeros(self.dim - len(row))])
 
     def matrix(self) -> np.ndarray:
-        return np.vstack([self.point(i) for i in range(len(self._rows))])
+        out = np.zeros((len(self._rows), self.dim))
+        for i, row in enumerate(self._rows):
+            out[i, : len(row)] = row
+        return out
 
 
 def extend_isometry(
@@ -468,8 +461,7 @@ def _corner_fan(
     slack = math.sqrt(sq_slack(step * step))
     if abs(n0 - step) > slack or abs(n1 - step) > slack:
         raise GeometryError("corner neighbors are not at the path step distance")
-    cos_psi = max(-1.0, min(1.0, float(np.dot(v0, v1)) / (n0 * n1)))
-    psi = math.acos(cos_psi)
+    psi = _angle(v0, v1)
     substeps = max(1, math.ceil(psi / corner_angle - 1e-12))
     if substeps == 1:
         return [i_prev, i_next]
@@ -502,43 +494,20 @@ def _corner_fan(
     return out
 
 
-def _angle_at(ws: Workspace, i_a: int, i_center: int, i_b: int) -> float:
-    u = ws.point(i_a) - ws.point(i_center)
-    v = ws.point(i_b) - ws.point(i_center)
-    cosang = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-    return math.acos(max(-1.0, min(1.0, cosang)))
-
-
 @dataclass
 class LinkedConfig:
-    """A configuration together with its ordered tetra copies.
-
-    ``shared_faces`` lists, for consecutive entries of ``tetra_copies``,
-    the point indices the two copies have in common.
-    """
+    """A configuration together with its ordered tetra copies."""
 
     cfg: Configuration
     tetra_copies: list
-    shared_faces: list
 
     def verify(self, spec: SimplexSpec) -> None:
         check_copies(self.cfg.points, self.tetra_copies, spec.sq_dist, "tetra copy")
-        for i, j, shared in self.shared_faces:
-            common = set(self.tetra_copies[i]) & set(self.tetra_copies[j])
-            if not set(shared) <= common:
-                raise GeometryError(
-                    f"declared sharing {shared} absent between copies {i} and {j}"
-                )
 
 
 def _validate_corner_angle(profile: TetraProfile, corner_angle) -> None:
-    if corner_angle is None:
-        return
-    two_theta = 2.0 * profile.theta
-    if not 0.0 < corner_angle <= two_theta + 1e-12:
-        raise ConstraintViolation(
-            "corner_angle", f"corner angle must lie in (0, {two_theta}], got {corner_angle}"
-        )
+    if corner_angle is not None:
+        _check_hinge_range(profile, corner_angle, "corner_angle", "corner angle")
 
 
 def _role_angle(role_prof: TetraProfile, corner_angle) -> float:
@@ -558,12 +527,11 @@ class _Builder:
 
     All stored copy tuples are labeled in the row order of the original
     simplex; hinge copies built under rotated vertex roles are mapped
-    back before storage.  Copies are checked once, by the final
-    ``LinkedConfig.verify``: workspace rows never change once added.
+    back before storage.  Copies are checked once, by ``finish``:
+    workspace rows never change once added.
     """
 
     def __init__(self, profile: TetraProfile, dim: int):
-        self.profile = profile
         self.spec = profile.spec
         self.ws = Workspace(dim)
         self.copies: list = []
@@ -583,7 +551,8 @@ class _Builder:
 
     def _place_hinge(self, role_prof: TetraProfile, i_apex1: int, i_center: int, i_apex2: int):
         """Complete two fan neighbors around a corner into a hinge pair."""
-        phi = _angle_at(self.ws, i_apex1, i_center, i_apex2)
+        c = self.ws.point(i_center)
+        phi = _angle(self.ws.point(i_apex1) - c, self.ws.point(i_apex2) - c)
         pair = glue_two_copies(role_prof, phi)
         new_idx = extend_isometry(
             self.ws,
@@ -668,22 +637,21 @@ class _Builder:
         return phi1, phi2, len(self.copies) - before
 
     def finish(self, extra_notes: dict) -> LinkedConfig:
+        """The configuration with every stored copy checked."""
         notes = {
             "aux_axes": self.ws.aux_axes,
             "dim": self.ws.dim,
             "placement": "paths and hinge completions use fresh orthogonal axes",
         }
         notes.update(extra_notes)
-        shared = []
-        for i in range(len(self.copies) - 1):
-            common = tuple(sorted(set(self.copies[i]) & set(self.copies[i + 1])))
-            shared.append((i, i + 1, common))
         cfg = Configuration(
             points=self.ws.matrix(),
             named_copies={"tetra": [tuple(t) for t in self.copies]},
             notes=notes,
         )
-        return LinkedConfig(cfg=cfg, tetra_copies=list(self.copies), shared_faces=shared)
+        out = LinkedConfig(cfg=cfg, tetra_copies=list(self.copies))
+        out.verify(self.spec)
+        return out
 
 
 def build_link(
@@ -723,9 +691,7 @@ def build_link(
     )
 
     b.link(t1, t2, k_b, k_d, corner_angle)
-    out = b.finish(extra_notes={"kind": "link", "k_b": k_b, "k_d": k_d})
-    out.verify(profile.spec)
-    return out
+    return b.finish(extra_notes={"kind": "link", "k_b": k_b, "k_d": k_d})
 
 
 def build_x1(
@@ -756,7 +722,7 @@ def build_x1(
     b = _Builder(profile, seed_points.shape[1])
     seed = b.add_copy(tuple(b.ws.add_point(p) for p in seed_points))
     phi1, phi2, link_copies = b.glued_polygons(seed, corner_angle, min_leg_edges)
-    out = b.finish(
+    return b.finish(
         extra_notes={
             "kind": "x1",
             "phi": [phi1, phi2],
@@ -764,8 +730,6 @@ def build_x1(
             "link_copies": link_copies,
         }
     )
-    out.verify(profile.spec)
-    return out
 
 
 def build_anchor_gadget(
@@ -783,18 +747,12 @@ def build_anchor_gadget(
     receive dense-quadruple attachments; every attached copy then gets
     the glued double polygon run on it.
     """
-    if not profile.condition_flag:
-        raise ConstraintViolation(
-            "condition",
-            f"largest height {profile.H_max} does not exceed smallest "
-            f"face circumradius {profile.rho_min}",
-        )
+    dq = dense_quadruple(profile)
     if k < 1:
         raise GeometryError("path length must be at least 1")
     _validate_corner_angle(profile, corner_angle)
-    spec = profile.spec
     i_h = profile.hmax_vertex
-    face = tuple(j for j in range(4) if j != i_h)
+    face, frame = _face_frame(profile.spec.sq_dist, i_h)
     if edge is None:
         edge = (face[0], face[1])
     a1, a2 = (int(edge[0]), int(edge[1]))
@@ -803,14 +761,8 @@ def build_anchor_gadget(
     a3 = next(j for j in face if j not in (a1, a2))
 
     # Canonical copy: largest-height face in the plane, apex above it.
-    face2d = embed_from_distances(SimplexSpec(spec.sq_dist[np.ix_(face, face)]))
-    big_h = profile.heights[i_h]
-    foot = _solve_foot(face2d, [spec.sq_dist[i_h][j] for j in face], big_h * big_h)
     pts4 = np.zeros((4, 3))
-    for row, j in enumerate(face):
-        pts4[j, :2] = face2d[row]
-    pts4[i_h, :2] = foot
-    pts4[i_h, 2] = big_h
+    pts4[list(face) + [i_h]] = frame
 
     p1, p2, p3 = pts4[a1], pts4[a2], pts4[a3]
     x = p2 + p3 - p1
@@ -823,34 +775,25 @@ def build_anchor_gadget(
     if len(bpath) != k + 2:
         raise GeometryError(f"edge gap admits no {k + 1}-edge path at the diagonal step")
 
-    dq = dense_quadruple(profile)
-    face_r = tuple(j for j in range(4) if j != profile.rhomin_vertex)
-
     def attach_dense(tri_idx):
         """Dense-quadruple attachment over one placed face triangle.
 
         tri_idx is in face row order; returns the four copy tuples."""
-        new = extend_isometry(b.ws, dq.x, np.vstack([dq.y, dq.z]), list(tri_idx))
-        ys, z = new[:3], new[3]
-        added = [b.add_copy(_in_row_order((yi,) + tuple(tri_idx), (i_h,) + face)) for yi in ys]
-        added.append(b.add_copy(_in_row_order([z] + ys, (profile.rhomin_vertex,) + face_r)))
-        return added
+        *ys, z = extend_isometry(b.ws, dq.x, np.vstack([dq.y, dq.z]), list(tri_idx))
+        local = [z, *ys, *tri_idx]  # the dense quadruple's point order
+        return [b.add_copy(tuple(local[i] for i in t)) for t in dq.copies]
 
     # Each path edge spans a parallelogram congruent to (a1, a2, x, a3)
     # whose diagonal is the edge; its two triangles are congruent to
     # the face, the second one with the off-diagonal corners swapped.
-    row_a1, row_a2, row_a3 = (face.index(a1), face.index(a2), face.index(a3))
+    rows = [face.index(a) for a in (a1, a2, a3)]
     attachments = []
     for i in range(len(bpath) - 1):
         c1, c2 = extend_isometry(
             b.ws, np.vstack([p1, x]), np.vstack([p2, p3]), [bpath[i], bpath[i + 1]]
         )
-        tri1 = [0, 0, 0]
-        tri1[row_a1], tri1[row_a2], tri1[row_a3] = bpath[i], c1, c2
-        tri2 = [0, 0, 0]
-        tri2[row_a1], tri2[row_a2], tri2[row_a3] = bpath[i + 1], c2, c1
-        attachments.extend(attach_dense(tuple(tri1)))
-        attachments.extend(attach_dense(tuple(tri2)))
+        attachments += attach_dense(_in_row_order((bpath[i], c1, c2), rows))
+        attachments += attach_dense(_in_row_order((bpath[i + 1], c2, c1), rows))
 
     # Glue the double polygon construction onto every attached copy.
     cap = 2.0 * profile.theta if corner_angle is None else corner_angle
@@ -860,7 +803,7 @@ def build_anchor_gadget(
         b.glued_polygons(tup, cap, 1)
         gluing_counts.append(len(b.copies) - before)
 
-    out = b.finish(
+    return b.finish(
         extra_notes={
             "kind": "anchor_gadget",
             "edge": [a1, a2],
@@ -870,5 +813,3 @@ def build_anchor_gadget(
             "gluing_copy_counts": gluing_counts,
         }
     )
-    out.verify(spec)
-    return out

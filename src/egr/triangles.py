@@ -19,7 +19,8 @@ from .geometry import (
     ConstraintViolation,
     GeometryError,
     as_point,
-    congruence_check,
+    check_copies,
+    pairwise_sq_dists,
     sq_close,
     sq_slack,
     squared_distance,
@@ -505,15 +506,11 @@ def mono_sphere_witness(
     nodes = np.zeros((len(chain3.nodes), 4))
     nodes[:, 1:] = chain3.nodes
 
-    ref = np.vstack([gadget.P, gadget.M, gadget.A, gadget.B])
-    checked = 0
-    for i in range(len(nodes) - 1):
-        tetra = np.vstack([nodes[i], nodes[i + 1], A4, B4])
-        if congruence_check(tetra, ref) is None:
-            raise GeometryError(f"hop {i} is not congruent to the gadget tetrahedron")
-        checked += 1
+    ref = pairwise_sq_dists(np.vstack([gadget.P, gadget.M, gadget.A, gadget.B]))
+    hops = [(2 + i, 3 + i, 0, 1) for i in range(len(nodes) - 1)]
+    check_copies(np.vstack([A4, B4, nodes]), hops, ref, "sphere hop")
     return MonoSphereWitness(
-        gadget=gadget, A=A4, B=B4, chain=chain3, nodes=nodes, tetra_checked=checked
+        gadget=gadget, A=A4, B=B4, chain=chain3, nodes=nodes, tetra_checked=len(hops)
     )
 
 

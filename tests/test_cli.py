@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from egr import tetra
 from egr.cli import main
-from egr.geometry import Configuration, SimplexSpec, enumerate_copies, write_json_atomic
+from egr.geometry import (
+    Configuration,
+    SimplexSpec,
+    check_copies,
+    enumerate_copies,
+    write_json_atomic,
+)
 from egr.rectangles import path_config, product_config, regular_simplex
 from egr.solver import ColoringProblem, verify_coloring
 
@@ -33,6 +40,20 @@ def needle_spec():
     return SimplexSpec.from_points(np.vstack([base, apex]))
 
 
+# A tetrahedron with no symmetry: a copy listed out of row order fails
+# the replay below.
+SKEW = SimplexSpec(
+    np.array(
+        [
+            [0.0, 1.0, 1.21, 1.44],
+            [1.0, 0.0, 1.69, 1.0],
+            [1.21, 1.69, 0.0, 1.1],
+            [1.44, 1.0, 1.1, 0.0],
+        ]
+    )
+)
+
+# "SKEW" stands for the path of a spec file holding SKEW.
 CONSTRUCT_CASES = [
     ["five-point", "--a", "0.5", "--b", "1.0", "--c", "1.2", "--eps", "0.05"],
     ["chain", "--s", "1.0", "--d", "0.4", "--gap", "1.2"],
@@ -44,16 +65,28 @@ CONSTRUCT_CASES = [
     ["dense-quad"],
     ["link", "--offset", "3.0"],
     ["contract", "--regular-k", "4", "--eps", "0.1"],
+    ["hinge", "--spec", "SKEW"],
+    ["dense-quad", "--spec", "SKEW"],
+    ["link", "--offset", "3.0", "--spec", "SKEW"],
 ]
 
 
-@pytest.mark.parametrize("argv", CONSTRUCT_CASES, ids=[c[0] for c in CONSTRUCT_CASES])
+@pytest.mark.parametrize(
+    "argv", CONSTRUCT_CASES, ids=[c[0] + ("-skew" if "SKEW" in c else "") for c in CONSTRUCT_CASES]
+)
 def test_construct_artifacts_reload(argv, tmp_path):
+    spec_path = tmp_path / "skew.json"
+    SKEW.save(str(spec_path))
     out = tmp_path / "cfg.json"
+    argv = [str(spec_path) if a == "SKEW" else a for a in argv]
     assert main(["construct", *argv, "-o", str(out)]) == 0
     cfg = Configuration.load(str(out))
     assert np.all(np.isfinite(cfg.points))
     assert len(cfg) >= 4
+    # every named tetra copy lists its points in the spec's row order
+    if "tetra" in cfg.named_copies:
+        spec = SKEW if str(spec_path) in argv else SimplexSpec.regular(4, 1.0)
+        check_copies(cfg.points, cfg.named_copies["tetra"], spec.sq_dist)
 
 
 def test_construct_grid_records_connectivity(tmp_path):
@@ -70,6 +103,15 @@ def test_construct_dense_quad_requires_condition(tmp_path):
     out = tmp_path / "dq.json"
     assert main(["construct", "dense-quad", "--spec", str(spec_path), "-o", str(out)]) == 2
     assert not out.exists()
+
+
+def test_construct_workspace_limit(tmp_path, monkeypatch, capsys):
+    # anchor-gadget reaches 1513 points x 1506 axes
+    monkeypatch.setattr(tetra, "MAX_COORDINATES", 10**6)
+    out = tmp_path / "anchor.json"
+    assert main(["construct", "anchor-gadget", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "coordinates exceeds the limit of 1000000" in capsys.readouterr().err
 
 
 def test_construct_rejects_bad_triangle(tmp_path):

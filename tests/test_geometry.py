@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -160,6 +162,14 @@ def test_write_json_atomic_is_one_compact_dump(tmp_path):
     path = tmp_path / "out.json"
     write_json_atomic(str(path), payload)
     assert path.read_text() == json.dumps(payload) + "\n"
+    # the file gets the mode a plain open gives under the umask
+    for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+        old = os.umask(umask)
+        try:
+            write_json_atomic(str(path), payload)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 def test_write_json_atomic_failure_keeps_the_old_file(tmp_path):

@@ -8,6 +8,7 @@ from egr.geometry import (
     ConstraintViolation,
     GeometryError,
     SimplexSpec,
+    check_copies,
     congruence_check,
     embed_from_distances,
     pairwise_sq_dists,
@@ -144,11 +145,9 @@ def test_dense_quadruple_regular():
 
 
 def test_dense_quadruple_skew_exact():
+    # every copy tuple lists its points in the spec's row order
     quad = dense_quadruple(tetra_profile(SKEW))
-    ref = embed_from_distances(SKEW)
-    pts = quad.points()
-    for tup in quad.tetra_tuples():
-        assert congruence_check(pts[list(tup)], ref) is not None
+    check_copies(quad.points(), quad.tetra_tuples(), SKEW.sq_dist)
 
 
 def test_dense_quadruple_tracks_condition_boundary():
@@ -197,7 +196,6 @@ def test_trivial_link():
     out = build_link(prof, pts, pts)
     assert len(out.tetra_copies) == 2
     assert len(out.cfg) == 4
-    assert out.shared_faces == [(0, 1, (0, 1, 2, 3))]
 
 
 def test_translated_link():
@@ -207,7 +205,6 @@ def test_translated_link():
     assert len(out.tetra_copies) == 178
     assert len(out.cfg) == 268
     assert out.tetra_copies[0] == (0, 1, 2, 3)
-    assert len(out.shared_faces) == len(out.tetra_copies) - 1
     out.verify(REGULAR)
 
 
@@ -262,7 +259,7 @@ def test_x1_accepts_relabeled_seed():
     copies = list(out.tetra_copies)
     copies[5] = tuple(copies[5][i] for i in (2, 0, 3, 1))
     with pytest.raises(GeometryError, match=re.escape(f"tetra copy {copies[5]}")):
-        LinkedConfig(out.cfg, copies, out.shared_faces).verify(SKEW)
+        LinkedConfig(out.cfg, copies).verify(SKEW)
 
 
 def test_x1_rejects_incongruent_seed():

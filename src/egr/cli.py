@@ -71,8 +71,10 @@ def _construct_five_point(args) -> Configuration:
 
 
 def _construct_chain(args) -> Configuration:
-    if not 0.0 < args.gap <= 2.0 * args.s:
-        raise GeometryError(f"endpoint gap must lie in (0, 2s], got {args.gap}")
+    if not 0.0 < args.gap <= 2.0 * args.s < np.inf:
+        raise GeometryError(f"need a finite s and a gap in (0, 2s], got s={args.s}, gap={args.gap}")
+    if args.dim < 3:
+        raise GeometryError(f"a sphere chain needs --dim >= 3, got {args.dim}")
     center = np.zeros(args.dim)
     u = center.copy()
     u[0] = args.s

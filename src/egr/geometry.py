@@ -93,10 +93,6 @@ def squared_distance(p, q) -> float:
     return float(np.dot(diff, diff))
 
 
-def distance(p, q) -> float:
-    return math.sqrt(squared_distance(p, q))
-
-
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Full n x n matrix of squared distances."""
     pts = np.asarray(points, dtype=float)
@@ -154,15 +150,14 @@ class Configuration:
 
     ``named_copies`` maps a name to a list of index tuples into
     ``points``; builders use it to record which sub-tuples carry which
-    structural role.  Coincident points are rejected unless
-    ``allow_coincident`` is set: glued constructions share points by
-    index, so an unplanned coordinate collision is treated as a bug.
+    structural role.  Coincident points are rejected: glued
+    constructions share points by index, so an unplanned coordinate
+    collision is treated as a bug.
     """
 
     points: np.ndarray
     labels: list[str] | None = None
     named_copies: dict[str, list[tuple[int, ...]]] = field(default_factory=dict)
-    allow_coincident: bool = False
     notes: dict | None = None
 
     def __post_init__(self):
@@ -179,10 +174,9 @@ class Configuration:
         self.named_copies = {
             str(k): _check_copy_tuples(v, len(pts), k) for k, v in self.named_copies.items()
         }
-        if not self.allow_coincident:
-            dup = self._find_coincident()
-            if dup is not None:
-                raise GeometryError(f"points {dup[0]} and {dup[1]} coincide within tolerance")
+        dup = self._find_coincident()
+        if dup is not None:
+            raise GeometryError(f"points {dup[0]} and {dup[1]} coincide within tolerance")
 
     def _find_coincident(self):
         """A pair of points within the coincidence threshold, or None.
@@ -232,9 +226,6 @@ class Configuration:
     @property
     def dim(self) -> int:
         return int(self.points.shape[1])
-
-    def point(self, i: int) -> np.ndarray:
-        return self.points[i]
 
     def to_json_dict(self) -> dict:
         out = {

@@ -124,39 +124,27 @@ class QuadClass:
 
 
 def _search_witness(sets):
-    """Brute-force relabeling onto a normal form, small unions first.
+    """Read the normal-form witness off the smallest Hall violator.
 
-    Index reorderings times injective color renamings; unions beyond
-    the exhaustible size can only be the second shape, whose witness is
-    then assembled directly from the three coinciding pairs.
+    With no common color and palettes of size >= 2, the smallest
+    subfamily with an undersized union is either three palettes equal
+    to one pair {x, y}, the fourth then disjoint from it (TYPE_B), or
+    all four inside three colors x < y < z, which forces the three
+    pairs {x,y}, {y,z}, {x,z} to occur (TYPE_A).
     """
-    union = sorted(frozenset().union(*sets))
-    if len(union) <= SCAN_MAX_COLORS:
-        for pattern, kind in ((_is_type_a, TYPE_A), (_is_type_b, TYPE_B)):
-            for idx in itertools.permutations(range(4)):
-                picked = [sets[i] for i in idx]
-                for names in itertools.permutations(range(1, len(union) + 1)):
-                    cmap = dict(zip(union, names))
-                    mapped = tuple(frozenset(cmap[c] for c in s) for s in picked)
-                    if pattern(mapped):
-                        return QuadClass(kind=kind, index_perm=idx, color_map=cmap)
-        return None
-    for idx in itertools.permutations(range(4)):
-        picked = [sets[i] for i in idx]
-        trio = picked[0]
-        if not (len(trio) == 2 and picked[1] == trio and picked[2] == trio):
-            continue
-        rest = picked[3]
-        if rest & trio or len(rest) < 2:
-            continue
-        a, b = sorted(trio)
-        others = sorted(rest)
-        cmap = {a: 1, b: 2, others[0]: 3, others[1]: 4}
-        for c in union:
-            if c not in cmap:
-                cmap[c] = 5 + len(cmap) - 4
-        return QuadClass(kind=TYPE_B, index_perm=idx, color_map=cmap)
-    return None
+    bad = hall_violating_subset(sets)
+    if len(bad) == 3:
+        rest = next(i for i in range(4) if i not in bad)
+        order = sorted(sets[bad[0]]) + sorted(sets[rest])
+        return QuadClass(
+            kind=TYPE_B,
+            index_perm=(*bad, rest),
+            color_map={c: i + 1 for i, c in enumerate(order)},
+        )
+    x, y, z = sorted(frozenset().union(*sets))
+    picked = [sets.index(frozenset(p)) for p in ((x, y), (y, z), (x, z))]
+    rest = next(i for i in range(4) if i not in picked)
+    return QuadClass(kind=TYPE_A, index_perm=(*picked, rest), color_map={x: 1, y: 2, z: 3})
 
 
 def classify_quadruple(c1, c2, c3, c4) -> QuadClass:
@@ -174,8 +162,6 @@ def classify_quadruple(c1, c2, c3, c4) -> QuadClass:
     if sdr is not None:
         return QuadClass(kind=RAINBOW, sdr=sdr)
     out = _search_witness(sets)
-    if out is None:
-        raise GeometryError(f"quadruple {tuple(set(s) for s in sets)} fits neither shape")
     nf = out.normal_form(*sets)
     if not (_is_type_a(nf) if out.kind == TYPE_A else _is_type_b(nf)):
         raise GeometryError("relabeling witness fails to replay")

@@ -103,9 +103,6 @@ class PerturbationGrid:
     eps_steps: tuple[float, ...]
     B: Configuration
 
-    def base_indices(self) -> tuple[int, ...]:
-        return tuple(range(len(self.delta_spec.sq_dist)))
-
     def intersection_graph_edges(self) -> list[tuple[int, int]]:
         """Pairs of rows at distance strictly below 2*eps."""
         sq = pairwise_sq_dists(self.B.points)

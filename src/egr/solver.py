@@ -129,11 +129,14 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     """Backtracking search for an avoiding coloring.
 
     Colors are interchangeable in every constraint, so each point may
-    only take an already-used color or the lowest unused one; the
-    variable order picks the smallest remaining domain (ties by index),
-    which keeps the pruned tree isomorphic under color permutation and
-    the verdict deterministic.  The search keeps its own stack, so its
-    depth is not bounded by the interpreter's recursion limit.
+    only take an already-used color or the lowest unused one; the used
+    colors are then always a prefix 0..opened-1, and since backtracking
+    is last-in first-out each stack frame restores the prefix length it
+    started from.  The variable order picks the smallest remaining
+    domain (ties by index), which keeps the pruned tree isomorphic under
+    color permutation and the verdict deterministic.  The search keeps
+    its own stack, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
     n = len(problem.cfg.points)
     # First-use symmetry breaking opens at most one new color per point,
@@ -142,7 +145,6 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     full = (1 << r) - 1
     colors = [-1] * n
     domains = [full] * n
-    use_count = [0] * r
 
     point_mono: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     point_rain: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
@@ -226,27 +228,23 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
 
     def dfs() -> bool:
         # The point being colored lives in locals; every point above it
-        # is saved as (point, colors still to try, trail of its color).
-        stack: list[tuple[int, int, list]] = []
+        # is saved as (point, colors still to try, trail of its color,
+        # colors opened before it).
+        stack: list[tuple[int, int, list, int]] = []
+        opened = 0
         idx = pick()
         while idx >= 0:
-            used_mask = 0
-            for c in range(r):
-                if use_count[c]:
-                    used_mask |= 1 << c
-            fresh = (~used_mask) & full
-            cand = domains[idx] & (used_mask | (fresh & -fresh))
+            cand = domains[idx] & ((2 << opened) - 1) & full
             trail = None
             while True:
                 if trail is not None:
                     for p, dom in reversed(trail):
                         domains[p] = dom
-                    use_count[colors[idx]] -= 1
                     colors[idx] = -1
                 if not cand:
                     if not stack:
                         return False
-                    idx, cand, trail = stack.pop()
+                    idx, cand, trail, opened = stack.pop()
                     continue
                 bit = cand & -cand
                 cand ^= bit
@@ -257,11 +255,11 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                         f"no verdict after {stats.nodes} nodes within {budget} s"
                     )
                 colors[idx] = c
-                use_count[c] += 1
                 trail = []
                 if propagate(idx, trail):
                     break
-            stack.append((idx, cand, trail))
+            stack.append((idx, cand, trail, opened))
+            opened = max(opened, c + 1)
             idx = pick()
         return True
 

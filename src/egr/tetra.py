@@ -242,9 +242,6 @@ class DenseQuadruple:
     def points(self) -> np.ndarray:
         return np.vstack([self.z, self.y, self.x])
 
-    def tetra_tuples(self):
-        return list(self.copies)
-
     def y_circumradius(self) -> float:
         center = _circumcenter_2d(self.y[:, 2:4])
         return float(np.linalg.norm(self.y[0, 2:4] - center))
@@ -253,7 +250,7 @@ class DenseQuadruple:
         return Configuration(
             points=self.points(),
             labels=["z", "y1", "y2", "y3", "x1", "x2", "x3"],
-            named_copies={"tetra": self.tetra_tuples()},
+            named_copies={"tetra": self.copies},
             notes={"kind": "dense_quadruple"},
         )
 

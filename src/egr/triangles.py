@@ -18,6 +18,7 @@ from .geometry import (
     Configuration,
     ConstraintViolation,
     GeometryError,
+    SimplexSpec,
     as_point,
     check_copies,
     pairwise_sq_dists,
@@ -130,33 +131,25 @@ class FivePointGadget:
     def points(self) -> np.ndarray:
         return np.vstack([self.A, self.B, self.P, self.M, self.N])
 
-    def expected_sq_dists(self) -> dict[tuple[int, int], float]:
-        a, b, c, eps, ell = self.a, self.b, self.c, self.eps, self.ell
-        # Indices follow A, B, P, M, N.
-        return {
-            (0, 1): eps * eps,
-            (0, 2): c * c,
-            (0, 3): c * c,
-            (1, 2): c * c,
-            (1, 3): c * c,
-            (2, 3): ell * ell,
-            (0, 4): b * b,
-            (1, 4): b * b,
-            (2, 4): a * a,
-            (3, 4): a * a,
-        }
+    def sq_dist(self) -> np.ndarray:
+        """Wanted squared distances, rows and columns A, B, P, M, N."""
+        a2, b2, c2 = self.a**2, self.b**2, self.c**2
+        e2, l2 = self.eps**2, self.ell**2
+        return np.array(
+            [
+                [0.0, e2, c2, c2, b2],
+                [e2, 0.0, c2, c2, b2],
+                [c2, c2, 0.0, l2, a2],
+                [c2, c2, l2, 0.0, a2],
+                [b2, b2, a2, a2, 0.0],
+            ]
+        )
 
     def max_sq_error(self) -> float:
-        pts = self.points()
-        worst = 0.0
-        for (i, j), target in self.expected_sq_dists().items():
-            worst = max(worst, abs(squared_distance(pts[i], pts[j]) - target))
-        return worst
+        return float(np.abs(pairwise_sq_dists(self.points()) - self.sq_dist()).max())
 
     def verify(self):
-        err = self.max_sq_error()
-        if err > sq_slack(self.c * self.c):
-            raise GeometryError(f"five-point distances off by {err}")
+        check_copies(self.points(), [(0, 1, 2, 3, 4)], self.sq_dist(), "five-point gadget")
 
     def triangle_copies(self) -> dict[str, tuple[int, int, int]]:
         return {
@@ -241,16 +234,10 @@ class SphereChain:
         return [(i, i + 1) for i in range(len(self.nodes) - 1)]
 
     def verify(self):
-        s_sq = self.s * self.s
-        for node in self.nodes:
-            got = squared_distance(node, self.center)
-            if not sq_close(got, s_sq):
-                raise GeometryError(f"chain node off sphere: |X-center|^2 = {got} vs {s_sq}")
-        d_sq = self.d * self.d
-        for i, j in self.hops():
-            got = squared_distance(self.nodes[i], self.nodes[j])
-            if not sq_close(got, d_sq):
-                raise GeometryError(f"hop ({i},{j}) has squared length {got} vs {d_sq}")
+        radii = [(0, i) for i in range(1, len(self.nodes) + 1)]
+        on_sphere = np.vstack([self.center, self.nodes])
+        check_copies(on_sphere, radii, SimplexSpec.pair(self.s).sq_dist, "center-node pair")
+        check_copies(self.nodes, self.hops(), SimplexSpec.pair(self.d).sq_dist, "hop")
 
     def as_configuration(self) -> Configuration:
         return Configuration(
@@ -307,12 +294,9 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
         raise GeometryError("chain_on_sphere needs ambient dimension >= 3")
     if not (0.0 < d < 2.0 * s):
         raise GeometryError(f"step must satisfy 0 < d < 2s, got d={d}, s={s}")
+    ends = np.vstack([center, U, V])
+    check_copies(ends, [(0, 1), (0, 2)], SimplexSpec.pair(s).sq_dist, "center-endpoint pair")
     s_sq = s * s
-    for name, pt in (("U", U), ("V", V)):
-        got = squared_distance(pt, center)
-        if not sq_close(got, s_sq):
-            raise GeometryError(f"{name} is off the sphere: |{name}-center|^2 = {got} vs {s_sq}")
-
     uv_sq = squared_distance(U, V)
     scale_slack = sq_slack(s_sq)
     if uv_sq <= scale_slack:
@@ -458,12 +442,6 @@ class MonoSphereWitness:
     nodes: np.ndarray
     tetra_checked: int
 
-    def as_configuration(self) -> Configuration:
-        pts = np.vstack([self.A, self.B, self.nodes])
-        hops = [(2 + i, 3 + i) for i in range(len(self.nodes) - 1)]
-        copies = {"hop_tetra_ABxy": [(0, 1, i, j) for i, j in hops]}
-        return Configuration(points=pts, named_copies=copies)
-
 
 def equal_chord_sphere(c: float, eps: float) -> tuple[np.ndarray, float]:
     """Center and radius of {Z in E^4 : |ZA| = |ZB| = c} in gadget frame."""
@@ -493,20 +471,16 @@ def mono_sphere_witness(
         raise GeometryError("witness endpoints must be E^4 points")
     A4 = np.array([-eps / 2.0, 0.0, 0.0, 0.0])
     B4 = np.array([eps / 2.0, 0.0, 0.0, 0.0])
-    c_sq = c * c
-    for name, pt in (("U", U), ("V", V)):
-        for anchor_name, anchor in (("A", A4), ("B", B4)):
-            got = squared_distance(pt, anchor)
-            if not sq_close(got, c_sq):
-                raise GeometryError(
-                    f"{name} is not at distance c from {anchor_name}: {got} vs {c_sq}"
-                )
+    ends = np.vstack([A4, B4, U, V])
+    pairs = [(2, 0), (2, 1), (3, 0), (3, 1)]
+    check_copies(ends, pairs, SimplexSpec.pair(c).sq_dist, "endpoint-anchor pair")
     _, radius = equal_chord_sphere(c, eps)
     chain3 = chain_on_sphere(np.zeros(3), radius, U[1:], V[1:], gadget.ell)
     nodes = np.zeros((len(chain3.nodes), 4))
     nodes[:, 1:] = chain3.nodes
 
-    ref = pairwise_sq_dists(np.vstack([gadget.P, gadget.M, gadget.A, gadget.B]))
+    pmab = [2, 3, 0, 1]
+    ref = gadget.sq_dist()[np.ix_(pmab, pmab)]
     hops = [(2 + i, 3 + i, 0, 1) for i in range(len(nodes) - 1)]
     check_copies(np.vstack([A4, B4, nodes]), hops, ref, "sphere hop")
     return MonoSphereWitness(
@@ -557,37 +531,17 @@ class CaseBCertificate:
         pq_sq = squared_distance(self.P, self.Q)
         if pq_sq > 2.0 * self.rho * self.delta + slack:
             raise GeometryError(f"|PQ|^2 = {pq_sq} exceeds 2 rho delta")
-        c_sq = self.c * self.c
-        for name, z in (("Z1", self.Z1), ("Z2", self.Z2)):
-            for pname, pt in (("P", self.P), ("Q", self.Q)):
-                got = squared_distance(z, pt)
-                if not sq_close(got, c_sq):
-                    raise GeometryError(f"|{name} {pname}|^2 = {got} vs c^2 = {c_sq}")
-        if not sq_close(squared_distance(self.Z1, self.O), self.rad_S**2):
-            raise GeometryError("Z1 is off the outer sphere")
-        if not sq_close(squared_distance(self.Z2, self.O), self.rad_W**2):
-            raise GeometryError("Z2 is off the forced sphere")
-        op_sq = squared_distance(self.O, self.P)
-        if self.branch == "on_sphere":
-            if not sq_close(op_sq, self.rad_S**2):
-                raise GeometryError("branch on_sphere but P is off S")
-        else:
+        pts = np.vstack([self.O, self.P, self.Q, self.Z1, self.Z2])
+        o, p, q, z1, z2 = range(5)
+        z_pq = [(z1, p), (z1, q), (z2, p), (z2, q)]
+        check_copies(pts, z_pq, SimplexSpec.pair(self.c).sq_dist, "Z-P/Q pair")
+        on_s = [(o, z1), (o, p)] if self.branch == "on_sphere" else [(o, z1)]
+        check_copies(pts, on_s, SimplexSpec.pair(self.rad_S).sq_dist, "outer-sphere radius")
+        check_copies(pts, [(o, z2)], SimplexSpec.pair(self.rad_W).sq_dist, "forced-sphere radius")
+        if self.branch != "on_sphere":
+            op_sq = squared_distance(self.O, self.P)
             if not (hi - slack < op_sq < self.rad_S**2 + slack):
                 raise GeometryError(f"|OP|^2 = {op_sq} outside (rho^2, rad_S^2)")
-
-    def as_configuration(self) -> Configuration:
-        pts = np.vstack([self.O, self.Q, self.P, self.K, self.Z1, self.Z2])
-        return Configuration(
-            points=pts,
-            labels=["O", "Q", "P", "K", "Z1", "Z2"],
-            notes={
-                "rho": self.rho,
-                "delta": self.delta,
-                "rad_S": self.rad_S,
-                "rad_W": self.rad_W,
-                "branch": self.branch,
-            },
-        )
 
 
 def forced_sphere_radius(a: float, b: float, c: float, eps: float) -> float:

@@ -202,7 +202,7 @@ def test_criterion_06_solver_soundness():
         n = int(rng.integers(4, 9))
         r = int(rng.integers(2, 4))
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
-        cfg = Configuration(points=pts, allow_coincident=True)
+        cfg = Configuration(points=pts)
         mono = [
             tuple(rng.choice(n, size=int(rng.integers(2, 4)), replace=False))
             for _ in range(int(rng.integers(1, 6)))
@@ -272,8 +272,8 @@ def test_criterion_09_tetra_suite():
 
     quad = dense_quadruple(prof)
     reference = embed_from_distances(spec)
-    assert len(quad.tetra_tuples()) == 4
-    for tup in quad.tetra_tuples():
+    assert len(quad.copies) == 4
+    for tup in quad.copies:
         assert congruence_check(quad.points()[list(tup)], reference) is not None
 
     heights = np.linspace(0.05, 0.4, 10)
@@ -284,7 +284,7 @@ def test_criterion_09_tetra_suite():
         if p.condition_flag:
             member_ref = embed_from_distances(member_spec)
             member_quad = dense_quadruple(p)
-            for tup in member_quad.tetra_tuples():
+            for tup in member_quad.copies:
                 assert congruence_check(member_quad.points()[list(tup)], member_ref) is not None
         else:
             with pytest.raises(ConstraintViolation) as err:

@@ -53,27 +53,28 @@ SKEW = SimplexSpec(
     )
 )
 
-# "SKEW" stands for the path of a spec file holding SKEW.
-CONSTRUCT_CASES = [
-    ["five-point", "--a", "0.5", "--b", "1.0", "--c", "1.2", "--eps", "0.05"],
-    ["chain", "--s", "1.0", "--d", "0.4", "--gap", "1.2"],
-    ["regular-simplex", "--n", "4", "--x", "1.0"],
-    ["path", "--t", "3", "--x", "1.0", "--y", "0.8"],
-    ["product", "--n", "3", "--x", "1.0", "--t", "2", "--y", "0.7"],
-    ["grid", "--regular-k", "3", "--m", "2", "--eps", "0.6"],
-    ["hinge"],
-    ["dense-quad"],
-    ["link", "--offset", "3.0"],
-    ["contract", "--regular-k", "4", "--eps", "0.1"],
-    ["hinge", "--spec", "SKEW"],
-    ["dense-quad", "--spec", "SKEW"],
-    ["link", "--offset", "3.0", "--spec", "SKEW"],
-]
+# Case id -> argv; "SKEW" stands for the path of a spec file holding SKEW.
+CONSTRUCT_CASES = {
+    "five-point": ["five-point", "--a", "0.5", "--b", "1.0", "--c", "1.2", "--eps", "0.05"],
+    "chain": ["chain", "--s", "1.0", "--d", "0.4", "--gap", "1.2"],
+    "regular-simplex": ["regular-simplex", "--n", "4", "--x", "1.0"],
+    "path": ["path", "--t", "3", "--x", "1.0", "--y", "0.8"],
+    "product": ["product", "--n", "3", "--x", "1.0", "--t", "2", "--y", "0.7"],
+    "grid": ["grid", "--regular-k", "3", "--m", "2", "--eps", "0.6"],
+    "hinge": ["hinge"],
+    "dense-quad": ["dense-quad"],
+    "link": ["link", "--offset", "3.0"],
+    # a straight-through hinge corner, the only known input that places
+    # a corner fan in a fresh plane: 28 points, 18 tetra copies
+    "link-straight": ["link", "--offset", "-1"],
+    "contract": ["contract", "--regular-k", "4", "--eps", "0.1"],
+    "hinge-skew": ["hinge", "--spec", "SKEW"],
+    "dense-quad-skew": ["dense-quad", "--spec", "SKEW"],
+    "link-skew": ["link", "--offset", "3.0", "--spec", "SKEW"],
+}
 
 
-@pytest.mark.parametrize(
-    "argv", CONSTRUCT_CASES, ids=[c[0] + ("-skew" if "SKEW" in c else "") for c in CONSTRUCT_CASES]
-)
+@pytest.mark.parametrize("argv", CONSTRUCT_CASES.values(), ids=CONSTRUCT_CASES.keys())
 def test_construct_artifacts_reload(argv, tmp_path):
     spec_path = tmp_path / "skew.json"
     SKEW.save(str(spec_path))

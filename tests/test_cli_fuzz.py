@@ -1,14 +1,16 @@
-"""Exit-code contract of ``egr solve``, ``egr report`` and ``egr copies``
-under fuzzed input.
+"""Exit-code contract of ``egr solve``, ``egr report``, ``egr copies``,
+``egr construct`` and ``egr scan`` under fuzzed input.
 
-Every payload, malformed or valid but odd, must end in exit 0, 1 or 2
-without an exception escaping ``main``; exit 1 only with a written
-witness that replays clean against the problem it came from, and exit 0
-from ``copies`` only with exactly the copies a brute-force search finds.
+Every payload or argument, malformed or valid but odd, must end in exit
+0, 1 or 2 without an exception escaping ``main``; exit 1 only with a
+written witness that replays clean against the problem it came from,
+exit 0 from ``copies`` only with exactly the copies a brute-force search
+finds, and exit 0 from ``construct`` only with an artifact that reloads.
 """
 
 import itertools
 import json
+import math
 import os
 import tempfile
 
@@ -20,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from egr.cli import main
-from egr.geometry import sq_close
+from egr.geometry import Configuration, sq_close
 from egr.solver import ColoringProblem, verify_coloring
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -119,6 +121,56 @@ def copies_inputs(draw):
     return config, spec
 
 
+# Flags of the small builders: a value that builds, and the values the
+# fuzz may put in its place.  Integers stay small enough that no example
+# builds more than a few hundred points; floats take the edge values 0,
+# negatives, nan and +-inf as well as ordinary lengths.
+FLOATS = st.sampled_from(
+    [0.0, -1.0, math.nan, math.inf, -math.inf, 0.05, 0.1, 0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 2.0, 3.0]
+)
+COUNTS = st.integers(-2, 12)
+BUILDER_FLAGS = {
+    "five-point": {"a": (0.5, FLOATS), "b": (1.0, FLOATS), "c": (1.2, FLOATS), "eps": (0.05, FLOATS)},
+    "chain": {"s": (1.0, FLOATS), "d": (0.4, FLOATS), "gap": (1.2, FLOATS), "dim": (3, st.integers(-1, 6))},
+    "regular-simplex": {"n": (4, COUNTS), "x": (1.0, FLOATS)},
+    "path": {"t": (3, COUNTS), "x": (1.0, FLOATS), "y": (0.8, FLOATS)},
+    "product": {"n": (3, COUNTS), "x": (1.0, FLOATS), "t": (2, COUNTS), "y": (0.7, FLOATS)},
+    "grid": {
+        "regular-k": (3, st.integers(-1, 4)),
+        "side": (1.0, FLOATS),
+        "m": (2, st.integers(-1, 3)),
+        "eps": (0.6, FLOATS),
+    },
+    "hinge": {"side": (1.0, FLOATS), "phi": (1.0, FLOATS)},
+    "dense-quad": {"side": (1.0, FLOATS)},
+    "contract": {"regular-k": (4, st.integers(-1, 5)), "side": (1.0, FLOATS), "eps": (0.1, FLOATS)},
+}
+
+
+@st.composite
+def construct_argv(draw):
+    """``construct`` arguments for one small builder, each flag either
+    its building value or a fuzzed one, given as ``--flag=value`` so
+    that negative values parse as values."""
+    name = draw(st.sampled_from(sorted(BUILDER_FLAGS)))
+    flags = BUILDER_FLAGS[name].items()
+    return [name] + [f"--{flag}={draw(st.just(good) | fuzz)}" for flag, (good, fuzz) in flags]
+
+
+def _run_argv(*argv):
+    """Exit code of ``egr <argv> -o OUT`` and the path of OUT, or None
+    when nothing was written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        rc = main([*argv, "-o", out])
+        if not os.path.exists(out):
+            return rc, None
+        if argv[0] == "construct":
+            return rc, Configuration.load(out)
+        with open(out) as fh:
+            return rc, json.load(fh)
+
+
 def _run(verb, *payloads):
     """Exit code of ``egr <verb>`` on the payloads (for ``copies``, the
     configuration and then the spec), and the JSON it wrote."""
@@ -175,3 +227,21 @@ def test_copies_exit_codes_hold_on_any_payload(inputs):
         ]
         assert written["copies"] == realizing
         assert written["count"] == len(realizing)
+
+
+@settings(FUZZ, max_examples=200)
+@given(construct_argv())
+def test_construct_exit_codes_hold_on_any_argument(argv):
+    rc, cfg = _run_argv("construct", *argv)
+    assert rc in (0, 2)
+    assert (cfg is not None) == (rc == 0)
+
+
+@FUZZ
+@given(st.sampled_from(["five-point", "classification"]), st.integers(-1, 7))
+def test_scan_exit_codes_hold_on_any_color_count(kind, r):
+    rc, written = _run_argv("scan", kind, "--r", str(r))
+    assert rc in (0, 1, 2)
+    assert (written is not None) == (rc != 2)
+    if written is not None:
+        assert (written["kind"], written["r"]) == (kind, r)

@@ -96,10 +96,6 @@ def test_configuration_rejects_coincident_points():
         n = len(base)
         with pytest.raises(GeometryError, match=f"points {n} and {n + 1} coincide"):
             Configuration(points=np.vstack([base, pair]))
-    cfg = Configuration(
-        points=np.array([[0.0, 0.0], [0.0, 0.0]]), allow_coincident=True
-    )
-    assert len(cfg) == 2
 
 
 def test_check_copies_names_the_bad_tuple():

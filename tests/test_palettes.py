@@ -85,6 +85,9 @@ def test_classify_witness_replays():
         ((frozenset({7, 9}), frozenset({9, 4}), frozenset({7, 4}), frozenset({7, 9, 4})), TYPE_A),
         (({2, 3}, {4, 5}, {2, 3}, {2, 3}), TYPE_B),
         (({5, 6}, {5, 6}, {1, 2, 3}, {5, 6}), TYPE_B),
+        # unions of six and seven colors
+        (({1, 2}, {1, 2}, {1, 2}, {3, 4, 5, 6}), TYPE_B),
+        (({3, 4, 5, 6, 7}, {1, 2}, {1, 2}, {1, 2}), TYPE_B),
     ]
     for quad, want in cases:
         out = classify_quadruple(*quad)

@@ -140,7 +140,7 @@ def random_problem(rng):
     n = int(rng.integers(4, 9))
     r = int(rng.integers(2, 4))
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
-    cfg = Configuration(points=pts, allow_coincident=True)
+    cfg = Configuration(points=pts)
     mono = []
     rainbow = []
     for _ in range(int(rng.integers(1, 6))):
@@ -215,7 +215,7 @@ def test_problem_json_round_trip():
 
 
 def test_oracle_cap():
-    cfg = Configuration(points=np.zeros((11, 1)), allow_coincident=True)
+    cfg = Configuration(points=np.arange(11, dtype=float)[:, None])
     p = ColoringProblem(cfg=cfg, mono_targets=[(0, 1)], rainbow_targets=[], r=5)
     with pytest.raises(ValueError):
         exhaustive_oracle(p)

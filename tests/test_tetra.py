@@ -138,7 +138,7 @@ def test_dense_quadruple_regular():
     pts = quad.points()
     assert pts.shape == (7, 5)
     ref = embed_from_distances(REGULAR)
-    for tup in quad.tetra_tuples():
+    for tup in quad.copies:
         assert congruence_check(pts[list(tup)], ref) is not None
     assert abs(quad.y_circumradius() - prof.rho_min) < 1e-12
     assert len(quad.as_configuration()) == 7
@@ -147,7 +147,7 @@ def test_dense_quadruple_regular():
 def test_dense_quadruple_skew_exact():
     # every copy tuple lists its points in the spec's row order
     quad = dense_quadruple(tetra_profile(SKEW))
-    check_copies(quad.points(), quad.tetra_tuples(), SKEW.sq_dist)
+    check_copies(quad.points(), quad.copies, SKEW.sq_dist)
 
 
 def test_dense_quadruple_tracks_condition_boundary():

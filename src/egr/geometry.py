@@ -11,7 +11,6 @@ distance matrix into coordinates.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -94,12 +93,13 @@ def squared_distance(p, q) -> float:
 
 
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    """Full n x n matrix of squared distances."""
+    """Full n x n matrix of squared distances, exactly symmetric."""
     pts = np.asarray(points, dtype=float)
     sq_norms = np.einsum("ij,ij->i", pts, pts)
-    d = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (pts @ pts.T)
-    np.fill_diagonal(d, 0.0)
-    return np.maximum(d, 0.0)
+    # Mirror the upper triangle: a strided ``pts @ pts.T`` need not be
+    # symmetric, and copy enumeration relies on d == d.T.
+    d = np.triu(sq_norms[:, None] + sq_norms[None, :] - 2.0 * (pts @ pts.T), 1)
+    return np.maximum(d + d.T, 0.0)
 
 
 _GATHER_ENTRIES = 1 << 20  # coordinates a chunked check gathers at once
@@ -378,29 +378,57 @@ class SimplexSpec:
 
 
 def _embeddings(d: np.ndarray, s: np.ndarray):
-    """Yield, in lexicographic order, every injective assignment ``a`` of
-    the k rows of ``s`` to the points of ``d`` with
-    ``sq_close(d[a[i], a[t]], s[i, t])`` for all i, t.  Backtracking; the
-    candidates for row i are the points close to every earlier row.
+    """Yield non-empty ``(rows, k)`` int blocks of injective assignments
+    ``a`` of the k rows of ``s`` to the points of ``d`` with
+    ``sq_close(d[a[i], a[t]], s[i, t])`` for all t < i, all rows in
+    lexicographic order.
+
+    Rows i > j are twins when swapping them leaves ``s`` exactly
+    unchanged; a row must take a larger point than its previous twin.
+    Sorting any assignment within its twin classes gives another one
+    (``d`` must be symmetric), so every copy keeps at least one, and the
+    lexicographically first assignment is never pruned.
+
+    Partial assignments grow one row per level: the candidates of row i
+    are the AND of the closeness rows of the points already assigned.
+    Each level is split into chunks of at most ``_GATHER_ENTRIES // n``
+    partial assignments, kept on a stack so that memory stays bounded
+    and rows still come out in order.
     """
     n, k = d.shape[0], s.shape[0]
-    assign: list[int] = []
+    close: dict[float, np.ndarray] = {}
 
-    def extend(i: int):
-        mask = np.ones(n, dtype=bool)
-        for t in range(i):
-            mask &= sq_close(d[:, assign[t]], s[i, t])
-        for t in range(i):
-            mask[assign[t]] = False
-        for j in np.nonzero(mask)[0].tolist():
-            if i + 1 == k:
-                yield (*assign, j)
-            else:
-                assign.append(j)
-                yield from extend(i + 1)
-                assign.pop()
+    def close_rows(v: float, points: np.ndarray) -> np.ndarray:
+        if v not in close:
+            close[v] = sq_close(d.T, v)
+        return close[v][points]
 
-    return extend(0) if k else iter([()])
+    twin = [-1] * k
+    for i in range(k):
+        for j in range(i - 1, -1, -1):
+            perm = np.arange(k)
+            perm[[i, j]] = j, i
+            if np.array_equal(s[np.ix_(perm, perm)], s):
+                twin[i] = j
+                break
+
+    step = max(1, _GATHER_ENTRIES // max(n, 1))
+    stack = [np.empty((1, 0), dtype=np.intp)]
+    while stack:
+        part = stack.pop()
+        m, i = part.shape
+        if i == k:
+            yield part
+            continue
+        mask = np.ones((m, n), dtype=bool)
+        for t in range(i):
+            mask &= close_rows(float(s[i, t]), part[:, t])
+        mask[np.arange(m)[:, None], part] = False
+        if twin[i] >= 0:
+            mask &= np.arange(n) > part[:, twin[i], None]
+        rows, cols = np.nonzero(mask)
+        grown = np.column_stack([part[rows], cols])
+        stack.extend(grown[start : start + step] for start in reversed(range(0, len(grown), step)))
 
 
 def congruence_check(A, B):
@@ -408,7 +436,8 @@ def congruence_check(A, B):
 
     Returns a tuple ``perm`` with ``|A_i A_j| == |B_perm[i] B_perm[j]|``
     for all i, j (within tolerance), or None when no such bijection
-    exists.  Exhaustive backtracking; capped at 12 points.
+    exists.  The first embedding of ``_embeddings``, so the
+    lexicographically first such bijection; capped at 12 points.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -426,26 +455,37 @@ def congruence_check(A, B):
     iu = np.triu_indices(n, k=1)
     if not np.all(sq_close(np.sort(da[iu]), np.sort(db[iu]))):
         return None
-    return next(_embeddings(db, da), None)
+    block = next(_embeddings(db, da), None)
+    return None if block is None else tuple(block[0].tolist())
+
+
+MAX_DIST_ENTRIES = 1 << 24  # entries of the n x n distance matrix enumerate_copies builds
 
 
 def enumerate_copies(cfg: Configuration, spec: SimplexSpec):
     """All k-subsets of ``cfg`` congruent to ``spec``.
 
     Returns sorted index tuples in lexicographic order; every subset
-    congruent to the spec appears exactly once.  Capped at k <= 6 and
-    |cfg| <= 200 to keep exhaustive search honest.
+    congruent to the spec appears exactly once.  Capped at k <= 6, and
+    at ``MAX_DIST_ENTRIES`` entries of the n x n distance matrix (4096
+    points), which with one boolean n x n closeness matrix per distinct
+    spec distance bounds the memory.
     """
     k = spec.k
     n = len(cfg)
     if k > 6:
         raise GeometryError("enumerate_copies capped at spec size 6")
-    if n > 200:
-        raise GeometryError("enumerate_copies capped at 200 configuration points")
+    if n * n > MAX_DIST_ENTRIES:
+        raise GeometryError(
+            f"enumerate_copies: {n} points need {n * n} distance entries, "
+            f"over the limit of {MAX_DIST_ENTRIES}"
+        )
     if k > n:
         return []
-    found = {frozenset(a) for a in _embeddings(pairwise_sq_dists(cfg.points), spec.sq_dist)}
-    return sorted(tuple(sorted(fs)) for fs in found)
+    blocks = [np.sort(b, axis=1) for b in _embeddings(pairwise_sq_dists(cfg.points), spec.sq_dist)]
+    if not blocks:
+        return []
+    return [tuple(row) for row in np.unique(np.concatenate(blocks), axis=0).tolist()]
 
 
 def cayley_menger_volume(spec: SimplexSpec) -> float:

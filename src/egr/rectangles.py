@@ -36,8 +36,8 @@ def regular_simplex(n: int, x: float) -> Configuration:
     """n points in E^{n-1} with all pairwise distances equal to x."""
     if n < 2:
         raise GeometryError(f"regular simplex needs at least 2 points, got {n}")
-    if x <= 0.0:
-        raise GeometryError(f"side length must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise GeometryError(f"side length must be positive and finite, got {x}")
     pts = embed_from_distances(SimplexSpec.regular(n, x))
     return Configuration(
         points=pts,
@@ -102,8 +102,8 @@ def path_config(t: int, x: float, y: float) -> PathConfig:
     strictly decreasing on (0, 2*pi/t), from the straight-line limit
     t*y down to 0, so a root exists exactly when 0 < x < t*y.
     """
-    if x <= 0.0 or y <= 0.0:
-        raise GeometryError(f"lengths must be positive, got x={x}, y={y}")
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise GeometryError(f"lengths must be positive and finite, got x={x}, y={y}")
     floor = max(2, math.ceil(x / y))
     if t < floor:
         raise GeometryError(f"t={t} is below the floor max(2, ceil(x/y)) = {floor}")

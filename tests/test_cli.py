@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +115,20 @@ def test_construct_workspace_limit(tmp_path, monkeypatch, capsys):
     assert main(["construct", "anchor-gadget", "-o", str(out)]) == 2
     assert not out.exists()
     assert "coordinates exceeds the limit of 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["path", "product"])
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_construct_rejects_non_finite_lengths(tmp_path, capsys, name, flag, value):
+    lengths = {"--x": "1.0", "--y": "1.0", flag: value}
+    argv = ["construct", name, "--t", "2", *itertools.chain(*lengths.items())]
+    if name == "product":
+        argv += ["--n", "3"]
+    out = tmp_path / "cfg.json"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert re.search(f"lengths? must be positive and finite, got .*{value}", capsys.readouterr().err)
 
 
 def test_construct_rejects_bad_triangle(tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -222,15 +223,8 @@ def test_congruence_matches_brute_force_on_random_sets():
             b = b[rng.permutation(n)]
         else:
             b = rng.standard_normal((n, dim))
-        fast = congruence_check(a, b)
-        slow = brute_force_congruence(a, b)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            da = pairwise_sq_dists(a)
-            db = pairwise_sq_dists(b)
-            for i in range(n):
-                for j in range(n):
-                    assert sq_close(float(da[i, j]), float(db[fast[i], fast[j]]))
+        # The brute force tries permutations in lexicographic order.
+        assert congruence_check(a, b) == brute_force_congruence(a, b)
 
 
 def test_congruence_size_mismatch_and_cap():
@@ -238,6 +232,30 @@ def test_congruence_size_mismatch_and_cap():
         congruence_check(np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(GeometryError):
         congruence_check(np.zeros((13, 2)), np.zeros((13, 2)))
+
+
+def test_congruence_returns_lex_first_permutation_with_twin_rows():
+    # Integer corners give exactly equal squared distances, so twin rows.
+    square = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
+    isosceles = np.array([[0, 0], [2, 0], [1, 3]], dtype=float)
+    regular = np.eye(5)
+    rng = np.random.default_rng(2718)
+    for pts in (square, isosceles, regular):
+        for _ in range(4):
+            moved = pts[rng.permutation(len(pts))] + rng.integers(-3, 4, size=pts.shape[1])
+            assert congruence_check(pts, moved) == brute_force_congruence(pts, moved)
+
+
+def test_congruence_twelve_point_regular_simplex_is_fast():
+    a = embed_from_distances(SimplexSpec.regular(12, 1.0))
+    rng = np.random.default_rng(12)
+    q, t = random_rigid_motion(rng, a.shape[1])
+    b = (a @ q.T + t)[rng.permutation(12)]
+    start = time.perf_counter()
+    perm = congruence_check(a, b)
+    assert time.perf_counter() - start < 1.0
+    assert perm is not None
+    check_copies(b, [perm], pairwise_sq_dists(a))
 
 
 def test_enumerate_copies_grid_squares():
@@ -279,10 +297,69 @@ def test_enumerate_copies_complete_on_planted_instances():
             assert tuple(sorted(tup)) in copies
 
 
-def test_enumerate_copies_caps():
-    cfg = Configuration(points=np.random.default_rng(0).standard_normal((201, 2)))
-    with pytest.raises(GeometryError):
-        enumerate_copies(cfg, SimplexSpec.pair(1.0))
+def test_enumerate_copies_caps(monkeypatch):
+    pts = np.random.default_rng(0).standard_normal((4097, 2))
+    with pytest.raises(GeometryError, match="4097 points need 16785409 distance entries"):
+        enumerate_copies(Configuration(points=pts), SimplexSpec.pair(1.0))
+    monkeypatch.setattr(geometry, "MAX_DIST_ENTRIES", 200 * 200)
+    with pytest.raises(GeometryError, match="201 points need 40401 distance entries, over the limit of 40000"):
+        enumerate_copies(Configuration(points=pts[:201]), SimplexSpec.pair(1.0))
+    enumerate_copies(Configuration(points=pts[:200]), SimplexSpec.pair(1.0))
+    with pytest.raises(GeometryError, match="spec size 6"):
+        enumerate_copies(Configuration(points=pts[:10]), SimplexSpec.regular(7, 1.0))
+
+
+def brute_force_copies(points, spec):
+    """Oracle: every k-subset, tried in every vertex order."""
+    d = pairwise_sq_dists(points)
+    subs = np.array(list(itertools.combinations(range(len(points)), spec.k)))
+    hit = np.zeros(len(subs), dtype=bool)
+    for perm in itertools.permutations(range(spec.k)):
+        idx = subs[:, perm]
+        hit |= sq_close(d[idx[:, :, None], idx[:, None, :]], spec.sq_dist).all(axis=(1, 2))
+    return [tuple(int(i) for i in sub) for sub in subs[hit]]
+
+
+LATTICE_SPECS = {
+    # Specs with twin rows (swapping two rows leaves sq_dist unchanged) ...
+    "isosceles": ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], True),
+    "regular-triangle": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], True),
+    "regular-tetrahedron": ([[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]], True),
+    "square": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], True),
+    # ... and without.
+    "rectangle": ([[0, 0, 0], [2, 0, 0], [0, 1, 0], [2, 1, 0]], False),
+    "scalene": ([[0, 0, 0], [1, 0, 0], [0, 2, 0]], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_SPECS))
+def test_enumerate_copies_matches_brute_force_on_lattice_clouds(name):
+    corners, twins = LATTICE_SPECS[name]
+    spec = SimplexSpec.from_points(np.array(corners, dtype=float))
+    swaps = []
+    for i, j in itertools.combinations(range(spec.k), 2):
+        p = np.arange(spec.k)
+        p[[i, j]] = j, i
+        swaps.append(spec.sq_dist[np.ix_(p, p)])
+    assert twins == any(np.array_equal(swapped, spec.sq_dist) for swapped in swaps)
+    lattice = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        pts = lattice[rng.permutation(len(lattice))[: int(rng.integers(12, 20))]]
+        copies = enumerate_copies(Configuration(points=pts), spec)
+        assert copies == brute_force_copies(pts, spec)
+        if name.startswith("regular"):
+            # Twin pruning leaves one embedding per copy of a regular simplex.
+            d = pairwise_sq_dists(pts)
+            assert sum(len(b) for b in geometry._embeddings(d, spec.sq_dist)) == len(copies)
+
+
+def test_pairwise_sq_dists_symmetric_on_strided_input():
+    pts = np.random.default_rng(3).standard_normal((300, 20))[:, ::2]
+    d = pairwise_sq_dists(pts)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.allclose(d, pairwise_sq_dists(np.ascontiguousarray(pts)), rtol=0, atol=1e-12)
 
 
 def test_cayley_menger_known_volumes():

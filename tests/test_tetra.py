@@ -11,6 +11,7 @@ from egr.geometry import (
     check_copies,
     congruence_check,
     embed_from_distances,
+    enumerate_copies,
     pairwise_sq_dists,
 )
 from egr.tetra import (
@@ -239,6 +240,13 @@ def test_x1_census():
     assert len(out.cfg) == 416
     assert out.tetra_copies[0] == (0, 1, 2, 3)
     out.verify(REGULAR)
+
+
+def test_x1_named_copies_are_all_copies():
+    out = build_x1(tetra_profile(REGULAR), embed_from_distances(REGULAR))
+    distinct = sorted({tuple(sorted(t)) for t in out.tetra_copies})
+    assert len(distinct) == 321
+    assert enumerate_copies(out.cfg, REGULAR) == distinct
 
 
 def test_x1_wide_corner_angle_shrinks_build():

@@ -6,11 +6,12 @@ stored configuration, ``solve`` runs the coloring search on a problem
 file, ``scan`` runs one of the exhaustive logic scans, and ``report``
 prints a human-readable summary of any artifact.
 
-Every artifact is JSON, written atomically and re-validated by
-reloading before the command reports success.  Exit codes: 0 for
-success (FORCED for solve, zero violations for scan), 1 for a found
-counterexample or scan violations, 2 for any error or indeterminate
-outcome.
+Every artifact is JSON and written atomically; ``construct`` and
+``copies`` also reload what they wrote and compare it before reporting
+success, while ``solve`` and ``scan`` results are not read back.  Exit
+codes: 0 for success (FORCED for solve, zero violations for scan), 1
+for a found counterexample or scan violations, 2 for any error or
+indeterminate outcome.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ EXIT_FOUND = 1
 EXIT_ERROR = 2
 
 
-def _tetra_spec(args) -> SimplexSpec:
+def _spec(args, k: int) -> SimplexSpec:
+    """The ``--spec`` file if given, else the regular k-simplex of ``--side``."""
     if args.spec is not None:
         return SimplexSpec.load(args.spec)
-    return SimplexSpec.regular(4, args.side)
+    return SimplexSpec.regular(k, args.side)
 
 
 def _add_tetra_source(sub):
@@ -100,64 +102,47 @@ def _construct_product(args) -> Configuration:
 
 
 def _construct_grid(args) -> Configuration:
-    if args.spec is not None:
-        spec = SimplexSpec.load(args.spec)
-    else:
-        spec = SimplexSpec.regular(args.regular_k, args.side)
-    k = spec.k
-    grid = build_perturbation_grid(spec, [args.m] * (k - 1), args.eps)
+    spec = _spec(args, args.regular_k)
+    grid = build_perturbation_grid(spec, [args.m] * (spec.k - 1), args.eps)
     cfg = grid.B
     cfg.notes["connected"] = grid.is_connected()
     return cfg
 
 
 def _construct_hinge(args) -> Configuration:
-    profile = tetra_profile(_tetra_spec(args))
+    profile = tetra_profile(_spec(args, 4))
     phi = args.phi if args.phi is not None else profile.theta
     return glue_two_copies(profile, phi).as_configuration()
 
 
 def _construct_dense_quad(args) -> Configuration:
-    return dense_quadruple(tetra_profile(_tetra_spec(args))).as_configuration()
+    return dense_quadruple(tetra_profile(_spec(args, 4))).as_configuration()
 
 
 def _construct_link(args) -> Configuration:
-    spec = _tetra_spec(args)
+    spec = _spec(args, 4)
     profile = tetra_profile(spec)
     pts = embed_from_distances(spec)
     shift = np.zeros(pts.shape[1])
     shift[0] = args.offset
-    out = build_link(
-        profile, pts, pts + shift, k_b=args.k_b, k_d=args.k_d, corner_angle=args.corner_angle
-    )
-    return out.cfg
+    return build_link(profile, pts, pts + shift, corner_angle=args.corner_angle).cfg
 
 
 def _construct_x1(args) -> Configuration:
-    spec = _tetra_spec(args)
+    spec = _spec(args, 4)
     profile = tetra_profile(spec)
-    out = build_x1(
-        profile,
-        embed_from_distances(spec),
-        min_leg_edges=args.min_leg_edges,
-        corner_angle=args.corner_angle,
-    )
-    return out.cfg
+    return build_x1(profile, embed_from_distances(spec), corner_angle=args.corner_angle).cfg
 
 
 def _construct_anchor_gadget(args) -> Configuration:
-    spec = _tetra_spec(args)
+    spec = _spec(args, 4)
     profile = tetra_profile(spec)
     edge = tuple(args.edge) if args.edge is not None else None
-    out = build_anchor_gadget(profile, edge=edge, k=args.k, corner_angle=args.corner_angle)
-    return out.cfg
+    return build_anchor_gadget(profile, edge=edge, k=args.k, corner_angle=args.corner_angle).cfg
 
 
 def _construct_contract(args) -> Configuration:
-    if args.spec is not None:
-        spec = SimplexSpec.load(args.spec)
-    else:
-        spec = SimplexSpec.regular(args.regular_k, args.side)
+    spec = _spec(args, args.regular_k)
     result = contract_simplex(spec, args.eps)
     pts = embed_from_distances(result.contracted)
     return Configuration(
@@ -337,13 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = names.add_parser("link")
     _add_tetra_source(p)
     p.add_argument("--offset", type=float, default=0.0, help="x-shift of the far copy")
-    p.add_argument("--k-b", type=int, default=1)
-    p.add_argument("--k-d", type=int, default=1)
     p.add_argument("--corner-angle", type=float)
 
     p = names.add_parser("x1")
     _add_tetra_source(p)
-    p.add_argument("--min-leg-edges", type=int, default=1)
     p.add_argument("--corner-angle", type=float)
 
     p = names.add_parser("anchor-gadget")

@@ -27,8 +27,6 @@ from .geometry import (
     embed_from_distances,
     pairwise_sq_dists,
     sq_close,
-    sq_slack,
-    squared_distance,
 )
 
 
@@ -62,14 +60,10 @@ class PathConfig:
     step_angle: float
 
     def verify(self) -> None:
-        slack = sq_slack(max(self.x, self.y) ** 2)
-        for i in range(self.t):
-            d = squared_distance(self.points[i], self.points[i + 1])
-            if abs(d - self.y * self.y) > slack:
-                raise GeometryError(f"edge {i} has squared length {d}, wanted {self.y ** 2}")
-        d = squared_distance(self.points[0], self.points[self.t])
-        if abs(d - self.x * self.x) > slack:
-            raise GeometryError(f"endpoint gap squared is {d}, wanted {self.x ** 2}")
+        y2, x2 = self.y * self.y, self.x * self.x
+        edges = [(i, i + 1) for i in range(self.t)]
+        check_copies(self.points, edges, [[0.0, y2], [y2, 0.0]], "edge")
+        check_copies(self.points, [(0, self.t)], [[0.0, x2], [x2, 0.0]], "endpoint gap")
 
     def as_configuration(self) -> Configuration:
         return Configuration(

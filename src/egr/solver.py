@@ -18,7 +18,7 @@ chord-endpoint agreement that the gadget geometry encodes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class SearchStats:
 class SearchResult:
     verdict: str
     witness: list[int] | None
-    stats: SearchStats = field(default_factory=SearchStats)
+    stats: SearchStats
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,11 +263,7 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
             idx = pick()
         return True
 
-    try:
-        found = dfs()
-    except BudgetExceeded:
-        stats.elapsed = time.monotonic() - start
-        raise
+    found = dfs()
     stats.elapsed = time.monotonic() - start
     if found:
         witness = list(colors)

@@ -446,7 +446,9 @@ def _corner_fan(
 
     Revisiting the same corner with the same neighbors reproduces the
     same interior points, so those are deduplicated through an exact
-    symbolic registry instead of being placed twice.
+    symbolic registry instead of being placed twice: it maps (lower
+    neighbor, higher neighbor, center, substeps) to the interior
+    points in order from the lower neighbor.
     """
     if i_prev == i_next:
         return [i_prev]
@@ -463,11 +465,10 @@ def _corner_fan(
     if substeps == 1:
         return [i_prev, i_next]
     lo, hi = sorted((i_prev, i_next))
-    if (lo, hi, i_center, substeps, 1) in registry:
-        mids = [registry[(lo, hi, i_center, substeps, j)] for j in range(1, substeps)]
-        if i_prev != lo:
-            mids.reverse()
-        return [i_prev] + mids + [i_next]
+    key = (lo, hi, i_center, substeps)
+    if key in registry:
+        mids = registry[key]
+        return [i_prev] + (mids if i_prev == lo else mids[::-1]) + [i_next]
     e1 = v0 / n0
     w = v1 - float(np.dot(v1, e1)) * e1
     wn = float(np.linalg.norm(w))
@@ -480,15 +481,12 @@ def _corner_fan(
         e1 = np.concatenate([e1, np.zeros(ws.dim - len(e1))])
         e2 = np.zeros(ws.dim)
         e2[axis] = 1.0
-    out = [i_prev]
+    mids = []
     for j in range(1, substeps):
         ang = psi * j / substeps
-        idx = ws.add_point(c + step * (math.cos(ang) * e1 + math.sin(ang) * e2))
-        key_j = j if i_prev == lo else substeps - j
-        registry[(lo, hi, i_center, substeps, key_j)] = idx
-        out.append(idx)
-    out.append(i_next)
-    return out
+        mids.append(ws.add_point(c + step * (math.cos(ang) * e1 + math.sin(ang) * e2)))
+    registry[key] = mids if i_prev == lo else mids[::-1]
+    return [i_prev] + mids + [i_next]
 
 
 @dataclass
@@ -533,18 +531,11 @@ class _Builder:
         self.ws = Workspace(dim)
         self.copies: list = []
         self.fan_registry: dict = {}
-        self._role_profiles = {IDENTITY_ROLES: profile}
-
-    def role_profile(self, perm) -> TetraProfile:
-        if perm not in self._role_profiles:
-            idx = list(perm)
-            sub = SimplexSpec(self.spec.sq_dist[np.ix_(idx, idx)])
-            self._role_profiles[perm] = tetra_profile(sub)
-        return self._role_profiles[perm]
-
-    def add_copy(self, tup: tuple) -> tuple:
-        self.copies.append(tup)
-        return tup
+        swapped = list(SWAPPED_ROLES)
+        self.role_profiles = {
+            IDENTITY_ROLES: profile,
+            SWAPPED_ROLES: tetra_profile(SimplexSpec(self.spec.sq_dist[np.ix_(swapped, swapped)])),
+        }
 
     def _place_hinge(self, role_prof: TetraProfile, i_apex1: int, i_center: int, i_apex2: int):
         """Complete two fan neighbors around a corner into a hinge pair."""
@@ -562,75 +553,73 @@ class _Builder:
     def fan_corner(self, i_prev, i_center, i_next, perm, corner_angle) -> None:
         """Insert the fan at one path corner together with its hinge
         copies, stored in original row order."""
-        role_prof = self.role_profile(perm)
+        role_prof = self.role_profiles[perm]
         step = math.sqrt(role_prof.spec.sq_dist[0][1])
         fan = _corner_fan(self.ws, i_prev, i_center, i_next, step, corner_angle, self.fan_registry)
         for a1, a2 in zip(fan, fan[1:]):
             z1, z2 = self._place_hinge(role_prof, a1, i_center, a2)
             for apex in (a1, a2):
-                self.add_copy(_in_row_order((apex, i_center, z1, z2), perm))
+                self.copies.append(_in_row_order((apex, i_center, z1, z2), perm))
 
     def walk_path(self, path, perm, corner_angle) -> None:
         for i in range(1, len(path) - 1):
             self.fan_corner(path[i - 1], path[i], path[i + 1], perm, corner_angle)
 
-    def link(self, t1, t2, k_b, k_d, corner_angle) -> None:
+    def link(self, t1, t2, corner_angle) -> None:
         """Chain copy t1 to copy t2 through hinge corners.
 
         One path runs t1[1] -> t1[0] -> ... -> t2[0] -> t2[1] at the
         (0,1) edge step, the other t1[2] -> t1[3] -> ... -> t2[3] ->
         t2[2] at the (2,3) edge step with vertex roles rotated; the
         second path's copies are appended in reverse so the stored
-        order stays consecutive after t2.
+        order stays consecutive after t2.  Both legs take the fewest
+        edges.
         """
-        self.add_copy(t1)
+        self.copies.append(t1)
         if tuple(t1) == tuple(t2):
-            self.add_copy(t2)
+            self.copies.append(t2)
             return
-        ang_ab = _role_angle(self.role_profile(IDENTITY_ROLES), corner_angle)
-        ang_cd = _role_angle(self.role_profile(SWAPPED_ROLES), corner_angle)
+        ang_ab = _role_angle(self.role_profiles[IDENTITY_ROLES], corner_angle)
+        ang_cd = _role_angle(self.role_profiles[SWAPPED_ROLES], corner_angle)
 
         step_ab = math.sqrt(self.spec.sq_dist[0][1])
-        leg = _equilateral_leg(self.ws, t1[0], t2[0], step_ab, k_b)
+        leg = _equilateral_leg(self.ws, t1[0], t2[0], step_ab, 1)
         self.walk_path([t1[1]] + leg + [t2[1]], IDENTITY_ROLES, ang_ab)
-        self.add_copy(t2)
+        self.copies.append(t2)
 
         step_cd = math.sqrt(self.spec.sq_dist[2][3])
-        leg = _equilateral_leg(self.ws, t1[3], t2[3], step_cd, k_d)
+        leg = _equilateral_leg(self.ws, t1[3], t2[3], step_cd, 1)
         start = len(self.copies)
         self.walk_path([t1[2]] + leg + [t2[2]], SWAPPED_ROLES, ang_cd)
         self.copies[start:] = reversed(self.copies[start:])
 
-    def closed_polygon(self, seed, perm, corner_angle, min_leg_edges) -> int:
+    def closed_polygon(self, seed, perm, corner_angle) -> int:
         """Equilateral polygon through the seed's vertices in role
-        order with a hinge fan at every polygon corner.  The seed edge
-        (perm[0], perm[1]) always stays direct.  Returns the number of
-        copies added."""
-        role_prof = self.role_profile(perm)
-        ang = _role_angle(role_prof, corner_angle)
+        order with a hinge fan at every polygon corner.  Every leg takes
+        the fewest edges, so the seed edge (perm[0], perm[1]) stays
+        direct.  Returns the number of copies added."""
+        ang = _role_angle(self.role_profiles[perm], corner_angle)
         step = math.sqrt(self.spec.sq_dist[perm[0]][perm[1]])
         order = [seed[p] for p in perm]
         poly = [order[0]]
-        for hop, nxt in enumerate(order[1:] + [order[0]]):
-            edges = 1 if hop == 0 else min_leg_edges
-            leg = _equilateral_leg(self.ws, poly[-1], nxt, step, edges)
-            poly.extend(leg[1:])
+        for nxt in order[1:] + [order[0]]:
+            poly.extend(_equilateral_leg(self.ws, poly[-1], nxt, step, 1)[1:])
         poly = poly[:-1]
         before = len(self.copies)
         for i in range(len(poly)):
             self.fan_corner(poly[i - 1], poly[i], poly[(i + 1) % len(poly)], perm, ang)
         return len(self.copies) - before
 
-    def glued_polygons(self, seed, corner_angle, min_leg_edges):
+    def glued_polygons(self, seed, corner_angle):
         """Both closed polygons of the glued construction plus the
         links chaining consecutive polygon copies.  Returns the copy
         counts (pass one, pass two, links)."""
-        phi1 = self.closed_polygon(seed, IDENTITY_ROLES, corner_angle, min_leg_edges)
-        phi2 = self.closed_polygon(seed, SWAPPED_ROLES, corner_angle, min_leg_edges)
+        phi1 = self.closed_polygon(seed, IDENTITY_ROLES, corner_angle)
+        phi2 = self.closed_polygon(seed, SWAPPED_ROLES, corner_angle)
         polygon_copies = self.copies[len(self.copies) - phi1 - phi2 :]
         before = len(self.copies)
         for t1, t2 in zip(polygon_copies, polygon_copies[1:]):
-            self.link(t1, t2, 1, 1, corner_angle)
+            self.link(t1, t2, corner_angle)
         return phi1, phi2, len(self.copies) - before
 
     def finish(self, extra_notes: dict) -> LinkedConfig:
@@ -655,8 +644,6 @@ def build_link(
     profile: TetraProfile,
     t1_points,
     t2_points,
-    k_b: int = 1,
-    k_d: int = 1,
     corner_angle: float | None = None,
 ) -> LinkedConfig:
     """Chain two placed copies of the simplex through hinge corners."""
@@ -664,8 +651,6 @@ def build_link(
     t2_points = np.asarray(t2_points, dtype=float)
     if t1_points.shape != t2_points.shape or t1_points.shape[0] != 4:
         raise GeometryError("endpoints must be two 4-point arrays of equal dimension")
-    if k_b < 1 or k_d < 1:
-        raise GeometryError("subdivision counts must be at least 1")
     ends = np.vstack([t1_points, t2_points])
     try:
         check_copies(ends, [(0, 1, 2, 3), (4, 5, 6, 7)], profile.spec.sq_dist, "endpoint")
@@ -687,14 +672,13 @@ def build_link(
         for j in range(4)
     )
 
-    b.link(t1, t2, k_b, k_d, corner_angle)
-    return b.finish(extra_notes={"kind": "link", "k_b": k_b, "k_d": k_d})
+    b.link(t1, t2, corner_angle)
+    return b.finish(extra_notes={"kind": "link"})
 
 
 def build_x1(
     profile: TetraProfile,
     seed_points,
-    min_leg_edges: int = 1,
     corner_angle: float | None = None,
 ) -> LinkedConfig:
     """Glued links around one placed copy of the simplex.
@@ -708,8 +692,6 @@ def build_x1(
     seed_points = np.asarray(seed_points, dtype=float)
     if seed_points.ndim != 2 or seed_points.shape[0] != 4:
         raise GeometryError("seed must be a 4-point array")
-    if min_leg_edges < 1:
-        raise GeometryError("subdivision counts must be at least 1")
     _validate_corner_angle(profile, corner_angle)
     perm = congruence_check(embed_from_distances(profile.spec), seed_points)
     if perm is None:
@@ -717,8 +699,9 @@ def build_x1(
     seed_points = seed_points[list(perm)]
 
     b = _Builder(profile, seed_points.shape[1])
-    seed = b.add_copy(tuple(b.ws.add_point(p) for p in seed_points))
-    phi1, phi2, link_copies = b.glued_polygons(seed, corner_angle, min_leg_edges)
+    seed = tuple(b.ws.add_point(p) for p in seed_points)
+    b.copies.append(seed)
+    phi1, phi2, link_copies = b.glued_polygons(seed, corner_angle)
     return b.finish(
         extra_notes={
             "kind": "x1",
@@ -766,7 +749,8 @@ def build_anchor_gadget(
     d_step = float(np.linalg.norm(p1 - x))
 
     b = _Builder(profile, 3)
-    idx4 = b.add_copy(tuple(b.ws.add_point(p) for p in pts4))
+    idx4 = tuple(b.ws.add_point(p) for p in pts4)
+    b.copies.append(idx4)
 
     bpath = _equilateral_leg(b.ws, idx4[a1], idx4[a2], d_step, k + 1)
     if len(bpath) != k + 2:
@@ -778,7 +762,9 @@ def build_anchor_gadget(
         tri_idx is in face row order; returns the four copy tuples."""
         *ys, z = extend_isometry(b.ws, dq.x, np.vstack([dq.y, dq.z]), list(tri_idx))
         local = [z, *ys, *tri_idx]  # the dense quadruple's point order
-        return [b.add_copy(tuple(local[i] for i in t)) for t in dq.copies]
+        copies = [tuple(local[i] for i in t) for t in dq.copies]
+        b.copies.extend(copies)
+        return copies
 
     # Each path edge spans a parallelogram congruent to (a1, a2, x, a3)
     # whose diagonal is the edge; its two triangles are congruent to
@@ -797,7 +783,7 @@ def build_anchor_gadget(
     gluing_counts = []
     for tup in attachments:
         before = len(b.copies)
-        b.glued_polygons(tup, cap, 1)
+        b.glued_polygons(tup, cap)
         gluing_counts.append(len(b.copies) - before)
 
     return b.finish(

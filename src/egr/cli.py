@@ -175,7 +175,7 @@ CONSTRUCTORS = {
 def _write_config(cfg: Configuration, path: str) -> None:
     cfg.save(path)
     back = Configuration.from_json_dict(read_json(path))
-    if not np.array_equal(back.points, cfg.points):
+    if not np.array_equal(back.points.view(np.uint64), cfg.points.view(np.uint64)):
         raise GeometryError("written configuration does not round-trip")
     if back.named_copies != cfg.named_copies:
         raise GeometryError("written copy tuples do not round-trip")

@@ -15,6 +15,7 @@ import json
 import math
 import operator
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 
@@ -105,6 +106,7 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
 _GATHER_ENTRIES = 1 << 20  # coordinates a chunked check gathers at once
 _PAIR_CHUNK = 1 << 16  # candidate pairs the coincidence sweep holds at once
 _PROJECTIONS = 8
+_TOKEN_CHUNK = 1 << 16  # number tokens read_json classifies at once
 
 
 def check_copies(points, tuples, sq_dist, what: str = "copy"):
@@ -190,7 +192,7 @@ class Configuration:
         """
         pts = self.points
         n, dim = pts.shape
-        scale = float(np.max(np.abs(pts)))
+        scale = float(max(pts.max(), -pts.min()))
         thresh = sq_slack(scale * scale)
         # Widened a hair so rounding in the projections cannot drop a
         # pair right at the threshold; survivors are tested exactly.
@@ -228,9 +230,12 @@ class Configuration:
         return int(self.points.shape[1])
 
     def to_json_dict(self) -> dict:
+        return self._payload(self.points.tolist())
+
+    def _payload(self, points) -> dict:
         out = {
             "dim": self.dim,
-            "points": self.points.tolist(),
+            "points": points,
             "copies": {k: [list(t) for t in v] for k, v in self.named_copies.items()},
         }
         if self.labels is not None:
@@ -256,7 +261,7 @@ class Configuration:
         )
 
     def save(self, path: str):
-        write_json_atomic(path, self.to_json_dict())
+        write_json_atomic(path, self._payload(self.points))
 
     @classmethod
     def load(cls, path: str) -> "Configuration":
@@ -546,16 +551,29 @@ def embed_from_distances(spec: SimplexSpec) -> np.ndarray:
 
 
 def write_json_atomic(path: str, payload: dict):
-    """Write compact one-line JSON via a temp file plus rename so readers
-    never see a torn file.  One-shot ``json.dumps`` without an indent is
-    the only call that runs CPython's C encoder; floats are written with
-    ``float.__repr__`` either way, so they reload bit-identical."""
-    text = json.dumps(payload) + "\n"
+    """Write ``payload`` as compact one-line JSON via a temp file plus
+    rename, so readers never see a torn file.
+
+    The text is ``json.dumps(payload)`` with each top-level ndarray value
+    in place of its ``tolist()``.  Other values go through the C encoder
+    one at a time; a 2-D float64 array is streamed a row at a time by
+    ``_write_rows``, so neither a Python float per coordinate nor the
+    whole text is ever held.  Floats are written with ``float.__repr__``
+    either way, so they reload bit-identical."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write("{")
+            for i, (key, value) in enumerate(payload.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be str, got {key!r}")
+                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                if isinstance(value, np.ndarray):
+                    _write_rows(fh, value)
+                else:
+                    fh.write(json.dumps(value))
+            fh.write("}\n")
         # mkstemp creates the file 0600; give it the mode a plain open
         # would.  The umask can only be read by setting it.
         umask = os.umask(0)
@@ -568,6 +586,144 @@ def write_json_atomic(path: str, payload: dict):
         raise
 
 
-def read_json(path: str) -> dict:
+def _write_rows(fh, a: np.ndarray):
+    """Write a 2-D float64 array as ``json.dumps(a.tolist())`` does, one
+    row at a time.  Entries whose bit pattern is zero are the literal
+    ``0.0`` (``-0.0`` has a sign bit, so it is not); the others go
+    through ``float.__repr__``, or a whole row through ``json.dumps``
+    when it holds a non-finite entry."""
+    if a.ndim != 2 or a.dtype != np.float64:
+        raise TypeError(f"only 2-D float64 arrays are written, got {a.dtype} {a.shape}")
+    zeros = "0.0, " * a.shape[1]
+    fh.write("[")
+    for i, row in enumerate(a):
+        nz = np.flatnonzero(row.view(np.uint64))
+        values = row[nz]
+        if np.isfinite(values).all():
+            parts, done = [], 0
+            for j, v in zip(nz.tolist(), values.tolist()):
+                parts += (zeros[: 5 * (j - done)], repr(v), ", ")
+                done = j + 1
+            parts.append(zeros[: 5 * (len(row) - done)])
+            text = "[" + "".join(parts)[:-2] + "]"
+        else:
+            text = json.dumps(row.tolist())
+        fh.write(f", {text}" if i else text)
+    fh.write("]")
+
+
+_WS = "[ \t\n\r]*"
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.S)
+_KEY_COLON = re.compile(_WS + ":" + _WS)
+_ROWS_OPEN = re.compile(r"\[" + _WS + r"\[")
+_ROW = re.compile(r'[^\[\]{}"]*\]')
+_ROW_NEXT = re.compile(_WS + "," + _WS + r"\[")
+_ROWS_CLOSE = re.compile(_WS + r"\]")
+_NUMBER_ROW_BYTES = np.zeros(256, bool)
+_NUMBER_ROW_BYTES[list(b"0123456789+-.eE NaInfity,[]\t\n\r")] = True
+
+
+def read_json(path: str):
+    """Load a JSON file as ``json.load`` does, except that each value of
+    a ``"points"`` key that is a rectangular array of number rows comes
+    back as a float64 ndarray, bit-equal to ``np.asarray(value,
+    dtype=float)``.  Those arrays are decoded row by row into one
+    preallocated array, so the peak is about the file's text plus the
+    array; the rest of the document goes through ``json`` as is."""
     with open(path) as fh:
-        return json.load(fh)
+        text = fh.read()
+    # Each decoded array is spliced out of the text and replaced by an
+    # integer literal that occurs nowhere in it; json hands those
+    # literals to parse_int, which returns the arrays in their place.
+    slot = "1" + "0" * 20
+    while slot in text:
+        slot += "0"
+    arrays, pieces, done, pos = {}, [], 0, 0
+    while (start := text.find('"', pos)) >= 0:
+        key = _STRING.match(text, start)
+        if key is None:  # an unterminated string: json reports it below
+            break
+        pos = key.end()
+        colon = _KEY_COLON.match(text, pos) if key[0] == '"points"' else None
+        found = colon and _dense_rows(text, colon.end())
+        if found:
+            name = f"{slot}{len(arrays)}"
+            arrays[name], pos = found
+            pieces += (text[done : colon.end()], name)
+            done = pos
+    if not arrays:
+        return json.loads(text)
+    pieces.append(text[done:])
+    try:
+        return json.loads("".join(pieces), parse_int=lambda s: arrays[s] if s in arrays else int(s))
+    except ValueError:
+        return json.loads(text)  # raises json's own error, at its position in the file
+
+
+def _dense_rows(text: str, pos: int):
+    """The rectangular array of JSON-number rows at ``text[pos]`` as
+    float64 and the end of its text, or None if the value there is
+    anything else (empty, ragged, nested, or not all numbers)."""
+    m = _ROWS_OPEN.match(text, pos)
+    # The first row is matched by a pattern that stops at any bracket,
+    # brace or quote, so a value that only looks like rows is given up
+    # before the scan reaches a nested "points" key: every character is
+    # scanned a bounded number of times however deep the nesting.
+    first = m and _ROW.match(text, m.end())
+    if not first:
+        return None
+    starts, ends = [m.end()], [first.end() - 1]
+    while (m := _ROW_NEXT.match(text, ends[-1] + 1)) is not None:
+        starts.append(m.end())
+        ends.append(text.find("]", m.end()))
+        if ends[-1] < 0:
+            return None
+    close = _ROWS_CLOSE.match(text, ends[-1] + 1)
+    dim = text.count(",", starts[0], ends[0]) + 1
+    if close is None or any(text.count(",", a, b) + 1 != dim for a, b in zip(starts, ends)):
+        return None
+    out = np.zeros((len(starts), dim))
+    step = max(1, _TOKEN_CHUNK // dim)
+    for lo in range(0, len(starts), step):
+        hi = min(lo + step, len(starts))
+        try:
+            _parse_rows(text, starts[lo:hi], ends[lo:hi], out[lo:hi])
+        except (ValueError, OverflowError):  # json's errors, and ints beyond float range
+            return None
+    return out, close.end()
+
+
+def _parse_rows(text: str, starts: list, ends: list, out: np.ndarray):
+    """Fill ``out`` from the rows ``text[starts[i]:ends[i]]``, each of
+    ``out.shape[1]`` comma-separated tokens, as ``np.asarray`` fills it
+    from ``json.loads``.  Tokens that read exactly ``0.0`` or `` 0.0``
+    are found with numpy and left at zero; ``json`` decodes the rest in
+    one call, or the whole chunk when most tokens are nonzero.  Raises
+    ValueError unless every token is a JSON number."""
+    base = starts[0]
+    chunk = text[base : ends[-1] + 1]  # through the closing bracket, so no token start is past the end
+    c = np.frombuffer(chunk.encode("ascii", "replace"), np.uint8)
+    # With no quote, brace or letter of true/false/null, json can only
+    # read a token as a number (or fail), never as a string or object.
+    if not _NUMBER_ROW_BYTES[c].all():
+        raise ValueError("a number row holds a character no JSON number has")
+    a = np.asarray(starts) - base
+    b = np.asarray(ends) - base
+    commas = np.flatnonzero(c == ord(","))
+    commas = commas[commas < b[np.searchsorted(a, commas, "right") - 1]]
+    n, dim = out.shape
+    lo = np.empty((n, dim), np.int64)
+    hi = np.empty((n, dim), np.int64)
+    lo[:, 0], lo[:, 1:] = a, commas.reshape(n, dim - 1) + 1
+    hi[:, -1], hi[:, :-1] = b, commas.reshape(n, dim - 1)
+    lo, hi = lo.ravel(), hi.ravel()
+    size = hi - lo
+    zero = (size == 3) | ((size == 4) & (c[lo] == ord(" ")))
+    for k, ch in ((1, "0"), (2, "."), (3, "0")):
+        zero &= c.take(hi - k, mode="clip") == ord(ch)  # clipped only where size < 3
+    rest = np.flatnonzero(~zero)
+    if 2 * rest.size > zero.size:  # mostly nonzero: slicing tokens out would cost more than it saves
+        out[:] = json.loads(f"[[{chunk}]")
+        return
+    tokens = [chunk[i:j] for i, j in zip(lo[rest].tolist(), hi[rest].tolist())]
+    out.reshape(-1)[rest] = json.loads(f"[{','.join(tokens)}]")

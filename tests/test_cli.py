@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from egr import tetra
+from egr import geometry, tetra
 from egr.cli import main
 from egr.geometry import (
     Configuration,
@@ -115,6 +115,14 @@ def test_construct_workspace_limit(tmp_path, monkeypatch, capsys):
     assert main(["construct", "anchor-gadget", "-o", str(out)]) == 2
     assert not out.exists()
     assert "coordinates exceeds the limit of 1000000" in capsys.readouterr().err
+
+
+def test_construct_round_trip_compares_bits(tmp_path, monkeypatch, capsys):
+    # a writer that turns +0.0 into -0.0 writes equal values but other bits
+    write_rows = geometry._write_rows
+    monkeypatch.setattr(geometry, "_write_rows", lambda fh, a: write_rows(fh, np.where(a == 0, -0.0, a)))
+    assert main(["construct", "hinge", "--side", "1.0", "-o", str(tmp_path / "h.json")]) == 2
+    assert "written configuration does not round-trip" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["path", "product"])

@@ -6,12 +6,18 @@ Every payload or argument, malformed or valid but odd, must end in exit
 written witness that replays clean against the problem it came from,
 exit 0 from ``copies`` only with exactly the copies a brute-force search
 finds, and exit 0 from ``construct`` only with an artifact that reloads.
+
+``geometry.read_json`` must read any document as ``json.load`` does,
+bar its float64 ``points`` arrays, and raise wherever ``json.load``
+raises.
 """
 
 import itertools
 import json
 import math
 import os
+import random
+import struct
 import tempfile
 
 import numpy as np
@@ -22,7 +28,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from egr.cli import main
-from egr.geometry import Configuration, sq_close
+from egr.geometry import Configuration, read_json, sq_close
 from egr.solver import ColoringProblem, verify_coloring
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -245,3 +251,147 @@ def test_scan_exit_codes_hold_on_any_color_count(kind, r):
     assert (written is not None) == (rc != 2)
     if written is not None:
         assert (written["kind"], written["r"]) == (kind, r)
+
+
+class Pairs(list):
+    """A JSON object written from (key, value) pairs, so a key may repeat."""
+
+
+class Raw(str):
+    """A number token written with exactly this spelling."""
+
+
+def _json_text(value, style: str, rng: random.Random, depth: int = 0) -> str:
+    """``value`` as JSON text: "compact" has no whitespace, "default" is
+    ``json.dumps``' spacing, "indent" puts each member on its own line
+    indented by two spaces a level, "random" puts 0-2 random JSON
+    whitespace characters around every token."""
+
+    def ws():
+        return "".join(rng.choice(" \t\n\r") for _ in range(rng.randrange(3))) if style == "random" else ""
+
+    def nl(d):
+        return "\n" + "  " * d if style == "indent" else ""
+
+    comma = ", " if style == "default" else ","
+    colon = ":" if style in ("compact", "random") else ": "
+    if isinstance(value, Raw):
+        return str(value)
+    if isinstance(value, (dict, Pairs)):
+        items = list(value.items() if isinstance(value, dict) else value)
+        body = comma.join(
+            f"{nl(depth + 1)}{ws()}{json.dumps(k)}{ws()}{colon}{ws()}{_json_text(v, style, rng, depth + 1)}{ws()}"
+            for k, v in items
+        )
+        return "{" + body + (nl(depth) if items else "") + "}"
+    if isinstance(value, list):
+        body = comma.join(f"{nl(depth + 1)}{ws()}{_json_text(v, style, rng, depth + 1)}{ws()}" for v in value)
+        return "[" + body + (nl(depth) if value else "") + "]"
+    return json.dumps(value)
+
+
+NUMBERS = (
+    st.just(0.0)
+    | st.just(0.0)
+    | st.floats()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([-0.0, 5e-324, 1e308, 2**53 + 1, 10**400, math.nan, math.inf, -math.inf])
+    | st.sampled_from(["-0", "1E5", "-0.0", "0.0e0", "5e-324", "1.0000000000000002", "-Infinity"]).map(Raw)
+)
+
+
+@st.composite
+def points_values(draw):
+    """A rectangular array of number rows, mostly zeros, or one with a
+    single flaw that keeps it from being one."""
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [[draw(NUMBERS) for _ in range(dim)] for _ in range(n)]
+    flaw = draw(st.sampled_from([None, None, None, "ragged", "nested", "string", "object", "bool", "empty"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, dim - 1))
+    if flaw == "ragged":
+        rows[i].append(0.0)
+    elif flaw == "empty":
+        rows = draw(st.sampled_from([[], [[]], [[], []]]))
+    elif flaw is not None:
+        rows[i][j] = {"nested": [1.0], "string": "1.5", "object": {"points": [[1.0]]}, "bool": True}[flaw]
+    return rows
+
+
+@st.composite
+def json_documents(draw):
+    """A configuration, problem or other document, possibly with
+    nested or repeated ``points`` keys and ``points`` inside strings."""
+    points = points_values()
+    doc = draw(
+        st.fixed_dictionaries(
+            {"dim": st.integers(1, 6), "points": points},
+            optional={"copies": st.just({"pair": [[0, 1]]}), "labels": st.lists(st.text(max_size=3)),
+                      "notes": st.fixed_dictionaries({}, optional={"points": points, "kind": st.text(max_size=3)})},
+        )
+        | problem_payloads()
+        | json_values
+        | st.builds(lambda a, b: Pairs([("points", a), ("x", '"points": [[1.0]]'), ("points", b)]), points, points)
+        | st.builds(lambda a: [{"points": a}, "points", {"config": {"points": a}}], points)
+    )
+    return _json_text(doc, draw(st.sampled_from(["compact", "default", "indent", "random"])), random.Random(draw(st.integers(0, 9))))
+
+
+def _is_number_rows(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) > 0
+        and all(isinstance(row, list) and len(row) == len(value[0]) > 0 for row in value)
+        and all(type(x) in (int, float) for row in value for x in row)
+    )
+
+
+def _assert_same(got, want):
+    """``got`` equals ``want`` with types and float bits, except that a
+    ``points`` value numpy can read as float64 rows is that ndarray."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want)
+        for key, value in want.items():
+            if key == "points" and _is_number_rows(value):
+                try:
+                    ref = np.asarray(value, dtype=float)
+                except OverflowError:  # an integer beyond float range stays a list, as from json
+                    ref = None
+                if ref is not None:
+                    assert isinstance(got[key], np.ndarray) and got[key].dtype == np.float64
+                    assert np.array_equal(got[key].view(np.uint64), ref.view(np.uint64))
+                    continue
+            _assert_same(got[key], value)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(want, float):
+        assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+@settings(FUZZ, max_examples=400)
+@given(json_documents(), st.sampled_from([None, None, "delete", "insert", "truncate"]), st.integers(0, 10**6),
+       st.sampled_from(list('[]{},:"0.-eN ')))
+def test_read_json_equals_json_load(text, mutation, at, char):
+    at %= len(text) + 1
+    if mutation == "delete":
+        text = text[:at] + text[at + 1 :]
+    elif mutation == "insert":
+        text = text[:at] + char + text[at:]
+    elif mutation == "truncate":
+        text = text[:at]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            with open(path) as fh:
+                want = json.load(fh)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                read_json(path)
+            assert str(got.value) == str(exc)
+            return
+        _assert_same(read_json(path), want)

@@ -169,6 +169,62 @@ def test_write_json_atomic_is_one_compact_dump(tmp_path):
         assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
+def _sparse_rows(rng, n: int, dim: int, per_row: int) -> np.ndarray:
+    pts = np.zeros((n, dim))
+    for row in pts:
+        row[rng.choice(dim, per_row, replace=False)] = rng.standard_normal(per_row)
+    return pts
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.array([[-0.0, 5e-324, 1e308, -1e-320, 0.0, 12345678901234567.0]]),
+        np.array([[1e-310, 0.0, 1.0 / 3.0], [-0.0, -0.0, 1024.0], [2.0, -3.0, 0.0]]),
+        np.random.default_rng(1).standard_normal((7, 5)),
+        _sparse_rows(np.random.default_rng(2), 30, 40, 3),
+    ],
+    ids=["extremes", "integral", "dense", "sparse"],
+)
+def test_save_writes_what_json_dumps_writes(points, tmp_path):
+    cfg = Configuration(
+        points=points,
+        labels=[f"p{i}" for i in range(len(points))],
+        named_copies={"pair": [(0, len(points) - 1)]},
+        notes={"kind": "test", "eps": -0.0, "side": 1e-300},
+    )
+    path = tmp_path / "cfg.json"
+    cfg.save(str(path))
+    assert path.read_text() == json.dumps(cfg.to_json_dict()) + "\n"
+    back = Configuration.load(str(path))
+    assert np.array_equal(back.points.view(np.uint64), points.view(np.uint64))
+    # rows with a non-finite entry are spelled as json spells them
+    odd = {"points": np.array([[0.0, np.nan], [np.inf, -0.0], [0.0, 0.0]]), "n": 3}
+    write_json_atomic(str(path), odd)
+    assert path.read_text() == json.dumps({**odd, "points": odd["points"].tolist()}) + "\n"
+
+
+def test_save_and_load_memory_follows_the_array(tmp_path):
+    import tracemalloc
+
+    cfg = Configuration(points=_sparse_rows(np.random.default_rng(0), 1500, 1500, 8))
+    path = tmp_path / "cfg.json"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cfg.save(str(path))
+        save_extra = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = Configuration.load(str(path))
+        load_extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.points.view(np.uint64), cfg.points.view(np.uint64))
+    assert save_extra < 8e6
+    assert load_extra < path.stat().st_size + 1.5 * cfg.points.nbytes
+
+
 def test_write_json_atomic_failure_keeps_the_old_file(tmp_path):
     path = tmp_path / "out.json"
     path.write_text("old\n")

@@ -106,7 +106,7 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
 _GATHER_ENTRIES = 1 << 20  # coordinates a chunked check gathers at once
 _PAIR_CHUNK = 1 << 16  # candidate pairs the coincidence sweep holds at once
 _PROJECTIONS = 8
-_TOKEN_CHUNK = 1 << 16  # number tokens read_json classifies at once
+_TOKEN_CHUNK = 1 << 16  # coordinates read_json and _write_rows handle at once
 
 
 def check_copies(points, tuples, sq_dist, what: str = "copy"):
@@ -587,28 +587,37 @@ def write_json_atomic(path: str, payload: dict):
 
 
 def _write_rows(fh, a: np.ndarray):
-    """Write a 2-D float64 array as ``json.dumps(a.tolist())`` does, one
-    row at a time.  Entries whose bit pattern is zero are the literal
+    """Write a 2-D float64 array as ``json.dumps(a.tolist())`` does, in
+    blocks of rows.  Entries whose bit pattern is zero are the literal
     ``0.0`` (``-0.0`` has a sign bit, so it is not); the others go
     through ``float.__repr__``, or a whole row through ``json.dumps``
     when it holds a non-finite entry."""
     if a.ndim != 2 or a.dtype != np.float64:
         raise TypeError(f"only 2-D float64 arrays are written, got {a.dtype} {a.shape}")
-    zeros = "0.0, " * a.shape[1]
+    dim = a.shape[1]
+    zeros = "0.0, " * dim
+    step = max(1, _TOKEN_CHUNK // max(dim, 1))
     fh.write("[")
-    for i, row in enumerate(a):
-        nz = np.flatnonzero(row.view(np.uint64))
-        values = row[nz]
-        if np.isfinite(values).all():
-            parts, done = [], 0
-            for j, v in zip(nz.tolist(), values.tolist()):
-                parts += (zeros[: 5 * (j - done)], repr(v), ", ")
-                done = j + 1
-            parts.append(zeros[: 5 * (len(row) - done)])
-            text = "[" + "".join(parts)[:-2] + "]"
-        else:
-            text = json.dumps(row.tolist())
-        fh.write(f", {text}" if i else text)
+    for lo in range(0, len(a), step):
+        block = a[lo : lo + step]
+        rows, cols = np.nonzero(block.view(np.uint64))
+        values = block[rows, cols]
+        odd = set(rows[~np.isfinite(values)].tolist())
+        ends = np.searchsorted(rows, np.arange(1, len(block) + 1)).tolist()
+        cols, values = cols.tolist(), values.tolist()
+        k = 0
+        for i, end in enumerate(ends):
+            if i in odd:
+                text = json.dumps(block[i].tolist())
+            else:
+                parts, done = [], 0
+                for j, v in zip(cols[k:end], values[k:end]):
+                    parts += (zeros[: 5 * (j - done)], repr(v), ", ")
+                    done = j + 1
+                parts.append(zeros[: 5 * (dim - done)])
+                text = "[" + "".join(parts)[:-2] + "]"
+            k = end
+            fh.write(f", {text}" if lo + i else text)
     fh.write("]")
 
 

@@ -182,7 +182,7 @@ def _sparse_rows(rng, n: int, dim: int, per_row: int) -> np.ndarray:
         np.array([[-0.0, 5e-324, 1e308, -1e-320, 0.0, 12345678901234567.0]]),
         np.array([[1e-310, 0.0, 1.0 / 3.0], [-0.0, -0.0, 1024.0], [2.0, -3.0, 0.0]]),
         np.random.default_rng(1).standard_normal((7, 5)),
-        _sparse_rows(np.random.default_rng(2), 30, 40, 3),
+        _sparse_rows(np.random.default_rng(2), 50, 5000, 3),  # several blocks of rows
     ],
     ids=["extremes", "integral", "dense", "sparse"],
 )

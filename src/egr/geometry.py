@@ -557,9 +557,10 @@ def write_json_atomic(path: str, payload: dict):
     The text is ``json.dumps(payload)`` with each top-level ndarray value
     in place of its ``tolist()``.  Other values go through the C encoder
     one at a time; a 2-D float64 array is streamed a row at a time by
-    ``_write_rows``, so neither a Python float per coordinate nor the
-    whole text is ever held.  Floats are written with ``float.__repr__``
-    either way, so they reload bit-identical."""
+    ``_write_rows``, which holds Python floats only for the nonzero
+    entries of one block of rows and never the whole text.  Floats are
+    written with ``float.__repr__`` either way, so they reload
+    bit-identical."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

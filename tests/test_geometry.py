@@ -4,6 +4,7 @@ import math
 import os
 import stat
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,11 @@ def test_write_json_atomic_is_one_compact_dump(tmp_path):
     path = tmp_path / "out.json"
     write_json_atomic(str(path), payload)
     assert path.read_text() == json.dumps(payload) + "\n"
+    # an ndarray value is written as its tolist(); rows with a non-finite
+    # entry are spelled as json spells them
+    odd = {"points": np.array([[0.0, np.nan], [np.inf, -0.0], [0.0, 0.0]]), "n": 3}
+    write_json_atomic(str(path), odd)
+    assert path.read_text() == json.dumps({**odd, "points": odd["points"].tolist()}) + "\n"
     # the file gets the mode a plain open gives under the umask
     for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
         old = os.umask(umask)
@@ -198,15 +204,9 @@ def test_save_writes_what_json_dumps_writes(points, tmp_path):
     assert path.read_text() == json.dumps(cfg.to_json_dict()) + "\n"
     back = Configuration.load(str(path))
     assert np.array_equal(back.points.view(np.uint64), points.view(np.uint64))
-    # rows with a non-finite entry are spelled as json spells them
-    odd = {"points": np.array([[0.0, np.nan], [np.inf, -0.0], [0.0, 0.0]]), "n": 3}
-    write_json_atomic(str(path), odd)
-    assert path.read_text() == json.dumps({**odd, "points": odd["points"].tolist()}) + "\n"
 
 
 def test_save_and_load_memory_follows_the_array(tmp_path):
-    import tracemalloc
-
     cfg = Configuration(points=_sparse_rows(np.random.default_rng(0), 1500, 1500, 8))
     path = tmp_path / "cfg.json"
     tracemalloc.start()

@@ -43,24 +43,25 @@ class ConstraintViolation(GeometryError):
 
 
 REL_TOL = 1e-9
-ABS_TOL = 1e-12
 
 
 def sq_close(d1, d2):
-    """Comparison policy for squared distances.
+    """Comparison policy for squared distances: one relative rule, so a
+    configuration scaled by lambda gets the same verdicts.
 
-    Two rules.  Per pair, ``sq_close`` (elementwise on arrays) calls d1
-    and d2 equal when ``|d1 - d2| <= REL_TOL * max(d1, d2) + ABS_TOL``;
-    congruence testing and copy enumeration use it.  Per copy,
-    ``check_copies`` allows every entry the slack ``sq_slack`` of the
-    largest wanted squared distance.
+    Per pair, ``sq_close`` (elementwise on arrays) calls d1 and d2 equal
+    when ``|d1 - d2| <= REL_TOL * max(d1, d2)``; congruence testing and
+    copy enumeration use it.  Per copy, ``check_copies`` allows every
+    entry the slack ``sq_slack`` of the largest wanted squared distance,
+    measuring each tuple from its own first point so that its rounding
+    follows the copy's size, not its distance from the origin.
     """
-    return np.abs(d1 - d2) <= REL_TOL * np.maximum(d1, d2) + ABS_TOL
+    return np.abs(d1 - d2) <= REL_TOL * np.maximum(d1, d2)
 
 
 def sq_slack(scale: float) -> float:
     """Absolute slack granted to a squared quantity of the given scale."""
-    return REL_TOL * max(scale, 0.0) + ABS_TOL
+    return REL_TOL * max(scale, 0.0)
 
 
 def as_index(value, what: str) -> int:
@@ -114,7 +115,8 @@ def check_copies(points, tuples, sq_dist, what: str = "copy"):
     index tuple t realizes ``sq_dist`` in row order: each
     ``| |p[t[i]] - p[t[j]]|^2 - sq_dist[i, j] |`` is at most
     ``sq_slack(max sq_dist)``.  Tuples are gathered in chunks, one
-    batched matrix product per chunk.
+    batched matrix product per chunk, each tuple taken relative to its
+    own first point.
     """
     pts = np.asarray(points, dtype=float)
     want = np.asarray(sq_dist, dtype=float)
@@ -124,6 +126,7 @@ def check_copies(points, tuples, sq_dist, what: str = "copy"):
     step = max(1, _GATHER_ENTRIES // (k * pts.shape[1]))
     for start in range(0, len(idx), step):
         sub = pts[idx[start : start + step]]
+        sub = sub - sub[:, :1]
         gram = sub @ sub.transpose(0, 2, 1)
         norms = np.einsum("tii->ti", gram)
         err = np.abs(norms[:, :, None] + norms[:, None, :] - 2.0 * gram - want).max(axis=(1, 2))

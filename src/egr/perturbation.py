@@ -30,7 +30,9 @@ from .geometry import (
     check_copies,
     embed_from_distances,
     is_nondegenerate,
+    min_gram_eigenvalue,
     pairwise_sq_dists,
+    sq_slack,
 )
 
 
@@ -45,11 +47,13 @@ def _contraction_ok(sq: np.ndarray, eps: float) -> bool:
     off = out[np.triu_indices(len(out), k=1)]
     if off.size and off.min() <= 0.0:
         return False
-    return is_nondegenerate(out)
+    # Judged against the original scale: the contracted simplex's own
+    # scale shrinks towards the collapse point along with its Gram matrix.
+    return min_gram_eigenvalue(out) > sq_slack(float(sq.max()))
 
 
 def eps_max(spec: SimplexSpec) -> float:
-    """Largest eps (within 1e-9) whose contraction stays nondegenerate.
+    """Largest eps (within 1e-9 relative) whose contraction stays nondegenerate.
 
     The contracted Gram matrix decreases monotonically in eps, so the
     admissible set is an interval [0, eps_max) and bisection applies.
@@ -61,7 +65,7 @@ def eps_max(spec: SimplexSpec) -> float:
     lo, hi = 0.0, math.sqrt(float(off.min()) / 2.0)
     if _contraction_ok(sq, hi):
         raise GeometryError("contraction bracket failed to pin the collapse point")
-    while hi - lo > 1e-9:
+    while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if _contraction_ok(sq, mid):
             lo = mid

@@ -152,9 +152,6 @@ class ProductConfig:
     right: Configuration
     product: Configuration
 
-    def flat_index(self, i: int, j: int) -> int:
-        return i * len(self.right.points) + j
-
     def verify(self) -> None:
         sq_l = pairwise_sq_dists(self.left.points)
         sq_r = pairwise_sq_dists(self.right.points)

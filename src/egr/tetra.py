@@ -111,12 +111,6 @@ class TetraProfile:
     apex_height: float
     theta: float
 
-    def cos_two_theta(self) -> float:
-        rel = self.base2d[0] - self.apex_foot
-        b2 = float(np.dot(rel, rel))
-        a2 = self.apex_height**2
-        return (b2 - a2) / (b2 + a2)
-
     def base_in_e4(self) -> np.ndarray:
         out = np.zeros((3, 4))
         out[:, :2] = self.base2d
@@ -242,10 +236,6 @@ class DenseQuadruple:
     def points(self) -> np.ndarray:
         return np.vstack([self.z, self.y, self.x])
 
-    def y_circumradius(self) -> float:
-        center = _circumcenter_2d(self.y[:, 2:4])
-        return float(np.linalg.norm(self.y[0, 2:4] - center))
-
     def as_configuration(self) -> Configuration:
         return Configuration(
             points=self.points(),
@@ -354,10 +344,8 @@ def extend_isometry(
     src_anchors = np.asarray(src_anchors, dtype=float)
     src_extras = np.atleast_2d(np.asarray(src_extras, dtype=float))
     dst = np.vstack([ws.point(i) for i in dst_anchor_idx])
-    scale = float(pairwise_sq_dists(src_anchors).max()) + 1.0
-    gap = float(np.abs(pairwise_sq_dists(src_anchors) - pairwise_sq_dists(dst)).max())
-    if gap > sq_slack(scale):
-        raise GeometryError(f"anchor images are not isometric to the anchors (off by {gap})")
+    anchor_sq = pairwise_sq_dists(src_anchors)
+    check_copies(dst, [range(len(dst))], anchor_sq, "anchor image")
 
     u = src_anchors[1:] - src_anchors[0]
     coeffs = []
@@ -372,7 +360,7 @@ def extend_isometry(
     basis: list[np.ndarray] = []
     axis_ids: list[int] = []
     rows = []
-    floor = math.sqrt(sq_slack(scale))
+    floor = math.sqrt(sq_slack(float(anchor_sq.max())))
     for res in residuals:
         comps = []
         vec = res.copy()
@@ -664,7 +652,7 @@ def build_link(
     # coordinates once, here at the seam; everything downstream shares
     # by index.
     cross_sq = pairwise_sq_dists(ends)[:4, 4:]
-    slack = sq_slack(float(profile.spec.sq_dist.max()) + 1.0)
+    slack = sq_slack(float(profile.spec.sq_dist.max()))
     t2 = tuple(
         int(t1[np.nonzero(cross_sq[:, j] <= slack)[0][0]])
         if bool(np.any(cross_sq[:, j] <= slack))

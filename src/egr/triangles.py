@@ -21,7 +21,6 @@ from .geometry import (
     SimplexSpec,
     as_point,
     check_copies,
-    pairwise_sq_dists,
     sq_close,
     sq_slack,
     squared_distance,
@@ -145,9 +144,6 @@ class FivePointGadget:
             ]
         )
 
-    def max_sq_error(self) -> float:
-        return float(np.abs(pairwise_sq_dists(self.points()) - self.sq_dist()).max())
-
     def verify(self):
         check_copies(self.points(), [(0, 1, 2, 3, 4)], self.sq_dist(), "five-point gadget")
 
@@ -194,7 +190,7 @@ def build_five_point(a: float, b: float, c: float, eps: float) -> FivePointGadge
     x = math.sqrt(x_sq)
     # The algebraic identity behind N's placement; kept as a hard check.
     x_alg = (b_p * b_p + c_p * c_p - a * a) / (2.0 * b_p)
-    if abs(x_alg - x) > 1e-6 * max(1.0, c):
+    if abs(x_alg - x) > 1e-6 * c:
         raise GeometryError(f"midpoint identity failed: {x_alg} vs {x}")
     gadget = FivePointGadget(
         a=a,
@@ -526,7 +522,7 @@ class CaseBCertificate:
         if not (lo - slack <= oq_sq <= hi + slack):
             raise GeometryError(f"|OQ|^2 = {oq_sq} outside [{lo}, {hi}]")
         dot = float(np.dot(self.Q - self.O, self.P - self.Q))
-        if abs(dot) > math.sqrt(slack) * max(1.0, self.rho):
+        if abs(dot) > math.sqrt(slack) * self.rho:
             raise GeometryError(f"OQ is not orthogonal to QP: dot = {dot}")
         pq_sq = squared_distance(self.P, self.Q)
         if pq_sq > 2.0 * self.rho * self.delta + slack:
@@ -619,7 +615,8 @@ def case_b_certificate(
     # The inequality chain guaranteeing both circle intersections.
     mid = ((eps / 2.0) ** 2 + (c / 2.0) ** 2)
     denom = math.sqrt(c * c - rho * delta)
-    if not (mid / denom <= mid / rho + 1e-12 and mid / rho <= rho - delta + 1e-12):
+    tol = 1e-12 * c
+    if not (mid / denom <= mid / rho + tol and mid / rho <= rho - delta + tol):
         raise ConstraintViolation("ineq_final", "certificate inequality chain failed")
 
     half_pq_sq = (pq / 2.0) ** 2

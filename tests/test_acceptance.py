@@ -131,7 +131,7 @@ def test_criterion_02_five_point_gadget():
         inv = triangle_invariants(a, b, c)
         eps = rng.uniform(0.05 * inv.h, 0.95 * inv.h)
         g = build_five_point(a, b, c, eps)
-        assert g.max_sq_error() <= 1e-9 * c * c
+        assert np.abs(pairwise_sq_dists(g.points()) - g.sq_dist()).max() <= 1e-9 * c * c
     for r in (3, 4, 5):
         assert five_point_logic_scan(r)["violations"] == 0
     _finish(2, "five-point gadget", started, 5.0)

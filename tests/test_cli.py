@@ -92,6 +92,46 @@ def test_construct_artifacts_reload(argv, tmp_path):
         check_copies(cfg.points, cfg.named_copies["tetra"], spec.sq_dist)
 
 
+# Flags that carry a length: a build scaled by lam scales each of them.
+LENGTH_FLAGS = {"--side", "--x", "--y", "--s", "--d", "--gap", "--a", "--b", "--c", "--eps", "--offset"}
+SIDE_BUILDERS = {"grid", "hinge", "dense-quad", "link", "x1", "anchor-gadget", "contract"}
+
+
+def _build_scaled(argv, lam, tmp_path):
+    """Build case ``argv`` with every length, and SKEW, scaled by lam."""
+    spec_path = tmp_path / f"skew-{lam}.json"
+    SimplexSpec(SKEW.sq_dist * lam * lam).save(str(spec_path))
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] in SIDE_BUILDERS:
+        flags.setdefault("--side", "1.0")
+    scaled = [argv[0]]
+    for flag, value in flags.items():
+        if flag in LENGTH_FLAGS:
+            value = repr(float(value) * lam)
+        elif value == "SKEW":
+            value = str(spec_path)
+        scaled.append(f"{flag}={value}")  # "=" keeps a value like -9e-13 from reading as a flag
+    out = tmp_path / f"cfg-{lam}.json"
+    assert main(["construct", *scaled, "-o", str(out)]) == 0
+    return Configuration.load(str(out))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*CONSTRUCT_CASES.values(), ["x1"], ["anchor-gadget"]],
+    ids=[*CONSTRUCT_CASES.keys(), "x1", "anchor-gadget"],
+)
+def test_construct_is_scale_free(argv, tmp_path):
+    # congruence does not see units: every build at side lam is lam
+    # times the side-1 build, with the same copies
+    unit = _build_scaled(argv, 1.0, tmp_path)
+    for lam in (2.0**-40, 2.0**16):
+        cfg = _build_scaled(argv, lam, tmp_path)
+        assert cfg.named_copies == unit.named_copies
+        assert cfg.points.shape == unit.points.shape
+        assert np.abs(cfg.points - lam * unit.points).max() <= 1e-12 * lam
+
+
 def test_construct_grid_records_connectivity(tmp_path):
     out = tmp_path / "grid.json"
     assert main(["construct", "grid", "--regular-k", "3", "--m", "2", "--eps", "0.6", "-o", str(out)]) == 0

@@ -353,6 +353,14 @@ def test_enumerate_copies_complete_on_planted_instances():
             assert tuple(sorted(tup)) in copies
 
 
+def test_enumerate_copies_tolerance_is_relative():
+    # 0.4% off is off at any scale, not only at side 1
+    tri = Configuration(points=embed_from_distances(SimplexSpec.regular(3, 1e-5)))
+    assert len(enumerate_copies(tri, SimplexSpec.pair(1e-5))) == 3
+    assert enumerate_copies(tri, SimplexSpec.pair(1.004e-5)) == []
+    assert enumerate_copies(tri, SimplexSpec.regular(3, 1.004e-5)) == []
+
+
 def test_enumerate_copies_caps(monkeypatch):
     pts = np.random.default_rng(0).standard_normal((4097, 2))
     with pytest.raises(GeometryError, match="4097 points need 16785409 distance entries"):

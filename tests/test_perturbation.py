@@ -36,7 +36,9 @@ def test_eps_max_segment():
 
 
 def test_eps_max_regular_tetrahedron():
-    assert abs(eps_max(SimplexSpec.regular(4, 1.0)) - 1.0 / math.sqrt(2.0)) < 1e-6
+    for lam in (1.0, 2.0**-40, 2.0**16):
+        got = eps_max(SimplexSpec.regular(4, lam)) / lam
+        assert abs(got - 1.0 / math.sqrt(2.0)) < 2e-9
 
 
 def test_eps_max_brackets_realizability():

@@ -96,12 +96,12 @@ def test_product_distance_law():
     right = path_config(2, 1.5, 1.0).as_configuration()
     prod = product_config(left, right)
     assert prod.product.points.shape == (21, 8)
+    n = len(right)  # point (i, k) sits at flat index i*|right| + k
     rng = np.random.default_rng(5)
     for _ in range(50):
         i, j = rng.integers(0, 7, size=2)
         k, l = rng.integers(0, 3, size=2)
-        got = math.dist(prod.product.points[prod.flat_index(i, k)],
-                        prod.product.points[prod.flat_index(j, l)]) ** 2
+        got = math.dist(prod.product.points[n * i + k], prod.product.points[n * j + l]) ** 2
         want = (math.dist(left.points[i], left.points[j]) ** 2
                 + math.dist(right.points[k], right.points[l]) ** 2)
         assert abs(got - want) < 1e-12

@@ -8,6 +8,7 @@ from egr.geometry import (
     ConstraintViolation,
     GeometryError,
     SimplexSpec,
+    cayley_menger_volume,
     check_copies,
     congruence_check,
     embed_from_distances,
@@ -55,7 +56,9 @@ def test_regular_profile_values():
     assert prof.condition_flag
     assert np.abs(np.asarray(prof.heights) - math.sqrt(2.0 / 3.0)).max() < 1e-12
     assert np.abs(np.asarray(prof.face_circumradii) - 1.0 / math.sqrt(3.0)).max() < 1e-12
-    assert abs(prof.cos_two_theta() + 1.0 / 3.0) < 1e-12
+    rel = prof.base2d[0] - prof.apex_foot
+    b2, a2 = float(rel @ rel), prof.apex_height**2
+    assert abs((b2 - a2) / (b2 + a2) + 1.0 / 3.0) < 1e-12
     assert abs(math.cos(2.0 * prof.theta) + 1.0 / 3.0) < 1e-12
 
 
@@ -141,7 +144,9 @@ def test_dense_quadruple_regular():
     ref = embed_from_distances(REGULAR)
     for tup in quad.copies:
         assert congruence_check(pts[list(tup)], ref) is not None
-    assert abs(quad.y_circumradius() - prof.rho_min) < 1e-12
+    sides = np.sqrt(pairwise_sq_dists(quad.y)[[0, 0, 1], [1, 2, 2]])
+    area = cayley_menger_volume(SimplexSpec.from_points(quad.y))
+    assert abs(sides.prod() / (4.0 * area) - prof.rho_min) < 1e-12
     assert len(quad.as_configuration()) == 7
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from egr.geometry import ConstraintViolation, GeometryError, squared_distance
+from egr.geometry import ConstraintViolation, GeometryError, pairwise_sq_dists, squared_distance
 from egr.triangles import (
     build_five_point,
     case_b_certificate,
@@ -74,7 +74,7 @@ def test_five_point_gadget_2_2_3_1():
     g.verify()
     # Midpoint offset from the algebraic identity.
     assert abs(g.P[1] - 2.1947) < 1e-3
-    assert g.max_sq_error() <= 1e-9 * g.c * g.c
+    assert np.abs(pairwise_sq_dists(g.points()) - g.sq_dist()).max() <= 1e-9 * g.c * g.c
     cfg = g.as_configuration()
     assert cfg.labels == ["A", "B", "P", "M", "N"]
     assert len(cfg.named_copies["tetra_PMAB"]) == 1
@@ -88,7 +88,7 @@ def test_five_point_gadget_random_parameters():
         inv = triangle_invariants(a, b, c)
         eps = rng.uniform(0.05 * inv.h, 0.95 * inv.h)
         g = build_five_point(a, b, c, eps)
-        assert g.max_sq_error() <= 1e-9 * c * c
+        assert np.abs(pairwise_sq_dists(g.points()) - g.sq_dist()).max() <= 1e-9 * c * c
         built += 1
 
 
@@ -196,13 +196,13 @@ def test_case_b_certificate_example():
 
 
 def test_case_b_interior_branch():
-    a, b, c, eps, rad_s = case_b_params()
-    rho = 0.99 * rad_s
-    cert = case_b_certificate(a, b, c, eps, rho=rho, delta=1e-4)
-    cert.verify()
-    assert cert.branch == "interior"
-    op = math.dist(cert.O, cert.P)
-    assert cert.rho < op < cert.rad_S
+    for lam in (1.0, 2.0**-40, 2.0**16):
+        a, b, c, eps, rad_s = (lam * v for v in case_b_params())
+        cert = case_b_certificate(a, b, c, eps, rho=0.99 * rad_s, delta=1e-4 * lam)
+        cert.verify()
+        assert cert.branch == "interior"
+        op = math.dist(cert.O, cert.P)
+        assert cert.rho < op < cert.rad_S
 
 
 def test_case_b_named_violations():

@@ -186,7 +186,9 @@ class Configuration:
     def _find_coincident(self):
         """A pair of points within the coincidence threshold, or None.
 
-        Exact at every size and dimension: a projection onto a unit
+        The threshold is relative to the largest per-axis extent, so it
+        does not depend on where the configuration sits.  The search is
+        exact at every size and dimension: a projection onto a unit
         direction never lengthens a distance, so a close pair stays
         within the window on every projection.  Pairs inside the window
         of the first (sorted) projection are enumerated in chunks,
@@ -195,7 +197,7 @@ class Configuration:
         """
         pts = self.points
         n, dim = pts.shape
-        scale = float(max(pts.max(), -pts.min()))
+        scale = float((pts.max(0) - pts.min(0)).max())
         thresh = sq_slack(scale * scale)
         # Widened a hair so rounding in the projections cannot drop a
         # pair right at the threshold; survivors are tested exactly.

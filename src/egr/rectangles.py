@@ -10,6 +10,8 @@ distance in such a product and checks the closed-form count
 (m+1)*C(3m+1,2) + (3m+1); a pair that is neither a within-fiber pair
 nor a path-endpoint pair means the side lengths were not generic, and
 the census aborts rather than return a misleading number.
+``census_verdict`` gives the proven verdict of the coloring problem on
+such a product, which the tests check against the solver.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .geometry import (
     pairwise_sq_dists,
     sq_close,
 )
+from .solver import COUNTEREXAMPLE, FORCED
 
 
 def regular_simplex(n: int, x: float) -> Configuration:
@@ -259,3 +262,34 @@ def count_distance_pairs(m: int, x: float, y: float) -> dict[str, int]:
         "fiber_pairs": fiber,
         "endpoint_pairs": endpoint,
     }
+
+
+def census_verdict(m: int, s: int, r: int) -> str:
+    """Closed-form verdict of the census coloring problem (m, s, r).
+
+    The census is S_s(x) x B_m(x, y) with r colors, for x > y generic:
+    point (a, i) is simplex position a in fiber i = 0..m.  Its mono
+    targets are the distance-x pairs, the m+1 fiber cliques K_s plus
+    the s endpoint pairs ((a, 0), (a, m)); its rainbow targets are the
+    x-by-y rectangles (a, i), (b, i), (b, i+1), (a, i+1) between
+    consecutive fibers.  The verdict is FORCED exactly when r < s or
+    s > 3m:
+
+    - If r < s, a fiber's K_s holds two points of one color.
+    - If r >= s, each fiber coloring c_i that avoids its mono pairs is
+      injective.  Let position a change color from fiber i to i+1.  The
+      rectangle (a, b) avoids rainbow only if c_{i+1}(a) = c_i(b) or
+      c_{i+1}(b) is c_i(a) or c_i(b).  By injectivity at most one b has
+      c_i(b) = c_{i+1}(a) and at most one has c_{i+1}(b) = c_i(a); every
+      other b keeps its color.  So one step changes at most 3 positions,
+      m steps at most 3m, and the endpoint pairs need all s positions
+      changed: impossible when s > 3m.
+    - If 2 <= s <= 3m and r >= s, split the positions into at most m
+      blocks of 2 or 3 and let step i rotate the colors of block i,
+      starting from an injective fiber 0.  Each rectangle then repeats
+      a color, each fiber stays injective, and each position ends on a
+      color it did not start with: a COUNTEREXAMPLE.
+    """
+    if m < 1 or s < 2 or r < 1:
+        raise ValueError(f"census needs m >= 1, s >= 2 and r >= 1, got ({m}, {s}, {r})")
+    return FORCED if r < s or s > 3 * m else COUNTEREXAMPLE

@@ -3,10 +3,11 @@
 A problem asks: does every r-coloring of the points contain some mono
 target tuple colored all-same or some rainbow target tuple colored
 all-distinct?  ``solve_gr`` answers by backtracking over points with
-bitmask domains, most-constrained-first selection, and first-use color
-symmetry breaking; FORCED means the search space closed with no
-avoiding coloring, COUNTEREXAMPLE ships the avoiding coloring it
-found.  Running out of budget raises; an undecided instance never
+bitmask domains, a conflict-weighted variable order (forced points
+first, then the smallest domain per unit of failure weight), and
+first-use color symmetry breaking; FORCED means the search space closed
+with no avoiding coloring, COUNTEREXAMPLE ships the avoiding coloring
+it found.  Running out of budget raises; an undecided instance never
 masquerades as a verdict.
 
 ``exhaustive_oracle`` re-derives small verdicts by plain enumeration so
@@ -132,11 +133,20 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     only take an already-used color or the lowest unused one; the used
     colors are then always a prefix 0..opened-1, and since backtracking
     is last-in first-out each stack frame restores the prefix length it
-    started from.  The variable order picks the smallest remaining
-    domain (ties by index), which keeps the pruned tree isomorphic under
-    color permutation and the verdict deterministic.  The search keeps
-    its own stack, so its depth is not bounded by the interpreter's
-    recursion limit.
+    started from.  Propagation removes only used colors, or every unused
+    color at once, so the unused colors stay interchangeable under any
+    variable order.
+
+    The order is conflict-weighted (dom/wdeg; Boussemart, Hemery,
+    Lecoutre and Sais, ECAI 2004): every point starts at weight 1, and
+    each failed propagation adds 1 to each point of the target that
+    failed.  The next point is the lowest-index uncolored one with a
+    single color left, else the one with the smallest domain size per
+    unit of weight, ties going to the lowest index.  Weights depend only
+    on which targets failed, so the search is deterministic and its tree
+    is isomorphic under color permutation.  The search keeps its own
+    stack, so its depth is not bounded by the interpreter's recursion
+    limit.
     """
     n = len(problem.cfg.points)
     # First-use symmetry breaking opens at most one new color per point,
@@ -146,20 +156,30 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     colors = [-1] * n
     domains = [full] * n
 
+    # Both rules read a target as a point set, so repeats are dropped; a
+    # rainbow target longer than r can never be colored all-distinct.
+    mono = dict.fromkeys(tuple(sorted(t)) for t in problem.mono_targets)
+    rain = dict.fromkeys(tuple(sorted(t)) for t in problem.rainbow_targets if len(t) <= r)
     point_mono: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     point_rain: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for t in problem.mono_targets:
+    for t in mono:
         for p in t:
             point_mono[p].append(t)
-    for t in problem.rainbow_targets:
+    for t in rain:
         for p in t:
             point_rain[p].append(t)
+    weight = [1] * n
 
     start = time.monotonic()
     deadline = start + budget
     stats = SearchStats()
 
-    def propagate(idx: int, trail: list[tuple[int, int]]) -> bool:
+    def propagate(idx: int, trail: list[tuple[int, int]]) -> tuple[int, ...] | None:
+        """Narrow the domains the new color of ``idx`` constrains.
+
+        Returns None on success, else the failing target: one colored
+        into a violation, or the one whose rule emptied a domain.
+        """
         c = colors[idx]
         for t in point_mono[idx]:
             free = -1
@@ -178,13 +198,13 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
             if not allsame or nfree > 1:
                 continue
             if nfree == 0:
-                return False
+                return t
             bit = 1 << c
             if domains[free] & bit:
                 trail.append((free, domains[free]))
                 domains[free] &= ~bit
                 if not domains[free]:
-                    return False
+                    return t
         for t in point_rain[idx]:
             free = -1
             nfree = 0
@@ -206,24 +226,26 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
             if not distinct or nfree > 1:
                 continue
             if nfree == 0:
-                return False
+                return t
             narrowed = domains[free] & used
             if narrowed != domains[free]:
                 trail.append((free, domains[free]))
                 domains[free] = narrowed
                 if not narrowed:
-                    return False
-        return True
+                    return t
+        return None
 
     def pick() -> int:
-        best, best_size = -1, r + 1
+        # size / weight is compared by cross-multiplication, so no float
+        # rounding can break the index tie order.
+        best, best_size, best_w = -1, r + 1, 1
         for i in range(n):
             if colors[i] < 0:
                 size = domains[i].bit_count()
-                if size < best_size:
-                    best, best_size = i, size
-                    if size <= 1:
-                        break
+                if size == 1:
+                    return i
+                if size * best_w < best_size * weight[i]:
+                    best, best_size, best_w = i, size, weight[i]
         return best
 
     def dfs() -> bool:
@@ -256,8 +278,11 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                     )
                 colors[idx] = c
                 trail = []
-                if propagate(idx, trail):
+                failed = propagate(idx, trail)
+                if failed is None:
                     break
+                for p in failed:
+                    weight[p] += 1
             stack.append((idx, cand, trail, opened))
             opened = max(opened, c + 1)
             idx = pick()

@@ -100,6 +100,14 @@ def test_configuration_rejects_coincident_points():
             Configuration(points=np.vstack([base, pair]))
 
 
+def test_coincidence_threshold_ignores_translation():
+    tri = embed_from_distances(SimplexSpec.regular(3, 1.0))
+    far = Configuration(points=tri + np.array([1e5, 7e4]))
+    assert np.array_equal(pairwise_sq_dists(far.points) > 0.5, ~np.eye(3, dtype=bool))
+    with pytest.raises(GeometryError, match="points 0 and 3 coincide"):
+        Configuration(points=np.vstack([tri, tri[:1] + 1e-6]) + np.array([1e5, 7e4]))
+
+
 def test_check_copies_names_the_bad_tuple():
     pts = np.vstack([embed_from_distances(SimplexSpec.triangle(1.0, 1.2, 1.4)), np.zeros((1, 2))])
     spec = SimplexSpec.triangle(1.0, 1.2, 1.4).sq_dist

@@ -1,14 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from egr.geometry import Configuration, SimplexSpec, enumerate_copies
-from egr.rectangles import path_config, product_config, regular_simplex
+from egr.rectangles import census_verdict, path_config, product_config, regular_simplex
 from egr.solver import (
     BudgetExceeded,
     COUNTEREXAMPLE,
     FORCED,
+    ORACLE_CAP,
     ColoringProblem,
     exhaustive_oracle,
     five_point_logic_scan,
@@ -31,15 +33,16 @@ def square_problem(r=2):
     return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
 
 
-def long_pair_census_problem(r):
-    """Distance-1.5 clique pairs plus 1.5 x 1.0 rectangle quadruples."""
-    simplex = regular_simplex(7, 1.5)
-    path = path_config(2, 1.5, 1.0).as_configuration()
+def census_problem(m, s, r):
+    """S_s(1.5) x B_m(1.5, 1.0): distance-1.5 pairs plus 1.5 x 1.0 rectangles."""
+    simplex = regular_simplex(s, 1.5)
+    path = path_config(m, 1.5, 1.0).as_configuration()
     cfg = product_config(simplex, path).product
     mono = enumerate_copies(cfg, SimplexSpec.pair(1.5))
     rainbow = enumerate_copies(cfg, SimplexSpec.rectangle(1.5, 1.0))
-    assert len(mono) == 70
-    assert len(rainbow) == 42
+    # The targets are exactly the ones census_verdict reasons about.
+    assert len(mono) == (m + 1) * math.comb(s, 2) + s
+    assert len(rainbow) == m * math.comb(s, 2)
     return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
 
 
@@ -73,21 +76,21 @@ def test_unit_square_needs_rainbow_rule():
 
 
 def test_clique_bound_forces_r4():
-    p = long_pair_census_problem(4)
+    p = census_problem(2, 7, 4)
     out = solve_gr(p)
     assert out.verdict == FORCED
     assert out.witness is None
 
 
 def test_long_pair_census_forced_r7():
-    p = long_pair_census_problem(7)
+    p = census_problem(2, 7, 7)
     out = solve_gr(p)
     assert out.verdict == FORCED
     assert out.witness is None
 
 
 def test_hand_built_column_coloring_rejected():
-    p = long_pair_census_problem(7)
+    p = census_problem(2, 7, 7)
     # Color each 7-point fiber with all 7 colors, identically across
     # the three fibers; the end-to-end pairs then collide.
     coloring = [0] * 21
@@ -99,8 +102,49 @@ def test_hand_built_column_coloring_rejected():
     assert report["mono_violations"]
 
 
+def test_census_verdict_matches_solver_and_oracle():
+    cases = [
+        (m, s, r)
+        for m in range(2, 10)
+        for s in range(2, 21 // (m + 1) + 1)
+        for r in range(1, s + 4)
+    ]
+    assert len(cases) == 126
+    oracle_runs = 0
+    for m, s, r in cases:
+        p = census_problem(m, s, r)
+        want = census_verdict(m, s, r)
+        got = solve_gr(p, budget=30.0)
+        assert got.verdict == want, (m, s, r)
+        if want == COUNTEREXAMPLE:
+            assert verify_coloring(p, got.witness)["clean"]
+        if r ** len(p.cfg.points) <= ORACLE_CAP:
+            assert exhaustive_oracle(p).verdict == want, (m, s, r)
+            oracle_runs += 1
+    assert oracle_runs == 56
+
+
+def test_census_verdict_rejects_degenerate_arguments():
+    for args in [(0, 3, 3), (2, 1, 3), (2, 3, 0)]:
+        with pytest.raises(ValueError):
+            census_verdict(*args)
+
+
+def test_weighted_order_decides_hard_census_cases():
+    # The smallest-domain order took 239,611 and 631,592 nodes on the
+    # two FORCED cases and found no counterexample to (3, 9, 11) in 30 s.
+    for r in (8, 9):
+        out = solve_gr(census_problem(2, 7, r))
+        assert out.verdict == FORCED
+        assert out.stats.nodes <= 10_000
+    p = census_problem(3, 9, 11)
+    out = solve_gr(p, budget=30.0)
+    assert out.verdict == COUNTEREXAMPLE
+    assert verify_coloring(p, out.witness)["clean"]
+
+
 def test_budget_exceeded_is_an_error():
-    p = long_pair_census_problem(7)
+    p = census_problem(2, 7, 7)
     with pytest.raises(BudgetExceeded):
         solve_gr(p, budget=0.0)
 
@@ -162,6 +206,43 @@ def test_solver_matches_oracle_on_random_instances():
         if got.verdict == COUNTEREXAMPLE:
             assert verify_coloring(p, got.witness)["clean"]
             assert verify_coloring(p, want.witness)["clean"]
+
+
+def neq_heavy_problem(rng):
+    """Many 2-point mono targets, some from cliques, and short rainbows.
+
+    A clique lists each of its pairs in both orders, and a rainbow
+    target of 4 points with r <= 3 can never be rainbow, so target
+    normalisation is exercised too.
+    """
+    n = int(rng.integers(5, 10))
+    r = int(rng.integers(2, 4))
+    pairs = []
+    for _ in range(int(rng.integers(0, 2))):
+        clique = rng.choice(n, size=int(rng.integers(3, min(n, 5) + 1)), replace=False)
+        pairs += [(int(a), int(b)) for a in clique for b in clique if a != b]
+    for _ in range(int(rng.integers(1, n))):
+        pairs.append(tuple(int(i) for i in rng.choice(n, size=2, replace=False)))
+    rainbow = [
+        tuple(int(i) for i in rng.choice(n, size=int(rng.integers(3, 5)), replace=False))
+        for _ in range(int(rng.integers(1, 2 * n)))
+    ]
+    cfg = Configuration(points=rng.uniform(0.0, 1.0, size=(n, 2)))
+    return ColoringProblem(cfg=cfg, mono_targets=pairs, rainbow_targets=rainbow, r=r)
+
+
+def test_solver_matches_oracle_on_neq_heavy_instances():
+    rng = np.random.default_rng(20041)
+    verdicts = []
+    for _ in range(300):
+        p = neq_heavy_problem(rng)
+        got = solve_gr(p)
+        assert got.verdict == exhaustive_oracle(p).verdict
+        if got.verdict == COUNTEREXAMPLE:
+            assert verify_coloring(p, got.witness)["clean"]
+        verdicts.append(got.verdict)
+    # Both verdicts occur often enough for the comparison to mean something.
+    assert min(verdicts.count(FORCED), verdicts.count(COUNTEREXAMPLE)) >= 100
 
 
 def test_forced_verdict_stable_under_point_permutation():

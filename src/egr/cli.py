@@ -17,7 +17,6 @@ indeterminate outcome.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -380,7 +379,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as err:
         print(f"INDETERMINATE: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as err:  # exit 1 is reserved for verified findings

@@ -5,10 +5,12 @@ target tuple colored all-same or some rainbow target tuple colored
 all-distinct?  ``solve_gr`` answers by backtracking over points with
 bitmask domains, a conflict-weighted variable order (forced points
 first, then the smallest domain per unit of failure weight), and
-first-use color symmetry breaking; FORCED means the search space closed
-with no avoiding coloring, COUNTEREXAMPLE ships the avoiding coloring
-it found.  Running out of budget raises; an undecided instance never
-masquerades as a verdict.
+first-use color symmetry breaking.  One propagation rule serves both
+target kinds: when a target has one uncolored point left, that point
+loses every color that would complete the target.  FORCED means the
+search space closed with no avoiding coloring, COUNTEREXAMPLE ships the
+avoiding coloring it found.  Running out of budget raises; an undecided
+instance never masquerades as a verdict.
 
 ``exhaustive_oracle`` re-derives small verdicts by plain enumeration so
 the solver has an independent reference, and ``five_point_logic_scan``
@@ -129,6 +131,12 @@ def verify_coloring(problem: ColoringProblem, coloring) -> dict:
 def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> SearchResult:
     """Backtracking search for an avoiding coloring.
 
+    Each point watches the targets through it, mono ones first.  Once a
+    watched target has one uncolored point left and its colors can still
+    complete it, that point loses every color that would (unit
+    propagation; Davis, Logemann and Loveland, CACM 1962): the one color
+    of a mono target, or each color not yet on a rainbow one.
+
     Colors are interchangeable in every constraint, so each point may
     only take an already-used color or the lowest unused one; the used
     colors are then always a prefix 0..opened-1, and since backtracking
@@ -156,18 +164,18 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     colors = [-1] * n
     domains = [full] * n
 
-    # Both rules read a target as a point set, so repeats are dropped; a
+    # Both kinds read a target as a point set, so repeats are dropped; a
     # rainbow target longer than r can never be colored all-distinct.
     mono = dict.fromkeys(tuple(sorted(t)) for t in problem.mono_targets)
     rain = dict.fromkeys(tuple(sorted(t)) for t in problem.rainbow_targets if len(t) <= r)
-    point_mono: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    point_rain: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for t in mono:
-        for p in t:
-            point_mono[p].append(t)
-    for t in rain:
-        for p in t:
-            point_rain[p].append(t)
+    # Mono targets come first in each watch list: the order decides which
+    # target fails first, hence the weights and the search tree.
+    watch: list[list[tuple[tuple[int, ...], bool]]] = [[] for _ in range(n)]
+    for rainbow, targets in ((False, mono), (True, rain)):
+        for t in targets:
+            entry = (t, rainbow)
+            for p in t:
+                watch[p].append(entry)
     weight = [1] * n
 
     start = time.monotonic()
@@ -181,58 +189,34 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
         into a violation, or the one whose rule emptied a domain.
         """
         c = colors[idx]
-        for t in point_mono[idx]:
+        for t, rainbow in watch[idx]:
             free = -1
-            nfree = 0
-            allsame = True
-            for p in t:
-                cp = colors[p]
-                if cp < 0:
-                    nfree += 1
-                    free = p
-                    if nfree > 1:
-                        break
-                elif cp != c:
-                    allsame = False
-                    break
-            if not allsame or nfree > 1:
-                continue
-            if nfree == 0:
-                return t
-            bit = 1 << c
-            if domains[free] & bit:
-                trail.append((free, domains[free]))
-                domains[free] &= ~bit
-                if not domains[free]:
-                    return t
-        for t in point_rain[idx]:
-            free = -1
-            nfree = 0
             used = 0
-            distinct = True
             for p in t:
                 cp = colors[p]
                 if cp < 0:
-                    nfree += 1
+                    if free >= 0:
+                        break
                     free = p
-                    if nfree > 1:
-                        break
-                else:
-                    bit = 1 << cp
-                    if used & bit:
-                        distinct = False
-                        break
-                    used |= bit
-            if not distinct or nfree > 1:
-                continue
-            if nfree == 0:
-                return t
-            narrowed = domains[free] & used
-            if narrowed != domains[free]:
-                trail.append((free, domains[free]))
-                domains[free] = narrowed
-                if not narrowed:
+                    continue
+                bit = 1 << cp
+                if used & bit if rainbow else cp != c:
+                    break
+                used |= bit
+            else:
+                # Unit propagation: the last uncolored point loses every
+                # color that would complete the target.  Earlier steps leave
+                # no target fully colored; the guard keeps free = -1 from
+                # narrowing domains[-1].
+                if free < 0:
                     return t
+                dom = domains[free]
+                narrowed = dom & used if rainbow else dom & ~used
+                if narrowed != dom:
+                    trail.append((free, dom))
+                    domains[free] = narrowed
+                    if not narrowed:
+                        return t
         return None
 
     def pick() -> int:
@@ -307,6 +291,24 @@ def _digit_matrix(codes: np.ndarray, n: int, r: int) -> np.ndarray:
     return digits
 
 
+def _avoids(digits: np.ndarray, mono, rainbow) -> np.ndarray:
+    """Mask of the colorings (rows of ``digits``) that color no mono
+    target all-same and no rainbow target all-distinct."""
+    avoid = np.ones(len(digits), dtype=bool)
+    for t in mono:
+        same = np.ones(len(digits), dtype=bool)
+        for p in t[1:]:
+            same &= digits[:, p] == digits[:, t[0]]
+        avoid &= ~same
+    for t in rainbow:
+        distinct = np.ones(len(digits), dtype=bool)
+        for a_i in range(len(t)):
+            for b_i in range(a_i + 1, len(t)):
+                distinct &= digits[:, t[a_i]] != digits[:, t[b_i]]
+        avoid &= ~distinct
+    return avoid
+
+
 def exhaustive_oracle(problem: ColoringProblem) -> SearchResult:
     """Enumerate every coloring; independent reference for solve_gr."""
     n = len(problem.cfg.points)
@@ -320,18 +322,7 @@ def exhaustive_oracle(problem: ColoringProblem) -> SearchResult:
     for lo in range(0, total, chunk):
         codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         digits = _digit_matrix(codes, n, r)
-        avoid = np.ones(len(codes), dtype=bool)
-        for t in problem.mono_targets:
-            same = np.ones(len(codes), dtype=bool)
-            for p in t[1:]:
-                same &= digits[:, p] == digits[:, t[0]]
-            avoid &= ~same
-        for t in problem.rainbow_targets:
-            distinct = np.ones(len(codes), dtype=bool)
-            for a_i in range(len(t)):
-                for b_i in range(a_i + 1, len(t)):
-                    distinct &= digits[:, t[a_i]] != digits[:, t[b_i]]
-            avoid &= ~distinct
+        avoid = _avoids(digits, problem.mono_targets, problem.rainbow_targets)
         if avoid.any():
             row = int(np.argmax(avoid))
             stats.nodes += row + 1
@@ -357,16 +348,8 @@ def five_point_logic_scan(r: int) -> dict:
     triangles = [(nn, p, a), (nn, p, b), (nn, m, a), (nn, m, b)]
     codes = np.arange(r**5, dtype=np.int64)
     digits = _digit_matrix(codes, 5, r)
-    hyp = digits[:, a] != digits[:, b]
-    for t in triangles:
-        i, j, k = t
-        mono = (digits[:, i] == digits[:, j]) & (digits[:, j] == digits[:, k])
-        rainbow = (
-            (digits[:, i] != digits[:, j])
-            & (digits[:, j] != digits[:, k])
-            & (digits[:, i] != digits[:, k])
-        )
-        hyp &= ~mono & ~rainbow
+    # A and B distinct is the pair (A, B) read as a mono target.
+    hyp = _avoids(digits, triangles + [(a, b)], triangles)
     agree = digits[:, m] == digits[:, p]
     return {
         "violations": int((hyp & ~agree).sum()),

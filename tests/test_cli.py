@@ -274,6 +274,10 @@ def test_report_each_artifact_shape(tmp_path, capsys):
     assert main(["solve", str(problem_path), "-o", str(result_path)]) == 1
     scan_path = tmp_path / "scan.json"
     assert main(["scan", "five-point", "--r", "3", "-o", str(scan_path)]) == 0
+    spec_path = tmp_path / "pair.json"
+    SimplexSpec.pair(1.0).save(str(spec_path))
+    copies_path = tmp_path / "copies.json"
+    assert main(["copies", str(cfg_path), "--spec", str(spec_path), "-o", str(copies_path)]) == 0
     capsys.readouterr()
 
     assert main(["report", str(cfg_path)]) == 0
@@ -284,6 +288,8 @@ def test_report_each_artifact_shape(tmp_path, capsys):
     assert "COUNTEREXAMPLE" in capsys.readouterr().out
     assert main(["report", str(scan_path)]) == 0
     assert "five-point scan at r=3" in capsys.readouterr().out
+    assert main(["report", str(copies_path)]) == 0
+    assert "copies artifact: 9 copies of a 2-point spec" in capsys.readouterr().out
 
 
 def test_report_rejects_junk(tmp_path):

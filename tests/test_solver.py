@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from egr.geometry import Configuration, SimplexSpec, enumerate_copies
+from egr.geometry import Configuration, SimplexSpec, embed_from_distances, enumerate_copies
 from egr.rectangles import census_verdict, path_config, product_config, regular_simplex
 from egr.solver import (
     BudgetExceeded,
@@ -17,6 +17,7 @@ from egr.solver import (
     solve_gr,
     verify_coloring,
 )
+from egr.tetra import build_x1, tetra_profile
 
 
 def pair_problem(r):
@@ -87,6 +88,7 @@ def test_long_pair_census_forced_r7():
     out = solve_gr(p)
     assert out.verdict == FORCED
     assert out.witness is None
+    assert out.stats.nodes == 2_598
 
 
 def test_hand_built_column_coloring_rejected():
@@ -132,11 +134,12 @@ def test_census_verdict_rejects_degenerate_arguments():
 
 def test_weighted_order_decides_hard_census_cases():
     # The smallest-domain order took 239,611 and 631,592 nodes on the
-    # two FORCED cases and found no counterexample to (3, 9, 11) in 30 s.
-    for r in (8, 9):
-        out = solve_gr(census_problem(2, 7, r))
-        assert out.verdict == FORCED
-        assert out.stats.nodes <= 10_000
+    # (2, 7, 8) and (2, 7, 9) cases and found no counterexample to
+    # (3, 9, 11) in 30 s.  The node counts pin the search tree.
+    for args, nodes in [((2, 7, 8), 2_798), ((2, 7, 9), 2_863), ((3, 10, 9), 45)]:
+        out = solve_gr(census_problem(*args))
+        assert out.verdict == FORCED, args
+        assert out.stats.nodes == nodes, args
     p = census_problem(3, 9, 11)
     out = solve_gr(p, budget=30.0)
     assert out.verdict == COUNTEREXAMPLE
@@ -178,6 +181,18 @@ def test_colors_beyond_the_point_count_cost_nothing():
     assert small.verdict == big.verdict == COUNTEREXAMPLE
     assert big.witness == small.witness
     assert peak < 1 << 20
+
+
+def test_x1_tetra_targets_counterexample_in_pinned_nodes():
+    # Every distinct tetra copy of x1 is both a mono and a rainbow target.
+    spec = SimplexSpec.regular(4, 1.0)
+    cfg = build_x1(tetra_profile(spec), embed_from_distances(spec)).cfg
+    tetras = sorted({tuple(sorted(t)) for t in cfg.named_copies["tetra"]})
+    p = ColoringProblem(cfg=cfg, mono_targets=tetras, rainbow_targets=tetras, r=4)
+    out = solve_gr(p)
+    assert out.verdict == COUNTEREXAMPLE
+    assert out.stats.nodes == 416
+    assert verify_coloring(p, out.witness)["clean"]
 
 
 def random_problem(rng):
@@ -306,7 +321,7 @@ def test_five_point_scan_zero_violations():
     for r in (3, 4, 5):
         out = five_point_logic_scan(r)
         assert out["violations"] == 0
-        assert out["conforming"] > 0
+        assert out["conforming"] == {3: 18, 4: 48, 5: 100}[r]
     with pytest.raises(ValueError):
         five_point_logic_scan(6)
     with pytest.raises(ValueError):

@@ -14,7 +14,12 @@ index reordering plus an injective color renaming:
   TYPE_B: ({1,2}, {1,2}, {1,2}, superset of {3,4} avoiding 1 and 2)
 
 ``classification_scan`` proves exhaustively, for small color counts,
-that no quadruple escapes these cases.  ``propagate_disjointness``
+that no quadruple escapes these cases.  It holds each palette as a
+color bitmask and decides every sorted multiset at once: MONO when the
+four masks share a bit, RAINBOW when Hall's union-size condition holds
+on all 15 subfamilies.  Only the residual multisets go through
+``classify_quadruple``, which replays their TYPE_A/TYPE_B witness.
+``propagate_disjointness``
 replays the consistency rules that tie the quadruples of two copies
 sharing a face: both must land in the same shape, and when they share
 three positions, the unshared palette is disjoint from a shared one on
@@ -26,6 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import ConstraintViolation, GeometryError
 
@@ -177,33 +184,75 @@ def _classify_or_none(sets):
         return None
 
 
+# Arrangements of a sorted 4-multiset, indexed by which neighbours are
+# equal: bit 0 for slots 0 and 1, bit 1 for slots 1 and 2, bit 2 for 2 and 3.
+_ARRANGEMENTS = np.array([24, 12, 12, 4, 12, 6, 4, 1], dtype=np.int64)
+
+
+def _scan_kernel(r: int):
+    """Decide MONO and RAINBOW for every sorted 4-multiset of the pool of
+    size->=2 subsets of {1..r}.
+
+    Returns the pool, the multisets as an (N, 4) array of pool indices
+    in ``combinations_with_replacement`` order, each row's number of
+    arrangements, and the MONO and RAINBOW row masks (RAINBOW leaves
+    out MONO rows, as ``classify_quadruple`` does).
+    """
+    pool = [
+        frozenset(c)
+        for size in range(2, r + 1)
+        for c in itertools.combinations(range(1, r + 1), size)
+    ]
+    masks = np.array([sum(1 << (c - 1) for c in p) for p in pool], dtype=np.int64)
+    n = math.comb(len(pool) + 3, 4)
+    flat = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(len(pool)), 4)
+    )
+    idx = np.fromiter(flat, dtype=np.int64, count=4 * n).reshape(n, 4)
+    weight = _ARRANGEMENTS[(idx[:, 1:] == idx[:, :-1]) @ np.array([1, 2, 4])]
+    quad = masks[idx]
+    mono = np.bitwise_and.reduce(quad, axis=1) != 0
+    popcount = np.array([m.bit_count() for m in range(1 << r)])
+    hall = np.ones(n, dtype=bool)
+    for family in range(1, 16):
+        members = [i for i in range(4) if family >> i & 1]
+        union = np.bitwise_or.reduce(quad[:, members], axis=1)
+        hall &= popcount[union] >= len(members)
+    return pool, idx, weight, mono, hall & ~mono
+
+
 def classification_scan(r: int) -> dict:
     """Classify every quadruple of size->=2 subsets of {1..r}.
 
     Ordered quadruples are counted through their sorted multiset, so
-    each distinct multiset is classified once and weighted by its
-    number of arrangements.  ``unclassifiable`` must come back 0.
+    each distinct multiset is decided once and weighted by its number
+    of arrangements.  MONO (the four color bitmasks share a bit) and
+    RAINBOW (every subfamily's union has at least as many colors as
+    members, Hall's condition) are decided for all multisets at once;
+    only the residual ones go through ``classify_quadruple``, whose
+    TYPE_A/TYPE_B witness is replayed.  ``unclassifiable`` must come
+    back 0.
     """
     if not 2 <= r <= SCAN_MAX_COLORS:
         raise ValueError(f"scan supports 2 <= r <= {SCAN_MAX_COLORS}, got {r}")
-    ground = range(1, r + 1)
-    pool = [
-        frozenset(c)
-        for size in range(2, r + 1)
-        for c in itertools.combinations(ground, size)
-    ]
-    counts = {MONO: 0, RAINBOW: 0, TYPE_A: 0, TYPE_B: 0, "unclassifiable": 0}
-    for multiset in itertools.combinations_with_replacement(pool, 4):
-        mult = math.factorial(4)
-        for _, group in itertools.groupby(multiset):
-            mult //= math.factorial(len(list(group)))
+    pool, idx, weight, mono, rainbow = _scan_kernel(r)
+    counts = {
+        MONO: int(weight[mono].sum()),
+        RAINBOW: int(weight[rainbow].sum()),
+        TYPE_A: 0,
+        TYPE_B: 0,
+        "unclassifiable": 0,
+    }
+    for row in np.flatnonzero(~(mono | rainbow)):
         try:
-            kind = classify_quadruple(*multiset).kind
+            kind = classify_quadruple(*(pool[i] for i in idx[row])).kind
         except GeometryError:
             kind = "unclassifiable"
-        counts[kind] += mult
-    counts["total"] = len(pool) ** 4
-    assert sum(counts[k] for k in (MONO, RAINBOW, TYPE_A, TYPE_B, "unclassifiable")) == counts["total"]
+        counts[kind] += int(weight[row])
+    total = len(pool) ** 4
+    if sum(counts.values()) != total:
+        raise GeometryError(f"scan counts {counts} do not sum to the {total} quadruples")
+    counts["total"] = total
     return counts
 
 

@@ -174,7 +174,8 @@ def build_perturbation_grid(
             axis += 1
         chain.append(i)
         chains.append(tuple(chain))
-    assert row == n1 + 1 and axis == fiber
+    if row != n1 + 1 or axis != fiber:
+        raise GeometryError(f"grid filled {row} rows and {axis} axes, wants {n1 + 1} and {fiber}")
 
     diffs = pts[1:] - pts[0]
     if np.linalg.matrix_rank(diffs) != n1:

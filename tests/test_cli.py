@@ -252,6 +252,16 @@ def test_copies_round_trip(tmp_path):
     assert [list(t) for t in found] == body["copies"]
 
 
+def test_scan_classification_r5_writes_pinned_bytes(tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    assert main(["scan", "classification", "--r", "5", "-o", str(out)]) == 0
+    assert out.read_text() == (
+        '{"kind": "classification", "r": 5, "MONO": 214646, "RAINBOW": 241570, '
+        '"TYPE_A": 600, "TYPE_B": 160, "unclassifiable": 0, "total": 456976}\n'
+    )
+    assert capsys.readouterr().out == f"wrote {out}: 0 violations\n"
+
+
 def test_scan_exit_codes(tmp_path):
     out = tmp_path / "scan.json"
     assert main(["scan", "five-point", "--r", "3", "-o", str(out)]) == 0

@@ -11,6 +11,7 @@ from egr.palettes import (
     RAINBOW,
     TYPE_A,
     TYPE_B,
+    _scan_kernel,
     classification_scan,
     classify_quadruple,
     hall_violating_subset,
@@ -122,7 +123,7 @@ def _mono_count(r):
 
 
 def test_scan_counts_match_closed_forms():
-    for r in (3, 4, 5):
+    for r in (2, 3, 4, 5):
         out = classification_scan(r)
         pool = 2**r - r - 1
         assert out["unclassifiable"] == 0
@@ -132,6 +133,30 @@ def test_scan_counts_match_closed_forms():
         rest = 2 ** (r - 2) - (r - 2) - 1
         assert out[TYPE_B] == 4 * math.comb(r, 2) * rest
         assert out[RAINBOW] == out["total"] - out[MONO] - out[TYPE_A] - out[TYPE_B]
+
+
+def test_scan_kernel_agrees_with_classify_quadruple():
+    """Per multiset, the kernel's weight and class match the loop versions.
+
+    The weight is 4! over the factorials of the runs of equal palettes,
+    and the class is ``classify_quadruple``'s kind, with TYPE_A and
+    TYPE_B both read as the kernel's residual.
+    """
+    for r in (2, 3, 4, 5):
+        pool, idx, weight, mono, rainbow = _scan_kernel(r)
+        multisets = list(itertools.combinations_with_replacement(pool, 4))
+        assert len(multisets) == len(idx)
+        for row, multiset in enumerate(multisets):
+            assert tuple(pool[i] for i in idx[row]) == multiset
+            mult = math.factorial(4)
+            for _, group in itertools.groupby(multiset):
+                mult //= math.factorial(len(list(group)))
+            assert weight[row] == mult, multiset
+            kind = classify_quadruple(*multiset).kind
+            if kind not in (MONO, RAINBOW):
+                kind = "residual"
+            got = MONO if mono[row] else RAINBOW if rainbow[row] else "residual"
+            assert got == kind, multiset
 
 
 def test_scan_rejects_large_r():

@@ -18,6 +18,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,31 +111,80 @@ _PROJECTIONS = 8
 _TOKEN_CHUNK = 1 << 16  # coordinates read_json and _write_rows handle at once
 
 
-def check_copies(points, tuples, sq_dist, what: str = "copy"):
+class CSR(NamedTuple):
+    """Compressed sparse rows: row i holds the values
+    ``data[indptr[i]:indptr[i + 1]]`` at the sorted columns
+    ``indices[indptr[i]:indptr[i + 1]]`` of a ``shape`` matrix."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return out
+
+
+def _csr_block(rows: CSR, idx: np.ndarray) -> np.ndarray:
+    """The rows of each tuple in ``idx`` (T x k) as a (T, k, L) block:
+    tuple t's rows scattered over the sorted union of their columns,
+    L the widest union."""
+    t_count, k = idx.shape
+    flat = idx.ravel()
+    starts = rows.indptr[flat]
+    lens = rows.indptr[flat + 1] - starts
+    slot = np.repeat(np.arange(flat.size), lens)
+    pos = np.arange(slot.size) - np.repeat(np.cumsum(lens) - lens - starts, lens)
+    tup = slot // k
+    key = tup * np.int64(rows.shape[1]) + rows.indices[pos]
+    union, local = np.unique(key, return_inverse=True)
+    first = np.searchsorted(union, np.arange(t_count) * np.int64(rows.shape[1]))
+    local = local - first[tup]
+    out = np.zeros((t_count, k, int(local.max(initial=-1)) + 1))
+    out[tup, slot % k, local] = rows.data[pos]
+    return out
+
+
+def check_copies(points, tuples, sq_dist, what: str = "copy") -> float:
     """Raise GeometryError, naming the first bad tuple, unless every
     index tuple t realizes ``sq_dist`` in row order: each
     ``| |p[t[i]] - p[t[j]]|^2 - sq_dist[i, j] |`` is at most
-    ``sq_slack(max sq_dist)``.  Tuples are gathered in chunks, one
-    batched matrix product per chunk, each tuple taken relative to its
-    own first point.
+    ``sq_slack(max sq_dist)``.  Returns the worst such error relative
+    to ``max sq_dist``.
+
+    ``points`` is a dense array, whose rows are gathered, or a ``CSR``,
+    whose rows are scattered over the union of each tuple's columns;
+    either way tuples go in chunks, one batched matrix product per
+    chunk, each tuple taken relative to its own first point.
     """
-    pts = np.asarray(points, dtype=float)
     want = np.asarray(sq_dist, dtype=float)
     k = want.shape[0]
     idx = np.asarray(tuples, dtype=np.intp).reshape(len(tuples), k)
-    slack = sq_slack(float(want.max()))
-    step = max(1, _GATHER_ENTRIES // (k * pts.shape[1]))
+    scale = float(want.max())
+    slack = sq_slack(scale)
+    sparse = isinstance(points, CSR)
+    if sparse:
+        width = k * int(np.diff(points.indptr).max(initial=1))
+    else:
+        pts = np.asarray(points, dtype=float)
+        width = pts.shape[1]
+    step = max(1, _GATHER_ENTRIES // (k * max(1, width)))
+    worst = 0.0
     for start in range(0, len(idx), step):
-        sub = pts[idx[start : start + step]]
+        chunk = idx[start : start + step]
+        sub = _csr_block(points, chunk) if sparse else pts[chunk]
         sub = sub - sub[:, :1]
         gram = sub @ sub.transpose(0, 2, 1)
         norms = np.einsum("tii->ti", gram)
         err = np.abs(norms[:, :, None] + norms[:, None, :] - 2.0 * gram - want).max(axis=(1, 2))
-        bad = np.flatnonzero(err > slack)
-        if bad.size:
-            tup = tuple(int(i) for i in idx[start + bad[0]])
-            off = float(err[bad[0]])
-            raise GeometryError(f"{what} {tup} is off the wanted squared distances by {off:.3g}")
+        worst = max(worst, float(err.max()))
+        if worst > slack:
+            bad = int(np.flatnonzero(err > slack)[0])
+            tup = tuple(int(i) for i in chunk[bad])
+            raise GeometryError(f"{what} {tup} is off the wanted squared distances by {err[bad]:.3g}")
+    return worst / scale if scale > 0.0 else worst
 
 
 def _check_copy_tuples(copies, n: int, name: str):

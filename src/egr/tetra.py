@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    CSR,
     Configuration,
     ConstraintViolation,
     GeometryError,
@@ -285,13 +286,17 @@ def dense_quadruple(profile: TetraProfile) -> DenseQuadruple:
 class Workspace:
     """Growing point store that can allocate fresh orthogonal axes.
 
-    Growth past ``MAX_COORDINATES`` (points x dim, the size of the dense
-    matrix the builders end with) raises GeometryError.
+    Each row is kept sparse, as sorted columns plus values: a builder
+    reads the local column block of the points it touches and writes
+    new rows over that block plus any fresh axes.  Growth past
+    ``MAX_COORDINATES`` (points x dim, the size of the dense matrix the
+    builders end with) raises GeometryError.
     """
 
     def __init__(self, dim: int):
         self.dim = int(dim)
-        self._rows: list[np.ndarray] = []
+        self._cols: list[np.ndarray] = []
+        self._vals: list[np.ndarray] = []
         self.aux_axes = 0
 
     def _check_size(self, points: int, dim: int) -> None:
@@ -302,30 +307,114 @@ class Workspace:
             )
 
     def add_axis(self) -> int:
-        self._check_size(len(self._rows), self.dim + 1)
+        self._check_size(len(self._cols), self.dim + 1)
         self.dim += 1
         self.aux_axes += 1
         return self.dim - 1
 
-    def add_point(self, coords) -> int:
-        self._check_size(len(self._rows) + 1, self.dim)
-        row = np.zeros(self.dim)
-        c = np.asarray(coords, dtype=float)
-        row[: len(c)] = c
-        self._rows.append(row)
-        return len(self._rows) - 1
+    def add_row(self, cols, vals) -> int:
+        """Add a point with values ``vals`` at the sorted columns ``cols``."""
+        self._check_size(len(self._cols) + 1, self.dim)
+        self._cols.append(np.asarray(cols, dtype=np.intp))
+        self._vals.append(np.asarray(vals, dtype=float))
+        return len(self._cols) - 1
 
-    def point(self, idx: int) -> np.ndarray:
-        row = self._rows[idx]
-        if len(row) == self.dim:
-            return row
-        return np.concatenate([row, np.zeros(self.dim - len(row))])
+    def add_point(self, coords) -> int:
+        """Add a point given by its leading coordinates."""
+        coords = np.asarray(coords, dtype=float)
+        return self.add_row(np.arange(len(coords)), coords)
+
+    def block(self, idx):
+        """The sorted union of the columns of rows ``idx``, and those rows
+        as a dense block over it."""
+        cols = [self._cols[i] for i in idx]
+        union = np.unique(np.concatenate(cols))
+        out = np.zeros((len(cols), len(union)))
+        for row, c, i in zip(out, cols, idx):
+            row[np.searchsorted(union, c)] = self._vals[i]
+        return union, out
+
+    def csr(self) -> CSR:
+        lens = [len(c) for c in self._cols]
+        return CSR(
+            indptr=np.concatenate(([0], np.cumsum(lens, dtype=np.intp))),
+            indices=np.concatenate([np.empty(0, np.intp), *self._cols]),
+            data=np.concatenate([np.empty(0), *self._vals]),
+            shape=(len(self._cols), self.dim),
+        )
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((len(self._rows), self.dim))
-        for i, row in enumerate(self._rows):
-            out[i, : len(row)] = row
-        return out
+        return self.csr().dense()
+
+
+@dataclass(frozen=True)
+class IsometryFrame:
+    """Source side of an isometric extension.
+
+    Extra point i is ``anchor 0 + coeffs[i] @ (anchor j - anchor 0)``
+    plus ``residuals[i]`` along new orthonormal directions, one fresh
+    axis each; ``anchor_sq`` holds the anchors' squared distances, which
+    every placement checks its anchor images against.
+    """
+
+    anchor_sq: np.ndarray
+    coeffs: np.ndarray
+    residuals: np.ndarray
+
+
+def isometry_frame(src_anchors, src_extras) -> IsometryFrame:
+    """Split extras into affine combinations of the anchors plus
+    residuals, orthonormalized by Gram-Schmidt."""
+    src_anchors = np.asarray(src_anchors, dtype=float)
+    src_extras = np.atleast_2d(np.asarray(src_extras, dtype=float))
+    anchor_sq = pairwise_sq_dists(src_anchors)
+    u = src_anchors[1:] - src_anchors[0]
+    coeffs = []
+    residuals = []
+    for e in src_extras:
+        c, *_ = np.linalg.lstsq(u.T, e - src_anchors[0], rcond=None)
+        coeffs.append(c)
+        residuals.append(e - src_anchors[0] - c @ u)
+
+    # Each independent residual direction costs one fresh axis.
+    basis: list[np.ndarray] = []
+    rows = []
+    floor = math.sqrt(sq_slack(float(anchor_sq.max())))
+    for res in residuals:
+        comps = []
+        vec = res.copy()
+        for q in basis:
+            comp = float(np.dot(vec, q))
+            comps.append(comp)
+            vec = vec - comp * q
+        norm = float(np.linalg.norm(vec))
+        if norm > floor:
+            basis.append(vec / norm)
+            comps.append(norm)
+        rows.append(comps)
+    out = np.zeros((len(rows), len(basis)))
+    for row, comps in zip(out, rows):
+        row[: len(comps)] = comps
+    return IsometryFrame(anchor_sq=anchor_sq, coeffs=np.array(coeffs), residuals=out)
+
+
+def place_isometry(ws: Workspace, frame: IsometryFrame, cols, dst) -> list:
+    """Add the images of a frame's extras over placed anchor images.
+
+    ``cols, dst`` is the anchor images' column block, as
+    ``Workspace.block`` returns it.  The images are checked against the
+    frame's anchors first; the new rows span that block plus the fresh
+    axes.
+    """
+    check_copies(dst, [range(len(dst))], frame.anchor_sq, "anchor image")
+    axes = [ws.add_axis() for _ in range(frame.residuals.shape[1])]
+    cols = np.concatenate([cols, axes]).astype(np.intp)
+    origin = dst[0]
+    v = dst[1:] - origin
+    return [
+        ws.add_row(cols, np.concatenate([origin + c @ v, res]))
+        for c, res in zip(frame.coeffs, frame.residuals)
+    ]
 
 
 def extend_isometry(
@@ -341,77 +430,38 @@ def extend_isometry(
     residual; the residuals are reproduced along fresh axes, which
     preserves every pairwise distance among anchors and extras.
     """
-    src_anchors = np.asarray(src_anchors, dtype=float)
-    src_extras = np.atleast_2d(np.asarray(src_extras, dtype=float))
-    dst = np.vstack([ws.point(i) for i in dst_anchor_idx])
-    anchor_sq = pairwise_sq_dists(src_anchors)
-    check_copies(dst, [range(len(dst))], anchor_sq, "anchor image")
-
-    u = src_anchors[1:] - src_anchors[0]
-    coeffs = []
-    residuals = []
-    for e in src_extras:
-        c, *_ = np.linalg.lstsq(u.T, e - src_anchors[0], rcond=None)
-        coeffs.append(c)
-        residuals.append(e - src_anchors[0] - c @ u)
-
-    # Orthonormalize the residuals; each independent direction costs
-    # one fresh axis.
-    basis: list[np.ndarray] = []
-    axis_ids: list[int] = []
-    rows = []
-    floor = math.sqrt(sq_slack(float(anchor_sq.max())))
-    for res in residuals:
-        comps = []
-        vec = res.copy()
-        for q in basis:
-            comp = float(np.dot(vec, q))
-            comps.append(comp)
-            vec = vec - comp * q
-        norm = float(np.linalg.norm(vec))
-        if norm > floor:
-            basis.append(vec / norm)
-            axis_ids.append(ws.add_axis())
-            comps.append(norm)
-        rows.append(comps)
-
-    v = np.vstack([ws.point(i) for i in dst_anchor_idx])
-    origin = v[0]
-    v = v[1:] - origin
-    out = []
-    for c, comps in zip(coeffs, rows):
-        img = origin + c @ v
-        for comp, axis in zip(comps, axis_ids):
-            img[axis] += comp
-        out.append(ws.add_point(img))
-    return out
+    frame = isometry_frame(src_anchors, src_extras)
+    return place_isometry(ws, frame, *ws.block(dst_anchor_idx))
 
 
-def _equilateral_leg(ws: Workspace, i_start: int, i_end: int, step: float, min_edges: int) -> list:
+def _equilateral_leg(
+    ws: Workspace, i_start: int, i_end: int, step: float, min_edges: int, arcs: dict
+) -> list:
     """Vertex indices of an equal-step path from i_start to i_end.
 
     Zero-length and single-step legs stay direct; anything else lands
     on a circular arc placed in the plane of the endpoints and one
-    fresh axis.
+    fresh axis.  ``arcs`` maps an exact (edges, gap, step) triple to
+    the arc path_config verified for it.
     """
     if i_start == i_end:
         return [i_start]
-    gap = math.dist(ws.point(i_start), ws.point(i_end))
+    cols, (p, q) = ws.block([i_start, i_end])
+    gap = math.dist(p, q)
     slack = math.sqrt(sq_slack(step * step))
     if abs(gap - step) <= slack and min_edges <= 1:
         return [i_start, i_end]
     t = max(2, min_edges, math.ceil(gap / step))
     while gap >= t * step:
         t += 1
-    arc = path_config(t, gap, step)
-    axis = ws.add_axis()
-    p = ws.point(i_start)
-    e1 = (ws.point(i_end) - p) / gap
+    key = (t, gap, step)
+    if key not in arcs:
+        arcs[key] = path_config(t, gap, step).points
+    cols = np.append(cols, ws.add_axis())
+    e1 = (q - p) / gap
     out = [i_start]
-    for j in range(1, t):
-        coords = p + arc.points[j][0] * e1
-        coords[axis] += arc.points[j][1]
-        out.append(ws.add_point(coords))
+    for x, y in arcs[key][1:-1]:
+        out.append(ws.add_row(cols, np.append(p + x * e1, y)))
     out.append(i_end)
     return out
 
@@ -440,9 +490,9 @@ def _corner_fan(
     """
     if i_prev == i_next:
         return [i_prev]
-    c = ws.point(i_center)
-    v0 = ws.point(i_prev) - c
-    v1 = ws.point(i_next) - c
+    cols, (p0, c, p1) = ws.block([i_prev, i_center, i_next])
+    v0 = p0 - c
+    v1 = p1 - c
     n0 = float(np.linalg.norm(v0))
     n1 = float(np.linalg.norm(v1))
     slack = math.sqrt(sq_slack(step * step))
@@ -464,15 +514,15 @@ def _corner_fan(
         e2 = w / wn
     else:
         # Straight-through corner: rotate inside a fresh plane.
-        axis = ws.add_axis()
-        c = ws.point(i_center)
-        e1 = np.concatenate([e1, np.zeros(ws.dim - len(e1))])
-        e2 = np.zeros(ws.dim)
-        e2[axis] = 1.0
+        cols = np.append(cols, ws.add_axis())
+        c = np.append(c, 0.0)
+        e1 = np.append(e1, 0.0)
+        e2 = np.zeros(len(cols))
+        e2[-1] = 1.0
     mids = []
     for j in range(1, substeps):
         ang = psi * j / substeps
-        mids.append(ws.add_point(c + step * (math.cos(ang) * e1 + math.sin(ang) * e2)))
+        mids.append(ws.add_row(cols, c + step * (math.cos(ang) * e1 + math.sin(ang) * e2)))
     registry[key] = mids if i_prev == lo else mids[::-1]
     return [i_prev] + mids + [i_next]
 
@@ -512,6 +562,11 @@ class _Builder:
     simplex; hinge copies built under rotated vertex roles are mapped
     back before storage.  Copies are checked once, by ``finish``:
     workspace rows never change once added.
+
+    One build solves each distinct hinge and arc once: ``hinges`` maps
+    an exact (roles, angle) pair to the verified hinge pair's isometry
+    frame, and ``arcs`` an exact (edges, gap, step) triple to the
+    verified arc.  Every placement still checks its anchor images.
     """
 
     def __init__(self, profile: TetraProfile, dim: int):
@@ -519,33 +574,35 @@ class _Builder:
         self.ws = Workspace(dim)
         self.copies: list = []
         self.fan_registry: dict = {}
+        self.hinges: dict = {}
+        self.arcs: dict = {}
+        self.placements = 0
         swapped = list(SWAPPED_ROLES)
         self.role_profiles = {
             IDENTITY_ROLES: profile,
             SWAPPED_ROLES: tetra_profile(SimplexSpec(self.spec.sq_dist[np.ix_(swapped, swapped)])),
         }
 
-    def _place_hinge(self, role_prof: TetraProfile, i_apex1: int, i_center: int, i_apex2: int):
+    def _place_hinge(self, perm, i_apex1: int, i_center: int, i_apex2: int):
         """Complete two fan neighbors around a corner into a hinge pair."""
-        c = self.ws.point(i_center)
-        phi = _angle(self.ws.point(i_apex1) - c, self.ws.point(i_apex2) - c)
-        pair = glue_two_copies(role_prof, phi)
-        new_idx = extend_isometry(
-            self.ws,
-            np.vstack([pair.a, pair.b, pair.a_prime]),
-            np.vstack([pair.c, pair.d]),
-            [i_apex1, i_center, i_apex2],
-        )
-        return new_idx[0], new_idx[1]
+        cols, dst = self.ws.block([i_apex1, i_center, i_apex2])
+        phi = _angle(dst[0] - dst[1], dst[2] - dst[1])
+        key = (perm, phi)
+        if key not in self.hinges:
+            pair = glue_two_copies(self.role_profiles[perm], phi)
+            self.hinges[key] = isometry_frame(
+                np.vstack([pair.a, pair.b, pair.a_prime]), np.vstack([pair.c, pair.d])
+            )
+        self.placements += 1
+        return place_isometry(self.ws, self.hinges[key], cols, dst)
 
     def fan_corner(self, i_prev, i_center, i_next, perm, corner_angle) -> None:
         """Insert the fan at one path corner together with its hinge
         copies, stored in original row order."""
-        role_prof = self.role_profiles[perm]
-        step = math.sqrt(role_prof.spec.sq_dist[0][1])
+        step = math.sqrt(self.role_profiles[perm].spec.sq_dist[0][1])
         fan = _corner_fan(self.ws, i_prev, i_center, i_next, step, corner_angle, self.fan_registry)
         for a1, a2 in zip(fan, fan[1:]):
-            z1, z2 = self._place_hinge(role_prof, a1, i_center, a2)
+            z1, z2 = self._place_hinge(perm, a1, i_center, a2)
             for apex in (a1, a2):
                 self.copies.append(_in_row_order((apex, i_center, z1, z2), perm))
 
@@ -571,12 +628,12 @@ class _Builder:
         ang_cd = _role_angle(self.role_profiles[SWAPPED_ROLES], corner_angle)
 
         step_ab = math.sqrt(self.spec.sq_dist[0][1])
-        leg = _equilateral_leg(self.ws, t1[0], t2[0], step_ab, 1)
+        leg = _equilateral_leg(self.ws, t1[0], t2[0], step_ab, 1, self.arcs)
         self.walk_path([t1[1]] + leg + [t2[1]], IDENTITY_ROLES, ang_ab)
         self.copies.append(t2)
 
         step_cd = math.sqrt(self.spec.sq_dist[2][3])
-        leg = _equilateral_leg(self.ws, t1[3], t2[3], step_cd, 1)
+        leg = _equilateral_leg(self.ws, t1[3], t2[3], step_cd, 1, self.arcs)
         start = len(self.copies)
         self.walk_path([t1[2]] + leg + [t2[2]], SWAPPED_ROLES, ang_cd)
         self.copies[start:] = reversed(self.copies[start:])
@@ -591,7 +648,7 @@ class _Builder:
         order = [seed[p] for p in perm]
         poly = [order[0]]
         for nxt in order[1:] + [order[0]]:
-            poly.extend(_equilateral_leg(self.ws, poly[-1], nxt, step, 1)[1:])
+            poly.extend(_equilateral_leg(self.ws, poly[-1], nxt, step, 1, self.arcs)[1:])
         poly = poly[:-1]
         before = len(self.copies)
         for i in range(len(poly)):
@@ -611,21 +668,26 @@ class _Builder:
         return phi1, phi2, len(self.copies) - before
 
     def finish(self, extra_notes: dict) -> LinkedConfig:
-        """The configuration with every stored copy checked."""
+        """The configuration, after every stored copy is checked on the
+        sparse rows."""
+        rows = self.ws.csr()
+        worst = check_copies(rows, self.copies, self.spec.sq_dist, "tetra copy")
         notes = {
             "aux_axes": self.ws.aux_axes,
             "dim": self.ws.dim,
             "placement": "paths and hinge completions use fresh orthogonal axes",
+            "hinges": self.placements,
+            "distinct_hinges": len(self.hinges),
+            "distinct_copies": len({tuple(sorted(t)) for t in self.copies}),
+            "max_rel_sq_err": worst,
         }
         notes.update(extra_notes)
         cfg = Configuration(
-            points=self.ws.matrix(),
+            points=rows.dense(),
             named_copies={"tetra": [tuple(t) for t in self.copies]},
             notes=notes,
         )
-        out = LinkedConfig(cfg=cfg, tetra_copies=list(self.copies))
-        out.verify(self.spec)
-        return out
+        return LinkedConfig(cfg=cfg, tetra_copies=list(self.copies))
 
 
 def build_link(
@@ -740,15 +802,18 @@ def build_anchor_gadget(
     idx4 = tuple(b.ws.add_point(p) for p in pts4)
     b.copies.append(idx4)
 
-    bpath = _equilateral_leg(b.ws, idx4[a1], idx4[a2], d_step, k + 1)
+    bpath = _equilateral_leg(b.ws, idx4[a1], idx4[a2], d_step, k + 1, b.arcs)
     if len(bpath) != k + 2:
         raise GeometryError(f"edge gap admits no {k + 1}-edge path at the diagonal step")
+
+    dense_frame = isometry_frame(dq.x, np.vstack([dq.y, dq.z]))
+    parallelogram_frame = isometry_frame(np.vstack([p1, x]), np.vstack([p2, p3]))
 
     def attach_dense(tri_idx):
         """Dense-quadruple attachment over one placed face triangle.
 
         tri_idx is in face row order; returns the four copy tuples."""
-        *ys, z = extend_isometry(b.ws, dq.x, np.vstack([dq.y, dq.z]), list(tri_idx))
+        *ys, z = place_isometry(b.ws, dense_frame, *b.ws.block(tri_idx))
         local = [z, *ys, *tri_idx]  # the dense quadruple's point order
         copies = [tuple(local[i] for i in t) for t in dq.copies]
         b.copies.extend(copies)
@@ -760,9 +825,7 @@ def build_anchor_gadget(
     rows = [face.index(a) for a in (a1, a2, a3)]
     attachments = []
     for i in range(len(bpath) - 1):
-        c1, c2 = extend_isometry(
-            b.ws, np.vstack([p1, x]), np.vstack([p2, p3]), [bpath[i], bpath[i + 1]]
-        )
+        c1, c2 = place_isometry(b.ws, parallelogram_frame, *b.ws.block(bpath[i : i + 2]))
         attachments += attach_dense(_in_row_order((bpath[i], c1, c2), rows))
         attachments += attach_dense(_in_row_order((bpath[i + 1], c2, c1), rows))
 

@@ -5,6 +5,7 @@ fixed CLI flags, and its tracer wraps named egr functions.  A library
 change that breaks any of these fails here, before a benchmark run.
 """
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -58,3 +59,18 @@ def test_trace_targets_cover_the_builders_and_count_their_output():
         "tetra.dim": out.cfg.dim,
         "tetra.copies": len(out.tetra_copies),
     }
+
+
+def test_construct_artifacts_keep_dense_points(tmp_path):
+    # The bench's construct check parses ``points`` with np.asarray, so
+    # a new points format needs a matching bench change.
+    path = str(tmp_path / "x1.json")
+    assert cli.main(["construct", "x1", "-o", path]) == 0
+    with open(path) as fh:
+        data = json.load(fh)
+    assert isinstance(data["points"], list)
+    assert all(isinstance(row, list) and len(row) == data["dim"] for row in data["points"])
+    assert all(type(v) is float for row in data["points"] for v in row)
+    _, points, copies = workloads.BUILDS["x1"]
+    check = workloads._construct_check(path, points, copies)
+    assert check(workloads.Outcome(rc=0, stdout="", stderr="", error=None)) is None

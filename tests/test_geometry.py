@@ -11,6 +11,7 @@ import pytest
 
 from egr import geometry
 from egr.geometry import (
+    CSR,
     Configuration,
     GeometryError,
     NonRealizableError,
@@ -188,6 +189,54 @@ def _sparse_rows(rng, n: int, dim: int, per_row: int) -> np.ndarray:
     for row in pts:
         row[rng.choice(dim, per_row, replace=False)] = rng.standard_normal(per_row)
     return pts
+
+
+def _csr(points: np.ndarray) -> CSR:
+    nz = points != 0.0
+    return CSR(np.concatenate(([0], np.cumsum(nz.sum(axis=1)))), np.nonzero(nz)[1], points[nz], points.shape)
+
+
+def _check_outcome(points, tuples, want):
+    """check_copies' worst relative error, or its error message."""
+    try:
+        return check_copies(points, tuples, want)
+    except GeometryError as err:
+        return str(err)
+
+
+def test_check_copies_reads_csr_rows_as_it_reads_dense_rows():
+    outcomes = {float: 0, str: 0}
+    for seed in range(80):
+        rng = np.random.default_rng(seed)
+        k, dim = int(rng.integers(2, 6)), 40
+        template = _sparse_rows(rng, k, dim, int(rng.integers(1, 4)))
+        if seed % 3 == 0:
+            # rows that share no column, the first of them all zero
+            template = np.zeros((k, dim))
+            template[np.arange(1, k), rng.choice(dim, k - 1, replace=False)] = rng.standard_normal(k - 1)
+        want = pairwise_sq_dists(template)
+        # copies under coordinate permutations and sign flips, then
+        # noise rows and an all-zero row
+        copies = [template[:, rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim) for _ in range(6)]
+        pts = np.vstack(copies + [_sparse_rows(rng, 8, dim, 2), np.zeros((1, dim))])
+        tuples = [tuple(range(c * k, c * k + k)) for c in range(6)]
+        if seed % 4 == 1:
+            tuples.insert(int(rng.integers(7)), tuple(rng.choice(len(pts), k, replace=False)))
+        pts[rng.integers(len(pts)), rng.integers(dim)] += rng.choice([1e-3, 1e-7, 1e-13])
+        dense = _check_outcome(pts, tuples, want)
+        sparse = _check_outcome(_csr(pts), tuples, want)
+        assert type(sparse) is type(dense), (seed, dense, sparse)
+        if isinstance(dense, str):
+            assert sparse == dense
+        else:
+            assert abs(sparse - dense) <= 1e-12
+        outcomes[type(dense)] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+    zero = _csr(np.zeros((2, 3)))
+    assert check_copies(zero, [(0, 1)], np.zeros((2, 2))) == 0.0
+    with pytest.raises(GeometryError, match=r"copy \(0, 1\) is off"):
+        check_copies(zero, [(0, 1)], [[0.0, 1.0], [1.0, 0.0]])
 
 
 @pytest.mark.parametrize(

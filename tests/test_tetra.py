@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from egr import tetra
 from egr.geometry import (
     ConstraintViolation,
     GeometryError,
@@ -196,6 +197,21 @@ def test_extend_isometry_grows_axes_when_needed():
     assert np.abs(pairwise_sq_dists(got) - want).max() < 1e-9
 
 
+def test_extend_isometry_over_anchors_with_disjoint_columns():
+    rng = np.random.default_rng(23)
+    src = rng.uniform(-1.0, 1.0, size=(5, 3))
+    half = math.dist(src[0], src[1]) / math.sqrt(2.0)
+    ws = Workspace(6)
+    # each anchor image sits on its own axis, so their rows share no column
+    idx = [ws.add_row([1], [half]), ws.add_row([4], [-half])]
+    new_idx = extend_isometry(ws, src[:2], src[2:], idx)
+    assert ws.dim == 8
+    got = ws.matrix()[idx + new_idx]
+    assert np.abs(pairwise_sq_dists(got) - pairwise_sq_dists(src)).max() < 1e-9
+    # the images live on the anchors' columns plus the two fresh axes
+    assert set(np.flatnonzero(got.any(axis=0))) == {1, 4, 6, 7}
+
+
 def test_trivial_link():
     prof = tetra_profile(REGULAR)
     pts = embed_from_distances(REGULAR)
@@ -290,6 +306,35 @@ def test_anchor_gadget_regular():
     assert notes["attachment_copies"] == 16
     assert len(out.tetra_copies) == 1 + 16 + sum(notes["gluing_copy_counts"])
     out.verify(REGULAR)
+
+
+@pytest.mark.parametrize("k, placements", [(1, 688), (2, 1032)])
+def test_anchor_gadget_solves_each_distinct_hinge_once(k, placements):
+    notes = build_anchor_gadget(tetra_profile(REGULAR), k=k).cfg.notes
+    assert notes["hinges"] == placements
+    assert notes["distinct_hinges"] <= 32
+    assert 0.0 <= notes["max_rel_sq_err"] <= 1e-14
+    if k == 1:
+        assert notes["distinct_copies"] == 1393
+
+
+def test_finish_checks_rows_placed_from_a_reused_hinge(monkeypatch):
+    # Anchor k=1 places 688 hinges from 16 distinct ones, so its last row
+    # comes from a reused hinge; tampering with it must still fail the
+    # final check, which names the first copy holding that row.
+    finish = tetra._Builder.finish
+    named = []
+
+    def tamper_then_finish(self, extra_notes):
+        last = len(self.ws._vals) - 1
+        named.append(next(t for t in self.copies if last in t))
+        self.ws._vals[last][0] += 1e-3
+        return finish(self, extra_notes)
+
+    monkeypatch.setattr(tetra._Builder, "finish", tamper_then_finish)
+    with pytest.raises(GeometryError) as err:
+        build_anchor_gadget(tetra_profile(REGULAR), k=1)
+    assert str(err.value).startswith(f"tetra copy {named[0]} is off")
 
 
 def test_anchor_gadget_requires_condition():

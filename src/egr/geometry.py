@@ -18,6 +18,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 from typing import NamedTuple
 
 import numpy as np
@@ -611,11 +612,10 @@ def write_json_atomic(path: str, payload: dict):
 
     The text is ``json.dumps(payload)`` with each top-level ndarray value
     in place of its ``tolist()``.  Other values go through the C encoder
-    one at a time; a 2-D float64 array is streamed a row at a time by
-    ``_write_rows``, which holds Python floats only for the nonzero
-    entries of one block of rows and never the whole text.  Floats are
-    written with ``float.__repr__`` either way, so they reload
-    bit-identical."""
+    one at a time; a 2-D float64 array is streamed a block of rows at a
+    time by ``_write_rows``, which holds Python floats for at most one
+    block and never the whole text.  Floats are written with
+    ``float.__repr__`` either way, so they reload bit-identical."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -643,152 +643,152 @@ def write_json_atomic(path: str, payload: dict):
 
 
 def _write_rows(fh, a: np.ndarray):
-    """Write a 2-D float64 array as ``json.dumps(a.tolist())`` does, in
-    blocks of rows.  Entries whose bit pattern is zero are the literal
-    ``0.0`` (``-0.0`` has a sign bit, so it is not); the others go
-    through ``float.__repr__``, or a whole row through ``json.dumps``
-    when it holds a non-finite entry."""
+    """Write a 2-D float64 array as ``json.dumps(a.tolist())`` does, a block of
+    rows at a time: one ``json.dumps`` if most entries are nonzero, else ``0.0``
+    for each entry whose bits are zero (not ``-0.0``) and json for the rest."""
     if a.ndim != 2 or a.dtype != np.float64:
         raise TypeError(f"only 2-D float64 arrays are written, got {a.dtype} {a.shape}")
-    dim = a.shape[1]
-    zeros = "0.0, " * dim
+    dim, zeros = a.shape[1], "0.0, " * a.shape[1]
     step = max(1, _TOKEN_CHUNK // max(dim, 1))
     fh.write("[")
     for lo in range(0, len(a), step):
         block = a[lo : lo + step]
         rows, cols = np.nonzero(block.view(np.uint64))
-        values = block[rows, cols]
-        odd = set(rows[~np.isfinite(values)].tolist())
-        ends = np.searchsorted(rows, np.arange(1, len(block) + 1)).tolist()
-        cols, values = cols.tolist(), values.tolist()
-        k = 0
-        for i, end in enumerate(ends):
-            if i in odd:
-                text = json.dumps(block[i].tolist())
-            else:
-                parts, done = [], 0
-                for j, v in zip(cols[k:end], values[k:end]):
-                    parts += (zeros[: 5 * (j - done)], repr(v), ", ")
-                    done = j + 1
-                parts.append(zeros[: 5 * (dim - done)])
-                text = "[" + "".join(parts)[:-2] + "]"
+        if 2 * rows.size > block.size:
+            fh.write((", " if lo else "") + json.dumps(block.tolist())[1:-1])
+            continue
+        values = json.dumps(block[rows, cols].tolist())[1:-1].split(", ")
+        cols, k = cols.tolist(), 0
+        for i, end in enumerate(np.searchsorted(rows, np.arange(1, len(block) + 1)).tolist()):
+            parts, done = [", [" if lo + i else "["], 0
+            for j, v in zip(cols[k:end], values[k:end]):
+                parts += (zeros[: 5 * (j - done)], v, ", ")
+                done = j + 1
+            parts.append(zeros[: 5 * (dim - done)])
+            fh.write("".join(parts).removesuffix(", ") + "]")
             k = end
-            fh.write(f", {text}" if lo + i else text)
     fh.write("]")
 
 
 _WS = "[ \t\n\r]*"
-_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.S)
 _KEY_COLON = re.compile(_WS + ":" + _WS)
 _ROWS_OPEN = re.compile(r"\[" + _WS + r"\[")
-_ROW = re.compile(r'[^\[\]{}"]*\]')
-_ROW_NEXT = re.compile(_WS + "," + _WS + r"\[")
 _ROWS_CLOSE = re.compile(_WS + r"\]")
-_NUMBER_ROW_BYTES = np.zeros(256, bool)
-_NUMBER_ROW_BYTES[list(b"0123456789+-.eE NaInfity,[]\t\n\r")] = True
 
 
 def read_json(path: str):
-    """Load a JSON file as ``json.load`` does, except that each value of
-    a ``"points"`` key that is a rectangular array of number rows comes
-    back as a float64 ndarray, bit-equal to ``np.asarray(value,
-    dtype=float)``.  Those arrays are decoded row by row into one
-    preallocated array, so the peak is about the file's text plus the
-    array; the rest of the document goes through ``json`` as is."""
+    """Load a JSON file as ``json.load`` does, except that each value of a
+    ``"points"`` key that is a rectangular array of number rows comes back
+    as a float64 ndarray, bit-equal to ``np.asarray(value, dtype=float)``,
+    decoded a chunk of rows at a time into one array (the peak is about the
+    text plus the array): numpy compares bytes, json decodes nonzeros."""
     with open(path) as fh:
         text = fh.read()
-    # Each decoded array is spliced out of the text and replaced by an
-    # integer literal that occurs nowhere in it; json hands those
-    # literals to parse_int, which returns the arrays in their place.
-    slot = "1" + "0" * 20
-    while slot in text:
-        slot += "0"
-    arrays, pieces, done, pos = {}, [], 0, 0
+    arrays, pieces, done, pos = [], [], 0, 0
     while (start := text.find('"', pos)) >= 0:
-        key = _STRING.match(text, start)
-        if key is None:  # an unterminated string: json reports it below
+        try:
+            key, pos = scanstring(text, start + 1)
+        except ValueError:  # a bad string: json reports it below
             break
-        pos = key.end()
-        colon = _KEY_COLON.match(text, pos) if key[0] == '"points"' else None
-        found = colon and _dense_rows(text, colon.end())
-        if found:
-            name = f"{slot}{len(arrays)}"
-            arrays[name], pos = found
-            pieces += (text[done : colon.end()], name)
-            done = pos
+        colon = _KEY_COLON.match(text, pos) if key == "points" else None
+        if found := colon and _dense_rows(text, colon.end()):
+            arrays.append(found[0])
+            pieces.append(text[done : colon.end()])
+            done = pos = found[1]
     if not arrays:
         return json.loads(text)
     pieces.append(text[done:])
+    # Each array is spliced out for an integer literal found nowhere else and a space, so
+    # it cannot run into what follows; parse_int returns the arrays in their place.
+    slot = "1" + "0" * 20
+    while any(slot in piece for piece in pieces):
+        slot += "0"
+    names = {f"{slot}{k}": array for k, array in enumerate(arrays)}
+    spliced = "".join(piece + f"{name} " for piece, name in zip(pieces, names)) + pieces[-1]
     try:
-        return json.loads("".join(pieces), parse_int=lambda s: arrays[s] if s in arrays else int(s))
+        return json.loads(spliced, parse_int=lambda s: names[s] if s in names else int(s))
     except ValueError:
         return json.loads(text)  # raises json's own error, at its position in the file
 
 
 def _dense_rows(text: str, pos: int):
-    """The rectangular array of JSON-number rows at ``text[pos]`` as
-    float64 and the end of its text, or None if the value there is
-    anything else (empty, ragged, nested, or not all numbers)."""
-    m = _ROWS_OPEN.match(text, pos)
-    # The first row is matched by a pattern that stops at any bracket,
-    # brace or quote, so a value that only looks like rows is given up
-    # before the scan reaches a nested "points" key: every character is
-    # scanned a bounded number of times however deep the nesting.
-    first = m and _ROW.match(text, m.end())
-    if not first:
+    """The rectangular array of JSON-number rows at ``text[pos]`` as float64
+    and the end of its text, or None (empty, ragged, nested, not numbers).
+    Numpy finds the brackets in windows that start small and double, so a
+    value given up early (nested, say) is scanned about as far as it goes."""
+    if not (m := _ROWS_OPEN.match(text, pos)):
         return None
-    starts, ends = [m.end()], [first.end() - 1]
-    while (m := _ROW_NEXT.match(text, ends[-1] + 1)) is not None:
-        starts.append(m.end())
-        ends.append(text.find("]", m.end()))
-        if ends[-1] < 0:
+    q, starts, ends, size = m.end() - 1, [], [], 64
+    while True:
+        c = np.frombuffer(text[q : q + size].encode("ascii", "replace"), np.uint8)
+        at = np.flatnonzero((c == 91) | (c == 93))  # at[0] is the "[" of a row, at q
+        # "[" and "]" alternate; a "]" for a "[" closes, a "[" for a "]" nests
+        wrong = np.flatnonzero((c[at] == 91) != (np.arange(at.size) % 2 == 0))
+        if wrong.size and wrong[0] % 2:
             return None
-    close = _ROWS_CLOSE.match(text, ends[-1] + 1)
-    dim = text.count(",", starts[0], ends[0]) + 1
-    if close is None or any(text.count(",", a, b) + 1 != dim for a, b in zip(starts, ends)):
+        rows = wrong[0] // 2 if wrong.size else (at.size - 1) // 2
+        gaps = rows - 1 if wrong.size else rows  # each through the next "[": whitespace and one comma
+        lo, lens = at[1 : 2 * gaps : 2] + 1, at[2 : 2 * gaps + 1 : 2] - at[1 : 2 * gaps : 2]
+        gap = c[np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)]
+        if gap.tobytes().translate(None, b" \t\n\r") != b",[" * gaps:
+            return None
+        starts.append(at[0 : 2 * rows : 2] + q + 1)
+        ends.append(at[1 : 2 * rows : 2] + q)
+        if wrong.size:
+            break
+        if rows == 0 and q + size >= len(text):
+            return None
+        q += int(at[2 * rows])
+        size = 2 * size if rows == 0 else min(2 * size, 8 * _TOKEN_CHUNK)
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    if not (close := _ROWS_CLOSE.match(text, int(ends[-1]) + 1)):
         return None
-    out = np.zeros((len(starts), dim))
-    step = max(1, _TOKEN_CHUNK // dim)
+    out = np.zeros((len(starts), text.count(",", starts[0], ends[0]) + 1))
+    step = max(1, _TOKEN_CHUNK // out.shape[1])
     for lo in range(0, len(starts), step):
-        hi = min(lo + step, len(starts))
         try:
-            _parse_rows(text, starts[lo:hi], ends[lo:hi], out[lo:hi])
+            _parse_rows(text, starts[lo : lo + step], ends[lo : lo + step], out[lo : lo + step])
         except (ValueError, OverflowError):  # json's errors, and ints beyond float range
             return None
     return out, close.end()
 
 
-def _parse_rows(text: str, starts: list, ends: list, out: np.ndarray):
-    """Fill ``out`` from the rows ``text[starts[i]:ends[i]]``, each of
-    ``out.shape[1]`` comma-separated tokens, as ``np.asarray`` fills it
-    from ``json.loads``.  Tokens that read exactly ``0.0`` or `` 0.0``
-    are found with numpy and left at zero; ``json`` decodes the rest in
-    one call, or the whole chunk when most tokens are nonzero.  Raises
-    ValueError unless every token is a JSON number."""
-    base = starts[0]
-    chunk = text[base : ends[-1] + 1]  # through the closing bracket, so no token start is past the end
+def _parse_rows(text: str, starts: np.ndarray, ends: np.ndarray, out: np.ndarray):
+    """Fill ``out`` from the rows ``text[starts[i]:ends[i]]`` as ``np.asarray``
+    does from ``json.loads``: tokens ``0.0`` or `` 0.0`` after a comma stay
+    zero, json decodes the rest (all, if most are nonzero).  Raises
+    ValueError unless each row has ``out.shape[1]`` JSON numbers."""
+    base = int(starts[0]) - 8  # so that even the first comma has five characters before it
+    chunk = text[base : int(ends[-1]) + 1]
     c = np.frombuffer(chunk.encode("ascii", "replace"), np.uint8)
-    # With no quote, brace or letter of true/false/null, json can only
-    # read a token as a number (or fail), never as a string or object.
-    if not _NUMBER_ROW_BYTES[c].all():
-        raise ValueError("a number row holds a character no JSON number has")
-    a = np.asarray(starts) - base
-    b = np.asarray(ends) - base
-    commas = np.flatnonzero(c == ord(","))
-    commas = commas[commas < b[np.searchsorted(a, commas, "right") - 1]]
     n, dim = out.shape
-    lo = np.empty((n, dim), np.int64)
-    hi = np.empty((n, dim), np.int64)
-    lo[:, 0], lo[:, 1:] = a, commas.reshape(n, dim - 1) + 1
-    hi[:, -1], hi[:, :-1] = b, commas.reshape(n, dim - 1)
-    lo, hi = lo.ravel(), hi.ravel()
-    size = hi - lo
-    zero = (size == 3) | ((size == 4) & (c[lo] == ord(" ")))
-    for k, ch in ((1, "0"), (2, "."), (3, "0")):
-        zero &= c.take(hi - k, mode="clip") == ord(ch)  # clipped only where size < 3
-    rest = np.flatnonzero(~zero)
-    if 2 * rest.size > zero.size:  # mostly nonzero: slicing tokens out would cost more than it saves
-        out[:] = json.loads(f"[[{chunk}]")
-        return
-    tokens = [chunk[i:j] for i, j in zip(lo[rest].tolist(), hi[rest].tolist())]
-    out.reshape(-1)[rest] = json.loads(f"[{','.join(tokens)}]")
+    comma, zero = c == 44, c == 48
+    # A token holds no comma, and a "[" follows the comma after a row.
+    literal = zero[7:-1] & (c[6:-2] == 46) & zero[5:-3] & (comma[4:-4] | (c[4:-4] == 32) & comma[3:-5])
+    words = np.packbits(np.append(comma, np.zeros(-c.size % 64, bool)), bitorder="little").view("<u8")
+    counts = np.bitwise_count(words)
+    before = np.cumsum(counts, dtype=np.int64) - counts - np.count_nonzero(comma[:8])
+
+    def rank(p):  # the commas before each position: popcounts of the comma bits in 64-bit words
+        return before[p >> 6] + np.bitwise_count(words[p >> 6] & (np.uint64(1) << (p & 63).astype(np.uint64)) - 1)
+
+    # With one comma between rows, row i has dim - 1 iff (i + 1) * dim - 1 precede its "]".
+    if (rank(ends - base) != np.arange(dim - 1, n * dim, dim)).any():
+        raise ValueError("rows of different widths")
+    nonzero = comma[8:] > literal
+    if 2 * np.count_nonzero(nonzero) > n * dim:  # mostly nonzero: decode the whole chunk
+        rest, tokens = slice(None), bytearray(c)
+        np.frombuffer(tokens, np.uint8)[np.r_[0:8, starts - base - 1, ends - base]] = 32  # blank the brackets
+    else:
+        # Comma k ends token k; the comma after a row's "]" ends its last token.
+        at = np.flatnonzero(nonzero) + 8
+        rest = np.append(rank(at), n * dim - 1)
+        row, col = np.divmod(rest, dim)
+        hi, first = np.append(at, 0), starts[row] - base
+        hi[col == dim - 1] = ends[row[col == dim - 1]] - base
+        tokens = [chunk[chunk.rfind(",", f, j) + 1 or f : j] for f, j in zip(first.tolist(), hi.tolist())]
+        tokens = ",".join(tokens).encode("ascii", "replace")
+    # With no quote, brace, bracket or letter of true/false/null, json reads numbers or fails.
+    if tokens.translate(None, b"0123456789+-.eENaInfity,\t\n\r "):
+        raise ValueError("a number row holds a character no JSON number has")
+    out.reshape(-1)[rest] = json.loads(b"[" + tokens + b"]")

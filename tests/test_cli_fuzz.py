@@ -19,6 +19,7 @@ import os
 import random
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from egr import geometry
 from egr.cli import main
 from egr.geometry import Configuration, read_json, sq_close
 from egr.solver import ColoringProblem, verify_coloring
@@ -258,7 +260,7 @@ class Pairs(list):
 
 
 class Raw(str):
-    """A number token written with exactly this spelling."""
+    """A number token, or an object key, written with exactly this spelling."""
 
 
 def _json_text(value, style: str, rng: random.Random, depth: int = 0) -> str:
@@ -280,7 +282,8 @@ def _json_text(value, style: str, rng: random.Random, depth: int = 0) -> str:
     if isinstance(value, (dict, Pairs)):
         items = list(value.items() if isinstance(value, dict) else value)
         body = comma.join(
-            f"{nl(depth + 1)}{ws()}{json.dumps(k)}{ws()}{colon}{ws()}{_json_text(v, style, rng, depth + 1)}{ws()}"
+            f"{nl(depth + 1)}{ws()}{k if isinstance(k, Raw) else json.dumps(k)}{ws()}{colon}{ws()}"
+            f"{_json_text(v, style, rng, depth + 1)}{ws()}"
             for k, v in items
         )
         return "{" + body + (nl(depth) if items else "") + "}"
@@ -301,11 +304,11 @@ NUMBERS = (
 
 
 @st.composite
-def points_values(draw):
-    """A rectangular array of number rows, mostly zeros, or one with a
-    single flaw that keeps it from being one."""
-    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    rows = [[draw(NUMBERS) for _ in range(dim)] for _ in range(n)]
+def points_values(draw, side=6, numbers=NUMBERS):
+    """A rectangular array of number rows, at most ``side`` by ``side``,
+    or one with a single flaw that keeps it from being one."""
+    n, dim = draw(st.integers(1, side)), draw(st.integers(1, side))
+    rows = [[draw(numbers) for _ in range(dim)] for _ in range(n)]
     flaw = draw(st.sampled_from([None, None, None, "ragged", "nested", "string", "object", "bool", "empty"]))
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, dim - 1))
     if flaw == "ragged":
@@ -317,11 +320,15 @@ def points_values(draw):
     return rows
 
 
+# "points" spelled with escapes, and keys that only look like it
+ESCAPED_KEYS = ['"\\u0070oints"', '"p\\u006fint\\u0073"', '"points\\u0020"', '"\\u0050oints"', '"\\\\points"']
+
+
 @st.composite
-def json_documents(draw):
+def json_documents(draw, points=points_values()):
     """A configuration, problem or other document, possibly with
-    nested or repeated ``points`` keys and ``points`` inside strings."""
-    points = points_values()
+    nested, repeated or escaped ``points`` keys and ``points`` inside
+    strings."""
     doc = draw(
         st.fixed_dictionaries(
             {"dim": st.integers(1, 6), "points": points},
@@ -332,6 +339,7 @@ def json_documents(draw):
         | json_values
         | st.builds(lambda a, b: Pairs([("points", a), ("x", '"points": [[1.0]]'), ("points", b)]), points, points)
         | st.builds(lambda a: [{"points": a}, "points", {"config": {"points": a}}], points)
+        | st.builds(lambda a, key: Pairs([(Raw(key), a), ("dim", 2)]), points, st.sampled_from(ESCAPED_KEYS))
     )
     return _json_text(doc, draw(st.sampled_from(["compact", "default", "indent", "random"])), random.Random(draw(st.integers(0, 9))))
 
@@ -395,3 +403,16 @@ def test_read_json_equals_json_load(text, mutation, at, char):
             assert str(got.value) == str(exc)
             return
         _assert_same(read_json(path), want)
+
+
+@settings(FUZZ, max_examples=200)
+@given(json_documents(points_values(12, st.one_of(st.just(0.0), st.just(0.0), st.just(0.0), NUMBERS))),
+       st.sampled_from([None, None, "delete", "insert", "truncate"]), st.integers(0, 10**6),
+       st.sampled_from(list('[]{},:"0.-eN ')))
+def test_read_json_equals_json_load_in_small_chunks(text, mutation, at, char):
+    """The same equality with eight coordinates a chunk, on arrays up to
+    12 x 12 and mostly zeros: they span several chunks and scan windows,
+    rows wider than eight are chunks of one row, and both the sliced and
+    the whole-chunk decoding run."""
+    with mock.patch.object(geometry, "_TOKEN_CHUNK", 8):
+        test_read_json_equals_json_load.hypothesis.inner_test(text, mutation, at, char)

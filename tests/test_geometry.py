@@ -24,6 +24,7 @@ from egr.geometry import (
     is_nondegenerate,
     is_realizable,
     pairwise_sq_dists,
+    read_json,
     sq_close,
     squared_distance,
     write_json_atomic,
@@ -174,6 +175,9 @@ def test_write_json_atomic_is_one_compact_dump(tmp_path):
     odd = {"points": np.array([[0.0, np.nan], [np.inf, -0.0], [0.0, 0.0]]), "n": 3}
     write_json_atomic(str(path), odd)
     assert path.read_text() == json.dumps({**odd, "points": odd["points"].tolist()}) + "\n"
+    odd = {"points": np.array([[np.nan, 1.0], [-np.inf, 2.5]])}  # a block of mostly nonzero entries
+    write_json_atomic(str(path), odd)
+    assert path.read_text() == json.dumps({"points": odd["points"].tolist()}) + "\n"
     # the file gets the mode a plain open gives under the umask
     for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
         old = os.umask(umask)
@@ -280,6 +284,91 @@ def test_save_and_load_memory_follows_the_array(tmp_path):
     assert np.array_equal(back.points.view(np.uint64), cfg.points.view(np.uint64))
     assert save_extra < 8e6
     assert load_extra < path.stat().st_size + 1.5 * cfg.points.nbytes
+
+
+def _reads_as_json_load(path, text: str):
+    """``read_json`` of ``text`` is ``json.load`` of it with each
+    rectangular number-row ``points`` value as its float64 array, bit for
+    bit, or raises json's exact error."""
+    path.write_text(text)
+    try:
+        with open(path) as fh:
+            want = json.load(fh)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            read_json(str(path))
+        assert str(got.value) == str(exc), text
+        return
+    got, rows = read_json(str(path)), want["points"]
+    if all(type(row) is list and len(row) == len(rows[0]) > 0 and {type(x) for x in row} <= {int, float} for row in rows):
+        try:
+            ref = np.asarray(rows, dtype=float).view(np.uint64)
+        except OverflowError:  # an integer beyond float range: a list, as from json
+            ref = None
+        if ref is not None:
+            assert got["points"].dtype == np.float64 and np.array_equal(got["points"].view(np.uint64), ref), text
+            got["points"] = want["points"] = None
+    assert json.dumps(got) == json.dumps(want), text
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["0.0", " 0.0", "  0.0", "0.0 ", "\n0.0", "0.00", "0", "-0.0", "0e0", "+0.0", "00", ".0", "0.", "0.0.0",
+     "", '"1.5"', "true", "null", "[2]", "{}", "NaN", "-Infinity", "1e400", "1" + "0" * 400],
+    ids=lambda token: repr(token) if len(token) < 10 else f"{len(token)} digits",
+)
+def test_read_json_reads_each_token_as_json_does(tmp_path, token):
+    # first, inside and last in a row, among zeros (tokens sliced out) and
+    # among nonzeros (the whole chunk decoded), in default and compact form
+    for at in (0, 4, 8):
+        for fill in ("0.0", "1.5"):
+            row = [fill] * 9
+            row[at] = token
+            for sep in (", ", ","):
+                rows = [sep.join(row), sep.join(["0.0"] * 8 + ["2.5"])]
+                _reads_as_json_load(tmp_path / "t.json", '{"dim": 9, "points": [[%s]]}' % f"]{sep}[".join(rows))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        "[[1.0, 0.0],\n  [0.0, 2.0]]",  # indented
+        "[ [1.0,0.0] ,\r\n\t[0.0,2.0] ]",  # whitespace inside the brackets and around the comma
+        "[[1.0, 0.0]\n,\n[0.0, 2.0]]",
+        "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]",
+        "[[1.0, 0.0] [0.0, 2.0]]",  # no comma between rows
+        "[[1.0, 0.0],, [0.0, 2.0]]",
+        "[[1.0, 0.0], 5, [0.0, 2.0]]",
+        "[[1.0, 0.0], [0.0, 2.0], ]",
+        "[[1.0, 0.0], [0.0]]",  # ragged
+        "[[1.0], [0.0, 2.0]]",
+        "[[1.0, 0.0], [[0.0, 2.0]]]",  # nested
+        "[[1.0, [0.0]], [0.0, 2.0]]",
+        "[[]]",
+        "[[], []]",
+        "[[1.0, 0.0]]5",  # a number right after the array
+        "[[1.0, 0.0]]e5",
+        "[[1.0, 0.0]].5",
+        "[[1.0, 0.0]] 5",
+        "[[1.0, 0.0]]0",
+    ],
+)
+def test_read_json_reads_rows_as_json_does(tmp_path, points):
+    _reads_as_json_load(tmp_path / "t.json", '{"dim": 2, "points": %s}' % points)
+    _reads_as_json_load(tmp_path / "t.json", '{"points": %s, "dim": 2}' % points)
+
+
+@pytest.mark.parametrize("key", ['"\\u0070oints"', '"p\\u006fint\\u0073"', '"points\\u0020"', '"\\\\points"'])
+def test_read_json_decodes_escaped_keys(tmp_path, key):
+    path = tmp_path / "t.json"
+    path.write_text('{"dim": 2, %s: [[1.0, 0.0], [0.0, -2.5]]}' % key)
+    got, want = read_json(str(path)), json.loads(path.read_text())
+    assert list(got) == list(want)
+    if "points" in want:
+        assert isinstance(got["points"], np.ndarray)
+        assert np.array_equal(got["points"], want["points"])
+    else:
+        assert got == want
 
 
 def test_write_json_atomic_failure_keeps_the_old_file(tmp_path):

@@ -316,8 +316,12 @@ class Configuration:
             notes=data.get("notes"),
         )
 
-    def save(self, path: str):
-        write_json_atomic(path, self._payload(self.points))
+    def save(self, path: str) -> dict:
+        """Write the configuration; returns the payload written, with
+        ``points`` as the array."""
+        payload = self._payload(self.points)
+        write_json_atomic(path, payload)
+        return payload
 
     @classmethod
     def load(cls, path: str) -> "Configuration":
@@ -653,7 +657,7 @@ def _write_rows(fh, a: np.ndarray):
     fh.write("[")
     for lo in range(0, len(a), step):
         block = a[lo : lo + step]
-        rows, cols = np.nonzero(block.view(np.uint64))
+        rows, cols = np.divmod(np.flatnonzero(block.view(np.uint64) != 0), max(dim, 1))
         if 2 * rows.size > block.size:
             fh.write((", " if lo else "") + json.dumps(block.tolist())[1:-1])
             continue
@@ -670,57 +674,59 @@ def _write_rows(fh, a: np.ndarray):
     fh.write("]")
 
 
-_WS = "[ \t\n\r]*"
-_KEY_COLON = re.compile(_WS + ":" + _WS)
-_ROWS_OPEN = re.compile(r"\[" + _WS + r"\[")
-_ROWS_CLOSE = re.compile(_WS + r"\]")
+_WS = rb"[ \t\n\r]*"
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
+_KEY_COLON = re.compile(_WS + b":" + _WS)
+_ROWS_OPEN = re.compile(rb"\[" + _WS + rb"\[")
+_ROWS_CLOSE = re.compile(_WS + rb"\]")
 
 
 def read_json(path: str):
     """Load a JSON file as ``json.load`` does, except that each value of a
     ``"points"`` key that is a rectangular array of number rows comes back
     as a float64 ndarray, bit-equal to ``np.asarray(value, dtype=float)``,
-    decoded a chunk of rows at a time into one array (the peak is about the
-    text plus the array): numpy compares bytes, json decodes nonzeros."""
-    with open(path) as fh:
-        text = fh.read()
+    decoded from the file's bytes a chunk of rows at a time (the peak is about
+    the file plus the array); only the rest is decoded, as strict UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     arrays, pieces, done, pos = [], [], 0, 0
-    while (start := text.find('"', pos)) >= 0:
+    while string := _STRING.search(data, pos):
+        pos = string.end()
         try:
-            key, pos = scanstring(text, start + 1)
+            colon = scanstring(string[0].decode(), 1)[0] == "points" and _KEY_COLON.match(data, pos)
         except ValueError:  # a bad string: json reports it below
             break
-        colon = _KEY_COLON.match(text, pos) if key == "points" else None
-        if found := colon and _dense_rows(text, colon.end()):
+        if found := colon and _dense_rows(data, colon.end()):
             arrays.append(found[0])
-            pieces.append(text[done : colon.end()])
+            pieces.append(data[done : colon.end()])
             done = pos = found[1]
-    if not arrays:
-        return json.loads(text)
-    pieces.append(text[done:])
-    # Each array is spliced out for an integer literal found nowhere else and a space, so
-    # it cannot run into what follows; parse_int returns the arrays in their place.
-    slot = "1" + "0" * 20
-    while any(slot in piece for piece in pieces):
-        slot += "0"
-    names = {f"{slot}{k}": array for k, array in enumerate(arrays)}
-    spliced = "".join(piece + f"{name} " for piece, name in zip(pieces, names)) + pieces[-1]
+    pieces.append(data[done:])
+    del data
     try:
-        return json.loads(spliced, parse_int=lambda s: names[s] if s in names else int(s))
-    except ValueError:
-        return json.loads(text)  # raises json's own error, at its position in the file
+        pieces = [piece.decode() for piece in pieces]  # no BOM is skipped: json.loads refuses it
+        # Each array is spliced out for a float literal found nowhere else and a space, so it
+        # cannot run into what follows; parse_float returns the arrays in their place.
+        slot = "1." + "0" * 20
+        while any(slot in piece for piece in pieces):
+            slot += "0"
+        names = {f"{slot}{k}": array for k, array in enumerate(arrays)}
+        spliced = "".join(piece + f"{name} " for piece, name in zip(pieces, names)) + pieces[-1]
+        return json.loads(spliced, parse_float=lambda s: names[s] if s in names else float(s))
+    except ValueError:  # json's own error, at its position in the file
+        with open(path) as fh:
+            return json.load(fh)
 
 
-def _dense_rows(text: str, pos: int):
-    """The rectangular array of JSON-number rows at ``text[pos]`` as float64
-    and the end of its text, or None (empty, ragged, nested, not numbers).
+def _dense_rows(data: bytes, pos: int):
+    """The rectangular array of JSON-number rows at ``data[pos]`` as float64
+    and the end of its bytes, or None (empty, ragged, nested, not numbers).
     Numpy finds the brackets in windows that start small and double, so a
     value given up early (nested, say) is scanned about as far as it goes."""
-    if not (m := _ROWS_OPEN.match(text, pos)):
+    if not (m := _ROWS_OPEN.match(data, pos)):
         return None
     q, starts, ends, size = m.end() - 1, [], [], 64
     while True:
-        c = np.frombuffer(text[q : q + size].encode("ascii", "replace"), np.uint8)
+        c = np.frombuffer(data, np.uint8, min(size, len(data) - q), q)
         at = np.flatnonzero((c == 91) | (c == 93))  # at[0] is the "[" of a row, at q
         # "[" and "]" alternate; a "]" for a "[" closes, a "[" for a "]" nests
         wrong = np.flatnonzero((c[at] == 91) != (np.arange(at.size) % 2 == 0))
@@ -736,31 +742,30 @@ def _dense_rows(text: str, pos: int):
         ends.append(at[1 : 2 * rows : 2] + q)
         if wrong.size:
             break
-        if rows == 0 and q + size >= len(text):
+        if rows == 0 and q + size >= len(data):
             return None
         q += int(at[2 * rows])
         size = 2 * size if rows == 0 else min(2 * size, 8 * _TOKEN_CHUNK)
     starts, ends = np.concatenate(starts), np.concatenate(ends)
-    if not (close := _ROWS_CLOSE.match(text, int(ends[-1]) + 1)):
+    if not (close := _ROWS_CLOSE.match(data, int(ends[-1]) + 1)):
         return None
-    out = np.zeros((len(starts), text.count(",", starts[0], ends[0]) + 1))
+    out = np.zeros((len(starts), data.count(b",", starts[0], ends[0]) + 1))
     step = max(1, _TOKEN_CHUNK // out.shape[1])
     for lo in range(0, len(starts), step):
         try:
-            _parse_rows(text, starts[lo : lo + step], ends[lo : lo + step], out[lo : lo + step])
+            _parse_rows(data, starts[lo : lo + step], ends[lo : lo + step], out[lo : lo + step])
         except (ValueError, OverflowError):  # json's errors, and ints beyond float range
             return None
     return out, close.end()
 
 
-def _parse_rows(text: str, starts: np.ndarray, ends: np.ndarray, out: np.ndarray):
-    """Fill ``out`` from the rows ``text[starts[i]:ends[i]]`` as ``np.asarray``
+def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray, out: np.ndarray):
+    """Fill ``out`` from the rows ``data[starts[i]:ends[i]]`` as ``np.asarray``
     does from ``json.loads``: tokens ``0.0`` or `` 0.0`` after a comma stay
     zero, json decodes the rest (all, if most are nonzero).  Raises
     ValueError unless each row has ``out.shape[1]`` JSON numbers."""
-    base = int(starts[0]) - 8  # so that even the first comma has five characters before it
-    chunk = text[base : int(ends[-1]) + 1]
-    c = np.frombuffer(chunk.encode("ascii", "replace"), np.uint8)
+    base = int(starts[0]) - 8  # so that even the first comma has five bytes before it
+    c = np.frombuffer(data, np.uint8)[base : int(ends[-1]) + 1]
     n, dim = out.shape
     comma, zero = c == 44, c == 48
     # A token holds no comma, and a "[" follows the comma after a row.
@@ -784,10 +789,9 @@ def _parse_rows(text: str, starts: np.ndarray, ends: np.ndarray, out: np.ndarray
         at = np.flatnonzero(nonzero) + 8
         rest = np.append(rank(at), n * dim - 1)
         row, col = np.divmod(rest, dim)
-        hi, first = np.append(at, 0), starts[row] - base
-        hi[col == dim - 1] = ends[row[col == dim - 1]] - base
-        tokens = [chunk[chunk.rfind(",", f, j) + 1 or f : j] for f, j in zip(first.tolist(), hi.tolist())]
-        tokens = ",".join(tokens).encode("ascii", "replace")
+        hi, first = np.append(at + base, 0), starts[row]
+        hi[col == dim - 1] = ends[row[col == dim - 1]]
+        tokens = b",".join([data[data.rfind(b",", f, j) + 1 or f : j] for f, j in zip(first.tolist(), hi.tolist())])
     # With no quote, brace, bracket or letter of true/false/null, json reads numbers or fails.
     if tokens.translate(None, b"0123456789+-.eENaInfity,\t\n\r "):
         raise ValueError("a number row holds a character no JSON number has")

@@ -354,7 +354,7 @@ class IsometryFrame:
     Extra point i is ``anchor 0 + coeffs[i] @ (anchor j - anchor 0)``
     plus ``residuals[i]`` along new orthonormal directions, one fresh
     axis each; ``anchor_sq`` holds the anchors' squared distances, which
-    every placement checks its anchor images against.
+    the anchor images of every placement must realize.
     """
 
     anchor_sq: np.ndarray
@@ -402,11 +402,10 @@ def place_isometry(ws: Workspace, frame: IsometryFrame, cols, dst) -> list:
     """Add the images of a frame's extras over placed anchor images.
 
     ``cols, dst`` is the anchor images' column block, as
-    ``Workspace.block`` returns it.  The images are checked against the
-    frame's anchors first; the new rows span that block plus the fresh
-    axes.
+    ``Workspace.block`` returns it; the new rows span that block plus
+    the fresh axes.  The caller checks the images against
+    ``frame.anchor_sq``.
     """
-    check_copies(dst, [range(len(dst))], frame.anchor_sq, "anchor image")
     axes = [ws.add_axis() for _ in range(frame.residuals.shape[1])]
     cols = np.concatenate([cols, axes]).astype(np.intp)
     origin = dst[0]
@@ -431,7 +430,9 @@ def extend_isometry(
     preserves every pairwise distance among anchors and extras.
     """
     frame = isometry_frame(src_anchors, src_extras)
-    return place_isometry(ws, frame, *ws.block(dst_anchor_idx))
+    cols, dst = ws.block(dst_anchor_idx)
+    check_copies(dst, [range(len(dst))], frame.anchor_sq, "anchor image")
+    return place_isometry(ws, frame, cols, dst)
 
 
 def _equilateral_leg(
@@ -566,7 +567,8 @@ class _Builder:
     One build solves each distinct hinge and arc once: ``hinges`` maps
     an exact (roles, angle) pair to the verified hinge pair's isometry
     frame, and ``arcs`` an exact (edges, gap, step) triple to the
-    verified arc.  Every placement still checks its anchor images.
+    verified arc.  ``place`` records each placement's anchor indices
+    under its frame, and ``finish`` checks them once per frame.
     """
 
     def __init__(self, profile: TetraProfile, dim: int):
@@ -577,15 +579,23 @@ class _Builder:
         self.hinges: dict = {}
         self.arcs: dict = {}
         self.placements = 0
+        self.anchors: dict = {}  # id(frame) -> (frame, anchor index tuples)
         swapped = list(SWAPPED_ROLES)
         self.role_profiles = {
             IDENTITY_ROLES: profile,
             SWAPPED_ROLES: tetra_profile(SimplexSpec(self.spec.sq_dist[np.ix_(swapped, swapped)])),
         }
 
+    def place(self, frame: IsometryFrame, idx, block=None) -> list:
+        """``place_isometry`` over the rows ``idx``, whose check against
+        the frame's anchors waits for ``finish``."""
+        self.anchors.setdefault(id(frame), (frame, []))[1].append(tuple(idx))
+        return place_isometry(self.ws, frame, *(block or self.ws.block(idx)))
+
     def _place_hinge(self, perm, i_apex1: int, i_center: int, i_apex2: int):
         """Complete two fan neighbors around a corner into a hinge pair."""
-        cols, dst = self.ws.block([i_apex1, i_center, i_apex2])
+        idx = (i_apex1, i_center, i_apex2)
+        cols, dst = self.ws.block(idx)
         phi = _angle(dst[0] - dst[1], dst[2] - dst[1])
         key = (perm, phi)
         if key not in self.hinges:
@@ -594,7 +604,7 @@ class _Builder:
                 np.vstack([pair.a, pair.b, pair.a_prime]), np.vstack([pair.c, pair.d])
             )
         self.placements += 1
-        return place_isometry(self.ws, self.hinges[key], cols, dst)
+        return self.place(self.hinges[key], idx, (cols, dst))
 
     def fan_corner(self, i_prev, i_center, i_next, perm, corner_angle) -> None:
         """Insert the fan at one path corner together with its hinge
@@ -668,9 +678,11 @@ class _Builder:
         return phi1, phi2, len(self.copies) - before
 
     def finish(self, extra_notes: dict) -> LinkedConfig:
-        """The configuration, after every stored copy is checked on the
-        sparse rows."""
+        """The configuration, after every placement's anchor images and
+        every stored copy are checked on the sparse rows."""
         rows = self.ws.csr()
+        for frame, tuples in self.anchors.values():
+            check_copies(rows, tuples, frame.anchor_sq, "anchor image")
         worst = check_copies(rows, self.copies, self.spec.sq_dist, "tetra copy")
         notes = {
             "aux_axes": self.ws.aux_axes,
@@ -813,7 +825,7 @@ def build_anchor_gadget(
         """Dense-quadruple attachment over one placed face triangle.
 
         tri_idx is in face row order; returns the four copy tuples."""
-        *ys, z = place_isometry(b.ws, dense_frame, *b.ws.block(tri_idx))
+        *ys, z = b.place(dense_frame, tri_idx)
         local = [z, *ys, *tri_idx]  # the dense quadruple's point order
         copies = [tuple(local[i] for i in t) for t in dq.copies]
         b.copies.extend(copies)
@@ -825,7 +837,7 @@ def build_anchor_gadget(
     rows = [face.index(a) for a in (a1, a2, a3)]
     attachments = []
     for i in range(len(bpath) - 1):
-        c1, c2 = place_isometry(b.ws, parallelogram_frame, *b.ws.block(bpath[i : i + 2]))
+        c1, c2 = b.place(parallelogram_frame, bpath[i : i + 2])
         attachments += attach_dense(_in_row_order((bpath[i], c1, c2), rows))
         attachments += attach_dense(_in_row_order((bpath[i + 1], c2, c1), rows))
 

@@ -165,6 +165,43 @@ def test_construct_round_trip_compares_bits(tmp_path, monkeypatch, capsys):
     assert "written configuration does not round-trip" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda payload: {**payload, "notes": {**payload["notes"], "phi": -payload["notes"]["phi"]}},
+        lambda payload: {**payload, "copies": {"tetra": [[0, 1, 2, 4], [4, 1, 2, 3]]}},
+    ],
+    ids=["note", "copy-index"],
+)
+def test_construct_round_trip_compares_notes_and_copies(tmp_path, monkeypatch, capsys, tamper):
+    write = geometry.write_json_atomic
+    monkeypatch.setattr(geometry, "write_json_atomic", lambda path, payload: write(path, tamper(payload)))
+    assert main(["construct", "hinge", "--side", "1.0", "-o", str(tmp_path / "h.json")]) == 2
+    assert "does not round-trip" in capsys.readouterr().err
+
+
+def test_construct_runs_each_check_once(tmp_path, monkeypatch):
+    # the coincidence check runs on the built configuration only, and the
+    # anchor images of all placements from one frame are checked together
+    calls = {"check_copies": 0, "_find_coincident": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(tetra, "check_copies")
+    counted(geometry.Configuration, "_find_coincident")
+    out = tmp_path / "anchor.json"
+    assert main(["construct", "anchor-gadget", "--k", "2", "-o", str(out)]) == 0
+    assert calls["_find_coincident"] == 1
+    assert calls["check_copies"] <= 2 * Configuration.load(str(out)).notes["distinct_hinges"] + 8
+
+
 @pytest.mark.parametrize("name", ["path", "product"])
 @pytest.mark.parametrize("flag", ["--x", "--y"])
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -324,11 +324,17 @@ def points_values(draw, side=6, numbers=NUMBERS):
 ESCAPED_KEYS = ['"\\u0070oints"', '"p\\u006fint\\u0073"', '"points\\u0020"', '"\\u0050oints"', '"\\\\points"']
 
 
+def _utf8(s: str) -> str:
+    """``s`` as a JSON string with its non-ASCII characters unescaped, so
+    the file holds them as UTF-8."""
+    return json.dumps(s, ensure_ascii=False)
+
+
 @st.composite
 def json_documents(draw, points=points_values()):
     """A configuration, problem or other document, possibly with
-    nested, repeated or escaped ``points`` keys and ``points`` inside
-    strings."""
+    nested, repeated or escaped ``points`` keys, ``points`` inside
+    strings, and UTF-8 keys and strings around ``points``."""
     doc = draw(
         st.fixed_dictionaries(
             {"dim": st.integers(1, 6), "points": points},
@@ -340,6 +346,10 @@ def json_documents(draw, points=points_values()):
         | st.builds(lambda a, b: Pairs([("points", a), ("x", '"points": [[1.0]]'), ("points", b)]), points, points)
         | st.builds(lambda a: [{"points": a}, "points", {"config": {"points": a}}], points)
         | st.builds(lambda a, key: Pairs([(Raw(key), a), ("dim", 2)]), points, st.sampled_from(ESCAPED_KEYS))
+        | st.builds(
+            lambda a, s: Pairs([(Raw(_utf8(s)), Raw(_utf8(s))), ("points", a), (Raw(_utf8(s + "ü")), [Raw(_utf8(s))])]),
+            points, st.text(st.characters(min_codepoint=128), min_size=1, max_size=3),
+        )
     )
     return _json_text(doc, draw(st.sampled_from(["compact", "default", "indent", "random"])), random.Random(draw(st.integers(0, 9))))
 

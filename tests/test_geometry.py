@@ -334,6 +334,7 @@ def test_read_json_reads_each_token_as_json_does(tmp_path, token):
     [
         "[[1.0, 0.0],\n  [0.0, 2.0]]",  # indented
         "[ [1.0,0.0] ,\r\n\t[0.0,2.0] ]",  # whitespace inside the brackets and around the comma
+        "[[1.0, 0.0],\r\n[0.0, 2.0],\r\n[0.0, 0.0]]",  # CRLF line ends
         "[[1.0, 0.0]\n,\n[0.0, 2.0]]",
         "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]",
         "[[1.0, 0.0] [0.0, 2.0]]",  # no comma between rows
@@ -356,6 +357,10 @@ def test_read_json_reads_each_token_as_json_does(tmp_path, token):
 def test_read_json_reads_rows_as_json_does(tmp_path, points):
     _reads_as_json_load(tmp_path / "t.json", '{"dim": 2, "points": %s}' % points)
     _reads_as_json_load(tmp_path / "t.json", '{"points": %s, "dim": 2}' % points)
+    # UTF-8 keys and strings on both sides of the array, and a byte order
+    # mark, which json.load refuses
+    _reads_as_json_load(tmp_path / "t.json", '{"ключ": "é", "points": %s, "日本": ["ñ", 1.5]}' % points)
+    _reads_as_json_load(tmp_path / "t.json", '\ufeff{"points": %s}' % points)
 
 
 @pytest.mark.parametrize("key", ['"\\u0070oints"', '"p\\u006fint\\u0073"', '"points\\u0020"', '"\\\\points"'])

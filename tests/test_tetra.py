@@ -212,6 +212,32 @@ def test_extend_isometry_over_anchors_with_disjoint_columns():
     assert set(np.flatnonzero(got.any(axis=0))) == {1, 4, 6, 7}
 
 
+def test_extend_isometry_checks_its_anchor_images():
+    rng = np.random.default_rng(29)
+    src = rng.uniform(-1.0, 1.0, size=(5, 3))
+    ws = Workspace(3)
+    idx = [ws.add_point(2.0 * p) for p in src[:3]]
+    with pytest.raises(GeometryError, match=r"anchor image \(0, 1, 2\) is off"):
+        extend_isometry(ws, src[:3], src[3:], idx)
+    assert ws.matrix().shape == (3, 3)  # nothing was placed
+
+
+def test_finish_checks_the_anchor_images_of_each_frame():
+    # a builder's placements wait for finish, which checks every frame's
+    # anchor images at once: a frame whose anchors the placed rows do not
+    # realize is named there
+    src = embed_from_distances(REGULAR)
+    extra = np.array([[0.3, 0.2, 2.0]])
+    b = tetra._Builder(tetra_profile(REGULAR), 3)
+    idx = [b.ws.add_point(p) for p in src]
+    b.place(tetra.isometry_frame(src[:3], extra), idx[:3])
+    b.place(tetra.isometry_frame(src[1:], extra), idx[1:])
+    assert len(b.finish({}).cfg) == 6
+    b.place(tetra.isometry_frame(1.5 * src[:3], extra), idx[:3])
+    with pytest.raises(GeometryError, match=r"anchor image \(0, 1, 2\) is off"):
+        b.finish({})
+
+
 def test_trivial_link():
     prof = tetra_profile(REGULAR)
     pts = embed_from_distances(REGULAR)

@@ -218,6 +218,8 @@ def _cmd_copies(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if not args.budget > 0.0:  # a NaN deadline would never pass
+        raise ValueError(f"--budget must be a positive number of seconds, got {args.budget}")
     problem = ColoringProblem.from_json_dict(read_json(args.problem))
     result = solve_gr(problem, budget=args.budget)
     payload = result.to_json_dict()

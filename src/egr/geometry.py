@@ -77,6 +77,17 @@ def as_index(value, what: str) -> int:
     raise GeometryError(f"{what} must be an integer, got {value!r}")
 
 
+def as_indices(values, n: int, what: str) -> list[int]:
+    """``values`` as a list of Python ints in ``range(n)``: each must pass
+    ``as_index``, so a float, string or bool is refused, and so is an
+    integer out of range."""
+    out = [v if type(v) is int else as_index(v, what) for v in values]
+    if out and (min(out) < 0 or max(out) >= n):
+        bad = next(i for i in out if not 0 <= i < n)
+        raise GeometryError(f"{what} {bad} is outside range({n})")
+    return out
+
+
 def as_point(p) -> np.ndarray:
     """Validate and convert an array-like into a 1-D float point."""
     arr = np.asarray(p, dtype=float)
@@ -188,18 +199,6 @@ def check_copies(points, tuples, sq_dist, what: str = "copy") -> float:
     return worst / scale if scale > 0.0 else worst
 
 
-def _check_copy_tuples(copies, n: int, name: str):
-    out = []
-    what = f"copy index in {name!r}"
-    for tup in copies:
-        tup = tuple(as_index(i, what) for i in tup)
-        for i in tup:
-            if not (0 <= i < n):
-                raise GeometryError(f"copy index {i} out of range in {name!r}")
-        out.append(tup)
-    return out
-
-
 @dataclass
 class Configuration:
     """An ordered finite point set in a common E^n.
@@ -228,7 +227,8 @@ class Configuration:
             if len(self.labels) != len(pts):
                 raise GeometryError("labels length does not match point count")
         self.named_copies = {
-            str(k): _check_copy_tuples(v, len(pts), k) for k, v in self.named_copies.items()
+            str(k): [tuple(as_indices(t, len(pts), f"{k!r} copy index")) for t in v]
+            for k, v in self.named_copies.items()
         }
         dup = self._find_coincident()
         if dup is not None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConstraintViolation, GeometryError
+from .geometry import ConstraintViolation, GeometryError, as_index
 
 MONO = "MONO"
 RAINBOW = "RAINBOW"
@@ -45,7 +45,7 @@ SCAN_MAX_COLORS = 5
 
 
 def as_palette(colors) -> frozenset:
-    out = frozenset(int(c) for c in colors)
+    out = frozenset(as_index(c, "palette color") for c in colors)
     if not out:
         raise ConstraintViolation("empty_palette", "palettes must be nonempty")
     return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, as_index
+from .geometry import Configuration, as_index, as_indices
 
 FORCED = "FORCED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -38,21 +38,6 @@ class BudgetExceeded(RuntimeError):
     """Search ran out of time before reaching a verdict."""
 
 
-def _check_targets(name: str, targets, n: int) -> list[tuple[int, ...]]:
-    out = []
-    what = f"{name} target index"
-    for t in targets:
-        tt = tuple(as_index(i, what) for i in t)
-        if len(tt) < 2:
-            raise ValueError(f"{name} target {tt} needs at least 2 points")
-        if len(set(tt)) != len(tt):
-            raise ValueError(f"{name} target {tt} repeats a point")
-        if any(i < 0 or i >= n for i in tt):
-            raise ValueError(f"{name} target {tt} is out of range for {n} points")
-        out.append(tt)
-    return out
-
-
 @dataclass
 class ColoringProblem:
     cfg: Configuration
@@ -62,8 +47,11 @@ class ColoringProblem:
 
     def __post_init__(self):
         n = len(self.cfg.points)
-        self.mono_targets = _check_targets("mono", self.mono_targets, n)
-        self.rainbow_targets = _check_targets("rainbow", self.rainbow_targets, n)
+        self.mono_targets = [tuple(as_indices(t, n, "mono target index")) for t in self.mono_targets]
+        self.rainbow_targets = [tuple(as_indices(t, n, "rainbow target index")) for t in self.rainbow_targets]
+        for t in self.mono_targets + self.rainbow_targets:
+            if len(t) < 2 or len(set(t)) < len(t):
+                raise ValueError(f"target {t} needs at least 2 points and repeats none")
         self.r = as_index(self.r, "color count")
         if self.r < 1:
             raise ValueError(f"color count must be positive, got {self.r}")
@@ -114,11 +102,9 @@ def verify_coloring(problem: ColoringProblem, coloring) -> dict:
     coloring avoids everything and therefore certifies COUNTEREXAMPLE.
     """
     n = len(problem.cfg.points)
-    cols = [int(c) for c in coloring]
+    cols = as_indices(coloring, problem.r, "color")
     if len(cols) != n:
         raise ValueError(f"coloring covers {len(cols)} of {n} points")
-    if any(c < 0 or c >= problem.r for c in cols):
-        raise ValueError("coloring uses a color outside range")
     mono_bad = [t for t in problem.mono_targets if len({cols[i] for i in t}) == 1]
     rain_bad = [t for t in problem.rainbow_targets if len({cols[i] for i in t}) == len(t)]
     return {

@@ -343,13 +343,11 @@ class Workspace:
             shape=(len(self._cols), self.dim),
         )
 
-    def matrix(self) -> np.ndarray:
-        return self.csr().dense()
-
 
 @dataclass(frozen=True)
 class IsometryFrame:
-    """Source side of an isometric extension.
+    """Source side of an isometric extension, which ``_Builder.place``
+    puts over placed anchor images.
 
     Extra point i is ``anchor 0 + coeffs[i] @ (anchor j - anchor 0)``
     plus ``residuals[i]`` along new orthonormal directions, one fresh
@@ -396,43 +394,6 @@ def isometry_frame(src_anchors, src_extras) -> IsometryFrame:
     for row, comps in zip(out, rows):
         row[: len(comps)] = comps
     return IsometryFrame(anchor_sq=anchor_sq, coeffs=np.array(coeffs), residuals=out)
-
-
-def place_isometry(ws: Workspace, frame: IsometryFrame, cols, dst) -> list:
-    """Add the images of a frame's extras over placed anchor images.
-
-    ``cols, dst`` is the anchor images' column block, as
-    ``Workspace.block`` returns it; the new rows span that block plus
-    the fresh axes.  The caller checks the images against
-    ``frame.anchor_sq``.
-    """
-    axes = [ws.add_axis() for _ in range(frame.residuals.shape[1])]
-    cols = np.concatenate([cols, axes]).astype(np.intp)
-    origin = dst[0]
-    v = dst[1:] - origin
-    return [
-        ws.add_row(cols, np.concatenate([origin + c @ v, res]))
-        for c, res in zip(frame.coeffs, frame.residuals)
-    ]
-
-
-def extend_isometry(
-    ws: Workspace,
-    src_anchors,
-    src_extras,
-    dst_anchor_idx,
-) -> list:
-    """Add images of extra points matching all distances to the anchors.
-
-    The anchor images must already be placed isometrically.  Each extra
-    splits into an affine combination of anchors plus an orthogonal
-    residual; the residuals are reproduced along fresh axes, which
-    preserves every pairwise distance among anchors and extras.
-    """
-    frame = isometry_frame(src_anchors, src_extras)
-    cols, dst = ws.block(dst_anchor_idx)
-    check_copies(dst, [range(len(dst))], frame.anchor_sq, "anchor image")
-    return place_isometry(ws, frame, cols, dst)
 
 
 def _equilateral_leg(
@@ -535,14 +496,6 @@ class LinkedConfig:
     cfg: Configuration
     tetra_copies: list
 
-    def verify(self, spec: SimplexSpec) -> None:
-        check_copies(self.cfg.points, self.tetra_copies, spec.sq_dist, "tetra copy")
-
-
-def _validate_corner_angle(profile: TetraProfile, corner_angle) -> None:
-    if corner_angle is not None:
-        _check_hinge_range(profile, corner_angle, "corner_angle", "corner angle")
-
 
 def _role_angle(role_prof: TetraProfile, corner_angle) -> float:
     """Fan substep angle for one vertex role assignment.
@@ -569,9 +522,14 @@ class _Builder:
     frame, and ``arcs`` an exact (edges, gap, step) triple to the
     verified arc.  ``place`` records each placement's anchor indices
     under its frame, and ``finish`` checks them once per frame.
+
+    An explicit ``corner_angle`` must lie in the hinge range, and each
+    role must glue a hinge at its clamped corner angle: fans glue hinges
+    down to about that angle, so one too small for distinct apexes is
+    refused before the first row is placed.
     """
 
-    def __init__(self, profile: TetraProfile, dim: int):
+    def __init__(self, profile: TetraProfile, dim: int, corner_angle: float | None = None):
         self.spec = profile.spec
         self.ws = Workspace(dim)
         self.copies: list = []
@@ -585,12 +543,30 @@ class _Builder:
             IDENTITY_ROLES: profile,
             SWAPPED_ROLES: tetra_profile(SimplexSpec(self.spec.sq_dist[np.ix_(swapped, swapped)])),
         }
+        if corner_angle is not None:
+            _check_hinge_range(profile, corner_angle, "corner_angle", "corner angle")
+            for role_prof in self.role_profiles.values():
+                glue_two_copies(role_prof, _role_angle(role_prof, corner_angle))
 
     def place(self, frame: IsometryFrame, idx, block=None) -> list:
-        """``place_isometry`` over the rows ``idx``, whose check against
-        the frame's anchors waits for ``finish``."""
+        """Add the images of the frame's extras over the anchor images
+        ``idx`` and return their indices.
+
+        ``block`` is the anchors' column block as ``Workspace.block``
+        returns it, when the caller already holds it; the new rows span
+        that block plus the frame's fresh axes.  The check of the anchor
+        images against ``frame.anchor_sq`` waits for ``finish``.
+        """
         self.anchors.setdefault(id(frame), (frame, []))[1].append(tuple(idx))
-        return place_isometry(self.ws, frame, *(block or self.ws.block(idx)))
+        cols, dst = block or self.ws.block(idx)
+        axes = [self.ws.add_axis() for _ in range(frame.residuals.shape[1])]
+        cols = np.concatenate([cols, axes]).astype(np.intp)
+        origin = dst[0]
+        v = dst[1:] - origin
+        return [
+            self.ws.add_row(cols, np.concatenate([origin + c @ v, res]))
+            for c, res in zip(frame.coeffs, frame.residuals)
+        ]
 
     def _place_hinge(self, perm, i_apex1: int, i_center: int, i_apex2: int):
         """Complete two fan neighbors around a corner into a hinge pair."""
@@ -718,9 +694,8 @@ def build_link(
         check_copies(ends, [(0, 1, 2, 3), (4, 5, 6, 7)], profile.spec.sq_dist, "endpoint")
     except GeometryError as err:
         raise ConstraintViolation("seed_congruence", str(err)) from None
-    _validate_corner_angle(profile, corner_angle)
 
-    b = _Builder(profile, t1_points.shape[1])
+    b = _Builder(profile, t1_points.shape[1], corner_angle)
     t1 = tuple(b.ws.add_point(p) for p in t1_points)
     # Points shared between the endpoint copies are identified by
     # coordinates once, here at the seam; everything downstream shares
@@ -754,13 +729,12 @@ def build_x1(
     seed_points = np.asarray(seed_points, dtype=float)
     if seed_points.ndim != 2 or seed_points.shape[0] != 4:
         raise GeometryError("seed must be a 4-point array")
-    _validate_corner_angle(profile, corner_angle)
     perm = congruence_check(embed_from_distances(profile.spec), seed_points)
     if perm is None:
         raise ConstraintViolation("seed_congruence", "seed is not congruent to the simplex")
     seed_points = seed_points[list(perm)]
 
-    b = _Builder(profile, seed_points.shape[1])
+    b = _Builder(profile, seed_points.shape[1], corner_angle)
     seed = tuple(b.ws.add_point(p) for p in seed_points)
     b.copies.append(seed)
     phi1, phi2, link_copies = b.glued_polygons(seed, corner_angle)
@@ -792,7 +766,6 @@ def build_anchor_gadget(
     dq = dense_quadruple(profile)
     if k < 1:
         raise GeometryError("path length must be at least 1")
-    _validate_corner_angle(profile, corner_angle)
     i_h = profile.hmax_vertex
     face, frame = _face_frame(profile.spec.sq_dist, i_h)
     if edge is None:
@@ -810,7 +783,7 @@ def build_anchor_gadget(
     x = p2 + p3 - p1
     d_step = float(np.linalg.norm(p1 - x))
 
-    b = _Builder(profile, 3)
+    b = _Builder(profile, 3, corner_angle)
     idx4 = tuple(b.ws.add_point(p) for p in pts4)
     b.copies.append(idx4)
 

@@ -268,8 +268,10 @@ def test_solve_budget_flag(tmp_path):
     problem = tmp_path / "p.json"
     write_json_atomic(str(problem), census_problem_payload(7).to_json_dict())
     out = tmp_path / "result.json"
-    assert main(["solve", str(problem), "--budget", "0.000001", "-o", str(out)]) == 2
-    assert not out.exists()
+    # a NaN budget never expires; it and a budget that is not positive are refused
+    for budget in ("0.000001", "nan", "0", "-1"):
+        assert main(["solve", str(problem), "--budget", budget, "-o", str(out)]) == 2
+        assert not out.exists()
     assert main(["solve", str(problem), "--budget", "300", "-o", str(out)]) == 0
 
 

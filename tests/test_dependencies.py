@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import sys
 
 import egr
@@ -23,3 +24,11 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in ALLOWED]
     assert not outside
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # geometry reads JSON number rows with np.bitwise_count, new in numpy 2.0
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', pyproject.read_text())
+    assert floor is not None
+    assert (int(floor[1]), int(floor[2])) >= (2, 0)

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from egr.geometry import Configuration, SimplexSpec, embed_from_distances, enumerate_copies
+from egr.geometry import Configuration, GeometryError, SimplexSpec, embed_from_distances, enumerate_copies
+from egr.palettes import as_palette
 from egr.rectangles import census_verdict, path_config, product_config, regular_simplex
 from egr.solver import (
     BudgetExceeded,
@@ -286,6 +287,24 @@ def test_verify_coloring_reports():
         verify_coloring(p, [0, 0, 0])
     with pytest.raises(ValueError):
         verify_coloring(p, [0, 0, 0, 5])
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", -1, 3, 2**64])
+def test_every_index_is_an_integer_in_range(bad):
+    # copy indices, target indices and colors go through one rule: an int
+    # or numpy int in range(n), here n = 3 points and r = 3 colors
+    cfg = regular_simplex(3, 1.0)
+    problem = ColoringProblem(cfg=cfg, mono_targets=[(0, np.int64(1))], rainbow_targets=[], r=3)
+    assert verify_coloring(problem, [0, np.int64(1), 2])["clean"]
+    with pytest.raises(GeometryError):
+        Configuration(points=cfg.points, named_copies={"pair": [(0, bad)]})
+    with pytest.raises(GeometryError):
+        ColoringProblem(cfg=cfg, mono_targets=[(0, bad)], rainbow_targets=[], r=3)
+    with pytest.raises(GeometryError):
+        verify_coloring(problem, [0, 1, bad])
+    if not isinstance(bad, int) or isinstance(bad, bool):
+        with pytest.raises(GeometryError):
+            as_palette([1, bad])
 
 
 def test_problem_validation():

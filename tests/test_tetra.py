@@ -17,14 +17,11 @@ from egr.geometry import (
     pairwise_sq_dists,
 )
 from egr.tetra import (
-    LinkedConfig,
-    Workspace,
     apex_circle,
     build_anchor_gadget,
     build_link,
     build_x1,
     dense_quadruple,
-    extend_isometry,
     glue_two_copies,
     tetra_profile,
 )
@@ -171,14 +168,20 @@ def test_dense_quadruple_tracks_condition_boundary():
     assert flags == [False] * 5 + [True] * 5
 
 
+def place_extras(dim, anchor_rows, src_anchors, src_extras):
+    """Place anchor rows ``(cols, vals)`` in a builder of ``dim`` axes and
+    the extras over them; the finished points of anchors plus extras."""
+    b = tetra._Builder(tetra_profile(REGULAR), dim)
+    idx = [b.ws.add_row(cols, vals) for cols, vals in anchor_rows]
+    new_idx = b.place(tetra.isometry_frame(src_anchors, src_extras), idx)
+    return b.finish({}).cfg.points[idx + new_idx]
+
+
 def test_extend_isometry_preserves_distances():
     rng = np.random.default_rng(7)
     src = rng.uniform(-1.0, 1.0, size=(6, 3))
     q, _ = np.linalg.qr(rng.uniform(-1.0, 1.0, size=(3, 3)))
-    ws = Workspace(3)
-    anchor_idx = [ws.add_point(p @ q + 2.0) for p in src[:3]]
-    new_idx = extend_isometry(ws, src[:3], src[3:], anchor_idx)
-    got = ws.matrix()[anchor_idx + new_idx]
+    got = place_extras(3, [(range(3), p @ q + 2.0) for p in src[:3]], src[:3], src[3:])
     assert np.abs(pairwise_sq_dists(got) - pairwise_sq_dists(src)).max() < 1e-9
 
 
@@ -186,13 +189,10 @@ def test_extend_isometry_grows_axes_when_needed():
     # two anchors in the plane cannot carry a 3d cloud without new axes
     rng = np.random.default_rng(19)
     src = rng.uniform(-1.0, 1.0, size=(5, 3))
-    ws = Workspace(2)
     anchors = src[:2].copy()
     anchors[:, 2] = 0.0
-    idx = [ws.add_point(p[:2]) for p in anchors]
-    new_idx = extend_isometry(ws, anchors, src[2:], idx)
-    assert ws.dim > 2
-    got = ws.matrix()[idx + new_idx]
+    got = place_extras(2, [(range(2), p[:2]) for p in anchors], anchors, src[2:])
+    assert got.shape[1] > 2
     want = pairwise_sq_dists(np.vstack([anchors, src[2:]]))
     assert np.abs(pairwise_sq_dists(got) - want).max() < 1e-9
 
@@ -201,25 +201,12 @@ def test_extend_isometry_over_anchors_with_disjoint_columns():
     rng = np.random.default_rng(23)
     src = rng.uniform(-1.0, 1.0, size=(5, 3))
     half = math.dist(src[0], src[1]) / math.sqrt(2.0)
-    ws = Workspace(6)
     # each anchor image sits on its own axis, so their rows share no column
-    idx = [ws.add_row([1], [half]), ws.add_row([4], [-half])]
-    new_idx = extend_isometry(ws, src[:2], src[2:], idx)
-    assert ws.dim == 8
-    got = ws.matrix()[idx + new_idx]
+    got = place_extras(6, [([1], [half]), ([4], [-half])], src[:2], src[2:])
+    assert got.shape[1] == 8
     assert np.abs(pairwise_sq_dists(got) - pairwise_sq_dists(src)).max() < 1e-9
     # the images live on the anchors' columns plus the two fresh axes
     assert set(np.flatnonzero(got.any(axis=0))) == {1, 4, 6, 7}
-
-
-def test_extend_isometry_checks_its_anchor_images():
-    rng = np.random.default_rng(29)
-    src = rng.uniform(-1.0, 1.0, size=(5, 3))
-    ws = Workspace(3)
-    idx = [ws.add_point(2.0 * p) for p in src[:3]]
-    with pytest.raises(GeometryError, match=r"anchor image \(0, 1, 2\) is off"):
-        extend_isometry(ws, src[:3], src[3:], idx)
-    assert ws.matrix().shape == (3, 3)  # nothing was placed
 
 
 def test_finish_checks_the_anchor_images_of_each_frame():
@@ -253,7 +240,7 @@ def test_translated_link():
     assert len(out.tetra_copies) == 178
     assert len(out.cfg) == 268
     assert out.tetra_copies[0] == (0, 1, 2, 3)
-    out.verify(REGULAR)
+    check_copies(out.cfg.points, out.tetra_copies, REGULAR.sq_dist, "tetra copy")
 
 
 def test_link_deduplicates_shared_seam_points():
@@ -264,7 +251,7 @@ def test_link_deduplicates_shared_seam_points():
     out = build_link(prof, t1, t2)
     # the shared base face is stored once, so the far endpoint reuses it
     assert out.tetra_copies[-1] == (4, 1, 2, 3)
-    out.verify(REGULAR)
+    check_copies(out.cfg.points, out.tetra_copies, REGULAR.sq_dist, "tetra copy")
 
 
 def test_corner_angle_gate():
@@ -276,6 +263,17 @@ def test_corner_angle_gate():
         assert err.value.name == "corner_angle"
         with pytest.raises(ConstraintViolation):
             build_x1(prof, pts, corner_angle=bad)
+    # a fan at a tiny corner angle would place thousands of rows before
+    # its first hinge fails; one glue per role refuses it up front
+    for tiny in (1e-5, 1e-9):
+        for build in (
+            lambda: build_link(prof, pts, pts + np.array([30.0, 0.0, 0.0]), corner_angle=tiny),
+            lambda: build_x1(prof, pts, corner_angle=tiny),
+            lambda: build_anchor_gadget(prof, corner_angle=tiny),
+        ):
+            with pytest.raises(ConstraintViolation) as err:
+                build()
+            assert err.value.name == "apex_coincidence"
 
 
 def test_x1_census():
@@ -286,7 +284,7 @@ def test_x1_census():
     assert len(out.tetra_copies) == 383
     assert len(out.cfg) == 416
     assert out.tetra_copies[0] == (0, 1, 2, 3)
-    out.verify(REGULAR)
+    check_copies(out.cfg.points, out.tetra_copies, REGULAR.sq_dist, "tetra copy")
 
 
 def test_x1_named_copies_are_all_copies():
@@ -301,7 +299,7 @@ def test_x1_wide_corner_angle_shrinks_build():
     out = build_x1(prof, embed_from_distances(REGULAR), corner_angle=2.0 * prof.theta)
     assert len(out.tetra_copies) == 117
     assert len(out.cfg) == 97
-    out.verify(REGULAR)
+    check_copies(out.cfg.points, out.tetra_copies, REGULAR.sq_dist, "tetra copy")
 
 
 def test_x1_accepts_relabeled_seed():
@@ -309,12 +307,12 @@ def test_x1_accepts_relabeled_seed():
     out = build_x1(tetra_profile(SKEW), seed)
     first = out.cfg.points[list(out.tetra_copies[0])]
     assert np.abs(pairwise_sq_dists(first) - SKEW.sq_dist).max() < 1e-9
-    out.verify(SKEW)
+    check_copies(out.cfg.points, out.tetra_copies, SKEW.sq_dist, "tetra copy")
     # stored copies must be in row order; a relabeled one is rejected
     copies = list(out.tetra_copies)
     copies[5] = tuple(copies[5][i] for i in (2, 0, 3, 1))
     with pytest.raises(GeometryError, match=re.escape(f"tetra copy {copies[5]}")):
-        LinkedConfig(out.cfg, copies).verify(SKEW)
+        check_copies(out.cfg.points, copies, SKEW.sq_dist, "tetra copy")
 
 
 def test_x1_rejects_incongruent_seed():
@@ -331,7 +329,7 @@ def test_anchor_gadget_regular():
     assert len(notes["path"]) == 3
     assert notes["attachment_copies"] == 16
     assert len(out.tetra_copies) == 1 + 16 + sum(notes["gluing_copy_counts"])
-    out.verify(REGULAR)
+    check_copies(out.cfg.points, out.tetra_copies, REGULAR.sq_dist, "tetra copy")
 
 
 @pytest.mark.parametrize("k, placements", [(1, 688), (2, 1032)])

@@ -6,11 +6,10 @@ stored configuration, ``solve`` runs the coloring search on a problem
 file, ``scan`` runs one of the exhaustive logic scans, and ``report``
 prints a human-readable summary of any artifact.
 
-Every artifact is JSON and written atomically; ``construct`` and
-``copies`` also reload what they wrote and compare it before reporting
-success (``construct`` compares ``points`` bit for bit and the rest as
-JSON text, without validating the configuration a second time), while
-``solve`` and ``scan`` results are not read back.  Exit
+Every artifact is JSON and written atomically, then read back and
+compared with what was written before the verb reports success: an
+array of ``points`` bit for bit, the rest as JSON text, without
+validating a configuration a second time.  Exit
 codes: 0 for success (FORCED for solve, zero violations for scan), 1
 for a found counterexample or scan violations, 2 for any error or
 indeterminate outcome.
@@ -175,24 +174,31 @@ CONSTRUCTORS = {
 }
 
 
-def _write_config(cfg: Configuration, path: str) -> None:
-    """Save ``cfg`` and compare the file with it: ``points`` bit for bit,
-    the rest as JSON text, so NaN and -0.0 in the notes compare exactly."""
-    payload = cfg.save(path)
-    back = read_json(path)
-    points, want = back.pop("points", None), payload.pop("points")
-    if not (
-        isinstance(points, np.ndarray)
-        and points.dtype == want.dtype
-        and np.array_equal(points.view(np.uint64), want.view(np.uint64))
-        and json.dumps(back) == json.dumps(payload)
-    ):
+def _check_written(path: str, payload: dict) -> None:
+    """Compare the file at ``path`` with the ``payload`` written there:
+    an ndarray ``points`` bit for bit, the rest as JSON text, so NaN and
+    -0.0 compare exactly.  Without an array the writer's text is
+    ``json.dumps(payload)``, so the file's bytes are compared with it."""
+    want = payload.get("points")
+    if not isinstance(want, np.ndarray):
+        with open(path, "rb") as fh:
+            same = fh.read() == f"{json.dumps(payload)}\n".encode()
+    else:
+        back = read_json(path)
+        got = back.get("points")
+        same = (
+            isinstance(got, np.ndarray)
+            and got.dtype == want.dtype
+            and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            and json.dumps({**back, "points": None}) == json.dumps({**payload, "points": None})
+        )
+    if not same:
         raise GeometryError("written configuration does not round-trip")
 
 
 def _cmd_construct(args) -> int:
     cfg = CONSTRUCTORS[args.name](args)
-    _write_config(cfg, args.output)
+    _check_written(args.output, cfg.save(args.output))
     n_copies = sum(len(v) for v in cfg.named_copies.values())
     print(f"wrote {args.output}: {len(cfg)} points, dim {cfg.dim}, {n_copies} named copies")
     return EXIT_OK
@@ -210,9 +216,7 @@ def _cmd_copies(args) -> int:
         "copies": [list(t) for t in found],
     }
     write_json_atomic(args.output, payload)
-    back = read_json(args.output)
-    if back["copies"] != payload["copies"]:
-        raise GeometryError("written copies do not round-trip")
+    _check_written(args.output, payload)
     print(f"wrote {args.output}: {len(found)} copies")
     return EXIT_OK
 
@@ -226,6 +230,7 @@ def _cmd_solve(args) -> int:
     payload["r"] = problem.r
     payload["points"] = len(problem.cfg.points)
     write_json_atomic(args.output, payload)
+    _check_written(args.output, payload)
     print(f"{result.verdict} in {result.stats.nodes} nodes -> {args.output}")
     return EXIT_OK if result.verdict == "FORCED" else EXIT_FOUND
 
@@ -239,6 +244,7 @@ def _cmd_scan(args) -> int:
         violations = body["unclassifiable"]
     payload = {"kind": args.kind, "r": args.r, **body}
     write_json_atomic(args.output, payload)
+    _check_written(args.output, payload)
     print(f"wrote {args.output}: {violations} violations")
     return EXIT_OK if violations == 0 else EXIT_FOUND
 

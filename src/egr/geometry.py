@@ -184,18 +184,21 @@ def check_copies(points, tuples, sq_dist, what: str = "copy") -> float:
         width = pts.shape[1]
     step = max(1, _GATHER_ENTRIES // (k * max(1, width)))
     worst = 0.0
-    for start in range(0, len(idx), step):
-        chunk = idx[start : start + step]
-        sub = _csr_block(points, chunk) if sparse else pts[chunk]
-        sub = sub - sub[:, :1]
-        gram = sub @ sub.transpose(0, 2, 1)
-        norms = np.einsum("tii->ti", gram)
-        err = np.abs(norms[:, :, None] + norms[:, None, :] - 2.0 * gram - want).max(axis=(1, 2))
-        worst = max(worst, float(err.max()))
-        if worst > slack:
-            bad = int(np.flatnonzero(err > slack)[0])
-            tup = tuple(int(i) for i in chunk[bad])
-            raise GeometryError(f"{what} {tup} is off the wanted squared distances by {err[bad]:.3g}")
+    # Non-finite coordinates give NaN errors, which fail like large ones.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(idx), step):
+            chunk = idx[start : start + step]
+            sub = _csr_block(points, chunk) if sparse else pts[chunk]
+            sub = sub - sub[:, :1]
+            gram = sub @ sub.transpose(0, 2, 1)
+            norms = np.einsum("tii->ti", gram)
+            err = np.abs(norms[:, :, None] + norms[:, None, :] - 2.0 * gram - want).max(axis=(1, 2))
+            fails = ~(err <= slack)
+            if fails.any():
+                bad = int(np.flatnonzero(fails)[0])
+                tup = tuple(int(i) for i in chunk[bad])
+                raise GeometryError(f"{what} {tup} is off the wanted squared distances by {err[bad]:.3g}")
+            worst = max(worst, float(err.max()))
     return worst / scale if scale > 0.0 else worst
 
 

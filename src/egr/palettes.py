@@ -178,10 +178,7 @@ def classify_quadruple(c1, c2, c3, c4) -> QuadClass:
 def _classify_or_none(sets):
     if any(len(s) < 2 for s in sets):
         return None
-    try:
-        return classify_quadruple(*sets)
-    except GeometryError:
-        return None
+    return classify_quadruple(*sets)
 
 
 # Arrangements of a sorted 4-multiset, indexed by which neighbours are

@@ -164,14 +164,8 @@ class ProductConfig:
 
 def product_config(left: Configuration, right: Configuration) -> ProductConfig:
     """Cartesian product with concatenated coordinates."""
-    n_l, d_l = left.points.shape
-    n_r, d_r = right.points.shape
-    pts = np.zeros((n_l * n_r, d_l + d_r))
-    for i in range(n_l):
-        for j in range(n_r):
-            k = i * n_r + j
-            pts[k, :d_l] = left.points[i]
-            pts[k, d_l:] = right.points[j]
+    n_l, n_r = len(left.points), len(right.points)
+    pts = np.hstack([np.repeat(left.points, n_r, axis=0), np.tile(right.points, (n_l, 1))])
 
     def lab(cfg, side, idx):
         return cfg.labels[idx] if cfg.labels else f"{side}{idx}"

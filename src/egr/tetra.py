@@ -396,117 +396,12 @@ def isometry_frame(src_anchors, src_extras) -> IsometryFrame:
     return IsometryFrame(anchor_sq=anchor_sq, coeffs=np.array(coeffs), residuals=out)
 
 
-def _equilateral_leg(
-    ws: Workspace, i_start: int, i_end: int, step: float, min_edges: int, arcs: dict
-) -> list:
-    """Vertex indices of an equal-step path from i_start to i_end.
-
-    Zero-length and single-step legs stay direct; anything else lands
-    on a circular arc placed in the plane of the endpoints and one
-    fresh axis.  ``arcs`` maps an exact (edges, gap, step) triple to
-    the arc path_config verified for it.
-    """
-    if i_start == i_end:
-        return [i_start]
-    cols, (p, q) = ws.block([i_start, i_end])
-    gap = math.dist(p, q)
-    slack = math.sqrt(sq_slack(step * step))
-    if abs(gap - step) <= slack and min_edges <= 1:
-        return [i_start, i_end]
-    t = max(2, min_edges, math.ceil(gap / step))
-    while gap >= t * step:
-        t += 1
-    key = (t, gap, step)
-    if key not in arcs:
-        arcs[key] = path_config(t, gap, step).points
-    cols = np.append(cols, ws.add_axis())
-    e1 = (q - p) / gap
-    out = [i_start]
-    for x, y in arcs[key][1:-1]:
-        out.append(ws.add_row(cols, np.append(p + x * e1, y)))
-    out.append(i_end)
-    return out
-
-
-def _corner_fan(
-    ws: Workspace,
-    i_prev: int,
-    i_center: int,
-    i_next: int,
-    step: float,
-    corner_angle: float,
-    registry: dict,
-) -> list:
-    """Fan of points at radius ``step`` around a path corner.
-
-    Interpolates from the incoming to the outgoing neighbor in angle
-    substeps of at most ``corner_angle``; returns the full sequence
-    including both neighbors.  A backtracking corner (shared neighbor
-    index) needs no fan at all.
-
-    Revisiting the same corner with the same neighbors reproduces the
-    same interior points, so those are deduplicated through an exact
-    symbolic registry instead of being placed twice: it maps (lower
-    neighbor, higher neighbor, center, substeps) to the interior
-    points in order from the lower neighbor.
-    """
-    if i_prev == i_next:
-        return [i_prev]
-    cols, (p0, c, p1) = ws.block([i_prev, i_center, i_next])
-    v0 = p0 - c
-    v1 = p1 - c
-    n0 = float(np.linalg.norm(v0))
-    n1 = float(np.linalg.norm(v1))
-    slack = math.sqrt(sq_slack(step * step))
-    if abs(n0 - step) > slack or abs(n1 - step) > slack:
-        raise GeometryError("corner neighbors are not at the path step distance")
-    psi = _angle(v0, v1)
-    substeps = max(1, math.ceil(psi / corner_angle - 1e-12))
-    if substeps == 1:
-        return [i_prev, i_next]
-    lo, hi = sorted((i_prev, i_next))
-    key = (lo, hi, i_center, substeps)
-    if key in registry:
-        mids = registry[key]
-        return [i_prev] + (mids if i_prev == lo else mids[::-1]) + [i_next]
-    e1 = v0 / n0
-    w = v1 - float(np.dot(v1, e1)) * e1
-    wn = float(np.linalg.norm(w))
-    if wn > slack:
-        e2 = w / wn
-    else:
-        # Straight-through corner: rotate inside a fresh plane.
-        cols = np.append(cols, ws.add_axis())
-        c = np.append(c, 0.0)
-        e1 = np.append(e1, 0.0)
-        e2 = np.zeros(len(cols))
-        e2[-1] = 1.0
-    mids = []
-    for j in range(1, substeps):
-        ang = psi * j / substeps
-        mids.append(ws.add_row(cols, c + step * (math.cos(ang) * e1 + math.sin(ang) * e2)))
-    registry[key] = mids if i_prev == lo else mids[::-1]
-    return [i_prev] + mids + [i_next]
-
-
 @dataclass
 class LinkedConfig:
     """A configuration together with its ordered tetra copies."""
 
     cfg: Configuration
     tetra_copies: list
-
-
-def _role_angle(role_prof: TetraProfile, corner_angle) -> float:
-    """Fan substep angle for one vertex role assignment.
-
-    None means the mid-range default theta.  Explicit values are
-    clamped into the role's hinge range, backing off a hair from the
-    top so measured fan angles never overshoot it.
-    """
-    if corner_angle is None:
-        return role_prof.theta
-    return min(float(corner_angle), 2.0 * role_prof.theta * (1.0 - 1e-9))
 
 
 class _Builder:
@@ -517,16 +412,20 @@ class _Builder:
     back before storage.  Copies are checked once, by ``finish``:
     workspace rows never change once added.
 
+    Each vertex role (identity, or edges (0,1) and (2,3) swapped) is
+    resolved once: ``role_profiles``, ``steps`` (its apex edge length)
+    and ``fan_angles`` (its largest fan substep: theta by default, else
+    ``corner_angle`` clamped a hair below the role's 2*theta).  An
+    explicit ``corner_angle`` must lie in the hinge range, and each role
+    glues one hinge at its fan angle, so an angle too small for distinct
+    apexes is refused before the first row is placed.
+
     One build solves each distinct hinge and arc once: ``hinges`` maps
     an exact (roles, angle) pair to the verified hinge pair's isometry
-    frame, and ``arcs`` an exact (edges, gap, step) triple to the
-    verified arc.  ``place`` records each placement's anchor indices
-    under its frame, and ``finish`` checks them once per frame.
-
-    An explicit ``corner_angle`` must lie in the hinge range, and each
-    role must glue a hinge at its clamped corner angle: fans glue hinges
-    down to about that angle, so one too small for distinct apexes is
-    refused before the first row is placed.
+    frame, ``arcs`` an exact (edges, gap, step) triple to the verified
+    arc, and ``fan_registry`` a path corner to its fan's interior rows.
+    ``place`` records each placement's anchor indices under its frame,
+    and ``finish`` checks them once per frame.
     """
 
     def __init__(self, profile: TetraProfile, dim: int, corner_angle: float | None = None):
@@ -543,10 +442,14 @@ class _Builder:
             IDENTITY_ROLES: profile,
             SWAPPED_ROLES: tetra_profile(SimplexSpec(self.spec.sq_dist[np.ix_(swapped, swapped)])),
         }
+        roles = self.role_profiles.items()
+        self.steps = {perm: math.sqrt(prof.spec.sq_dist[0][1]) for perm, prof in roles}
+        self.fan_angles = {perm: prof.theta for perm, prof in roles}
         if corner_angle is not None:
             _check_hinge_range(profile, corner_angle, "corner_angle", "corner angle")
-            for role_prof in self.role_profiles.values():
-                glue_two_copies(role_prof, _role_angle(role_prof, corner_angle))
+            for perm, prof in roles:
+                self.fan_angles[perm] = min(float(corner_angle), 2.0 * prof.theta * (1.0 - 1e-9))
+                glue_two_copies(prof, self.fan_angles[perm])
 
     def place(self, frame: IsometryFrame, idx, block=None) -> list:
         """Add the images of the frame's extras over the anchor images
@@ -568,6 +471,87 @@ class _Builder:
             for c, res in zip(frame.coeffs, frame.residuals)
         ]
 
+    def leg(self, i_start: int, i_end: int, step: float, min_edges: int) -> list:
+        """Vertex indices of an equal-step path from i_start to i_end.
+
+        Zero-length and single-step legs stay direct; anything else lands
+        on a circular arc placed in the plane of the endpoints and one
+        fresh axis.
+        """
+        if i_start == i_end:
+            return [i_start]
+        cols, (p, q) = self.ws.block([i_start, i_end])
+        gap = math.dist(p, q)
+        slack = math.sqrt(sq_slack(step * step))
+        if abs(gap - step) <= slack and min_edges <= 1:
+            return [i_start, i_end]
+        t = max(2, min_edges, math.ceil(gap / step))
+        while gap >= t * step:
+            t += 1
+        key = (t, gap, step)
+        if key not in self.arcs:
+            self.arcs[key] = path_config(t, gap, step).points
+        cols = np.append(cols, self.ws.add_axis())
+        e1 = (q - p) / gap
+        out = [i_start]
+        for x, y in self.arcs[key][1:-1]:
+            out.append(self.ws.add_row(cols, np.append(p + x * e1, y)))
+        out.append(i_end)
+        return out
+
+    def fan(self, i_prev: int, i_center: int, i_next: int, perm) -> list:
+        """Fan of points at the role's step around a path corner.
+
+        Interpolates from the incoming to the outgoing neighbor in angle
+        substeps of at most the role's fan angle; returns the full
+        sequence including both neighbors.  A backtracking corner
+        (shared neighbor index) needs no fan at all.
+
+        Revisiting the same corner with the same neighbors reproduces the
+        same interior points, so those are deduplicated through an exact
+        symbolic registry instead of being placed twice: it maps (lower
+        neighbor, higher neighbor, center, substeps) to the interior
+        points in order from the lower neighbor.
+        """
+        if i_prev == i_next:
+            return [i_prev]
+        step = self.steps[perm]
+        cols, (p0, c, p1) = self.ws.block([i_prev, i_center, i_next])
+        v0 = p0 - c
+        v1 = p1 - c
+        n0 = float(np.linalg.norm(v0))
+        n1 = float(np.linalg.norm(v1))
+        slack = math.sqrt(sq_slack(step * step))
+        if abs(n0 - step) > slack or abs(n1 - step) > slack:
+            raise GeometryError("corner neighbors are not at the path step distance")
+        psi = _angle(v0, v1)
+        substeps = max(1, math.ceil(psi / self.fan_angles[perm] - 1e-12))
+        if substeps == 1:
+            return [i_prev, i_next]
+        lo, hi = sorted((i_prev, i_next))
+        key = (lo, hi, i_center, substeps)
+        if key in self.fan_registry:
+            mids = self.fan_registry[key]
+            return [i_prev] + (mids if i_prev == lo else mids[::-1]) + [i_next]
+        e1 = v0 / n0
+        w = v1 - float(np.dot(v1, e1)) * e1
+        wn = float(np.linalg.norm(w))
+        if wn > slack:
+            e2 = w / wn
+        else:
+            # Straight-through corner: rotate inside a fresh plane.
+            cols = np.append(cols, self.ws.add_axis())
+            c = np.append(c, 0.0)
+            e1 = np.append(e1, 0.0)
+            e2 = np.zeros(len(cols))
+            e2[-1] = 1.0
+        mids = []
+        for j in range(1, substeps):
+            ang = psi * j / substeps
+            mids.append(self.ws.add_row(cols, c + step * (math.cos(ang) * e1 + math.sin(ang) * e2)))
+        self.fan_registry[key] = mids if i_prev == lo else mids[::-1]
+        return [i_prev] + mids + [i_next]
+
     def _place_hinge(self, perm, i_apex1: int, i_center: int, i_apex2: int):
         """Complete two fan neighbors around a corner into a hinge pair."""
         idx = (i_apex1, i_center, i_apex2)
@@ -582,21 +566,17 @@ class _Builder:
         self.placements += 1
         return self.place(self.hinges[key], idx, (cols, dst))
 
-    def fan_corner(self, i_prev, i_center, i_next, perm, corner_angle) -> None:
-        """Insert the fan at one path corner together with its hinge
-        copies, stored in original row order."""
-        step = math.sqrt(self.role_profiles[perm].spec.sq_dist[0][1])
-        fan = _corner_fan(self.ws, i_prev, i_center, i_next, step, corner_angle, self.fan_registry)
-        for a1, a2 in zip(fan, fan[1:]):
-            z1, z2 = self._place_hinge(perm, a1, i_center, a2)
-            for apex in (a1, a2):
-                self.copies.append(_in_row_order((apex, i_center, z1, z2), perm))
+    def walk_path(self, path, perm) -> None:
+        """Insert the fan at every interior corner of ``path`` together
+        with its hinge copies, stored in original row order."""
+        for i_prev, i_center, i_next in zip(path, path[1:], path[2:]):
+            fan = self.fan(i_prev, i_center, i_next, perm)
+            for a1, a2 in zip(fan, fan[1:]):
+                z1, z2 = self._place_hinge(perm, a1, i_center, a2)
+                for apex in (a1, a2):
+                    self.copies.append(_in_row_order((apex, i_center, z1, z2), perm))
 
-    def walk_path(self, path, perm, corner_angle) -> None:
-        for i in range(1, len(path) - 1):
-            self.fan_corner(path[i - 1], path[i], path[i + 1], perm, corner_angle)
-
-    def link(self, t1, t2, corner_angle) -> None:
+    def link(self, t1, t2) -> None:
         """Chain copy t1 to copy t2 through hinge corners.
 
         One path runs t1[1] -> t1[0] -> ... -> t2[0] -> t2[1] at the
@@ -610,47 +590,39 @@ class _Builder:
         if tuple(t1) == tuple(t2):
             self.copies.append(t2)
             return
-        ang_ab = _role_angle(self.role_profiles[IDENTITY_ROLES], corner_angle)
-        ang_cd = _role_angle(self.role_profiles[SWAPPED_ROLES], corner_angle)
-
-        step_ab = math.sqrt(self.spec.sq_dist[0][1])
-        leg = _equilateral_leg(self.ws, t1[0], t2[0], step_ab, 1, self.arcs)
-        self.walk_path([t1[1]] + leg + [t2[1]], IDENTITY_ROLES, ang_ab)
+        leg = self.leg(t1[0], t2[0], self.steps[IDENTITY_ROLES], 1)
+        self.walk_path([t1[1]] + leg + [t2[1]], IDENTITY_ROLES)
         self.copies.append(t2)
 
-        step_cd = math.sqrt(self.spec.sq_dist[2][3])
-        leg = _equilateral_leg(self.ws, t1[3], t2[3], step_cd, 1, self.arcs)
+        leg = self.leg(t1[3], t2[3], self.steps[SWAPPED_ROLES], 1)
         start = len(self.copies)
-        self.walk_path([t1[2]] + leg + [t2[2]], SWAPPED_ROLES, ang_cd)
+        self.walk_path([t1[2]] + leg + [t2[2]], SWAPPED_ROLES)
         self.copies[start:] = reversed(self.copies[start:])
 
-    def closed_polygon(self, seed, perm, corner_angle) -> int:
+    def closed_polygon(self, seed, perm) -> int:
         """Equilateral polygon through the seed's vertices in role
         order with a hinge fan at every polygon corner.  Every leg takes
         the fewest edges, so the seed edge (perm[0], perm[1]) stays
         direct.  Returns the number of copies added."""
-        ang = _role_angle(self.role_profiles[perm], corner_angle)
-        step = math.sqrt(self.spec.sq_dist[perm[0]][perm[1]])
         order = [seed[p] for p in perm]
         poly = [order[0]]
         for nxt in order[1:] + [order[0]]:
-            poly.extend(_equilateral_leg(self.ws, poly[-1], nxt, step, 1, self.arcs)[1:])
-        poly = poly[:-1]
+            poly.extend(self.leg(poly[-1], nxt, self.steps[perm], 1)[1:])
         before = len(self.copies)
-        for i in range(len(poly)):
-            self.fan_corner(poly[i - 1], poly[i], poly[(i + 1) % len(poly)], perm, ang)
+        # The closed walk enters its first corner from the last vertex.
+        self.walk_path([poly[-2]] + poly, perm)
         return len(self.copies) - before
 
-    def glued_polygons(self, seed, corner_angle):
+    def glued_polygons(self, seed):
         """Both closed polygons of the glued construction plus the
         links chaining consecutive polygon copies.  Returns the copy
         counts (pass one, pass two, links)."""
-        phi1 = self.closed_polygon(seed, IDENTITY_ROLES, corner_angle)
-        phi2 = self.closed_polygon(seed, SWAPPED_ROLES, corner_angle)
+        phi1 = self.closed_polygon(seed, IDENTITY_ROLES)
+        phi2 = self.closed_polygon(seed, SWAPPED_ROLES)
         polygon_copies = self.copies[len(self.copies) - phi1 - phi2 :]
         before = len(self.copies)
         for t1, t2 in zip(polygon_copies, polygon_copies[1:]):
-            self.link(t1, t2, corner_angle)
+            self.link(t1, t2)
         return phi1, phi2, len(self.copies) - before
 
     def finish(self, extra_notes: dict) -> LinkedConfig:
@@ -709,7 +681,7 @@ def build_link(
         for j in range(4)
     )
 
-    b.link(t1, t2, corner_angle)
+    b.link(t1, t2)
     return b.finish(extra_notes={"kind": "link"})
 
 
@@ -737,7 +709,7 @@ def build_x1(
     b = _Builder(profile, seed_points.shape[1], corner_angle)
     seed = tuple(b.ws.add_point(p) for p in seed_points)
     b.copies.append(seed)
-    phi1, phi2, link_copies = b.glued_polygons(seed, corner_angle)
+    phi1, phi2, link_copies = b.glued_polygons(seed)
     return b.finish(
         extra_notes={
             "kind": "x1",
@@ -783,11 +755,11 @@ def build_anchor_gadget(
     x = p2 + p3 - p1
     d_step = float(np.linalg.norm(p1 - x))
 
-    b = _Builder(profile, 3, corner_angle)
+    b = _Builder(profile, 3, 2.0 * profile.theta if corner_angle is None else corner_angle)
     idx4 = tuple(b.ws.add_point(p) for p in pts4)
     b.copies.append(idx4)
 
-    bpath = _equilateral_leg(b.ws, idx4[a1], idx4[a2], d_step, k + 1, b.arcs)
+    bpath = b.leg(idx4[a1], idx4[a2], d_step, k + 1)
     if len(bpath) != k + 2:
         raise GeometryError(f"edge gap admits no {k + 1}-edge path at the diagonal step")
 
@@ -815,11 +787,10 @@ def build_anchor_gadget(
         attachments += attach_dense(_in_row_order((bpath[i + 1], c2, c1), rows))
 
     # Glue the double polygon construction onto every attached copy.
-    cap = 2.0 * profile.theta if corner_angle is None else corner_angle
     gluing_counts = []
     for tup in attachments:
         before = len(b.copies)
-        b.glued_polygons(tup, cap)
+        b.glued_polygons(tup)
         gluing_counts.append(len(b.copies) - before)
 
     return b.finish(

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from egr import geometry, tetra
+from egr import cli, geometry, tetra
 from egr.cli import main
 from egr.geometry import (
     Configuration,
@@ -180,6 +180,14 @@ def test_construct_round_trip_compares_notes_and_copies(tmp_path, monkeypatch, c
     assert "does not round-trip" in capsys.readouterr().err
 
 
+def test_construct_link_refuses_non_finite_offset(tmp_path, capsys):
+    out = tmp_path / "link.json"
+    for offset in ("nan", "inf"):
+        assert main(["construct", "link", "--offset", offset, "-o", str(out)]) == 2
+        assert not out.exists()
+        assert "seed_congruence" in capsys.readouterr().err
+
+
 def test_construct_runs_each_check_once(tmp_path, monkeypatch):
     # the coincidence check runs on the built configuration only, and the
     # anchor images of all placements from one frame are checked together
@@ -312,6 +320,41 @@ def test_scan_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     assert main(["scan", "five-point", "--r", "9", "-o", str(bad)]) == 2
     assert not bad.exists()
+
+
+def _copies_argv(tmp_path):
+    cfg_path = tmp_path / "square.json"
+    square_problem().cfg.save(str(cfg_path))
+    spec_path = tmp_path / "pair.json"
+    SimplexSpec.pair(1.0).save(str(spec_path))
+    return ["copies", str(cfg_path), "--spec", str(spec_path)]
+
+
+def _solve_argv(tmp_path):
+    problem = tmp_path / "p.json"
+    write_json_atomic(str(problem), square_problem().to_json_dict())
+    return ["solve", str(problem)]
+
+
+# Verb -> (argv builder, a top-level key of its artifact holding an int)
+WRITING_VERBS = {
+    "copies": (_copies_argv, "count"),
+    "solve": (_solve_argv, "r"),
+    "scan": (lambda tmp_path: ["scan", "five-point", "--r", "3"], "violations"),
+}
+
+
+@pytest.mark.parametrize("verb", WRITING_VERBS)
+def test_writing_verbs_compare_what_they_wrote(verb, tmp_path, monkeypatch, capsys):
+    make_argv, key = WRITING_VERBS[verb]
+    argv = [*make_argv(tmp_path), "-o", str(tmp_path / "out.json")]
+    assert main(argv) in (0, 1)
+    write = cli.write_json_atomic
+    monkeypatch.setattr(
+        cli, "write_json_atomic", lambda path, payload: write(path, {**payload, key: payload[key] + 1})
+    )
+    assert main(argv) == 2
+    assert "does not round-trip" in capsys.readouterr().err
 
 
 def test_report_each_artifact_shape(tmp_path, capsys):

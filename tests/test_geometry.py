@@ -243,6 +243,19 @@ def test_check_copies_reads_csr_rows_as_it_reads_dense_rows():
         check_copies(zero, [(0, 1)], [[0.0, 1.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_copies_refuses_non_finite_points(bad):
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+    want = SimplexSpec.pair(1.0).sq_dist
+    for points in (pts, _csr(pts)):
+        assert check_copies(points, [(0, 1), (1, 0)], want) == 0.0
+        with pytest.raises(GeometryError, match=r"copy \(1, 2\) is off"):
+            check_copies(points, [(0, 1), (1, 2)], want)
+        # the non-finite point as the tuple's own origin
+        with pytest.raises(GeometryError, match=r"copy \(2, 1\) is off"):
+            check_copies(points, [(0, 1), (2, 1)], want)
+
+
 @pytest.mark.parametrize(
     "points",
     [

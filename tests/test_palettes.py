@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from egr import palettes
 from egr.geometry import ConstraintViolation, GeometryError, SimplexSpec
 from egr.palettes import (
     MONO,
@@ -186,6 +188,19 @@ def test_propagate_rejects_bad_sharing():
     other = ({3, 4}, {1, 3}, {1, 2}, {1, 2})
     with pytest.raises(GeometryError):
         propagate_disjointness(quad, other, {1: 1})
+
+
+def test_propagate_raises_when_a_witness_fails_to_replay(monkeypatch):
+    search = palettes._search_witness
+
+    def reversed_witness(sets):
+        out = search(sets)
+        return dataclasses.replace(out, index_perm=out.index_perm[::-1])
+
+    monkeypatch.setattr(palettes, "_search_witness", reversed_witness)
+    quad = ({3, 4}, {1, 2}, {1, 2}, {1, 2})
+    with pytest.raises(GeometryError, match="witness fails to replay"):
+        propagate_disjointness(quad, quad, {1: 1, 2: 2, 3: 3})
 
 
 def test_propagate_skips_unclassifiable_quadruples():

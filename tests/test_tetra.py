@@ -315,6 +315,23 @@ def test_x1_accepts_relabeled_seed():
         check_copies(out.cfg.points, copies, SKEW.sq_dist, "tetra copy")
 
 
+@pytest.mark.parametrize(
+    "build, points, copies",
+    [
+        (lambda prof, pts: build_x1(prof, pts), 738, 671),
+        (lambda prof, pts: build_link(prof, pts, pts + np.array([30.0, 0.0, 0.0])), 727, 484),
+        (lambda prof, pts: build_anchor_gadget(prof), 3145, 3569),
+    ],
+    ids=["x1", "link", "anchor-gadget"],
+)
+def test_role_asymmetric_builds(build, points, copies):
+    # SKEW's two vertex roles differ in theta and in path step
+    prof = tetra_profile(SKEW)
+    out = build(prof, embed_from_distances(SKEW))
+    assert (len(out.cfg), len(out.tetra_copies)) == (points, copies)
+    check_copies(out.cfg.points, out.tetra_copies, SKEW.sq_dist, "tetra copy")
+
+
 def test_x1_rejects_incongruent_seed():
     prof = tetra_profile(REGULAR)
     with pytest.raises(ConstraintViolation) as err:

@@ -175,6 +175,29 @@ def classify_quadruple(c1, c2, c3, c4) -> QuadClass:
     return out
 
 
+def _fits_no_kind(quad) -> bool:
+    """True when brute force places the quadruple in none of the four
+    kinds: no common color, no SDR, and no index order with an injective
+    color renaming that gives the TYPE_A or TYPE_B normal form.
+
+    Colors renamed past 4 are alike to both normal forms, so renamings
+    into 1..max(4, colors) cover every injection; fine for r <= 5.
+    """
+    sets = tuple(frozenset(p) for p in quad)
+    if frozenset.intersection(*sets):
+        return False
+    if any(len(set(pick)) == 4 for pick in itertools.product(*sets)):
+        return False
+    colors = sorted(frozenset().union(*sets))
+    for image in itertools.permutations(range(1, max(4, len(colors)) + 1), len(colors)):
+        rename = dict(zip(colors, image))
+        renamed = [frozenset(rename[c] for c in s) for s in sets]
+        for order in itertools.permutations(renamed):
+            if _is_type_a(order) or _is_type_b(order):
+                return False
+    return True
+
+
 def _classify_or_none(sets):
     if any(len(s) < 2 for s in sets):
         return None
@@ -227,8 +250,9 @@ def classification_scan(r: int) -> dict:
     RAINBOW (every subfamily's union has at least as many colors as
     members, Hall's condition) are decided for all multisets at once;
     only the residual ones go through ``classify_quadruple``, whose
-    TYPE_A/TYPE_B witness is replayed.  ``unclassifiable`` must come
-    back 0.
+    TYPE_A/TYPE_B witness is replayed.  A quadruple whose witness fails
+    counts as ``unclassifiable`` only when ``_fits_no_kind`` confirms it;
+    otherwise the error propagates.  ``unclassifiable`` must come back 0.
     """
     if not 2 <= r <= SCAN_MAX_COLORS:
         raise ValueError(f"scan supports 2 <= r <= {SCAN_MAX_COLORS}, got {r}")
@@ -241,9 +265,13 @@ def classification_scan(r: int) -> dict:
         "unclassifiable": 0,
     }
     for row in np.flatnonzero(~(mono | rainbow)):
+        quad = tuple(pool[i] for i in idx[row])
         try:
-            kind = classify_quadruple(*(pool[i] for i in idx[row])).kind
+            kind = classify_quadruple(*quad).kind
         except GeometryError:
+            # A witness that fails to replay is a fault, unless no kind fits.
+            if not _fits_no_kind(quad):
+                raise
             kind = "unclassifiable"
         counts[kind] += int(weight[row])
     total = len(pool) ** 4

@@ -242,7 +242,7 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                 cand ^= bit
                 c = bit.bit_length() - 1
                 stats.nodes += 1
-                if stats.nodes % 2048 == 0 and time.monotonic() > deadline:
+                if time.monotonic() > deadline:
                     raise BudgetExceeded(
                         f"no verdict after {stats.nodes} nodes within {budget} s"
                     )

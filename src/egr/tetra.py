@@ -8,7 +8,9 @@ theta the slope of the apex edge against the base plane.  The builders
 below chain such hinges along equilateral polygonal paths: a link
 joins two placed copies, the closed-polygon variant glues links around
 a seed copy, and the anchor gadget stacks parallelogram extensions and
-dense quadruples along a short path between two chosen face vertices.
+dense quadruples along a short path between two chosen face vertices,
+then places one glued double polygon, built once, on every attached
+copy.
 
 Paths and hinge completions need room: every leg and every hinge pair
 may claim fresh orthogonal axes from a shared workspace, so the output
@@ -18,6 +20,7 @@ recorded in the configuration notes.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -41,6 +44,9 @@ from .rectangles import path_config
 
 IDENTITY_ROLES = (0, 1, 2, 3)
 SWAPPED_ROLES = (2, 3, 0, 1)
+# Hinge angles closer than this (rad) share one solved hinge; the grid
+# is 1000x finer than the 1e-9 angle check of HingePair.verify.
+HINGE_GRID = 1e-12
 # Largest points x dim a builder workspace may reach: 512 MB as dense
 # float64, so an oversized build ends in GeometryError, not an OOM kill.
 MAX_COORDINATES = 1 << 26
@@ -350,14 +356,16 @@ class IsometryFrame:
     puts over placed anchor images.
 
     Extra point i is ``anchor 0 + coeffs[i] @ (anchor j - anchor 0)``
-    plus ``residuals[i]`` along new orthonormal directions, one fresh
-    axis each; ``anchor_sq`` holds the anchors' squared distances, which
-    the anchor images of every placement must realize.
+    plus ``residuals[i]``, a pair (fresh-axis offsets, values) along
+    ``axes`` new orthonormal directions; ``anchor_sq`` holds the
+    anchors' squared distances, which the anchor images of every
+    placement must realize.
     """
 
     anchor_sq: np.ndarray
     coeffs: np.ndarray
-    residuals: np.ndarray
+    axes: int
+    residuals: tuple
 
 
 def isometry_frame(src_anchors, src_extras) -> IsometryFrame:
@@ -390,10 +398,13 @@ def isometry_frame(src_anchors, src_extras) -> IsometryFrame:
             basis.append(vec / norm)
             comps.append(norm)
         rows.append(comps)
-    out = np.zeros((len(rows), len(basis)))
-    for row, comps in zip(out, rows):
-        row[: len(comps)] = comps
-    return IsometryFrame(anchor_sq=anchor_sq, coeffs=np.array(coeffs), residuals=out)
+    axes = np.arange(len(basis))
+    return IsometryFrame(
+        anchor_sq=anchor_sq,
+        coeffs=np.array(coeffs),
+        axes=len(basis),
+        residuals=tuple((axes, np.pad(comps, (0, len(basis) - len(comps)))) for comps in rows),
+    )
 
 
 @dataclass
@@ -402,6 +413,24 @@ class LinkedConfig:
 
     cfg: Configuration
     tetra_copies: list
+
+
+@dataclass(frozen=True)
+class GluingTemplate:
+    """The glued double polygon, built once over the simplex's own seed.
+
+    ``frame`` places its rows over the four points of a copy in row
+    order, which are its anchors; ``copies`` index the seed (0-3) and
+    then those rows.  ``seed_fans`` lists the fans at corners of three
+    seed points as (fan registry key, their rows in key order): copies
+    that share those points share such a fan.  ``placements`` counts
+    its hinge placements.
+    """
+
+    frame: IsometryFrame
+    copies: list
+    seed_fans: list
+    placements: int
 
 
 class _Builder:
@@ -421,11 +450,18 @@ class _Builder:
     apexes is refused before the first row is placed.
 
     One build solves each distinct hinge and arc once: ``hinges`` maps
-    an exact (roles, angle) pair to the verified hinge pair's isometry
-    frame, ``arcs`` an exact (edges, gap, step) triple to the verified
-    arc, and ``fan_registry`` a path corner to its fan's interior rows.
-    ``place`` records each placement's anchor indices under its frame,
-    and ``finish`` checks them once per frame.
+    the roles and the angle on a ``HINGE_GRID`` grid to the verified
+    hinge pair's isometry frame, ``arcs`` an exact (edges, gap, step)
+    triple to the verified arc, and ``fan_registry`` a path corner to
+    its fan's interior rows.  ``place`` records each placement's anchor
+    indices under its frame, and ``finish`` checks them once per frame,
+    so a frame reused at an angle a grid step off is checked there.
+
+    ``glued_template`` builds the glued double polygon once, over the
+    simplex's own seed, and ``replay`` places it over any copy as one
+    isometric block.  Copies placed from it share exactly the fans at
+    corners of three of their points, which ``replay`` takes from
+    ``fan_registry`` as ``fan`` would.
     """
 
     def __init__(self, profile: TetraProfile, dim: int, corner_angle: float | None = None):
@@ -451,24 +487,30 @@ class _Builder:
                 self.fan_angles[perm] = min(float(corner_angle), 2.0 * prof.theta * (1.0 - 1e-9))
                 glue_two_copies(prof, self.fan_angles[perm])
 
-    def place(self, frame: IsometryFrame, idx, block=None) -> list:
+    def place(self, frame: IsometryFrame, idx, block=None, reuse=None) -> list:
         """Add the images of the frame's extras over the anchor images
-        ``idx`` and return their indices.
+        ``idx`` and return the index of each extra.
 
         ``block`` is the anchors' column block as ``Workspace.block``
         returns it, when the caller already holds it; the new rows span
-        that block plus the frame's fresh axes.  The check of the anchor
-        images against ``frame.anchor_sq`` waits for ``finish``.
+        that block plus their own fresh axes.  ``reuse`` maps extras to
+        placed points that stand in for them, which get no row.  The
+        check of the anchor images against ``frame.anchor_sq`` waits
+        for ``finish``.
         """
         self.anchors.setdefault(id(frame), (frame, []))[1].append(tuple(idx))
         cols, dst = block or self.ws.block(idx)
-        axes = [self.ws.add_axis() for _ in range(frame.residuals.shape[1])]
-        cols = np.concatenate([cols, axes]).astype(np.intp)
+        base = self.ws.dim
+        for _ in range(frame.axes):
+            self.ws.add_axis()
         origin = dst[0]
-        v = dst[1:] - origin
+        vals = origin + frame.coeffs @ (dst[1:] - origin)
+        reuse = reuse or {}
         return [
-            self.ws.add_row(cols, np.concatenate([origin + c @ v, res]))
-            for c, res in zip(frame.coeffs, frame.residuals)
+            reuse[j]
+            if j in reuse
+            else self.ws.add_row(np.concatenate([cols, base + axes]), np.concatenate([v, res]))
+            for j, (v, (axes, res)) in enumerate(zip(vals, frame.residuals))
         ]
 
     def leg(self, i_start: int, i_end: int, step: float, min_edges: int) -> list:
@@ -557,7 +599,7 @@ class _Builder:
         idx = (i_apex1, i_center, i_apex2)
         cols, dst = self.ws.block(idx)
         phi = _angle(dst[0] - dst[1], dst[2] - dst[1])
-        key = (perm, phi)
+        key = (perm, round(phi / HINGE_GRID))
         if key not in self.hinges:
             pair = glue_two_copies(self.role_profiles[perm], phi)
             self.hinges[key] = isometry_frame(
@@ -624,6 +666,57 @@ class _Builder:
         for t1, t2 in zip(polygon_copies, polygon_copies[1:]):
             self.link(t1, t2)
         return phi1, phi2, len(self.copies) - before
+
+    def glued_template(self, seed_points) -> GluingTemplate:
+        """Run ``glued_polygons`` once on ``seed_points`` (the simplex in
+        row order, spanning its own space) in a workspace of its own,
+        with this build's roles, hinges and arcs, and check its
+        placements once per frame.
+
+        Each template row becomes its affine coefficients over the seed
+        plus its own fresh-axis entries, so ``replay`` places it as one
+        isometric block.
+        """
+        sub = copy.copy(self)  # shares the solved hinges and arcs
+        sub.ws = Workspace(seed_points.shape[1])
+        sub.copies, sub.fan_registry, sub.anchors, sub.placements = [], {}, {}, 0
+        seed = tuple(sub.ws.add_point(p) for p in seed_points)
+        sub.glued_polygons(seed)
+        rows = sub.ws.csr()
+        for frame, tuples in sub.anchors.values():
+            check_copies(rows, tuples, frame.anchor_sq, "anchor image")
+        n, dim = len(seed), seed_points.shape[1]
+        u = seed_points[1:] - seed_points[0]
+        coeffs = np.linalg.solve(u.T, (rows.dense()[n:, :dim] - seed_points[0]).T).T
+        residuals = tuple(
+            (c[c >= dim] - dim, v[c >= dim]) for c, v in zip(sub.ws._cols[n:], sub.ws._vals[n:])
+        )
+        frame = IsometryFrame(pairwise_sq_dists(seed_points), coeffs, sub.ws.aux_axes, residuals)
+        seed_fans = [
+            (key, [i - n for i in mids])
+            for key, mids in sub.fan_registry.items()
+            if max(key[:3]) < n
+        ]
+        return GluingTemplate(frame, sub.copies, seed_fans, sub.placements)
+
+    def replay(self, tpl: GluingTemplate, seed) -> None:
+        """Place the template over the copy ``seed`` (row order) and add
+        its copies and hinge placements, as ``glued_polygons(seed)``
+        would.  A seed-corner fan that an earlier copy registered is
+        reused, as ``fan`` reuses it; the others are registered."""
+        reuse = {}
+        fans = []
+        for (lo, hi, center, substeps), mids in tpl.seed_fans:
+            i, j = seed[lo], seed[hi]
+            key = (min(i, j), max(i, j), seed[center], substeps)
+            mids = mids if i < j else mids[::-1]
+            reuse.update(zip(mids, self.fan_registry.get(key, ())))
+            fans.append((key, mids))
+        index = list(seed) + self.place(tpl.frame, seed, reuse=reuse)
+        for key, mids in fans:
+            self.fan_registry.setdefault(key, [index[len(seed) + m] for m in mids])
+        self.copies.extend(tuple(index[i] for i in t) for t in tpl.copies)
+        self.placements += tpl.placements
 
     def finish(self, extra_notes: dict) -> LinkedConfig:
         """The configuration, after every placement's anchor images and
@@ -732,8 +825,12 @@ def build_anchor_gadget(
     The two edge vertices are joined by a (k+1)-edge path whose step is
     the diagonal of the parallelogram spanned by the face.  Each path
     edge carries that parallelogram, whose two face-congruent triangles
-    receive dense-quadruple attachments; every attached copy then gets
-    the glued double polygon run on it.
+    receive dense-quadruple attachments.  The glued double polygon is
+    built once over the simplex's own seed (``glued_template``) and
+    replayed on every attached copy in attachment order: the rows, copy
+    tuples and fans shared at seed corners are those a walk of
+    ``glued_polygons`` on each copy would give, with coordinates equal
+    to rounding.
     """
     dq = dense_quadruple(profile)
     if k < 1:
@@ -787,11 +884,9 @@ def build_anchor_gadget(
         attachments += attach_dense(_in_row_order((bpath[i + 1], c2, c1), rows))
 
     # Glue the double polygon construction onto every attached copy.
-    gluing_counts = []
+    tpl = b.glued_template(embed_from_distances(profile.spec))
     for tup in attachments:
-        before = len(b.copies)
-        b.glued_polygons(tup)
-        gluing_counts.append(len(b.copies) - before)
+        b.replay(tpl, tup)
 
     return b.finish(
         extra_notes={
@@ -800,6 +895,6 @@ def build_anchor_gadget(
             "k": k,
             "path": [int(i) for i in bpath],
             "attachment_copies": len(attachments),
-            "gluing_copy_counts": gluing_counts,
+            "gluing_copy_counts": [len(tpl.copies)] * len(attachments),
         }
     )

@@ -74,3 +74,13 @@ def test_construct_artifacts_keep_dense_points(tmp_path):
     _, points, copies = workloads.BUILDS["x1"]
     check = workloads._construct_check(path, points, copies)
     assert check(workloads.Outcome(rc=0, stdout="", stderr="", error=None)) is None
+
+
+def test_construct_check_accepts_the_anchor_artifact(tmp_path):
+    # The anchor gadget places its glued polygons from one template; the
+    # bench's check reads every copy off the written points.
+    path = str(tmp_path / "anchor.json")
+    assert cli.main(["construct", "anchor-gadget", "-o", path]) == 0
+    _, points, copies = workloads.BUILDS["anchor"]
+    check = workloads._construct_check(path, points, copies)
+    assert check(workloads.Outcome(rc=0, stdout="", stderr="", error=None)) is None

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from egr import cli, geometry, tetra
+from egr import cli, geometry, palettes, tetra
 from egr.cli import main
 from egr.geometry import (
     Configuration,
@@ -320,6 +321,20 @@ def test_scan_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     assert main(["scan", "five-point", "--r", "9", "-o", str(bad)]) == 2
     assert not bad.exists()
+
+
+def test_scan_classification_exits_2_when_a_witness_fails(tmp_path, monkeypatch):
+    # a witness that fails to replay is a fault, not a scan violation
+    search = palettes._search_witness
+
+    def reversed_witness(sets):
+        out = search(sets)
+        return dataclasses.replace(out, index_perm=out.index_perm[::-1])
+
+    monkeypatch.setattr(palettes, "_search_witness", reversed_witness)
+    out = tmp_path / "scan.json"
+    assert main(["scan", "classification", "--r", "4", "-o", str(out)]) == 2
+    assert not out.exists()
 
 
 def _copies_argv(tmp_path):

@@ -13,6 +13,7 @@ from egr.palettes import (
     RAINBOW,
     TYPE_A,
     TYPE_B,
+    _fits_no_kind,
     _scan_kernel,
     classification_scan,
     classify_quadruple,
@@ -201,6 +202,19 @@ def test_propagate_raises_when_a_witness_fails_to_replay(monkeypatch):
     quad = ({3, 4}, {1, 2}, {1, 2}, {1, 2})
     with pytest.raises(GeometryError, match="witness fails to replay"):
         propagate_disjointness(quad, quad, {1: 1, 2: 2, 3: 3})
+
+
+def test_brute_force_flags_only_quadruples_no_kind_fits():
+    assert _fits_no_kind(({1}, {2}, {1, 2}, {1, 2}))
+    samples = {
+        MONO: ({1, 2}, {1, 3}, {1, 4}, {1, 5}),
+        RAINBOW: ({1, 2}, {2, 3}, {3, 4}, {4, 5}),
+        TYPE_A: ({3, 5}, {2, 3, 5}, {2, 3}, {2, 5}),  # order and colors renamed
+        TYPE_B: ({2, 5}, {3, 4}, {3, 4}, {3, 4}),
+    }
+    for kind, quad in samples.items():
+        assert classify_quadruple(*quad).kind == kind
+        assert not _fits_no_kind(quad), kind
 
 
 def test_propagate_skips_unclassifiable_quadruples():

@@ -153,6 +153,12 @@ def test_budget_exceeded_is_an_error():
         solve_gr(p, budget=0.0)
 
 
+def test_budget_is_read_at_every_node():
+    # m=3 r=9 decides in 45 nodes, far fewer than any node stride
+    with pytest.raises(BudgetExceeded):
+        solve_gr(census_problem(3, 10, 9), budget=1e-9)
+
+
 def test_deep_search_does_not_recurse():
     # One search level per point, past the default recursion limit.
     n = 1200

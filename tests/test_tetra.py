@@ -378,6 +378,53 @@ def test_finish_checks_rows_placed_from_a_reused_hinge(monkeypatch):
     assert str(err.value).startswith(f"tetra copy {named[0]} is off")
 
 
+def walked_anchor_gadget(monkeypatch, *args, **kwargs):
+    """The anchor gadget with the glued double polygon walked on every
+    attached copy, the reference its template replay must equal."""
+    with monkeypatch.context() as m:
+        m.setattr(tetra._Builder, "replay", lambda self, tpl, seed: self.glued_polygons(seed))
+        return build_anchor_gadget(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "spec, k, corner_angle",
+    [(REGULAR, 1, None), (REGULAR, 2, None), (SKEW, 1, None), (REGULAR, 1, 0.9), (SKEW, 1, 1.5)],
+    ids=["regular", "regular-k2", "skew", "regular-corner-0.9", "skew-corner-1.5"],
+)
+def test_template_replay_equals_the_walk(monkeypatch, spec, k, corner_angle):
+    prof = tetra_profile(spec)
+    got = build_anchor_gadget(prof, k=k, corner_angle=corner_angle)
+    want = walked_anchor_gadget(monkeypatch, prof, k=k, corner_angle=corner_angle)
+    assert got.cfg.points.shape == want.cfg.points.shape
+    assert got.tetra_copies == want.tetra_copies
+    assert np.abs(got.cfg.points - want.cfg.points).max() <= 1e-12
+    for key in ("hinges", "distinct_hinges", "distinct_copies", "gluing_copy_counts"):
+        assert got.cfg.notes[key] == want.cfg.notes[key], key
+    if corner_angle == 0.9:
+        # attached copies share the fans at corners of three of their points
+        assert len(got.cfg) == 6609
+
+
+def test_template_replay_keeps_the_workspace_limit():
+    with pytest.raises(GeometryError, match="exceeds the limit"):
+        build_anchor_gadget(tetra_profile(REGULAR), corner_angle=0.3)
+
+
+@pytest.mark.parametrize(
+    "build, points, copies, most",
+    [
+        (lambda prof, pts: build_x1(prof, pts), 416, 383, 16),
+        (lambda prof, pts: build_link(prof, pts, pts + np.array([30.0, 0.0, 0.0])), 748, 498, 8),
+    ],
+    ids=["x1", "link"],
+)
+def test_hinges_within_the_angle_grid_are_solved_once(build, points, copies, most):
+    # corners of one true angle measure it a few ulps apart
+    out = build(tetra_profile(REGULAR), embed_from_distances(REGULAR))
+    assert (len(out.cfg), len(out.tetra_copies)) == (points, copies)
+    assert out.cfg.notes["distinct_hinges"] <= most
+
+
 def test_anchor_gadget_requires_condition():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0.05, 0], [3, 0.05, 0.05]])
     prof = tetra_profile(SimplexSpec.from_points(pts))

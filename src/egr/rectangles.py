@@ -12,10 +12,18 @@ nor a path-endpoint pair means the side lengths were not generic, and
 the census aborts rather than return a misleading number.
 ``census_verdict`` gives the proven verdict of the coloring problem on
 such a product, which the tests check against the solver.
+
+``regular_simplex`` declares its vertex transpositions in
+``notes["symmetry"]`` as full point-index images, and ``product_config``
+lifts each factor's declared images to the product; ``solve_gr`` breaks
+the symmetries that keep a problem's targets.  The path declares none:
+its reversal would merge the first and last fibers into one orbit of the
+search order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +38,11 @@ from .geometry import (
     pairwise_sq_dists,
     sq_close,
 )
-from .solver import COUNTEREXAMPLE, FORCED
+from .solver import COUNTEREXAMPLE, FORCED, declared_symmetry
+
+# A builder declares no symmetry when its images would hold more point
+# indices than this; declaring fewer generators is always sound.
+SYMMETRY_ENTRIES = 1 << 18
 
 
 def regular_simplex(n: int, x: float) -> Configuration:
@@ -40,11 +52,14 @@ def regular_simplex(n: int, x: float) -> Configuration:
     if not 0.0 < x < math.inf:
         raise GeometryError(f"side length must be positive and finite, got {x}")
     pts = embed_from_distances(SimplexSpec.regular(n, x))
-    return Configuration(
-        points=pts,
-        labels=[f"u{i}" for i in range(n)],
-        notes={"kind": "regular_simplex", "n": n, "side": x},
-    )
+    notes = {"kind": "regular_simplex", "n": n, "side": x}
+    if math.comb(n, 2) * n <= SYMMETRY_ENTRIES:
+        notes["symmetry"] = []
+        for a, b in itertools.combinations(range(n), 2):
+            img = list(range(n))
+            img[a], img[b] = b, a
+            notes["symmetry"].append(img)
+    return Configuration(points=pts, labels=[f"u{i}" for i in range(n)], notes=notes)
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,8 @@ class ProductConfig:
 
     Point (i, j) of the product concatenates left point i with right
     point j and sits at flat index i*|right| + j.  Squared distances
-    add across the factors.
+    add across the factors.  Each factor's declared symmetry images act
+    on its own index with the other index fixed.
     """
 
     left: Configuration
@@ -184,12 +200,13 @@ def product_config(left: Configuration, right: Configuration) -> ProductConfig:
             tuple(i * n_r + j for j in tpl) for i in range(n_l) for tpl in tuples
         ]
 
-    prod = Configuration(
-        points=pts,
-        labels=labels,
-        named_copies=copies,
-        notes={"kind": "product", "left_size": n_l, "right_size": n_r},
-    )
+    notes = {"kind": "product", "left_size": n_l, "right_size": n_r}
+    on_left, on_right = declared_symmetry(left), declared_symmetry(right)
+    count = len(on_left) + len(on_right)
+    if count and count * n_l * n_r <= SYMMETRY_ENTRIES:
+        notes["symmetry"] = [[g[i] * n_r + j for i in range(n_l) for j in range(n_r)] for g in on_left]
+        notes["symmetry"] += [[i * n_r + g[j] for i in range(n_l) for j in range(n_r)] for g in on_right]
+    prod = Configuration(points=pts, labels=labels, named_copies=copies, notes=notes)
     out = ProductConfig(left=left, right=right, product=prod)
     out.verify()
     return out

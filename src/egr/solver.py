@@ -5,12 +5,14 @@ target tuple colored all-same or some rainbow target tuple colored
 all-distinct?  ``solve_gr`` answers by backtracking over points with
 bitmask domains, a conflict-weighted variable order (forced points
 first, then the smallest domain per unit of failure weight), and
-first-use color symmetry breaking.  One propagation rule serves both
-target kinds: when a target has one uncolored point left, that point
-loses every color that would complete the target.  FORCED means the
-search space closed with no avoiding coloring, COUNTEREXAMPLE ships the
-avoiding coloring it found.  Running out of budget raises; an undecided
-instance never masquerades as a verdict.
+first-use color symmetry breaking; a problem whose configuration
+declares point symmetries that keep its targets is searched in a static
+orbit order under lex-leader constraints instead.  One propagation rule
+serves both target kinds: when a target has one uncolored point left,
+that point loses every color that would complete the target.  FORCED
+means the search space closed with no avoiding coloring, COUNTEREXAMPLE
+ships the avoiding coloring it found.  Running out of budget raises; an
+undecided instance never masquerades as a verdict.
 
 ``exhaustive_oracle`` re-derives small verdicts by plain enumeration so
 the solver has an independent reference, and ``five_point_logic_scan``
@@ -21,7 +23,7 @@ chord-endpoint agreement that the gadget geometry encodes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +40,48 @@ class BudgetExceeded(RuntimeError):
     """Search ran out of time before reaching a verdict."""
 
 
+def declared_symmetry(cfg: Configuration) -> list[tuple[int, ...]]:
+    """The point permutations in ``cfg.notes["symmetry"]``, each the
+    full image list of one generator.  Anything but a list of
+    permutations of ``range(n)`` is refused."""
+    n = len(cfg.points)
+    declared = cfg.notes.get("symmetry", []) if isinstance(cfg.notes, dict) else []
+    if not isinstance(declared, list):
+        raise ValueError(f"notes.symmetry must be a list of point images, got {type(declared).__name__}")
+    images = []
+    for img in declared:
+        if not isinstance(img, (list, tuple)):
+            raise ValueError(f"a symmetry image must be a list of point indices, got {type(img).__name__}")
+        img = tuple(as_indices(img, n, "symmetry image index"))
+        if len(img) != n or len(set(img)) != n:
+            raise ValueError(f"a symmetry image of {len(img)} indices is not a permutation of range({n})")
+        images.append(img)
+    return images
+
+
+def _keeps(img: tuple[int, ...], targets: set[tuple[int, ...]], through: list[list[tuple[int, ...]]]) -> bool:
+    """Whether ``img`` maps the target set into (so onto) itself; only
+    the targets ``through`` a point it moves can move."""
+    return all(
+        tuple(sorted([img[p] for p in t])) in targets for p, q in enumerate(img) if p != q for t in through[p]
+    )
+
+
 @dataclass
 class ColoringProblem:
+    """Targets over the points of ``cfg`` and a color count.
+
+    ``generators`` are the point permutations declared in
+    ``cfg.notes["symmetry"]`` that map the mono target set and the
+    rainbow target set each onto itself; the others are dropped, which
+    is always sound.
+    """
+
     cfg: Configuration
     mono_targets: list[tuple[int, ...]]
     rainbow_targets: list[tuple[int, ...]]
     r: int
+    generators: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.cfg.points)
@@ -55,6 +93,19 @@ class ColoringProblem:
         self.r = as_index(self.r, "color count")
         if self.r < 1:
             raise ValueError(f"color count must be positive, got {self.r}")
+        images = dict.fromkeys(declared_symmetry(self.cfg))
+        images.pop(tuple(range(n)), None)  # the identity breaks nothing
+        if images:
+            kinds = []
+            for targets in (self.mono_targets, self.rainbow_targets):
+                members = {tuple(sorted(t)) for t in targets}
+                through = [[] for _ in range(n)]
+                for t in members:
+                    for p in t:
+                        through[p].append(t)
+                kinds.append((members, through))
+            images = [img for img in images if all(_keeps(img, *kind) for kind in kinds)]
+        self.generators = list(images)
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,6 +165,26 @@ def verify_coloring(problem: ColoringProblem, coloring) -> dict:
     }
 
 
+def _orbit_order(generators: list[tuple[int, ...]], n: int) -> list[int]:
+    """The points orbit by orbit of the group the generators generate,
+    orbits by lowest index, each orbit in index order."""
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    # Each root is the lowest index of its set, so it names the orbit.
+    for img in generators:
+        for i, j in enumerate(img):
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return sorted(range(n), key=lambda i: (find(i), i))
+
+
 def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> SearchResult:
     """Backtracking search for an avoiding coloring.
 
@@ -131,16 +202,33 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     color at once, so the unused colors stay interchangeable under any
     variable order.
 
-    The order is conflict-weighted (dom/wdeg; Boussemart, Hemery,
-    Lecoutre and Sais, ECAI 2004): every point starts at weight 1, and
-    each failed propagation adds 1 to each point of the target that
-    failed.  The next point is the lowest-index uncolored one with a
-    single color left, else the one with the smallest domain size per
-    unit of weight, ties going to the lowest index.  Weights depend only
-    on which targets failed, so the search is deterministic and its tree
-    is isomorphic under color permutation.  The search keeps its own
-    stack, so its depth is not bounded by the interpreter's recursion
-    limit.
+    Without point symmetry the order is conflict-weighted (dom/wdeg;
+    Boussemart, Hemery, Lecoutre and Sais, ECAI 2004): every point
+    starts at weight 1, and each failed propagation adds 1 to each point
+    of the target that failed.  The next point is the lowest-index
+    uncolored one with a single color left, else the one with the
+    smallest domain size per unit of weight, ties going to the lowest
+    index.  Weights depend only on which targets failed, so the search
+    is deterministic and its tree is isomorphic under color permutation.
+
+    With the problem's ``generators`` (point permutations that keep both
+    target sets), the order is static: the orbits of the group G they
+    generate, by lowest index, each orbit in index order.  First-use
+    colors follow that order.  For each generator g the search keeps the
+    lex-leader constraint X <=lex norm(X o g) (Crawford, Ginsberg, Luks
+    and Roy, KR 1996), where X lists the colors in the static order and
+    norm renames colors by first use in it; it prunes a node once the
+    colored prefix decides X >lex norm(X o g), and drops g for the
+    subtree once the prefix decides X <lex norm(X o g).  This is sound
+    because G x S_r maps avoiding colorings to avoiding colorings, and
+    the lex-least coloring of each orbit is first-use (else norm of it
+    would be smaller) and is at most every norm(X o g) (each is in its
+    orbit): it meets every constraint, and propagation never removes it.
+    Value precedence and the lex-leader constraints follow one static
+    order, as their combination requires (Walsh, CP 2006).
+
+    The search keeps its own stack, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     n = len(problem.cfg.points)
     # First-use symmetry breaking opens at most one new color per point,
@@ -164,11 +252,23 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                 watch[p].append(entry)
     weight = [1] * n
 
+    # waiting[k] holds the lex comparisons (g, j, renaming) that resume
+    # once position k of the static order is colored: X and norm(X o g)
+    # agree on positions < j, and the renaming maps the colors of X o g
+    # there to those of X.
+    order = _orbit_order(problem.generators, n) if problem.generators else []
+    rank = [0] * n
+    for k, p in enumerate(order):
+        rank[p] = k
+    waiting: list[list[tuple[tuple[int, ...], int, dict]]] = [[] for _ in order]
+    for img in problem.generators:
+        waiting[rank[img[order[0]]]].append((img, 0, {}))
+
     start = time.monotonic()
     deadline = start + budget
     stats = SearchStats()
 
-    def propagate(idx: int, trail: list[tuple[int, int]]) -> tuple[int, ...] | None:
+    def propagate(idx: int, trail: list[tuple[int, int | None]]) -> tuple[int, ...] | None:
         """Narrow the domains the new color of ``idx`` constrains.
 
         Returns None on success, else the failing target: one colored
@@ -205,7 +305,31 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                         return t
         return None
 
-    def pick() -> int:
+    def lex_leader(k: int, trail: list[tuple[int, int | None]]) -> bool:
+        """Resume the comparisons waiting on position k, just colored;
+        False when one of them finds X >lex norm(X o g).  A comparison
+        that stops on an uncolored position is queued at the later of
+        its two points and trailed as (position, None)."""
+        for img, j, rename in waiting[k]:
+            rename = dict(rename)
+            while j < n:
+                p = order[j]
+                w = max(j, rank[img[p]])
+                if w > k:
+                    waiting[w].append((img, j, rename))
+                    trail.append((w, None))
+                    break
+                x, z = colors[p], rename.setdefault(colors[img[p]], len(rename))
+                if x != z:
+                    if x > z:
+                        return False
+                    break  # X <lex norm(X o g) for the whole subtree
+                j += 1
+        return True
+
+    def pick(depth: int) -> int:
+        if order:
+            return order[depth] if depth < n else -1
         # size / weight is compared by cross-multiplication, so no float
         # rounding can break the index tie order.
         best, best_size, best_w = -1, r + 1, 1
@@ -224,14 +348,17 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
         # colors opened before it).
         stack: list[tuple[int, int, list, int]] = []
         opened = 0
-        idx = pick()
+        idx = pick(0)
         while idx >= 0:
             cand = domains[idx] & ((2 << opened) - 1) & full
             trail = None
             while True:
                 if trail is not None:
                     for p, dom in reversed(trail):
-                        domains[p] = dom
+                        if dom is None:
+                            waiting[p].pop()
+                        else:
+                            domains[p] = dom
                     colors[idx] = -1
                 if not cand:
                     if not stack:
@@ -248,6 +375,8 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                     )
                 colors[idx] = c
                 trail = []
+                if order and not lex_leader(len(stack), trail):
+                    continue
                 failed = propagate(idx, trail)
                 if failed is None:
                     break
@@ -255,7 +384,7 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                     weight[p] += 1
             stack.append((idx, cand, trail, opened))
             opened = max(opened, c + 1)
-            idx = pick()
+            idx = pick(len(stack))
         return True
 
     found = dfs()

@@ -20,9 +20,9 @@ from egr.rectangles import path_config, product_config, regular_simplex
 from egr.solver import ColoringProblem, verify_coloring
 
 
-def census_problem_payload(r):
-    simplex = regular_simplex(7, 1.5)
-    path = path_config(2, 1.5, 1.0).as_configuration()
+def census_problem_payload(r, m=2, s=7):
+    simplex = regular_simplex(s, 1.5)
+    path = path_config(m, 1.5, 1.0).as_configuration()
     cfg = product_config(simplex, path).product
     mono = enumerate_copies(cfg, SimplexSpec.pair(1.5))
     rainbow = enumerate_copies(cfg, SimplexSpec.rectangle(1.5, 1.0))
@@ -282,6 +282,19 @@ def test_solve_budget_flag(tmp_path):
         assert main(["solve", str(problem), "--budget", budget, "-o", str(out)]) == 2
         assert not out.exists()
     assert main(["solve", str(problem), "--budget", "300", "-o", str(out)]) == 0
+
+
+def test_solve_breaks_the_declared_symmetry_of_the_frontier_census(tmp_path, capsys):
+    # S_10 x B_3 at r=10: FORCED since 10 > 3m, decided fiber by fiber
+    # under the 45 simplex transpositions its problem file declares.
+    problem = tmp_path / "p.json"
+    write_json_atomic(str(problem), census_problem_payload(10, m=3, s=10).to_json_dict())
+    assert len(json.loads(problem.read_text())["config"]["notes"]["symmetry"]) == 45
+    out = tmp_path / "result.json"
+    assert main(["solve", str(problem), "--budget", "0.5", "-o", str(out)]) == 0
+    body = json.loads(out.read_text())
+    assert (body["verdict"], body["witness"], body["stats"]["nodes"]) == ("FORCED", None, 1_250)
+    assert capsys.readouterr().out.startswith("FORCED in 1250 nodes")
 
 
 def test_copies_round_trip(tmp_path):

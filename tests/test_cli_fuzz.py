@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from egr import geometry
 from egr.cli import main
 from egr.geometry import Configuration, read_json, sq_close
-from egr.solver import ColoringProblem, verify_coloring
+from egr.solver import ColoringProblem, exhaustive_oracle, verify_coloring
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -42,11 +42,52 @@ json_values = st.recursive(
 )
 
 
+def _closure(targets, img):
+    """The targets and all their images under the permutation ``img``."""
+    seen, todo = {tuple(sorted(t)) for t in targets}, list(targets)
+    while todo:
+        t = tuple(sorted(img[p] for p in todo.pop()))
+        if t not in seen:
+            seen.add(t)
+            todo.append(t)
+    return [list(t) for t in sorted(seen)]
+
+
 @st.composite
-def problem_payloads(draw):
+def symmetry_entries(draw, n, payload):
+    """A ``notes.symmetry`` entry for n points: a list of images, one of
+    them with a wrong length, a repeated, out-of-range, float or bool
+    index, or not a list, or else a valid permutation of ``range(n)``
+    that the targets may break or, with the targets closed under it
+    here, keep."""
+    img = list(draw(st.permutations(range(n))))
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["length", "repeat", "range", "float", "bool", "non-list", "breaks", "keeps"]))
+    if kind == "length":
+        img = draw(st.sampled_from([img[:-1], img + [n]]))
+    elif kind == "repeat":
+        img[i] = img[(i + 1) % n]
+    elif kind == "range":
+        img[i] = draw(st.sampled_from([-1, n, n + 7]))
+    elif kind in ("float", "bool"):
+        img[i] = float(img[i]) if kind == "float" else img[i] == 1
+    elif kind == "non-list":
+        return draw(st.sampled_from([5, "swap", {"0": [1, 0]}, [7], ["01"], [{"0": 1}], [None]]))
+    elif kind == "keeps":
+        payload["mono"], payload["rainbow"] = _closure(payload["mono"], img), _closure(payload["rainbow"], img)
+    images = [img]
+    if draw(st.booleans()):  # a valid image beside it, before or after
+        images.insert(draw(st.integers(0, 1)), list(draw(st.permutations(range(n)))))
+    return images
+
+
+@st.composite
+def problem_payloads(draw, flaws=(None, None, "target", "coincide", "colors", "junk", "symmetry", "symmetry")):
     """Problems of at most 8 points and r <= 4, each carrying at most
     one flaw: a short, repeating or out-of-range target, a coincident
-    point, an odd color count, or a field replaced by junk."""
+    point, an odd color count, a field replaced by junk, or a
+    ``notes.symmetry`` entry from ``symmetry_entries`` (which may be
+    valid)."""
     n = draw(st.integers(2, 8))
     dim = draw(st.integers(1, 3))
     row = st.lists(st.integers(-30, 30).map(lambda v: v / 10), min_size=dim, max_size=dim)
@@ -58,8 +99,10 @@ def problem_payloads(draw):
         "rainbow": draw(st.lists(target, max_size=6)),
         "r": draw(st.integers(1, 4)),
     }
-    flaw = draw(st.sampled_from([None, None, "target", "coincide", "colors", "junk"]))
-    if flaw == "target":
+    flaw = draw(st.sampled_from(flaws))
+    if flaw == "symmetry":
+        payload["config"]["notes"] = {"symmetry": draw(symmetry_entries(n, payload))}
+    elif flaw == "target":
         payload["mono"].append(draw(st.sampled_from([[0], [1, 1], [0, n], [-1, 0]])))
     elif flaw == "colors":
         payload["r"] = draw(st.sampled_from([0, -1, 2.5, "3"]))
@@ -201,14 +244,37 @@ def _run(verb, *payloads):
             return rc, json.load(fh)
 
 
+def _is_permutation_list(entry, n) -> bool:
+    return isinstance(entry, list) and all(
+        isinstance(img, list) and all(type(i) is int for i in img) and sorted(img) == list(range(n))
+        for img in entry
+    )
+
+
 @FUZZ
 @given(problem_payloads() | json_values)
 def test_solve_exit_codes_hold_on_any_payload(payload):
+    """A malformed ``notes.symmetry`` entry exits 2; a problem that loads
+    gets the verdict the exhaustive oracle gives, whatever it declares."""
     rc, written = _run("solve", payload)
     assert rc in (0, 1, 2)
     if rc == 1:
         problem = ColoringProblem.from_json_dict(payload)
         assert verify_coloring(problem, written["witness"])["clean"]
+    config = payload.get("config") if isinstance(payload, dict) else None
+    notes = config.get("notes") if isinstance(config, dict) else None
+    if isinstance(notes, dict) and "symmetry" in notes:
+        if not _is_permutation_list(notes["symmetry"], len(config["points"])):
+            assert rc == 2
+        else:
+            want = exhaustive_oracle(ColoringProblem.from_json_dict(payload)).verdict
+            assert rc == {"FORCED": 0, "COUNTEREXAMPLE": 1}[want]
+
+
+@settings(FUZZ, max_examples=160)
+@given(problem_payloads(flaws=["symmetry"]))
+def test_solve_checks_every_kind_of_symmetry_entry(payload):
+    test_solve_exit_codes_hold_on_any_payload.hypothesis.inner_test(payload)
 
 
 @FUZZ

@@ -110,6 +110,30 @@ def test_coincidence_threshold_ignores_translation():
         Configuration(points=np.vstack([tri, tri[:1] + 1e-6]) + np.array([1e5, 7e4]))
 
 
+def test_coincident_pair_inside_the_threshold_is_found_in_every_direction():
+    # The threshold distance is sqrt(REL_TOL) times the largest per-axis
+    # extent (1 here).  A pair at 0.9 of it must be found along every
+    # direction, whatever the projections the sweep draws; one at 1.1 of
+    # it is kept.
+    limit = math.sqrt(geometry.REL_TOL)
+    for k in range(12):
+        step = limit * np.array([math.cos(k * math.pi / 12), math.sin(k * math.pi / 12)])
+        frame = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+        with pytest.raises(GeometryError, match="points 2 and 3 coincide"):
+            Configuration(points=np.vstack([frame, frame[2] + 0.9 * step]))
+        Configuration(points=np.vstack([frame, frame[2] + 1.1 * step]))
+
+
+def test_check_copies_refuses_a_copy_two_slacks_off():
+    # The slack is REL_TOL of the largest wanted squared distance: a pair
+    # 2 slacks long is refused, one half a slack long passes.
+    want = [[0.0, 4.0], [4.0, 0.0]]
+    slack = geometry.sq_slack(4.0)
+    check_copies(np.array([[0.0], [math.sqrt(4.0 + 0.5 * slack)]]), [(0, 1)], want)
+    with pytest.raises(GeometryError, match=r"copy \(0, 1\)"):
+        check_copies(np.array([[0.0], [math.sqrt(4.0 + 2.0 * slack)]]), [(0, 1)], want)
+
+
 def test_check_copies_names_the_bad_tuple():
     pts = np.vstack([embed_from_distances(SimplexSpec.triangle(1.0, 1.2, 1.4)), np.zeros((1, 2))])
     spec = SimplexSpec.triangle(1.0, 1.2, 1.4).sq_dist

@@ -126,6 +126,22 @@ def test_product_lifts_named_copies():
         assert abs(math.dist(prod.product.points[i], prod.product.points[j]) - 1.5) < 1e-12
 
 
+def test_builders_declare_isometries_as_symmetry():
+    simplex = regular_simplex(5, 1.5)
+    path = path_config(2, 1.5, 1.0).as_configuration()
+    prod = product_config(simplex, path).product
+    assert "symmetry" not in path.notes
+    assert len(simplex.notes["symmetry"]) == len(prod.notes["symmetry"]) == 10
+    for cfg in (simplex, prod):
+        sq = pairwise_sq_dists(cfg.points)
+        for img in cfg.notes["symmetry"]:
+            assert sorted(img) == list(range(len(cfg))) and img != list(range(len(cfg)))
+            assert np.abs(sq[np.ix_(img, img)] - sq).max() < 1e-12
+    # Images of more than SYMMETRY_ENTRIES point indices are not declared.
+    assert "symmetry" in regular_simplex(80, 1.0).notes
+    assert "symmetry" not in regular_simplex(81, 1.0).notes
+
+
 def test_census_m2():
     out = count_distance_pairs(2, 1.5, 1.0)
     assert out == {

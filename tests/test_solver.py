@@ -16,6 +16,7 @@ from egr.solver import (
     exhaustive_oracle,
     five_point_logic_scan,
     solve_gr,
+    _orbit_order,
     verify_coloring,
 )
 from egr.tetra import build_x1, tetra_profile
@@ -35,11 +36,18 @@ def square_problem(r=2):
     return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
 
 
-def census_problem(m, s, r):
-    """S_s(1.5) x B_m(1.5, 1.0): distance-1.5 pairs plus 1.5 x 1.0 rectangles."""
+def census_problem(m, s, r, symmetric=True):
+    """S_s(1.5) x B_m(1.5, 1.0): distance-1.5 pairs plus 1.5 x 1.0 rectangles.
+
+    As built, the product declares the simplex transpositions, so the
+    search breaks them; ``symmetric=False`` removes the declaration and
+    the search runs the dom/wdeg order.
+    """
     simplex = regular_simplex(s, 1.5)
     path = path_config(m, 1.5, 1.0).as_configuration()
     cfg = product_config(simplex, path).product
+    if not symmetric:
+        del cfg.notes["symmetry"]
     mono = enumerate_copies(cfg, SimplexSpec.pair(1.5))
     rainbow = enumerate_copies(cfg, SimplexSpec.rectangle(1.5, 1.0))
     # The targets are exactly the ones census_verdict reasons about.
@@ -85,7 +93,7 @@ def test_clique_bound_forces_r4():
 
 
 def test_long_pair_census_forced_r7():
-    p = census_problem(2, 7, 7)
+    p = census_problem(2, 7, 7, symmetric=False)
     out = solve_gr(p)
     assert out.verdict == FORCED
     assert out.witness is None
@@ -115,12 +123,16 @@ def test_census_verdict_matches_solver_and_oracle():
     assert len(cases) == 126
     oracle_runs = 0
     for m, s, r in cases:
-        p = census_problem(m, s, r)
         want = census_verdict(m, s, r)
-        got = solve_gr(p, budget=30.0)
-        assert got.verdict == want, (m, s, r)
-        if want == COUNTEREXAMPLE:
-            assert verify_coloring(p, got.witness)["clean"]
+        # As built, the search breaks the declared simplex symmetry;
+        # without the declaration it runs the dom/wdeg order.
+        built = census_problem(m, s, r)
+        assert len(built.generators) == math.comb(s, 2)
+        for p in (built, census_problem(m, s, r, symmetric=False)):
+            got = solve_gr(p, budget=30.0)
+            assert got.verdict == want, (m, s, r, bool(p.generators))
+            if want == COUNTEREXAMPLE:
+                assert verify_coloring(p, got.witness)["clean"]
         if r ** len(p.cfg.points) <= ORACLE_CAP:
             assert exhaustive_oracle(p).verdict == want, (m, s, r)
             oracle_runs += 1
@@ -138,13 +150,106 @@ def test_weighted_order_decides_hard_census_cases():
     # (2, 7, 8) and (2, 7, 9) cases and found no counterexample to
     # (3, 9, 11) in 30 s.  The node counts pin the search tree.
     for args, nodes in [((2, 7, 8), 2_798), ((2, 7, 9), 2_863), ((3, 10, 9), 45)]:
-        out = solve_gr(census_problem(*args))
+        out = solve_gr(census_problem(*args, symmetric=False))
         assert out.verdict == FORCED, args
         assert out.stats.nodes == nodes, args
-    p = census_problem(3, 9, 11)
+    p = census_problem(3, 9, 11, symmetric=False)
     out = solve_gr(p, budget=30.0)
     assert out.verdict == COUNTEREXAMPLE
     assert verify_coloring(p, out.witness)["clean"]
+
+
+def test_symmetric_census_decides_in_pinned_nodes():
+    # The search breaks the 10-simplex's 45 transpositions fiber by
+    # fiber; without them (3, 10, 10) took 2,135,520 nodes (about 25 s).
+    for args, nodes in [((2, 7, 7), 110), ((2, 7, 8), 182), ((3, 10, 9), 9), ((3, 10, 10), 1_250)]:
+        p = census_problem(*args)
+        out = solve_gr(p, budget=30.0)
+        assert out.verdict == FORCED, args
+        assert out.stats.nodes == nodes, args
+
+
+def test_static_order_runs_fiber_by_fiber():
+    p = census_problem(3, 10, 10)
+    assert _orbit_order(p.generators, 40) == [a * 4 + i for i in range(4) for a in range(10)]
+    # Two disjoint cycles give two orbits, listed by their lowest index.
+    assert _orbit_order([(0, 3, 2, 5, 4, 1), (0, 1, 4, 3, 2, 5)], 6) == [0, 1, 3, 5, 2, 4]
+
+
+def test_declared_symmetry_is_checked_against_the_targets():
+    cfg = Configuration(points=np.arange(4, dtype=float)[:, None])
+    cfg.notes = {"symmetry": [[1, 0, 2, 3], [0, 1, 3, 2], [1, 2, 3, 0], [0, 1, 2, 3]]}
+    p = ColoringProblem(cfg=cfg, mono_targets=[(0, 1), (2, 3)], rainbow_targets=[(0, 1, 2)], r=3)
+    # Only the swap of 0 and 1 keeps both target sets; the identity is of no use.
+    assert p.generators == [(1, 0, 2, 3)]
+    p = ColoringProblem(cfg=cfg, mono_targets=[(0, 1), (2, 3)], rainbow_targets=[(0, 1, 3), (0, 1, 2)], r=3)
+    assert p.generators == [(1, 0, 2, 3), (0, 1, 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "symmetry",
+    [[[1, 0, 2]], [[1, 1, 2, 3]], [[0, 1, 2, 4]], [[0, 1, 2, -1]], [[1.0, 0, 2, 3]], [[True, 0, 2, 3]],
+     [[0, 1, 2, "3"]], [{"0": 1}], ["0123"], [3], {"0": [1, 0, 2, 3]}, 5, "swap"],
+)
+def test_malformed_symmetry_is_refused(symmetry):
+    cfg = Configuration(points=np.arange(4, dtype=float)[:, None], notes={"symmetry": symmetry})
+    with pytest.raises(ValueError):
+        ColoringProblem(cfg=cfg, mono_targets=[(0, 1)], rainbow_targets=[], r=2)
+
+
+def symmetric_problem(rng):
+    """Targets closed under 1-3 random point permutations, each moving at
+    most 5 points, which the configuration declares; about 3 in 10 then
+    get one extra target that some generators need not keep."""
+    n = int(rng.integers(3, 9))
+    r = int(rng.integers(1, 5))
+    images = []
+    for _ in range(int(rng.integers(1, 4))):
+        img = np.arange(n)
+        moved = rng.choice(n, size=int(rng.integers(2, min(n, 5) + 1)), replace=False)
+        img[moved] = rng.permutation(moved)
+        images.append(img.tolist())
+
+    def draw(count, lo, hi):
+        sizes = rng.integers(lo, min(n, hi) + 1, size=count)
+        return [tuple(sorted(rng.choice(n, size=int(k), replace=False).tolist())) for k in sizes]
+
+    def closure(seeds):
+        seen, todo = set(seeds), list(seeds)
+        while todo:
+            t = todo.pop()
+            for img in images:
+                u = tuple(sorted(img[p] for p in t))
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return sorted(seen)
+
+    mono = closure(draw(int(rng.integers(1, 3)), 2, 3))
+    rainbow = closure(draw(int(rng.integers(0, 3)), 2, 4))
+    if rng.random() < 0.3:
+        (mono if rng.random() < 0.5 else rainbow).extend(draw(1, 2, 3))
+    cfg = Configuration(points=rng.uniform(0.0, 1.0, size=(n, 2)), notes={"symmetry": images})
+    return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
+
+
+def test_symmetry_breaking_matches_oracle_on_closed_instances():
+    rng = np.random.default_rng(2006)
+    verdicts, kept, dropped = [], 0, 0
+    for _ in range(1_000):
+        p = symmetric_problem(rng)
+        got = solve_gr(p)
+        assert got.verdict == exhaustive_oracle(p).verdict
+        if got.verdict == COUNTEREXAMPLE:
+            assert verify_coloring(p, got.witness)["clean"]
+        verdicts.append(got.verdict)
+        moving = {tuple(img) for img in p.cfg.notes["symmetry"]} - {tuple(range(len(p.cfg.points)))}
+        kept += bool(p.generators)
+        dropped += len(p.generators) < len(moving)
+    # Both verdicts, the symmetric search and dropped generators all occur
+    # often enough for the comparison to mean something.
+    assert min(verdicts.count(FORCED), verdicts.count(COUNTEREXAMPLE)) >= 300
+    assert kept >= 600 and dropped >= 50
 
 
 def test_budget_exceeded_is_an_error():
@@ -154,9 +259,11 @@ def test_budget_exceeded_is_an_error():
 
 
 def test_budget_is_read_at_every_node():
-    # m=3 r=9 decides in 45 nodes, far fewer than any node stride
-    with pytest.raises(BudgetExceeded):
-        solve_gr(census_problem(3, 10, 9), budget=1e-9)
+    # m=3 r=9 decides in 45 nodes, far fewer than any node stride, and
+    # in 9 when the search breaks the simplex symmetry
+    for symmetric in (True, False):
+        with pytest.raises(BudgetExceeded):
+            solve_gr(census_problem(3, 10, 9, symmetric), budget=1e-9)
 
 
 def test_deep_search_does_not_recurse():
@@ -282,6 +389,19 @@ def test_forced_verdict_stable_under_point_permutation():
             r=base.r,
         )
         assert solve_gr(p).verdict == solve_gr(base).verdict
+
+
+def test_verify_coloring_flags_a_rainbow_rectangle():
+    # Position a of fiber i gets color a + i: every fiber is injective
+    # and every endpoint pair differs, so only 4-point rectangles can be
+    # rainbow, and every rectangle between non-adjacent positions is.
+    p = census_problem(2, 7, 7)
+    coloring = [(a + i) % 7 for a in range(7) for i in range(3)]
+    report = verify_coloring(p, coloring)
+    assert not report["clean"] and not report["mono_violations"]
+    assert report["rainbow_violations"] and all(len(t) == 4 for t in report["rainbow_violations"])
+    rect = (0, 1, 2 * 3, 2 * 3 + 1)  # positions 0 and 2 over fibers 0 and 1
+    assert rect in {tuple(sorted(t)) for t in report["rainbow_violations"]}
 
 
 def test_verify_coloring_reports():

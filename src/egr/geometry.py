@@ -66,6 +66,18 @@ def sq_slack(scale: float) -> float:
     return REL_TOL * max(scale, 0.0)
 
 
+def bisect(inside, lo: float, hi: float, rel: float) -> tuple[float, float]:
+    """Narrow [lo, hi] to the boundary of a monotone predicate, ``inside``
+    on lo's side, until ``hi - lo <= rel * hi`` or the midpoint equals an
+    end (so at any ``rel``); returns the final (lo, hi)."""
+    while hi - lo > rel * hi:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo, hi
+
+
 def as_index(value, what: str) -> int:
     """``value`` as a Python int.  Only integers pass, numpy ones too; a
     float, string or bool is refused rather than truncated or parsed."""

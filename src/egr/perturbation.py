@@ -27,6 +27,7 @@ from .geometry import (
     ConstraintViolation,
     GeometryError,
     SimplexSpec,
+    bisect,
     check_copies,
     embed_from_distances,
     is_nondegenerate,
@@ -56,7 +57,7 @@ def eps_max(spec: SimplexSpec) -> float:
     """Largest eps (within 1e-9 relative) whose contraction stays nondegenerate.
 
     The contracted Gram matrix decreases monotonically in eps, so the
-    admissible set is an interval [0, eps_max) and bisection applies.
+    admissible set is an interval [0, eps_max) whose end ``bisect`` finds.
     """
     sq = spec.sq_dist
     if not is_nondegenerate(sq):
@@ -65,13 +66,7 @@ def eps_max(spec: SimplexSpec) -> float:
     lo, hi = 0.0, math.sqrt(float(off.min()) / 2.0)
     if _contraction_ok(sq, hi):
         raise GeometryError("contraction bracket failed to pin the collapse point")
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if _contraction_ok(sq, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect(lambda eps: _contraction_ok(sq, eps), lo, hi, 1e-9)[0]
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,11 @@ from .geometry import (
     Configuration,
     GeometryError,
     SimplexSpec,
+    bisect,
     check_copies,
     embed_from_distances,
+    enumerate_copies,
     pairwise_sq_dists,
-    sq_close,
 )
 from .solver import COUNTEREXAMPLE, FORCED, declared_symmetry
 
@@ -110,9 +111,9 @@ def _arc_span(alpha: float, t: int, y: float) -> float:
 def path_config(t: int, x: float, y: float) -> PathConfig:
     """Path of t edges of length y on an arc, endpoints x apart.
 
-    The step angle solves span(alpha) = x by bisection; span is
-    strictly decreasing on (0, 2*pi/t), from the straight-line limit
-    t*y down to 0, so a root exists exactly when 0 < x < t*y.
+    The step angle solves span(alpha) = x by ``bisect`` to neighbouring
+    doubles; span is strictly decreasing on (0, 2*pi/t), from the
+    straight-line limit t*y to 0, so a root exists exactly when 0 < x < t*y.
     """
     if not (0.0 < x < math.inf and 0.0 < y < math.inf):
         raise GeometryError(f"lengths must be positive and finite, got x={x}, y={y}")
@@ -125,14 +126,7 @@ def path_config(t: int, x: float, y: float) -> PathConfig:
     lo, hi = 1e-12, 2.0 * math.pi / t - 1e-12
     if _arc_span(lo, t, y) < x or _arc_span(hi, t, y) > x:
         raise GeometryError("arc span does not bracket the requested endpoint gap")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _arc_span(mid, t, y) > x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
+    lo, hi = bisect(lambda alpha: _arc_span(alpha, t, y) > x, lo, hi, 0.0)
     alpha = 0.5 * (lo + hi)
     radius = y / (2.0 * math.sin(alpha / 2.0))
 
@@ -222,12 +216,10 @@ def _census_classify(
     endpoints.  Anything else is a coincidence the census cannot
     attribute, so it aborts.
     """
-    sq = pairwise_sq_dists(points)
-    close = sq_close(sq, x * x)
     fiber = endpoint = 0
-    for p, q in zip(*np.nonzero(np.triu(close, k=1))):
-        li, ri = divmod(int(p), n_right)
-        lj, rj = divmod(int(q), n_right)
+    for p, q in enumerate_copies(Configuration(points=points), SimplexSpec.pair(x)):
+        li, ri = divmod(p, n_right)
+        lj, rj = divmod(q, n_right)
         if ri == rj and li != lj:
             fiber += 1
         elif li == lj and {ri, rj} == {0, endpoint_j}:

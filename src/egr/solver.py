@@ -59,22 +59,16 @@ def declared_symmetry(cfg: Configuration) -> list[tuple[int, ...]]:
     return images
 
 
-def _keeps(img: tuple[int, ...], targets: set[tuple[int, ...]], through: list[list[tuple[int, ...]]]) -> bool:
-    """Whether ``img`` maps the target set into (so onto) itself; only
-    the targets ``through`` a point it moves can move."""
-    return all(
-        tuple(sorted([img[p] for p in t])) in targets for p, q in enumerate(img) if p != q for t in through[p]
-    )
-
-
 @dataclass
 class ColoringProblem:
     """Targets over the points of ``cfg`` and a color count.
 
+    ``watch[p]`` lists each distinct target through point p, read once
+    as a point set: a ``(sorted tuple, rainbow)`` pair, mono targets first.
     ``generators`` are the point permutations declared in
     ``cfg.notes["symmetry"]`` that map the mono target set and the
-    rainbow target set each onto itself; the others are dropped, which
-    is always sound.
+    rainbow target set each onto itself, checked on every watched
+    target; the others are dropped, which is always sound.
     """
 
     cfg: Configuration
@@ -82,6 +76,7 @@ class ColoringProblem:
     rainbow_targets: list[tuple[int, ...]]
     r: int
     generators: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    watch: list[list[tuple[tuple[int, ...], bool]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.cfg.points)
@@ -93,19 +88,25 @@ class ColoringProblem:
         self.r = as_index(self.r, "color count")
         if self.r < 1:
             raise ValueError(f"color count must be positive, got {self.r}")
+        # Mono targets come first in each watch list: the order decides which
+        # target fails first, hence solve_gr's weights and search tree.
+        kinds = ((self.mono_targets, False), (self.rainbow_targets, True))
+        targets = dict.fromkeys((tuple(sorted(t)), rainbow) for ts, rainbow in kinds for t in ts)
+        self.watch = [[] for _ in range(n)]
+        for entry in targets:
+            for p in entry[0]:
+                self.watch[p].append(entry)
         images = dict.fromkeys(declared_symmetry(self.cfg))
         images.pop(tuple(range(n)), None)  # the identity breaks nothing
-        if images:
-            kinds = []
-            for targets in (self.mono_targets, self.rainbow_targets):
-                members = {tuple(sorted(t)) for t in targets}
-                through = [[] for _ in range(n)]
-                for t in members:
-                    for p in t:
-                        through[p].append(t)
-                kinds.append((members, through))
-            images = [img for img in images if all(_keeps(img, *kind) for kind in kinds)]
-        self.generators = list(images)
+        # Only the targets through a point an image moves can move.
+        self.generators = [
+            img
+            for img in images
+            if all(
+                (tuple(sorted([img[i] for i in t])), rainbow) in targets
+                for p, q in enumerate(img) if p != q for t, rainbow in self.watch[p]
+            )
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,7 +189,7 @@ def _orbit_order(generators: list[tuple[int, ...]], n: int) -> list[int]:
 def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> SearchResult:
     """Backtracking search for an avoiding coloring.
 
-    Each point watches the targets through it, mono ones first.  Once a
+    Each point watches its targets in ``problem.watch``.  Once a
     watched target has one uncolored point left and its colors can still
     complete it, that point loses every color that would (unit
     propagation; Davis, Logemann and Loveland, CACM 1962): the one color
@@ -238,18 +239,8 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     colors = [-1] * n
     domains = [full] * n
 
-    # Both kinds read a target as a point set, so repeats are dropped; a
-    # rainbow target longer than r can never be colored all-distinct.
-    mono = dict.fromkeys(tuple(sorted(t)) for t in problem.mono_targets)
-    rain = dict.fromkeys(tuple(sorted(t)) for t in problem.rainbow_targets if len(t) <= r)
-    # Mono targets come first in each watch list: the order decides which
-    # target fails first, hence the weights and the search tree.
-    watch: list[list[tuple[tuple[int, ...], bool]]] = [[] for _ in range(n)]
-    for rainbow, targets in ((False, mono), (True, rain)):
-        for t in targets:
-            entry = (t, rainbow)
-            for p in t:
-                watch[p].append(entry)
+    # A rainbow target longer than r can never be colored all-distinct.
+    watch = [[e for e in w if not e[1] or len(e[0]) <= r] for w in problem.watch]
     weight = [1] * n
 
     # waiting[k] holds the lex comparisons (g, j, renaming) that resume

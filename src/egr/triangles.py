@@ -20,6 +20,7 @@ from .geometry import (
     GeometryError,
     SimplexSpec,
     as_point,
+    bisect,
     check_copies,
     sq_close,
     sq_slack,
@@ -353,18 +354,7 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
                 solution = (k, p, n)
                 break
             if (fp - target) * (fs - target) < 0.0:
-                a_x, b_x = p, s
-                ga = fp - target
-                for _ in range(200):
-                    mid = 0.5 * (a_x + b_x)
-                    gm = f(mid) - target
-                    if abs(gm) <= 1e-12 or (b_x - a_x) <= 1e-15 * s:
-                        break
-                    if ga * gm <= 0.0:
-                        b_x = mid
-                    else:
-                        a_x = mid
-                        ga = gm
+                a_x, b_x = bisect(lambda x: (f(x) - target) * (fp - target) > 0.0, p, s, 1e-15)
                 solution = (k, 0.5 * (a_x + b_x), n)
                 break
         if solution is not None:

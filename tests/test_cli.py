@@ -412,6 +412,42 @@ def test_report_each_artifact_shape(tmp_path, capsys):
     assert "copies artifact: 9 copies of a 2-point spec" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "body, fault",
+    [
+        ({"dim": 1, "points": [[0.0], [float("nan")]]}, "non-finite coordinates"),
+        ({"dim": 1, "points": [[0.0], [float("inf")]]}, "non-finite coordinates"),
+        ({"dim": 2, "points": [[0.0], [1.0]]}, "declared dim does not match point rows"),
+        ({"dim": 1, "points": []}, "declared dim does not match point rows"),
+        ({"dim": 0, "points": [[], []]}, "points must be a non-empty 2-D array"),
+    ],
+    ids=["nan", "inf", "dim-mismatch", "no-rows", "empty-rows"],
+)
+def test_malformed_points_exit_two_naming_the_fault(body, fault, tmp_path, capsys):
+    spec, cfg, problem, out = (tmp_path / name for name in ("spec.json", "cfg.json", "p.json", "out.json"))
+    SimplexSpec.pair(1.0).save(str(spec))
+    cfg.write_text(json.dumps(body))
+    problem.write_text(json.dumps({"config": body, "mono": [], "rainbow": [], "r": 2}))
+    for argv in (["copies", str(cfg), "--spec", str(spec)], ["solve", str(problem)]):
+        assert main(argv + ["-o", str(out)]) == 2
+        assert fault in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sq, fault",
+    [([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], "must be k x k"), ([[1.0, 1.0], [1.0, 0.0]], "diagonal must be zero")],
+    ids=["not-square", "nonzero-diagonal"],
+)
+def test_copies_refuses_a_malformed_spec(sq, fault, tmp_path, capsys):
+    spec, cfg, out = tmp_path / "spec.json", tmp_path / "cfg.json", tmp_path / "out.json"
+    spec.write_text(json.dumps({"sq_dist": sq}))
+    Configuration(points=np.array([[0.0], [1.0]])).save(str(cfg))
+    assert main(["copies", str(cfg), "--spec", str(spec), "-o", str(out)]) == 2
+    assert fault in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_rejects_junk(tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("{\"unexpected\": 1}")

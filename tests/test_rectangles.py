@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from egr import rectangles
 from egr.geometry import (
     Configuration,
     GeometryError,
     SimplexSpec,
+    check_copies,
     congruence_check,
     embed_from_distances,
     enumerate_copies,
@@ -74,6 +76,29 @@ def test_path_config_four_points_concyclic():
     assert np.abs(radii - path.radius).max() < 1e-9
 
 
+def test_path_config_bisection_stops_at_neighbouring_doubles(monkeypatch):
+    # A plain 200-step bisection reaches the same bits; the search stops
+    # once the midpoint no longer moves.
+    def plain(inside, lo, hi, rel):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        return lo, hi
+
+    calls = []
+    span = rectangles._arc_span
+    monkeypatch.setattr(rectangles, "_arc_span", lambda *a: calls.append(a) or span(*a))
+    for t, x, y in ((2, 1.5, 1.0), (3, 2.9, 1.0), (19, 1.0, 0.6)):
+        calls.clear()
+        fast = path_config(t, x, y)
+        assert len(calls) < 100, (t, len(calls))
+        with monkeypatch.context() as patch:
+            patch.setattr(rectangles, "bisect", plain)
+            slow = path_config(t, x, y)
+        assert fast.step_angle == slow.step_angle
+        assert fast.points.tobytes() == slow.points.tobytes()
+
+
 def test_path_config_rejects_infeasible():
     with pytest.raises(GeometryError):
         path_config(3, 3.1, 1.0)  # t below ceil(x/y)
@@ -124,6 +149,12 @@ def test_product_lifts_named_copies():
     assert len(pairs) == 3
     for i, j in pairs:
         assert abs(math.dist(prod.product.points[i], prod.product.points[j]) - 1.5) < 1e-12
+    # The path as the left factor: its copies act on the left index.
+    flipped = product_config(right, left).product
+    assert len(flipped.named_copies["left_edges"]) == 2 * 3
+    assert len(flipped.named_copies["left_endpoint_pair"]) == 3
+    check_copies(flipped.points, flipped.named_copies["left_edges"], SimplexSpec.pair(1.0).sq_dist)
+    check_copies(flipped.points, flipped.named_copies["left_endpoint_pair"], SimplexSpec.pair(1.5).sq_dist)
 
 
 def test_builders_declare_isometries_as_symmetry():

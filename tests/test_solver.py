@@ -186,6 +186,20 @@ def test_declared_symmetry_is_checked_against_the_targets():
     assert p.generators == [(1, 0, 2, 3), (0, 1, 3, 2)]
 
 
+def test_generator_check_sees_targets_the_search_drops():
+    # At r=3 the 4-point rainbow target can never be rainbow, so solve_gr
+    # drops it; the generator check still reads it.  The swap of 0 and 1
+    # keeps every other target, and is kept once the target's image is
+    # a target too.
+    cfg = Configuration(points=np.arange(5, dtype=float)[:, None], notes={"symmetry": [[1, 0, 2, 3, 4]]})
+    mono, rainbow = [(0, 1), (2, 3)], [(0, 1, 2), (0, 2, 3, 4)]
+    p = ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=3)
+    assert p.generators == []
+    assert solve_gr(p).verdict == exhaustive_oracle(p).verdict
+    p = ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow + [(1, 2, 3, 4)], r=3)
+    assert p.generators == [(1, 0, 2, 3, 4)]
+
+
 @pytest.mark.parametrize(
     "symmetry",
     [[[1, 0, 2]], [[1, 1, 2, 3]], [[0, 1, 2, 4]], [[0, 1, 2, -1]], [[1.0, 0, 2, 3]], [[True, 0, 2, 3]],

@@ -294,6 +294,14 @@ def test_x1_named_copies_are_all_copies():
     assert enumerate_copies(out.cfg, REGULAR) == distinct
 
 
+def test_anchor_gadget_named_copies_are_copies():
+    cfg = build_anchor_gadget(tetra_profile(REGULAR)).cfg
+    distinct = {tuple(sorted(t)) for t in cfg.named_copies["tetra"]}
+    found = enumerate_copies(cfg, REGULAR)
+    assert (len(distinct), len(found)) == (1_393, 2_449)
+    assert distinct <= set(found)
+
+
 def test_x1_wide_corner_angle_shrinks_build():
     prof = tetra_profile(REGULAR)
     out = build_x1(prof, embed_from_distances(REGULAR), corner_angle=2.0 * prof.theta)

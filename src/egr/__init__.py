@@ -7,29 +7,3 @@ conditioned tetrahedra) and checks the forcing properties themselves,
 that every coloring admits a monochromatic copy of one simplex or a
 rainbow copy of another, by exhaustive or backtracking search.
 """
-
-from .geometry import (
-    Configuration,
-    ConstraintViolation,
-    GeometryError,
-    NonRealizableError,
-    SimplexSpec,
-    cayley_menger_volume,
-    congruence_check,
-    embed_from_distances,
-    enumerate_copies,
-    squared_distance,
-)
-
-__all__ = [
-    "Configuration",
-    "ConstraintViolation",
-    "GeometryError",
-    "NonRealizableError",
-    "SimplexSpec",
-    "cayley_menger_volume",
-    "congruence_check",
-    "embed_from_distances",
-    "enumerate_copies",
-    "squared_distance",
-]

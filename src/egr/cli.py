@@ -105,10 +105,7 @@ def _construct_product(args) -> Configuration:
 
 def _construct_grid(args) -> Configuration:
     spec = _spec(args, args.regular_k)
-    grid = build_perturbation_grid(spec, [args.m] * (spec.k - 1), args.eps)
-    cfg = grid.B
-    cfg.notes["connected"] = grid.is_connected()
-    return cfg
+    return build_perturbation_grid(spec, [args.m] * (spec.k - 1), args.eps).B
 
 
 def _construct_hinge(args) -> Configuration:

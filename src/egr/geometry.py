@@ -100,6 +100,25 @@ def as_indices(values, n: int, what: str) -> list[int]:
     return out
 
 
+def components(n: int, pairs) -> list[int]:
+    """For each point of ``range(n)``, the lowest index in its component
+    of the graph whose edges are the index pairs ``pairs``."""
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    # Each root is the lowest index of its set.
+    for i, j in pairs:
+        a, b = find(i), find(j)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    return [find(i) for i in range(n)]
+
+
 def as_point(p) -> np.ndarray:
     """Validate and convert an array-like into a 1-D float point."""
     arr = np.asarray(p, dtype=float)

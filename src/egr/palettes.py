@@ -254,6 +254,7 @@ def classification_scan(r: int) -> dict:
     counts as ``unclassifiable`` only when ``_fits_no_kind`` confirms it;
     otherwise the error propagates.  ``unclassifiable`` must come back 0.
     """
+    r = as_index(r, "color count")
     if not 2 <= r <= SCAN_MAX_COLORS:
         raise ValueError(f"scan supports 2 <= r <= {SCAN_MAX_COLORS}, got {r}")
     pool, idx, weight, mono, rainbow = _scan_kernel(r)

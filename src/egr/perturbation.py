@@ -29,6 +29,7 @@ from .geometry import (
     SimplexSpec,
     bisect,
     check_copies,
+    components,
     embed_from_distances,
     is_nondegenerate,
     min_gram_eigenvalue,
@@ -71,7 +72,6 @@ def eps_max(spec: SimplexSpec) -> float:
 
 @dataclass(frozen=True)
 class ContractionResult:
-    original: SimplexSpec
     eps: float
     contracted: SimplexSpec
     eps_max: float
@@ -84,22 +84,21 @@ def contract_simplex(spec: SimplexSpec, eps: float) -> ContractionResult:
     if eps > 0.0 and not _contraction_ok(spec.sq_dist, eps):
         raise ConstraintViolation("eps_too_large", f"contraction by eps={eps} degenerates the simplex")
     contracted = SimplexSpec(_contracted_sq(spec.sq_dist, eps))
-    return ContractionResult(original=spec, eps=eps, contracted=contracted, eps_max=eps_max(spec))
+    return ContractionResult(eps=eps, contracted=contracted, eps_max=eps_max(spec))
 
 
 @dataclass(frozen=True)
 class PerturbationGrid:
     """Subdivision grid over a simplex with one chain per edge from w0.
 
-    ``B`` holds the d+1 base rows followed by the chain rows; n1 is the
-    ambient (and affine) dimension sum(m_i - 1) + d.
+    ``B`` holds the d+1 base rows followed by the chain rows, and its
+    notes the counts m_i and chain steps; n1 is the ambient (and affine)
+    dimension sum(m_i - 1) + d.
     """
 
     delta_spec: SimplexSpec
-    m_counts: tuple[int, ...]
     eps: float
     n1: int
-    eps_steps: tuple[float, ...]
     B: Configuration
 
     def intersection_graph_edges(self) -> list[tuple[int, int]]:
@@ -112,19 +111,8 @@ class PerturbationGrid:
         return out
 
     def is_connected(self) -> bool:
-        n = len(self.B.points)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self.intersection_graph_edges():
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == n
+        """Whether the rows at distance below 2*eps chain into one piece."""
+        return all(low == 0 for low in components(len(self.B.points), self.intersection_graph_edges()))
 
 
 def build_perturbation_grid(
@@ -132,6 +120,8 @@ def build_perturbation_grid(
     m_counts,
     eps: float,
 ) -> PerturbationGrid:
+    """Refuses a grid whose chain steps reach eps or whose balls do not
+    chain into one piece; the grid it returns notes ``connected``, last."""
     d = len(delta_spec.sq_dist) - 1
     m_counts = tuple(int(m) for m in m_counts)
     if len(m_counts) != d:
@@ -178,10 +168,8 @@ def build_perturbation_grid(
 
     grid = PerturbationGrid(
         delta_spec=delta_spec,
-        m_counts=m_counts,
         eps=eps,
         n1=n1,
-        eps_steps=steps,
         B=Configuration(
             points=pts,
             labels=labels,
@@ -206,6 +194,7 @@ def build_perturbation_grid(
                 raise GeometryError(f"chain hop ({u}, {v}) has length >= 2*eps")
     if not grid.is_connected():
         raise GeometryError("grid intersection graph is not connected")
+    grid.B.notes["connected"] = True
     return grid
 
 

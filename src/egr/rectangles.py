@@ -33,6 +33,7 @@ from .geometry import (
     Configuration,
     GeometryError,
     SimplexSpec,
+    as_index,
     bisect,
     check_copies,
     embed_from_distances,
@@ -108,20 +109,28 @@ def _arc_span(alpha: float, t: int, y: float) -> float:
     return y * math.sin(t * alpha / 2.0) / math.sin(alpha / 2.0)
 
 
+def fewest_edges(x: float, y: float) -> int:
+    """The least t >= 2 with x < t*y (in floating point): the fewest edges
+    of length y whose path can end x apart."""
+    t = max(2, math.ceil(x / y))
+    while x >= t * y:
+        t += 1
+    return t
+
+
 def path_config(t: int, x: float, y: float) -> PathConfig:
     """Path of t edges of length y on an arc, endpoints x apart.
 
     The step angle solves span(alpha) = x by ``bisect`` to neighbouring
     doubles; span is strictly decreasing on (0, 2*pi/t), from the
-    straight-line limit t*y to 0, so a root exists exactly when 0 < x < t*y.
+    straight-line limit t*y to 0, so a root exists exactly when 0 < x < t*y,
+    that is when t is at least ``fewest_edges(x, y)``.
     """
     if not (0.0 < x < math.inf and 0.0 < y < math.inf):
         raise GeometryError(f"lengths must be positive and finite, got x={x}, y={y}")
-    floor = max(2, math.ceil(x / y))
-    if t < floor:
-        raise GeometryError(f"t={t} is below the floor max(2, ceil(x/y)) = {floor}")
-    if x >= t * y:
-        raise GeometryError(f"endpoint gap {x} is not reachable by {t} edges of length {y}")
+    fewest = fewest_edges(x, y)
+    if t < fewest:
+        raise GeometryError(f"endpoint gap {x} needs at least {fewest} edges of length {y}, got t={t}")
 
     lo, hi = 1e-12, 2.0 * math.pi / t - 1e-12
     if _arc_span(lo, t, y) < x or _arc_span(hi, t, y) > x:
@@ -293,6 +302,7 @@ def census_verdict(m: int, s: int, r: int) -> str:
       a color, each fiber stays injective, and each position ends on a
       color it did not start with: a COUNTEREXAMPLE.
     """
+    m, s, r = as_index(m, "census m"), as_index(s, "census s"), as_index(r, "color count")
     if m < 1 or s < 2 or r < 1:
         raise ValueError(f"census needs m >= 1, s >= 2 and r >= 1, got ({m}, {s}, {r})")
     return FORCED if r < s or s > 3 * m else COUNTEREXAMPLE

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Configuration, as_index, as_indices
+from .geometry import Configuration, as_index, as_indices, components
 
 FORCED = "FORCED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -169,21 +169,8 @@ def verify_coloring(problem: ColoringProblem, coloring) -> dict:
 def _orbit_order(generators: list[tuple[int, ...]], n: int) -> list[int]:
     """The points orbit by orbit of the group the generators generate,
     orbits by lowest index, each orbit in index order."""
-    root = list(range(n))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    # Each root is the lowest index of its set, so it names the orbit.
-    for img in generators:
-        for i, j in enumerate(img):
-            a, b = find(i), find(j)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return sorted(range(n), key=lambda i: (find(i), i))
+    low = components(n, ((i, j) for img in generators for i, j in enumerate(img)))
+    return sorted(range(n), key=lambda i: (low[i], i))
 
 
 def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> SearchResult:
@@ -448,6 +435,7 @@ def five_point_logic_scan(r: int) -> dict:
     monochromatic or rainbow.  Under these, the chord endpoints M and P
     must agree; the scan counts colorings either way.
     """
+    r = as_index(r, "color count")
     if not 3 <= r <= 5:
         raise ValueError(f"scan supports 3 <= r <= 5, got {r}")
     a, b, p, m, nn = 0, 1, 2, 3, 4

@@ -40,7 +40,7 @@ from .geometry import (
     sq_slack,
     squared_distance,
 )
-from .rectangles import path_config
+from .rectangles import fewest_edges, path_config
 
 IDENTITY_ROLES = (0, 1, 2, 3)
 SWAPPED_ROLES = (2, 3, 0, 1)
@@ -517,8 +517,8 @@ class _Builder:
         """Vertex indices of an equal-step path from i_start to i_end.
 
         Zero-length and single-step legs stay direct; anything else lands
-        on a circular arc placed in the plane of the endpoints and one
-        fresh axis.
+        on a circular arc of max(min_edges, ``fewest_edges``) edges,
+        placed in the plane of the endpoints and one fresh axis.
         """
         if i_start == i_end:
             return [i_start]
@@ -527,9 +527,7 @@ class _Builder:
         slack = math.sqrt(sq_slack(step * step))
         if abs(gap - step) <= slack and min_edges <= 1:
             return [i_start, i_end]
-        t = max(2, min_edges, math.ceil(gap / step))
-        while gap >= t * step:
-            t += 1
+        t = max(min_edges, fewest_edges(gap, step))
         key = (t, gap, step)
         if key not in self.arcs:
             self.arcs[key] = path_config(t, gap, step).points

@@ -421,7 +421,6 @@ class MonoSphereWitness:
     so each hop, together with A and B, is congruent to {P, M, A, B}.
     """
 
-    gadget: FivePointGadget
     A: np.ndarray
     B: np.ndarray
     chain: SphereChain
@@ -469,9 +468,7 @@ def mono_sphere_witness(
     ref = gadget.sq_dist()[np.ix_(pmab, pmab)]
     hops = [(2 + i, 3 + i, 0, 1) for i in range(len(nodes) - 1)]
     check_copies(np.vstack([A4, B4, nodes]), hops, ref, "sphere hop")
-    return MonoSphereWitness(
-        gadget=gadget, A=A4, B=B4, chain=chain3, nodes=nodes, tetra_checked=len(hops)
-    )
+    return MonoSphereWitness(A=A4, B=B4, chain=chain3, nodes=nodes, tetra_checked=len(hops))
 
 
 @dataclass(frozen=True)
@@ -495,7 +492,6 @@ class CaseBCertificate:
     O: np.ndarray
     Q: np.ndarray
     P: np.ndarray
-    K: np.ndarray
     Z1: np.ndarray
     Z2: np.ndarray
     rad_S: float
@@ -600,7 +596,6 @@ def case_b_certificate(
         pq = math.sqrt(2.0 * rho * delta)
         branch = "interior"
     p_pt = np.array([oq, pq, 0.0])
-    k_pt = np.array([oq, pq / 2.0, 0.0])
 
     # The inequality chain guaranteeing both circle intersections.
     mid = ((eps / 2.0) ** 2 + (c / 2.0) ** 2)
@@ -613,7 +608,7 @@ def case_b_certificate(
     r_c = math.sqrt(c * c - half_pq_sq)
 
     def _bisector_point(radius: float, name: str) -> np.ndarray:
-        # Circle about the projected center meets the circle about K.
+        # Circle about the projected center meets the circle about the midpoint of PQ.
         r_slice_sq = radius * radius - half_pq_sq
         if r_slice_sq <= 0.0:
             raise ConstraintViolation(name, "sphere does not reach the bisector plane")
@@ -637,7 +632,6 @@ def case_b_certificate(
         O=origin,
         Q=q_pt,
         P=p_pt,
-        K=k_pt,
         Z1=z1,
         Z2=z2,
         rad_S=rad_s,

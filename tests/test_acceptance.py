@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import census_problem, random_obtuse, random_spec, square_problem
 
 from egr.cli import main
 from egr.geometry import (
@@ -20,7 +21,6 @@ from egr.geometry import (
     SimplexSpec,
     congruence_check,
     embed_from_distances,
-    enumerate_copies,
     pairwise_sq_dists,
     write_json_atomic,
 )
@@ -41,12 +41,7 @@ from egr.perturbation import (
     eps_max,
     lifted_base_copy,
 )
-from egr.rectangles import (
-    count_distance_pairs,
-    path_config,
-    product_config,
-    regular_simplex,
-)
+from egr.rectangles import count_distance_pairs
 from egr.solver import (
     COUNTEREXAMPLE,
     ColoringProblem,
@@ -70,33 +65,6 @@ def _finish(num, name, started, bound):
     elapsed = time.perf_counter() - started
     print(f"criterion {num:02d} {name}: PASS in {elapsed:.2f}s (bound {bound:g}s)")
     assert elapsed < bound, f"criterion {num} exceeded its {bound}s runtime bound"
-
-
-def random_obtuse(rng, lo=0.3, hi=4.0):
-    while True:
-        a, b = sorted(rng.uniform(lo, hi, size=2))
-        c_lo = math.hypot(a, b)
-        c_hi = a + b
-        if c_hi - c_lo < 1e-3:
-            continue
-        return a, b, rng.uniform(c_lo + 1e-3, c_hi - 1e-3)
-
-
-def random_spec(rng, k):
-    while True:
-        pts = rng.uniform(-1.0, 1.0, size=(k, k - 1))
-        sq = pairwise_sq_dists(pts)
-        if sq[np.triu_indices(k, k=1)].min() > 0.05:
-            return SimplexSpec(sq)
-
-
-def census_problem(r):
-    simplex = regular_simplex(7, 1.5)
-    path = path_config(2, 1.5, 1.0).as_configuration()
-    cfg = product_config(simplex, path).product
-    mono = enumerate_copies(cfg, SimplexSpec.pair(1.5))
-    rainbow = enumerate_copies(cfg, SimplexSpec.rectangle(1.5, 1.0))
-    return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
 
 
 def isosceles_tetra(t):
@@ -184,13 +152,13 @@ def _contains_clique(targets, size):
 def test_criterion_05_census_instance_forced():
     started = time.perf_counter()
     for r in (4, 7):
-        problem = census_problem(r)
+        problem = census_problem(2, 7, r)
         out = solve_gr(problem, budget=300.0)
         assert out.verdict == FORCED
         assert out.witness is None
     # Independent cross-check at r=4: the pair targets contain a clique
     # on more than r points, so some pair is monochromatic outright.
-    pairs = [t for t in census_problem(4).mono_targets if len(t) == 2]
+    pairs = [t for t in census_problem(2, 7, 4).mono_targets if len(t) == 2]
     assert _contains_clique(pairs, 5)
     _finish(5, "distance-pair instance forced", started, 300.0)
 
@@ -374,23 +342,16 @@ def test_criterion_11_cli_round_trip(tmp_path):
         assert np.all(np.isfinite(cfg.points))
 
     forced = tmp_path / "forced.json"
-    write_json_atomic(str(forced), census_problem(7).to_json_dict())
+    write_json_atomic(str(forced), census_problem(2, 7, 7).to_json_dict())
     assert main(["solve", str(forced), "-o", str(tmp_path / "r7.json")]) == 0
 
-    seg = regular_simplex(2, 1.0)
-    square = product_config(seg, seg).product
-    square_problem = ColoringProblem(
-        cfg=square,
-        mono_targets=enumerate_copies(square, SimplexSpec.pair(1.0)),
-        rainbow_targets=enumerate_copies(square, SimplexSpec.rectangle(1.0, 1.0)),
-        r=2,
-    )
+    square = square_problem()
     unsq = tmp_path / "unsq.json"
-    write_json_atomic(str(unsq), square_problem.to_json_dict())
+    write_json_atomic(str(unsq), square.to_json_dict())
     out = tmp_path / "r2.json"
     assert main(["solve", str(unsq), "-o", str(out)]) == 1
     witness = json.loads(out.read_text())["witness"]
-    assert verify_coloring(square_problem, witness)["clean"]
+    assert verify_coloring(square, witness)["clean"]
 
     truncated = tmp_path / "broken.json"
     truncated.write_text(unsq.read_text()[:50])

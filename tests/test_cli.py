@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from helpers import census_problem, square_problem
 
 from egr import cli, geometry, palettes, tetra
 from egr.cli import main
@@ -16,25 +17,7 @@ from egr.geometry import (
     enumerate_copies,
     write_json_atomic,
 )
-from egr.rectangles import path_config, product_config, regular_simplex
-from egr.solver import ColoringProblem, verify_coloring
-
-
-def census_problem_payload(r, m=2, s=7):
-    simplex = regular_simplex(s, 1.5)
-    path = path_config(m, 1.5, 1.0).as_configuration()
-    cfg = product_config(simplex, path).product
-    mono = enumerate_copies(cfg, SimplexSpec.pair(1.5))
-    rainbow = enumerate_copies(cfg, SimplexSpec.rectangle(1.5, 1.0))
-    return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
-
-
-def square_problem():
-    seg = regular_simplex(2, 1.0)
-    cfg = product_config(seg, seg).product
-    mono = enumerate_copies(cfg, SimplexSpec.pair(1.0))
-    rainbow = enumerate_copies(cfg, SimplexSpec.rectangle(1.0, 1.0))
-    return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=2)
+from egr.solver import verify_coloring
 
 
 def needle_spec():
@@ -141,6 +124,34 @@ def test_construct_grid_records_connectivity(tmp_path):
     assert cfg.notes["connected"] is True
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["x1", "--corner-angle", "1e-9"], "apex_coincidence"),
+        (["x1", "--corner-angle", "3.0"], "corner_angle"),
+        (["anchor-gadget", "--edge", "0", "1"], "face (1, 2, 3)"),
+        (["anchor-gadget", "--edge", "0", "0"], "face (1, 2, 3)"),
+    ],
+)
+def test_construct_refuses_bad_tetra_flags_before_placing_points(tmp_path, monkeypatch, capsys, flags, message):
+    def placed(*args):
+        raise AssertionError("a point was placed")
+
+    monkeypatch.setattr(tetra.Workspace, "add_row", placed)
+    monkeypatch.setattr(tetra.Workspace, "add_point", placed)
+    out = tmp_path / "refused.json"
+    assert main(["construct", *flags, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_construct_anchor_gadget_on_another_edge(tmp_path, capsys):
+    out = tmp_path / "anchor13.json"
+    assert main(["construct", "anchor-gadget", "--edge", "1", "3", "-o", str(out)]) == 0
+    assert "1513 points, dim 1506, 1873 named copies" in capsys.readouterr().out
+    assert len(Configuration.load(str(out))) == 1513
+
+
 def test_construct_dense_quad_requires_condition(tmp_path):
     spec_path = tmp_path / "needle.json"
     needle_spec().save(str(spec_path))
@@ -235,7 +246,7 @@ def test_construct_rejects_bad_triangle(tmp_path):
 
 def test_solve_forced_exit_zero(tmp_path):
     problem = tmp_path / "p.json"
-    write_json_atomic(str(problem), census_problem_payload(7).to_json_dict())
+    write_json_atomic(str(problem), census_problem(2, 7, 7).to_json_dict())
     out = tmp_path / "result.json"
     assert main(["solve", str(problem), "-o", str(out)]) == 0
     body = json.loads(out.read_text())
@@ -258,7 +269,7 @@ def test_solve_counterexample_exit_one(tmp_path):
 
 def test_solve_truncated_input_exit_two(tmp_path):
     problem = tmp_path / "p.json"
-    payload = census_problem_payload(7).to_json_dict()
+    payload = census_problem(2, 7, 7).to_json_dict()
     text = json.dumps(payload)
     out = tmp_path / "result.json"
     # a torn file, a well-formed file whose mono targets are not a list,
@@ -275,7 +286,7 @@ def test_solve_truncated_input_exit_two(tmp_path):
 
 def test_solve_budget_flag(tmp_path):
     problem = tmp_path / "p.json"
-    write_json_atomic(str(problem), census_problem_payload(7).to_json_dict())
+    write_json_atomic(str(problem), census_problem(2, 7, 7).to_json_dict())
     out = tmp_path / "result.json"
     # a NaN budget never expires; it and a budget that is not positive are refused
     for budget in ("0.000001", "nan", "0", "-1"):
@@ -288,7 +299,7 @@ def test_solve_breaks_the_declared_symmetry_of_the_frontier_census(tmp_path, cap
     # S_10 x B_3 at r=10: FORCED since 10 > 3m, decided fiber by fiber
     # under the 45 simplex transpositions its problem file declares.
     problem = tmp_path / "p.json"
-    write_json_atomic(str(problem), census_problem_payload(10, m=3, s=10).to_json_dict())
+    write_json_atomic(str(problem), census_problem(3, 10, 10).to_json_dict())
     assert len(json.loads(problem.read_text())["config"]["notes"]["symmetry"]) == 45
     out = tmp_path / "result.json"
     assert main(["solve", str(problem), "--budget", "0.5", "-o", str(out)]) == 0

@@ -59,6 +59,26 @@ def random_rigid_motion(rng, dim):
     return q, t
 
 
+def test_components_names_each_point_by_its_lowest_index():
+    assert geometry.components(1, []) == [0]
+    # Isolated points, a self-loop and a repeated pair.
+    assert geometry.components(4, []) == [0, 1, 2, 3]
+    assert geometry.components(4, [(2, 2)]) == [0, 1, 2, 3]
+    assert geometry.components(5, [(4, 1), (1, 4), (4, 1), (3, 3)]) == [0, 1, 2, 3, 1]
+    # A chain joined from its high end still takes its lowest index.
+    assert geometry.components(6, [(5, 4), (4, 3), (3, 2), (0, 5)]) == [0, 1, 0, 0, 0, 0]
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        n = int(rng.integers(1, 12))
+        pairs = [tuple(int(v) for v in rng.integers(0, n, 2)) for _ in range(int(rng.integers(0, 2 * n)))]
+        # Reference: n rounds of lowering both ends of every edge to their minimum.
+        low = list(range(n))
+        for _ in range(n):
+            for i, j in pairs:
+                low[i] = low[j] = min(low[i], low[j])
+        assert geometry.components(n, pairs) == low
+
+
 def test_squared_distance_basic():
     assert squared_distance([0.0, 0.0], [3.0, 4.0]) == 25.0
     with pytest.raises(GeometryError):

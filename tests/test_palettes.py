@@ -165,6 +165,9 @@ def test_scan_kernel_agrees_with_classify_quadruple():
 def test_scan_rejects_large_r():
     with pytest.raises(ValueError):
         classification_scan(6)
+    for r in (3.0, True):
+        with pytest.raises(GeometryError, match="must be an integer"):
+            classification_scan(r)
 
 
 def test_propagate_consistent_type_b_pair():

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from helpers import random_spec
 
 from egr.geometry import (
     ConstraintViolation,
@@ -19,16 +21,6 @@ from egr.perturbation import (
     lifted_base_copy,
     orthogonal_lift_check,
 )
-
-
-def random_spec(rng, k):
-    """Nondegenerate simplex from random points with a sane scale."""
-    while True:
-        pts = rng.uniform(-1.0, 1.0, size=(k, k - 1))
-        sq = pairwise_sq_dists(pts)
-        off = sq[np.triu_indices(k, k=1)]
-        if off.min() > 0.05:
-            return SimplexSpec(sq)
 
 
 def test_eps_max_segment():
@@ -102,6 +94,20 @@ def test_grid_triangle_example():
     assert len(grid.B.points) == 5
     assert grid.is_connected()
     assert len(grid.B.named_copies["chains"]) == 2
+
+
+def test_grid_notes_its_connectivity_last():
+    grid = build_perturbation_grid(SimplexSpec.regular(3, 1.0), [2, 2], 0.6)
+    assert list(grid.B.notes) == ["kind", "eps", "m_counts", "n1", "eps_steps", "connected"]
+    assert grid.B.notes["connected"] is True
+
+
+def test_is_connected_sees_a_split_grid():
+    # Rows (0, 0), (1, 0) and (0.5, 0.3) are at least 0.58 apart, so at
+    # eps = 0.2 no two balls meet; at 0.3 the middle row joins them.
+    grid = build_perturbation_grid(SimplexSpec.pair(1.0), [2], 0.6)
+    assert not dataclasses.replace(grid, eps=0.2).is_connected()
+    assert dataclasses.replace(grid, eps=0.3).is_connected()
 
 
 def test_grid_rejects_large_step():

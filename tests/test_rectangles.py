@@ -101,11 +101,48 @@ def test_path_config_bisection_stops_at_neighbouring_doubles(monkeypatch):
 
 def test_path_config_rejects_infeasible():
     with pytest.raises(GeometryError):
-        path_config(3, 3.1, 1.0)  # t below ceil(x/y)
+        path_config(3, 3.1, 1.0)  # t below fewest_edges
     with pytest.raises(GeometryError):
         path_config(2, 2.0, 1.0)  # straight-line limit
     with pytest.raises(GeometryError):
         path_config(2, 1.5, -1.0)
+
+
+def test_fewest_edges_at_exact_multiples():
+    assert rectangles.fewest_edges(2.0, 1.0) == 3
+    assert rectangles.fewest_edges(math.nextafter(2.0, 0.0), 1.0) == 2
+    assert rectangles.fewest_edges(0.5, 1.0) == 2
+    assert rectangles.fewest_edges(3.0, 1.5) == 3
+
+
+def test_fewest_edges_matches_both_rules_it_replaced():
+    def leg_loop(gap, step, min_edges):
+        t = max(2, min_edges, math.ceil(gap / step))
+        while gap >= t * step:
+            t += 1
+        return t
+
+    def path_accepts(t, x, y):
+        return t >= max(2, math.ceil(x / y)) and x < t * y
+
+    ys = [0.1, 0.3, 0.6, 0.7, 1.0, 1.5, 2.0 / 3.0]
+    pairs = [(k * y, y) for y in ys for k in range(1, 9)]
+    pairs += [(math.nextafter(x, direction), y) for x, y in list(pairs) for direction in (0.0, math.inf)]
+    pairs += [(float(x), float(y)) for x, y in np.random.default_rng(12).uniform(0.05, 3.0, size=(200, 2))]
+    for x, y in pairs:
+        fewest = rectangles.fewest_edges(x, y)
+        for min_edges in (1, 2, 3, 5, 12):
+            assert max(min_edges, fewest) == leg_loop(x, y, min_edges), (x, y, min_edges)
+        for t in range(1, fewest + 3):
+            assert path_accepts(t, x, y) == (t >= fewest), (x, y, t)
+
+
+def test_path_config_starts_at_fewest_edges():
+    for x, y in [(2.0, 1.0), (3.0, 1.5), (math.nextafter(2.0, 0.0), 1.0), (2.9, 1.0), (0.5, 1.0)]:
+        fewest = rectangles.fewest_edges(x, y)
+        with pytest.raises(GeometryError, match=f"needs at least {fewest} edges"):
+            path_config(fewest - 1, x, y)
+        assert len(path_config(fewest, x, y).points) == fewest + 1
 
 
 def test_product_unit_square():

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import census_problem, square_problem
 
-from egr.geometry import Configuration, GeometryError, SimplexSpec, embed_from_distances, enumerate_copies
+from egr.geometry import Configuration, GeometryError, SimplexSpec, embed_from_distances
 from egr.palettes import as_palette
-from egr.rectangles import census_verdict, path_config, product_config, regular_simplex
+from egr.rectangles import census_verdict, regular_simplex
 from egr.solver import (
     BudgetExceeded,
     COUNTEREXAMPLE,
@@ -25,35 +26,6 @@ from egr.tetra import build_x1, tetra_profile
 def pair_problem(r):
     cfg = regular_simplex(2, 1.0)
     return ColoringProblem(cfg=cfg, mono_targets=[(0, 1)], rainbow_targets=[], r=r)
-
-
-def square_problem(r=2):
-    seg = regular_simplex(2, 1.0)
-    cfg = product_config(seg, seg).product
-    mono = enumerate_copies(cfg, SimplexSpec.pair(1.0))
-    rainbow = enumerate_copies(cfg, SimplexSpec.rectangle(1.0, 1.0))
-    assert len(mono) == 4 and len(rainbow) == 1
-    return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
-
-
-def census_problem(m, s, r, symmetric=True):
-    """S_s(1.5) x B_m(1.5, 1.0): distance-1.5 pairs plus 1.5 x 1.0 rectangles.
-
-    As built, the product declares the simplex transpositions, so the
-    search breaks them; ``symmetric=False`` removes the declaration and
-    the search runs the dom/wdeg order.
-    """
-    simplex = regular_simplex(s, 1.5)
-    path = path_config(m, 1.5, 1.0).as_configuration()
-    cfg = product_config(simplex, path).product
-    if not symmetric:
-        del cfg.notes["symmetry"]
-    mono = enumerate_copies(cfg, SimplexSpec.pair(1.5))
-    rainbow = enumerate_copies(cfg, SimplexSpec.rectangle(1.5, 1.0))
-    # The targets are exactly the ones census_verdict reasons about.
-    assert len(mono) == (m + 1) * math.comb(s, 2) + s
-    assert len(rainbow) == m * math.comb(s, 2)
-    return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
 
 
 def test_single_pair_one_color_forced():
@@ -143,6 +115,11 @@ def test_census_verdict_rejects_degenerate_arguments():
     for args in [(0, 3, 3), (2, 1, 3), (2, 3, 0)]:
         with pytest.raises(ValueError):
             census_verdict(*args)
+    # (2, 7, 7.5) once read as FORCED and (2.5, 7, 7) as COUNTEREXAMPLE.
+    for args in [(2, 7, 7.5), (2.5, 7, 7), (2, 7.0, 7), (True, 7, 7), (2, 7, np.float64(7))]:
+        with pytest.raises(GeometryError, match="must be an integer"):
+            census_verdict(*args)
+    assert census_verdict(np.int64(2), np.int32(7), 7) == census_verdict(2, 7, 7) == FORCED
 
 
 def test_weighted_order_decides_hard_census_cases():
@@ -485,3 +462,7 @@ def test_five_point_scan_zero_violations():
         five_point_logic_scan(6)
     with pytest.raises(ValueError):
         five_point_logic_scan(2)
+    # 3.5 once read as 25 colorings of a scan that has no such r.
+    for r in (3.5, 3.0, True):
+        with pytest.raises(GeometryError, match="must be an integer"):
+            five_point_logic_scan(r)

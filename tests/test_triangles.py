@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import random_obtuse
 
 from egr.geometry import ConstraintViolation, GeometryError, pairwise_sq_dists, squared_distance
 from egr.triangles import (
@@ -14,18 +15,6 @@ from egr.triangles import (
     perturbed_chord,
     triangle_invariants,
 )
-
-
-def random_obtuse(rng, lo=0.3, hi=4.0):
-    """Sample sides a <= b <= c with the angle opposite c obtuse."""
-    while True:
-        a, b = sorted(rng.uniform(lo, hi, size=2))
-        c_lo = math.hypot(a, b)
-        c_hi = a + b
-        if c_hi - c_lo < 1e-3:
-            continue
-        c = rng.uniform(c_lo + 1e-3, c_hi - 1e-3)
-        return a, b, c
 
 
 def test_invariants_2_2_3():

@@ -71,7 +71,7 @@ def _add_tetra_source(sub):
 
 
 def _construct_five_point(args) -> Configuration:
-    return build_five_point(args.a, args.b, args.c, args.eps).as_configuration()
+    return build_five_point(args.a, args.b, args.c, args.eps)
 
 
 def _construct_chain(args) -> Configuration:
@@ -111,11 +111,11 @@ def _construct_grid(args) -> Configuration:
 def _construct_hinge(args) -> Configuration:
     profile = tetra_profile(_spec(args, 4))
     phi = args.phi if args.phi is not None else profile.theta
-    return glue_two_copies(profile, phi).as_configuration()
+    return glue_two_copies(profile, phi)
 
 
 def _construct_dense_quad(args) -> Configuration:
-    return dense_quadruple(tetra_profile(_spec(args, 4))).as_configuration()
+    return dense_quadruple(tetra_profile(_spec(args, 4)))
 
 
 def _construct_link(args) -> Configuration:

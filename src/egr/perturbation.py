@@ -27,6 +27,7 @@ from .geometry import (
     ConstraintViolation,
     GeometryError,
     SimplexSpec,
+    as_index,
     bisect,
     check_copies,
     components,
@@ -79,8 +80,8 @@ class ContractionResult:
 
 def contract_simplex(spec: SimplexSpec, eps: float) -> ContractionResult:
     """Shrink every squared side by 2*eps^2."""
-    if eps < 0.0:
-        raise GeometryError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise GeometryError(f"eps must be finite and nonnegative, got {eps}")
     if eps > 0.0 and not _contraction_ok(spec.sq_dist, eps):
         raise ConstraintViolation("eps_too_large", f"contraction by eps={eps} degenerates the simplex")
     contracted = SimplexSpec(_contracted_sq(spec.sq_dist, eps))
@@ -123,13 +124,13 @@ def build_perturbation_grid(
     """Refuses a grid whose chain steps reach eps or whose balls do not
     chain into one piece; the grid it returns notes ``connected``, last."""
     d = len(delta_spec.sq_dist) - 1
-    m_counts = tuple(int(m) for m in m_counts)
+    m_counts = tuple(as_index(m, "subdivision count") for m in m_counts)
     if len(m_counts) != d:
         raise GeometryError(f"need {d} subdivision counts, got {len(m_counts)}")
     if any(m < 2 for m in m_counts):
         raise GeometryError(f"subdivision counts must be at least 2, got {m_counts}")
-    if eps <= 0.0:
-        raise GeometryError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise GeometryError(f"eps must be finite and positive, got {eps}")
 
     w = embed_from_distances(delta_spec)
     steps = tuple(float(np.linalg.norm(w[i + 1])) / m_counts[i] for i in range(d))

@@ -216,9 +216,9 @@ def product_config(left: Configuration, right: Configuration) -> ProductConfig:
 
 
 def _census_classify(
-    points: np.ndarray, n_right: int, endpoint_j: int, x: float
+    cfg: Configuration, n_right: int, endpoint_j: int, x: float
 ) -> tuple[int, int]:
-    """Classify every pair at distance x in a product point array.
+    """Classify every pair at distance x in a product configuration.
 
     Returns (fiber, endpoint) counts.  Fiber pairs share the right
     factor; endpoint pairs share the left factor and join the two path
@@ -226,7 +226,7 @@ def _census_classify(
     attribute, so it aborts.
     """
     fiber = endpoint = 0
-    for p, q in enumerate_copies(Configuration(points=points), SimplexSpec.pair(x)):
+    for p, q in enumerate_copies(cfg, SimplexSpec.pair(x)):
         li, ri = divmod(p, n_right)
         lj, rj = divmod(q, n_right)
         if ri == rj and li != lj:
@@ -247,20 +247,20 @@ def count_distance_pairs(m: int, x: float, y: float) -> dict[str, int]:
     Every such pair is either a within-fiber simplex pair, one of
     (m+1)*C(3m+1, 2), or a path-endpoint pair over a fixed simplex
     point, one of 3m+1.  The enumerated total must match the closed
-    form q = (m+1)*C(3m+1, 2) + (3m+1).
+    form q = (m+1)*C(3m+1, 2) + (3m+1).  The path takes the fewest
+    edges ``path_config`` can build, m = ``fewest_edges(x, y)``.
     """
     if not x > y > 0.0:
         raise GeometryError(f"census needs x > y > 0, got x={x}, y={y}")
-    if m != math.ceil(x / y):
-        raise GeometryError(f"m={m} does not equal ceil(x/y) = {math.ceil(x / y)}")
-    if x >= m * y:
-        raise GeometryError(f"path B_{m}({x}, {y}) is infeasible")
+    fewest = fewest_edges(x, y)
+    if m != fewest:
+        raise GeometryError(f"m={m} is not fewest_edges(x, y) = {fewest}")
 
     n = 3 * m + 1
     simplex = regular_simplex(n, x)
     path = path_config(m, x, y).as_configuration()
     prod = product_config(simplex, path)
-    fiber, endpoint = _census_classify(prod.product.points, m + 1, m, x)
+    fiber, endpoint = _census_classify(prod.product, m + 1, m, x)
 
     formula_q = (m + 1) * math.comb(n, 2) + n
     enumerated = fiber + endpoint

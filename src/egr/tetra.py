@@ -45,7 +45,7 @@ from .rectangles import fewest_edges, path_config
 IDENTITY_ROLES = (0, 1, 2, 3)
 SWAPPED_ROLES = (2, 3, 0, 1)
 # Hinge angles closer than this (rad) share one solved hinge; the grid
-# is 1000x finer than the 1e-9 angle check of HingePair.verify.
+# is 1000x finer than the 1e-9 angle check of _hinge_rows.
 HINGE_GRID = 1e-12
 # Largest points x dim a builder workspace may reach: 512 MB as dense
 # float64, so an oversized build ends in GeometryError, not an OOM kill.
@@ -118,11 +118,6 @@ class TetraProfile:
     apex_height: float
     theta: float
 
-    def base_in_e4(self) -> np.ndarray:
-        out = np.zeros((3, 4))
-        out[:, :2] = self.base2d
-        return out
-
 
 def tetra_profile(spec: SimplexSpec) -> TetraProfile:
     if spec.k != 4:
@@ -167,41 +162,9 @@ def apex_circle(profile: TetraProfile, gamma: float) -> np.ndarray:
     return np.array([f[0], f[1], d * math.cos(gamma), d * math.sin(gamma)])
 
 
-@dataclass(frozen=True)
-class HingePair:
-    """Two copies sharing the base face, apexes a and a_prime."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    a_prime: np.ndarray
-    phi: float
-
-    def points(self) -> np.ndarray:
-        return np.vstack([self.a, self.b, self.c, self.d, self.a_prime])
-
-    def realized_angle(self) -> float:
-        return _angle(self.a - self.b, self.a_prime - self.b)
-
-    def verify(self, spec: SimplexSpec) -> None:
-        check_copies(self.points(), [(0, 1, 2, 3), (4, 1, 2, 3)], spec.sq_dist, "hinge copy")
-        if abs(self.realized_angle() - self.phi) > 1e-9:
-            raise GeometryError(
-                f"hinge angle {self.realized_angle()} misses requested {self.phi}"
-            )
-
-    def as_configuration(self) -> Configuration:
-        return Configuration(
-            points=self.points(),
-            labels=["a", "b", "c", "d", "a_prime"],
-            named_copies={"tetra": [(0, 1, 2, 3), (4, 1, 2, 3)]},
-            notes={"kind": "hinge_pair", "phi": self.phi},
-        )
-
-
-def glue_two_copies(profile: TetraProfile, phi: float) -> HingePair:
-    """Place two copies sharing the base face at apex angle phi.
+def _hinge_rows(profile: TetraProfile, phi: float) -> np.ndarray:
+    """Rows a, b, c, d, a' of two copies sharing the base face at apex
+    angle phi, with both copies and the angle at b checked (to 1e-9 rad).
 
     The apex circle parameter gap solves
     cos(phi) = (B2 + A2 cos(gap)) / (B2 + A2) with B2 the squared
@@ -214,51 +177,41 @@ def glue_two_copies(profile: TetraProfile, phi: float) -> HingePair:
     a2 = profile.apex_height**2
     cos_gap = (math.cos(phi) * (b2 + a2) - b2) / a2
     gap = math.acos(max(-1.0, min(1.0, cos_gap)))
-    a = apex_circle(profile, gap / 2.0)
-    a_prime = apex_circle(profile, -gap / 2.0)
-    if squared_distance(a, a_prime) <= sq_slack(float(profile.spec.sq_dist.max())):
+    rows = np.zeros((5, 4))
+    rows[0] = apex_circle(profile, gap / 2.0)
+    rows[4] = apex_circle(profile, -gap / 2.0)
+    rows[1:4, :2] = profile.base2d
+    if squared_distance(rows[0], rows[4]) <= sq_slack(float(profile.spec.sq_dist.max())):
         raise ConstraintViolation("apex_coincidence", f"apexes coincide at phi={phi}")
-    base = profile.base_in_e4()
-    pair = HingePair(a=a, b=base[0], c=base[1], d=base[2], a_prime=a_prime, phi=phi)
-    pair.verify(profile.spec)
-    return pair
+    check_copies(rows, [(0, 1, 2, 3), (4, 1, 2, 3)], profile.spec.sq_dist, "hinge copy")
+    realized = _angle(rows[0] - rows[1], rows[4] - rows[1])
+    if abs(realized - phi) > 1e-9:
+        raise GeometryError(f"hinge angle {realized} misses requested {phi}")
+    return rows
 
 
-@dataclass(frozen=True)
-class DenseQuadruple:
-    """Seven points in E^5 carrying four copies through shared triples.
-
-    x1 x2 x3 realizes the face under the largest height; y1 y2 y3 sit
-    on the sphere of apex positions over it, arranged as the face of
-    smallest circumradius; z completes y1 y2 y3 to a fourth copy.
-    ``copies`` indexes ``points()`` (z, y1..y3, x1..x3) in simplex row
-    order: the three y-over-x copies, then the z copy.
-    """
-
-    z: np.ndarray
-    y: np.ndarray
-    x: np.ndarray
-    copies: list
-
-    def points(self) -> np.ndarray:
-        return np.vstack([self.z, self.y, self.x])
-
-    def as_configuration(self) -> Configuration:
-        return Configuration(
-            points=self.points(),
-            labels=["z", "y1", "y2", "y3", "x1", "x2", "x3"],
-            named_copies={"tetra": self.copies},
-            notes={"kind": "dense_quadruple"},
-        )
+def glue_two_copies(profile: TetraProfile, phi: float) -> Configuration:
+    """The hinge pair: rows a, b, c, d, a' (``_hinge_rows``), whose two
+    ``tetra`` copies share the base face b, c, d."""
+    return Configuration(
+        points=_hinge_rows(profile, phi),
+        labels=["a", "b", "c", "d", "a_prime"],
+        named_copies={"tetra": [(0, 1, 2, 3), (4, 1, 2, 3)]},
+        notes={"kind": "hinge_pair", "phi": phi},
+    )
 
 
-def dense_quadruple(profile: TetraProfile) -> DenseQuadruple:
-    """Four congruent copies stacked over one face in E^5.
+def _quadruple_rows(profile: TetraProfile) -> tuple[np.ndarray, list]:
+    """Rows z, y1-y3, x1-x3 of four congruent copies stacked over one
+    face in E^5, and those copies, checked, in simplex row order.
 
-    Needs the largest height to exceed the smallest face circumradius:
-    the smallest-circumradius face then fits on the sphere of radius
-    H_max around the apex foot, its plane offset by
-    sqrt(H_max^2 - rho_min^2).
+    x1 x2 x3 realize the face under the largest height; y1 y2 y3 sit on
+    the sphere of apex positions over it, arranged as the face of
+    smallest circumradius; z completes y1 y2 y3 to a fourth copy.  The
+    copies are the three y-over-x copies, then the z copy.  Needs the
+    largest height to exceed the smallest face circumradius: that face
+    then fits on the sphere of radius H_max around the apex foot, its
+    plane offset by sqrt(H_max^2 - rho_min^2).
     """
     if not profile.condition_flag:
         raise ConstraintViolation(
@@ -274,19 +227,31 @@ def dense_quadruple(profile: TetraProfile) -> DenseQuadruple:
     center = _circumcenter_2d(rf[:3, :2])
 
     z0 = math.sqrt(big_h * big_h - rho * rho)
-    x = np.zeros((3, 5))
-    x[:, :2] = xf[:3, :2]
-    y = np.zeros((3, 5))
-    y[:, :2] = xf[3, :2]
-    y[:, 2:4] = rf[:3, :2] - center
-    y[:, 4] = z0
-    z = np.concatenate([xf[3, :2], rf[3, :2] - center, [z0 + profile.heights[i_r]]])
+    rows = np.zeros((7, 5))
+    rows[0, :2] = xf[3, :2]
+    rows[0, 2:4] = rf[3, :2] - center
+    rows[0, 4] = z0 + profile.heights[i_r]
+    rows[1:4, :2] = xf[3, :2]
+    rows[1:4, 2:4] = rf[:3, :2] - center
+    rows[1:4, 4] = z0
+    rows[4:, :2] = xf[:3, :2]
 
     copies = [_in_row_order((k, 4, 5, 6), (i_h,) + face_h) for k in (1, 2, 3)]
     copies.append(_in_row_order((0, 1, 2, 3), (i_r,) + face_r))
-    quad = DenseQuadruple(z=z, y=y, x=x, copies=copies)
-    check_copies(quad.points(), copies, sq, "dense quadruple copy")
-    return quad
+    check_copies(rows, copies, sq, "dense quadruple copy")
+    return rows, copies
+
+
+def dense_quadruple(profile: TetraProfile) -> Configuration:
+    """The dense quadruple: rows z, y1-y3, x1-x3 and their four
+    ``tetra`` copies (``_quadruple_rows``)."""
+    rows, copies = _quadruple_rows(profile)
+    return Configuration(
+        points=rows,
+        labels=["z", "y1", "y2", "y3", "x1", "x2", "x3"],
+        named_copies={"tetra": copies},
+        notes={"kind": "dense_quadruple"},
+    )
 
 
 class Workspace:
@@ -485,7 +450,7 @@ class _Builder:
             _check_hinge_range(profile, corner_angle, "corner_angle", "corner angle")
             for perm, prof in roles:
                 self.fan_angles[perm] = min(float(corner_angle), 2.0 * prof.theta * (1.0 - 1e-9))
-                glue_two_copies(prof, self.fan_angles[perm])
+                _hinge_rows(prof, self.fan_angles[perm])
 
     def place(self, frame: IsometryFrame, idx, block=None, reuse=None) -> list:
         """Add the images of the frame's extras over the anchor images
@@ -599,10 +564,8 @@ class _Builder:
         phi = _angle(dst[0] - dst[1], dst[2] - dst[1])
         key = (perm, round(phi / HINGE_GRID))
         if key not in self.hinges:
-            pair = glue_two_copies(self.role_profiles[perm], phi)
-            self.hinges[key] = isometry_frame(
-                np.vstack([pair.a, pair.b, pair.a_prime]), np.vstack([pair.c, pair.d])
-            )
+            rows = _hinge_rows(self.role_profiles[perm], phi)
+            self.hinges[key] = isometry_frame(rows[[0, 1, 4]], rows[2:4])
         self.placements += 1
         return self.place(self.hinges[key], idx, (cols, dst))
 
@@ -830,7 +793,7 @@ def build_anchor_gadget(
     ``glued_polygons`` on each copy would give, with coordinates equal
     to rounding.
     """
-    dq = dense_quadruple(profile)
+    dq_rows, dq_copies = _quadruple_rows(profile)
     if k < 1:
         raise GeometryError("path length must be at least 1")
     i_h = profile.hmax_vertex
@@ -858,7 +821,7 @@ def build_anchor_gadget(
     if len(bpath) != k + 2:
         raise GeometryError(f"edge gap admits no {k + 1}-edge path at the diagonal step")
 
-    dense_frame = isometry_frame(dq.x, np.vstack([dq.y, dq.z]))
+    dense_frame = isometry_frame(dq_rows[4:], dq_rows[[1, 2, 3, 0]])
     parallelogram_frame = isometry_frame(np.vstack([p1, x]), np.vstack([p2, p3]))
 
     def attach_dense(tri_idx):
@@ -867,7 +830,7 @@ def build_anchor_gadget(
         tri_idx is in face row order; returns the four copy tuples."""
         *ys, z = b.place(dense_frame, tri_idx)
         local = [z, *ys, *tri_idx]  # the dense quadruple's point order
-        copies = [tuple(local[i] for i in t) for t in dq.copies]
+        copies = [tuple(local[i] for i in t) for t in dq_copies]
         b.copies.extend(copies)
         return copies
 

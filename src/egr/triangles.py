@@ -9,6 +9,7 @@ and assembles the two-sphere certificate used in the wide-angle regime.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,77 +106,35 @@ def perturbed_chord(a: float, b: float, c: float, eps: float) -> PerturbedChord:
     return PerturbedChord(ell=ell, bound=bound, ok=ell < bound)
 
 
-_FIVE_POINT_ORDER = ("A", "B", "P", "M", "N")
+def five_point_sq(a: float, b: float, c: float, eps: float, ell: float) -> np.ndarray:
+    """Wanted squared distances of the five-point gadget, rows and
+    columns A, B, P, M, N."""
+    a2, b2, c2 = a**2, b**2, c**2
+    e2, l2 = eps**2, ell**2
+    return np.array(
+        [
+            [0.0, e2, c2, c2, b2],
+            [e2, 0.0, c2, c2, b2],
+            [c2, c2, 0.0, l2, a2],
+            [c2, c2, l2, 0.0, a2],
+            [b2, b2, a2, a2, 0.0],
+        ]
+    )
 
 
-@dataclass(frozen=True)
-class FivePointGadget:
-    """Five points transmitting color equality between two sphere points.
+def build_five_point(a: float, b: float, c: float, eps: float) -> Configuration:
+    """Five points in E^3 transmitting color equality between two
+    sphere points, rows A, B, P, M, N.
 
-    A and B sit eps apart; P and M lie on the sphere of points at
-    distance c from both, with |PM| = ell; N is at distance b from A
-    and B and at distance a from P and M.  Lives in E^3.
-    """
-
-    a: float
-    b: float
-    c: float
-    eps: float
-    ell: float
-    A: np.ndarray
-    B: np.ndarray
-    P: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
-
-    def points(self) -> np.ndarray:
-        return np.vstack([self.A, self.B, self.P, self.M, self.N])
-
-    def sq_dist(self) -> np.ndarray:
-        """Wanted squared distances, rows and columns A, B, P, M, N."""
-        a2, b2, c2 = self.a**2, self.b**2, self.c**2
-        e2, l2 = self.eps**2, self.ell**2
-        return np.array(
-            [
-                [0.0, e2, c2, c2, b2],
-                [e2, 0.0, c2, c2, b2],
-                [c2, c2, 0.0, l2, a2],
-                [c2, c2, l2, 0.0, a2],
-                [b2, b2, a2, a2, 0.0],
-            ]
-        )
-
-    def verify(self):
-        check_copies(self.points(), [(0, 1, 2, 3, 4)], self.sq_dist(), "five-point gadget")
-
-    def triangle_copies(self) -> dict[str, tuple[int, int, int]]:
-        return {
-            "NPA": (4, 2, 0),
-            "NPB": (4, 2, 1),
-            "NMA": (4, 3, 0),
-            "NMB": (4, 3, 1),
-        }
-
-    def as_configuration(self) -> Configuration:
-        copies: dict[str, list[tuple[int, ...]]] = {
-            f"triangle_{name}": [tri] for name, tri in self.triangle_copies().items()
-        }
-        copies["tetra_PMAB"] = [(2, 3, 0, 1)]
-        return Configuration(
-            points=self.points(),
-            labels=list(_FIVE_POINT_ORDER),
-            named_copies=copies,
-            notes={"a": self.a, "b": self.b, "c": self.c, "eps": self.eps, "ell": self.ell},
-        )
-
-
-def build_five_point(a: float, b: float, c: float, eps: float) -> FivePointGadget:
-    """Construct the gadget in explicit E^3 coordinates.
-
-    A and B straddle the origin on the first axis; P, M, N lie in the
-    perpendicular bisector plane.  The position of N on the axis through
-    the two chord midpoints is what makes all four outer triangles
-    congruent to (a, b, c).
+    A and B sit eps apart, straddling the origin on the first axis; P
+    and M lie on the sphere of points at distance c from both, with
+    |PM| = ell (``notes["ell"]``); N is at distance b from A and B and
+    at distance a from P and M.  P, M, N lie in the perpendicular
+    bisector plane, and the position of N on the axis through the two
+    chord midpoints is what makes all four outer triangles congruent to
+    (a, b, c).  The named copies, those four ``triangle_*`` and
+    ``tetra_PMAB``, cover every entry of ``five_point_sq``, against
+    which all five rows are checked.
     """
     inv = triangle_invariants(a, b, c)
     if not inv.obtuse:
@@ -193,20 +152,28 @@ def build_five_point(a: float, b: float, c: float, eps: float) -> FivePointGadge
     x_alg = (b_p * b_p + c_p * c_p - a * a) / (2.0 * b_p)
     if abs(x_alg - x) > 1e-6 * c:
         raise GeometryError(f"midpoint identity failed: {x_alg} vs {x}")
-    gadget = FivePointGadget(
-        a=a,
-        b=b,
-        c=c,
-        eps=eps,
-        ell=ell,
-        A=np.array([-eps / 2.0, 0.0, 0.0]),
-        B=np.array([eps / 2.0, 0.0, 0.0]),
-        P=np.array([0.0, x, half]),
-        M=np.array([0.0, x, -half]),
-        N=np.array([0.0, b_p, 0.0]),
+    rows = np.array(
+        [
+            [-eps / 2.0, 0.0, 0.0],
+            [eps / 2.0, 0.0, 0.0],
+            [0.0, x, half],
+            [0.0, x, -half],
+            [0.0, b_p, 0.0],
+        ]
     )
-    gadget.verify()
-    return gadget
+    check_copies(rows, [(0, 1, 2, 3, 4)], five_point_sq(a, b, c, eps, ell), "five-point gadget")
+    return Configuration(
+        points=rows,
+        labels=["A", "B", "P", "M", "N"],
+        named_copies={
+            "triangle_NPA": [(4, 2, 0)],
+            "triangle_NPB": [(4, 2, 1)],
+            "triangle_NMA": [(4, 3, 0)],
+            "triangle_NMB": [(4, 3, 1)],
+            "tetra_PMAB": [(2, 3, 0, 1)],
+        },
+        notes={"a": a, "b": b, "c": c, "eps": eps, "ell": ell},
+    )
 
 
 @dataclass(frozen=True)
@@ -277,8 +244,8 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
 
     Solves f(x) = 2(k+1) asin(d/2x) - 2 asin(|UV|/2x) for a radius
     s' in [p, s] with f(s') an integer multiple of 2 pi, taking the
-    smallest k for which such a radius exists (guaranteed once k meets
-    the monotonicity and span bounds).  Antipodal endpoints get one
+    smallest k for which such a radius exists (some k has one: the gap
+    f(p) - f(s) grows with k).  Antipodal endpoints get one
     deterministic pre-hop first.
     """
     center = as_point(center)
@@ -325,20 +292,11 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
     if not (p < s):
         raise GeometryError("no admissible circle radius interval")
 
-    # Hard cap: the smallest k meeting both sufficient bounds always admits
-    # a solution, so the scan below terminates well before it.
-    ratio = (uv / d) * math.sqrt(
-        (1.0 - (d / (2.0 * p)) ** 2) / (1.0 - (uv / (2.0 * p)) ** 2)
-    )
-    k_cap = int(math.ceil(ratio)) + 8
-    while True:
-        f_probe = _chain_profile(uv, d, k_cap)
-        if f_probe(p) - f_probe(s) > TWO_PI:
-            break
-        k_cap += max(1, k_cap // 2)
-
+    # p < s, so each step of k widens f(p) - f(s) by
+    # 2 (asin(d/2p) - asin(d/2s)) > 0; once the gap exceeds 2 pi, a
+    # multiple of 2 pi lies strictly inside it and the scan stops.
     solution = None
-    for k in range(1, k_cap + 1):
+    for k in itertools.count(1):
         f = _chain_profile(uv, d, k)
         fs = f(s)
         fp = f(p)
@@ -359,8 +317,6 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
                 break
         if solution is not None:
             break
-    if solution is None:
-        raise GeometryError("no chain radius found; parameter scan exhausted")
     k, s_prime, n = solution
 
     # Circle of radius s' through U and V on the sphere, tilted off the
@@ -449,7 +405,7 @@ def mono_sphere_witness(
     hyperplane orthogonal to AB, hopping by the gadget chord ell, and
     every hop is verified congruent to the gadget's {P, M, A, B}.
     """
-    gadget = build_five_point(a, b, c, eps)
+    ell = build_five_point(a, b, c, eps).notes["ell"]
     U = as_point(U)
     V = as_point(V)
     if U.shape[0] != 4 or V.shape[0] != 4:
@@ -460,12 +416,12 @@ def mono_sphere_witness(
     pairs = [(2, 0), (2, 1), (3, 0), (3, 1)]
     check_copies(ends, pairs, SimplexSpec.pair(c).sq_dist, "endpoint-anchor pair")
     _, radius = equal_chord_sphere(c, eps)
-    chain3 = chain_on_sphere(np.zeros(3), radius, U[1:], V[1:], gadget.ell)
+    chain3 = chain_on_sphere(np.zeros(3), radius, U[1:], V[1:], ell)
     nodes = np.zeros((len(chain3.nodes), 4))
     nodes[:, 1:] = chain3.nodes
 
     pmab = [2, 3, 0, 1]
-    ref = gadget.sq_dist()[np.ix_(pmab, pmab)]
+    ref = five_point_sq(a, b, c, eps, ell)[np.ix_(pmab, pmab)]
     hops = [(2 + i, 3 + i, 0, 1) for i in range(len(nodes) - 1)]
     check_copies(np.vstack([A4, B4, nodes]), hops, ref, "sphere hop")
     return MonoSphereWitness(A=A4, B=B4, chain=chain3, nodes=nodes, tetra_checked=len(hops))

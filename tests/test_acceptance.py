@@ -56,6 +56,7 @@ from egr.triangles import (
     build_five_point,
     chain_angle_defect,
     chain_on_sphere,
+    five_point_sq,
     perturbed_chord,
     triangle_invariants,
 )
@@ -99,7 +100,8 @@ def test_criterion_02_five_point_gadget():
         inv = triangle_invariants(a, b, c)
         eps = rng.uniform(0.05 * inv.h, 0.95 * inv.h)
         g = build_five_point(a, b, c, eps)
-        assert np.abs(pairwise_sq_dists(g.points()) - g.sq_dist()).max() <= 1e-9 * c * c
+        want = five_point_sq(a, b, c, eps, g.notes["ell"])
+        assert np.abs(pairwise_sq_dists(g.points) - want).max() <= 1e-9 * c * c
     for r in (3, 4, 5):
         assert five_point_logic_scan(r)["violations"] == 0
     _finish(2, "five-point gadget", started, 5.0)
@@ -235,14 +237,16 @@ def test_criterion_09_tetra_suite():
     rng = np.random.default_rng(3)
     for _ in range(100):
         phi = rng.uniform(1e-3, 2.0 * prof.theta)
-        pair = glue_two_copies(prof, phi)
-        assert abs(pair.realized_angle() - phi) < 1e-9
+        pts = glue_two_copies(prof, phi).points
+        u, v = pts[0] - pts[1], pts[4] - pts[1]
+        cos_phi = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+        assert abs(math.acos(min(1.0, max(-1.0, cos_phi))) - phi) < 1e-9
 
     quad = dense_quadruple(prof)
     reference = embed_from_distances(spec)
-    assert len(quad.copies) == 4
-    for tup in quad.copies:
-        assert congruence_check(quad.points()[list(tup)], reference) is not None
+    assert len(quad.named_copies["tetra"]) == 4
+    for tup in quad.named_copies["tetra"]:
+        assert congruence_check(quad.points[list(tup)], reference) is not None
 
     heights = np.linspace(0.05, 0.4, 10)
     family = [(isosceles_tetra(float(t)), tetra_profile(isosceles_tetra(float(t)))) for t in heights]
@@ -252,8 +256,8 @@ def test_criterion_09_tetra_suite():
         if p.condition_flag:
             member_ref = embed_from_distances(member_spec)
             member_quad = dense_quadruple(p)
-            for tup in member_quad.copies:
-                assert congruence_check(member_quad.points()[list(tup)], member_ref) is not None
+            for tup in member_quad.named_copies["tetra"]:
+                assert congruence_check(member_quad.points[list(tup)], member_ref) is not None
         else:
             with pytest.raises(ConstraintViolation) as err:
                 dense_quadruple(p)

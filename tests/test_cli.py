@@ -236,6 +236,18 @@ def test_construct_rejects_non_finite_lengths(tmp_path, capsys, name, flag, valu
     assert re.search(f"lengths? must be positive and finite, got .*{value}", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize(
+    "name,value,wanted",
+    [("grid", "nan", "positive"), ("grid", "inf", "positive"), ("contract", "nan", "nonnegative"),
+     ("contract", "inf", "nonnegative")],
+)
+def test_construct_names_a_bad_eps(tmp_path, capsys, name, value, wanted):
+    out = tmp_path / "cfg.json"
+    assert main(["construct", name, "--eps", value, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert f"eps must be finite and {wanted}, got {value}" in capsys.readouterr().err
+
+
 def test_construct_rejects_bad_triangle(tmp_path):
     out = tmp_path / "fp.json"
     argv = ["construct", "five-point", "--a", "1.0", "--b", "1.0", "--c", "0.5",

@@ -433,6 +433,16 @@ def test_read_json_decodes_escaped_keys(tmp_path, key):
         assert got == want
 
 
+def test_read_json_splices_arrays_for_a_literal_the_file_lacks(tmp_path):
+    # the note holds the first placeholder the reader would try, 1. and 21
+    # zeros, so the array goes in under a longer one
+    path = tmp_path / "t.json"
+    path.write_text('{"dim": 2, "points": [[0.0, 1.0], [2.0, 3.0]], "notes": {"x": 1.%s}}' % ("0" * 21))
+    got = read_json(str(path))
+    assert got["notes"] == {"x": 1.0}
+    assert np.array_equal(got["points"], [[0.0, 1.0], [2.0, 3.0]])
+
+
 def test_write_json_atomic_failure_keeps_the_old_file(tmp_path):
     path = tmp_path / "out.json"
     path.write_text("old\n")

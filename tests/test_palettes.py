@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from egr import palettes
@@ -266,10 +265,8 @@ def test_counterexample_palettes_stay_consistent():
     """Singleton palettes from an avoiding coloring never trip the rules."""
     spec = SimplexSpec.regular(4, 1.0)
     prof = tetra_profile(spec)
-    pair = glue_two_copies(prof, prof.theta)
-    t1 = np.vstack([pair.a, pair.b, pair.c, pair.d])
-    t2 = np.vstack([pair.a_prime, pair.b, pair.c, pair.d])
-    link = build_link(prof, t1, t2)
+    pts = glue_two_copies(prof, prof.theta).points
+    link = build_link(prof, pts[[0, 1, 2, 3]], pts[[4, 1, 2, 3]])
     problem = ColoringProblem(
         cfg=link.cfg,
         mono_targets=link.tetra_copies,

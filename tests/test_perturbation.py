@@ -123,6 +123,28 @@ def test_grid_rejects_bad_counts():
         build_perturbation_grid(SimplexSpec.pair(1.0), [1], 0.6)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.6, math.nan, math.inf])
+def test_grid_rejects_non_positive_or_non_finite_eps(eps):
+    with pytest.raises(GeometryError, match=f"eps must be finite and positive, got {eps}"):
+        build_perturbation_grid(SimplexSpec.triangle(1.0, 1.0, 1.0), [2, 3], eps)
+
+
+@pytest.mark.parametrize("counts", [[2.9, 3.7], [2.0, 3], [True, 3], ["2", 3]])
+def test_grid_reads_counts_as_integers(counts):
+    # 2.9 and 3.7 were truncated to a grid with counts [2, 3]
+    with pytest.raises(GeometryError, match="subdivision count must be an integer"):
+        build_perturbation_grid(SimplexSpec.triangle(1.0, 1.0, 1.0), counts, 0.6)
+    assert build_perturbation_grid(SimplexSpec.triangle(1.0, 1.0, 1.0), [np.int64(2), 3], 0.6).B.notes[
+        "m_counts"
+    ] == [2, 3]
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+def test_contract_rejects_negative_or_non_finite_eps(eps):
+    with pytest.raises(GeometryError, match=f"eps must be finite and nonnegative, got {eps}"):
+        contract_simplex(SimplexSpec.regular(4, 1.0), eps)
+
+
 def test_grid_connected_on_random_simplices():
     rng = np.random.default_rng(31337)
     for _ in range(20):

@@ -234,9 +234,18 @@ def test_census_matches_enumerate_copies():
     assert len(pairs) == count_distance_pairs(2, 1.5, 1.0)["formula_q"]
 
 
+@pytest.mark.parametrize("m,x,y,pairs", [(3, 3.0, 1.5, 190), (5, 4.0, 1.0, 736), (3, 2.9, 1.0, 190)])
+def test_census_takes_the_fewest_edges(m, x, y, pairs):
+    # at an exact multiple x = k*y the path needs k+1 edges, as path_config builds
+    out = count_distance_pairs(m, x, y)
+    assert out["enumerated"] == out["formula_q"] == pairs
+    with pytest.raises(GeometryError, match="is not fewest_edges"):
+        count_distance_pairs(m - 1, x, y)
+
+
 def test_census_rejects_bad_parameters():
     with pytest.raises(GeometryError):
-        count_distance_pairs(3, 1.5, 1.0)  # m != ceil(x/y)
+        count_distance_pairs(3, 1.5, 1.0)  # m != fewest_edges(x, y)
     with pytest.raises(GeometryError):
         count_distance_pairs(2, 1.0, 1.5)  # x <= y
 
@@ -247,4 +256,4 @@ def test_census_aborts_on_unattributable_pair():
     # pair, so classification must fail.
     pts = np.array([[0.0, 1.5, 3.0]]).T
     with pytest.raises(GeometryError, match="not generic"):
-        _census_classify(pts, 3, 2, 1.5)
+        _census_classify(Configuration(points=pts), 3, 2, 1.5)

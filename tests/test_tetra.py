@@ -95,7 +95,7 @@ def test_degenerate_rejected():
 def test_apex_circle_congruent_everywhere():
     for spec in (REGULAR, SKEW):
         prof = tetra_profile(spec)
-        base = prof.base_in_e4()
+        base = glue_two_copies(prof, prof.theta).points[1:4]
         for gamma in np.linspace(0.0, 2.0 * math.pi, 9):
             pts = np.vstack([apex_circle(prof, float(gamma))[None, :], base])
             assert np.abs(pairwise_sq_dists(pts) - spec.sq_dist).max() < 1e-9
@@ -107,16 +107,16 @@ def test_glue_hits_requested_angle():
         prof = tetra_profile(spec)
         for _ in range(50):
             phi = float(rng.uniform(1e-3, 2.0 * prof.theta))
-            pair = glue_two_copies(prof, phi)
-            assert abs(pair.realized_angle() - phi) < 1e-9
-            pair.verify(spec)
+            pts = glue_two_copies(prof, phi).points
+            assert abs(tetra._angle(pts[0] - pts[1], pts[4] - pts[1]) - phi) < 1e-9
+            check_copies(pts, [(0, 1, 2, 3), (4, 1, 2, 3)], spec.sq_dist, "hinge copy")
 
 
 def test_glue_full_opening_is_antipodal():
     prof = tetra_profile(REGULAR)
-    pair = glue_two_copies(prof, 2.0 * prof.theta)
+    pts = glue_two_copies(prof, 2.0 * prof.theta).points
     # at the top of the range the apexes sit at opposite circle points
-    assert abs(np.linalg.norm(pair.a - pair.a_prime) - 2.0 * prof.apex_height) < 1e-9
+    assert abs(np.linalg.norm(pts[0] - pts[4]) - 2.0 * prof.apex_height) < 1e-9
 
 
 def test_glue_rejects_out_of_range():
@@ -129,7 +129,7 @@ def test_glue_rejects_out_of_range():
 
 def test_hinge_configuration():
     prof = tetra_profile(SKEW)
-    cfg = glue_two_copies(prof, prof.theta).as_configuration()
+    cfg = glue_two_copies(prof, prof.theta)
     assert len(cfg) == 5
     assert cfg.named_copies["tetra"] == [(0, 1, 2, 3), (4, 1, 2, 3)]
 
@@ -137,21 +137,22 @@ def test_hinge_configuration():
 def test_dense_quadruple_regular():
     prof = tetra_profile(REGULAR)
     quad = dense_quadruple(prof)
-    pts = quad.points()
+    pts = quad.points
     assert pts.shape == (7, 5)
     ref = embed_from_distances(REGULAR)
-    for tup in quad.copies:
+    for tup in quad.named_copies["tetra"]:
         assert congruence_check(pts[list(tup)], ref) is not None
-    sides = np.sqrt(pairwise_sq_dists(quad.y)[[0, 0, 1], [1, 2, 2]])
-    area = cayley_menger_volume(SimplexSpec.from_points(quad.y))
+    y = pts[1:4]
+    sides = np.sqrt(pairwise_sq_dists(y)[[0, 0, 1], [1, 2, 2]])
+    area = cayley_menger_volume(SimplexSpec.from_points(y))
     assert abs(sides.prod() / (4.0 * area) - prof.rho_min) < 1e-12
-    assert len(quad.as_configuration()) == 7
+    assert len(quad) == 7
 
 
 def test_dense_quadruple_skew_exact():
     # every copy tuple lists its points in the spec's row order
     quad = dense_quadruple(tetra_profile(SKEW))
-    check_copies(quad.points(), quad.copies, SKEW.sq_dist)
+    check_copies(quad.points, quad.named_copies["tetra"], SKEW.sq_dist)
 
 
 def test_dense_quadruple_tracks_condition_boundary():
@@ -160,7 +161,7 @@ def test_dense_quadruple_tracks_condition_boundary():
         prof = tetra_profile(isosceles(float(t)))
         flags.append(prof.condition_flag)
         if prof.condition_flag:
-            assert dense_quadruple(prof).points().shape == (7, 5)
+            assert dense_quadruple(prof).points.shape == (7, 5)
         else:
             with pytest.raises(ConstraintViolation) as err:
                 dense_quadruple(prof)
@@ -245,10 +246,8 @@ def test_translated_link():
 
 def test_link_deduplicates_shared_seam_points():
     prof = tetra_profile(REGULAR)
-    pair = glue_two_copies(prof, prof.theta)
-    t1 = np.vstack([pair.a, pair.b, pair.c, pair.d])
-    t2 = np.vstack([pair.a_prime, pair.b, pair.c, pair.d])
-    out = build_link(prof, t1, t2)
+    pts = glue_two_copies(prof, prof.theta).points
+    out = build_link(prof, pts[[0, 1, 2, 3]], pts[[4, 1, 2, 3]])
     # the shared base face is stored once, so the far endpoint reuses it
     assert out.tetra_copies[-1] == (4, 1, 2, 3)
     check_copies(out.cfg.points, out.tetra_copies, REGULAR.sq_dist, "tetra copy")

@@ -1,15 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from helpers import random_obtuse
 
-from egr.geometry import ConstraintViolation, GeometryError, pairwise_sq_dists, squared_distance
+from egr.geometry import ConstraintViolation, GeometryError, check_copies, pairwise_sq_dists, squared_distance
 from egr.triangles import (
     build_five_point,
     case_b_certificate,
     chain_angle_defect,
     chain_on_sphere,
+    five_point_sq,
     forced_sphere_radius,
     mono_sphere_witness,
     perturbed_chord,
@@ -59,14 +61,23 @@ def test_perturbed_chord_rejects_eps_at_h():
 
 
 def test_five_point_gadget_2_2_3_1():
-    g = build_five_point(2.0, 2.0, 3.0, 1.0)
-    g.verify()
+    cfg = build_five_point(2.0, 2.0, 3.0, 1.0)
+    want = five_point_sq(2.0, 2.0, 3.0, 1.0, cfg.notes["ell"])
+    check_copies(cfg.points, [(0, 1, 2, 3, 4)], want, "five-point gadget")
     # Midpoint offset from the algebraic identity.
-    assert abs(g.P[1] - 2.1947) < 1e-3
-    assert np.abs(pairwise_sq_dists(g.points()) - g.sq_dist()).max() <= 1e-9 * g.c * g.c
-    cfg = g.as_configuration()
+    assert abs(cfg.points[2, 1] - 2.1947) < 1e-3
+    c = cfg.notes["c"]
+    assert np.abs(pairwise_sq_dists(cfg.points) - want).max() <= 1e-9 * c * c
     assert cfg.labels == ["A", "B", "P", "M", "N"]
     assert len(cfg.named_copies["tetra_PMAB"]) == 1
+
+
+def test_five_point_copies_cover_every_distance():
+    cfg = build_five_point(2.0, 2.0, 3.0, 1.0)
+    pairs = {frozenset(p) for tups in cfg.named_copies.values() for t in tups for p in itertools.combinations(t, 2)}
+    assert len(pairs) == 10
+    assert list(cfg.notes) == ["a", "b", "c", "eps", "ell"]
+    assert five_point_sq(2.0, 2.0, 3.0, 1.0, cfg.notes["ell"])[2, 3] == cfg.notes["ell"] ** 2
 
 
 def test_five_point_gadget_random_parameters():
@@ -77,7 +88,8 @@ def test_five_point_gadget_random_parameters():
         inv = triangle_invariants(a, b, c)
         eps = rng.uniform(0.05 * inv.h, 0.95 * inv.h)
         g = build_five_point(a, b, c, eps)
-        assert np.abs(pairwise_sq_dists(g.points()) - g.sq_dist()).max() <= 1e-9 * c * c
+        want = five_point_sq(a, b, c, eps, g.notes["ell"])
+        assert np.abs(pairwise_sq_dists(g.points) - want).max() <= 1e-9 * c * c
         built += 1
 
 

@@ -9,7 +9,11 @@ equal, so a change meant to keep behaviour is checked by running this
 on both sides and diffing the outputs.  It prints, one line each:
 
 - the SHA-256 of the artifact written by each of 14 ``construct`` runs
-  of the command line, with its exit code;
+  of the command line at or near their defaults, and of 8 more of
+  ``hinge``, ``dense-quad`` and ``five-point`` at other inputs (three
+  hinge angles up to 2*theta, a non-regular ``--spec`` that meets the
+  dense-quadruple condition, three seeded obtuse triples), with the
+  exit code of each;
 - a digest of the verdict, node count, witness and static search order
   of each census coloring problem S_s(1.5) x B_m(1.5, 1.0) with r
   colors, for m >= 2, (m+1)*s <= 21 and r <= s+3 (126 cases), with the
@@ -44,7 +48,8 @@ from egr.geometry import Configuration, GeometryError, SimplexSpec, enumerate_co
 from egr.perturbation import eps_max  # noqa: E402
 from egr.rectangles import path_config, product_config, regular_simplex  # noqa: E402
 from egr.solver import BudgetExceeded, ColoringProblem, _orbit_order, solve_gr  # noqa: E402
-from egr.triangles import chain_on_sphere  # noqa: E402
+from egr.tetra import tetra_profile  # noqa: E402
+from egr.triangles import chain_on_sphere, triangle_invariants  # noqa: E402
 
 CONSTRUCTS = [
     ["x1"],
@@ -72,14 +77,49 @@ def digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
+# A tetrahedron with no symmetry whose largest height exceeds its
+# smallest face circumradius, so it has a dense quadruple.
+SKEW = SimplexSpec(
+    np.array(
+        [
+            [0.0, 1.0, 1.21, 1.44],
+            [1.0, 0.0, 1.69, 1.0],
+            [1.21, 1.69, 0.0, 1.1],
+            [1.44, 1.0, 1.1, 0.0],
+        ]
+    )
+)
+
+
+def varied_constructs(tmp: str) -> list:
+    """Runs of the hinge, dense-quad and five-point builders away from
+    their defaults; the skew spec is written into ``tmp``."""
+    two_theta = 2.0 * tetra_profile(SimplexSpec.regular(4, 1.0)).theta
+    runs = [["hinge", "--phi", repr(phi)] for phi in (0.05, 1.0, two_theta)]
+    spec = os.path.join(tmp, "skew.json")
+    SKEW.save(spec)
+    runs += [["hinge", "--spec", spec], ["dense-quad", "--spec", spec]]
+    rng = np.random.default_rng(25)
+    while len(runs) < 8:
+        a, b = sorted(float(v) for v in rng.uniform(0.3, 4.0, size=2))
+        c = float(rng.uniform(math.hypot(a, b) + 1e-3, a + b - 1e-3))
+        eps = float(rng.uniform(0.05, 0.95)) * triangle_invariants(a, b, c).h
+        runs.append(["five-point", *(f"--{k}={v!r}" for k, v in zip("abc", (a, b, c))), f"--eps={eps!r}"])
+    return runs
+
+
 def artifacts() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for i, args in enumerate(CONSTRUCTS):
+        for i, args in enumerate(CONSTRUCTS + varied_constructs(tmp)):
             out = os.path.join(tmp, f"{i}.json")
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main(["construct", *args, "-o", out])
+                try:
+                    code = main(["construct", *args, "-o", out])
+                except SystemExit as exit:  # refused by the argument parser
+                    code = exit.code
             sha = hashlib.sha256(Path(out).read_bytes()).hexdigest() if code == 0 else "-"
-            print(f"construct {' '.join(args)}: exit {code} sha256 {sha}")
+            shown = [os.path.basename(arg) if arg.startswith(tmp) else arg for arg in args]
+            print(f"construct {' '.join(shown)}: exit {code} sha256 {sha}")
 
 
 def search_digest(problem: ColoringProblem) -> str:

@@ -34,7 +34,7 @@ from .geometry import (
     write_json_atomic,
 )
 from .palettes import classification_scan
-from .perturbation import build_perturbation_grid, contract_simplex
+from .perturbation import build_perturbation_grid, contract_simplex, eps_max
 from .rectangles import path_config, product_config, regular_simplex
 from .solver import (
     BudgetExceeded,
@@ -86,7 +86,7 @@ def _construct_chain(args) -> Configuration:
     v = center.copy()
     v[0] = args.s * np.cos(alpha)
     v[1] = args.s * np.sin(alpha)
-    return chain_on_sphere(center, args.s, u, v, args.d).as_configuration()
+    return chain_on_sphere(center, args.s, u, v, args.d)
 
 
 def _construct_regular_simplex(args) -> Configuration:
@@ -105,7 +105,7 @@ def _construct_product(args) -> Configuration:
 
 def _construct_grid(args) -> Configuration:
     spec = _spec(args, args.regular_k)
-    return build_perturbation_grid(spec, [args.m] * (spec.k - 1), args.eps).B
+    return build_perturbation_grid(spec, [args.m] * (spec.k - 1), args.eps)
 
 
 def _construct_hinge(args) -> Configuration:
@@ -142,14 +142,14 @@ def _construct_anchor_gadget(args) -> Configuration:
 
 def _construct_contract(args) -> Configuration:
     spec = _spec(args, args.regular_k)
-    result = contract_simplex(spec, args.eps)
-    pts = embed_from_distances(result.contracted)
+    contracted = contract_simplex(spec, args.eps)
+    margin = eps_max(spec)
     return Configuration(
-        points=pts,
+        points=embed_from_distances(contracted),
         notes={
             "kind": "contracted_simplex",
-            "eps": result.eps,
-            "eps_max": result.eps_max,
+            "eps": args.eps,
+            "eps_max": margin,
             "original_sq_dist": spec.sq_dist.tolist(),
         },
     )

@@ -7,18 +7,18 @@ there are no cross terms.  ``contract_simplex`` performs the shrink and
 certifies the result stays a real nondegenerate simplex;
 ``eps_max`` locates the collapse threshold by bisection.
 
-``build_perturbation_grid`` realizes the block-matrix point set whose
-rows are the simplex vertices (w_i, 0) plus chain rows
-((j/m_i) w_i, (eps/2) e_k) subdividing each edge from the origin.  Its
-two load-bearing facts are verified directly: the rows are affinely
-independent, and the graph joining rows at distance < 2*eps is
-connected, so the eps-balls around the rows overlap along every chain.
+``build_perturbation_grid`` realizes, as a ``Configuration``, the
+block-matrix point set whose rows are the simplex vertices (w_i, 0)
+plus chain rows ((j/m_i) w_i, (eps/2) e_k) subdividing each edge from
+the origin.  Its two load-bearing facts are verified directly: the rows
+are affinely independent, and the graph joining rows at distance
+< 2*eps is connected (``is_connected``), so the eps-balls around the
+rows overlap along every chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,58 +71,32 @@ def eps_max(spec: SimplexSpec) -> float:
     return bisect(lambda eps: _contraction_ok(sq, eps), lo, hi, 1e-9)[0]
 
 
-@dataclass(frozen=True)
-class ContractionResult:
-    eps: float
-    contracted: SimplexSpec
-    eps_max: float
-
-
-def contract_simplex(spec: SimplexSpec, eps: float) -> ContractionResult:
-    """Shrink every squared side by 2*eps^2."""
+def contract_simplex(spec: SimplexSpec, eps: float) -> SimplexSpec:
+    """The simplex with every squared side shrunk by 2*eps^2, refused
+    when that degenerates it."""
     if not 0.0 <= eps < math.inf:
         raise GeometryError(f"eps must be finite and nonnegative, got {eps}")
     if eps > 0.0 and not _contraction_ok(spec.sq_dist, eps):
         raise ConstraintViolation("eps_too_large", f"contraction by eps={eps} degenerates the simplex")
-    contracted = SimplexSpec(_contracted_sq(spec.sq_dist, eps))
-    return ContractionResult(eps=eps, contracted=contracted, eps_max=eps_max(spec))
+    return SimplexSpec(_contracted_sq(spec.sq_dist, eps))
 
 
-@dataclass(frozen=True)
-class PerturbationGrid:
+def is_connected(points, eps: float) -> bool:
+    """Whether the rows of ``points`` chain into one piece through pairs
+    at distance strictly below 2*eps."""
+    close = np.triu(pairwise_sq_dists(points) < (2.0 * eps) ** 2, k=1)
+    return all(low == 0 for low in components(len(points), np.argwhere(close)))
+
+
+def build_perturbation_grid(delta_spec: SimplexSpec, m_counts, eps: float) -> Configuration:
     """Subdivision grid over a simplex with one chain per edge from w0.
 
-    ``B`` holds the d+1 base rows followed by the chain rows, and its
-    notes the counts m_i and chain steps; n1 is the ambient (and affine)
-    dimension sum(m_i - 1) + d.
-    """
-
-    delta_spec: SimplexSpec
-    eps: float
-    n1: int
-    B: Configuration
-
-    def intersection_graph_edges(self) -> list[tuple[int, int]]:
-        """Pairs of rows at distance strictly below 2*eps."""
-        sq = pairwise_sq_dists(self.B.points)
-        bound = (2.0 * self.eps) ** 2
-        out = []
-        for i, j in zip(*np.nonzero(np.triu(sq < bound, k=1))):
-            out.append((int(i), int(j)))
-        return out
-
-    def is_connected(self) -> bool:
-        """Whether the rows at distance below 2*eps chain into one piece."""
-        return all(low == 0 for low in components(len(self.B.points), self.intersection_graph_edges()))
-
-
-def build_perturbation_grid(
-    delta_spec: SimplexSpec,
-    m_counts,
-    eps: float,
-) -> PerturbationGrid:
-    """Refuses a grid whose chain steps reach eps or whose balls do not
-    chain into one piece; the grid it returns notes ``connected``, last."""
+    Rows are the d+1 base rows w_i followed by the chain rows; the
+    ``base`` copy is the base rows and each ``chains`` copy walks from
+    w0 to one w_i.  Its notes are kind, eps, the counts m_i, n1 (the
+    ambient and affine dimension sum(m_i - 1) + d), the chain steps and,
+    last, ``connected``.  Refuses a grid whose chain steps reach eps or
+    whose balls do not chain into one piece."""
     d = len(delta_spec.sq_dist) - 1
     m_counts = tuple(as_index(m, "subdivision count") for m in m_counts)
     if len(m_counts) != d:
@@ -167,22 +141,12 @@ def build_perturbation_grid(
     if np.linalg.matrix_rank(diffs) != n1:
         raise GeometryError("grid rows are affinely dependent")
 
-    grid = PerturbationGrid(
-        delta_spec=delta_spec,
-        eps=eps,
-        n1=n1,
-        B=Configuration(
-            points=pts,
-            labels=labels,
-            named_copies={"base": [tuple(range(d + 1))], "chains": chains},
-            notes={
-                "kind": "perturbation_grid",
-                "eps": eps,
-                "m_counts": list(m_counts),
-                "n1": n1,
-                "eps_steps": list(steps),
-            },
-        ),
+    grid = Configuration(
+        points=pts,
+        labels=labels,
+        named_copies={"base": [tuple(range(d + 1))], "chains": chains},
+        notes={"kind": "perturbation_grid", "eps": eps, "m_counts": list(m_counts), "n1": n1,
+               "eps_steps": list(steps)},
     )
 
     # Each chain must walk from w0 to its vertex in hops below 2*eps;
@@ -193,37 +157,38 @@ def build_perturbation_grid(
             gap = float(np.dot(pts[u] - pts[v], pts[u] - pts[v]))
             if gap >= bound_sq:
                 raise GeometryError(f"chain hop ({u}, {v}) has length >= 2*eps")
-    if not grid.is_connected():
+    if not is_connected(pts, eps):
         raise GeometryError("grid intersection graph is not connected")
-    grid.B.notes["connected"] = True
+    grid.notes["connected"] = True
     return grid
 
 
-def lifted_base_copy(grid: PerturbationGrid, unit_dir) -> Configuration:
-    """Base simplex translated by eps along one fiber direction.
+def lifted_base_copy(grid: Configuration, unit_dir) -> Configuration:
+    """Base simplex of a ``build_perturbation_grid`` grid translated by
+    eps along one fiber direction.
 
     The translated vertices all sit at distance eps from their base
     counterparts and keep every pairwise distance, so they form a copy
-    of the original simplex with each vertex on the sphere of radius
-    eps around its base point.
+    of the base simplex, checked against the base rows, with each vertex
+    on the sphere of radius eps around its base point.
     """
+    n1, eps = grid.notes["n1"], grid.notes["eps"]
+    base = grid.points[list(grid.named_copies["base"][0])]
+    d = len(base) - 1
     u = np.asarray(unit_dir, dtype=float)
-    fiber = grid.n1 - (len(grid.delta_spec.sq_dist) - 1)
-    if u.shape != (fiber,):
-        raise GeometryError(f"direction must live in the {fiber}-dimensional fiber")
+    if u.shape != (n1 - d,):
+        raise GeometryError(f"direction must live in the {n1 - d}-dimensional fiber")
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
         raise GeometryError("lift direction must have unit norm")
 
-    d = len(grid.delta_spec.sq_dist) - 1
-    base = grid.B.points[: d + 1]
-    shift = np.zeros(grid.n1)
-    shift[d:] = grid.eps * u
+    shift = np.zeros(n1)
+    shift[d:] = eps * u
     pts = base + shift
-    check_copies(pts, [range(d + 1)], grid.delta_spec.sq_dist, "lifted base copy")
+    check_copies(pts, [range(d + 1)], pairwise_sq_dists(base), "lifted base copy")
     return Configuration(
         points=pts,
         labels=[f"q{i}" for i in range(d + 1)],
-        notes={"kind": "lifted_base_copy", "eps": grid.eps},
+        notes={"kind": "lifted_base_copy", "eps": eps},
     )
 
 

@@ -126,6 +126,7 @@ def path_config(t: int, x: float, y: float) -> PathConfig:
     straight-line limit t*y to 0, so a root exists exactly when 0 < x < t*y,
     that is when t is at least ``fewest_edges(x, y)``.
     """
+    t = as_index(t, "path edge count t")
     if not (0.0 < x < math.inf and 0.0 < y < math.inf):
         raise GeometryError(f"lengths must be positive and finite, got x={x}, y={y}")
     fewest = fewest_edges(x, y)
@@ -250,6 +251,7 @@ def count_distance_pairs(m: int, x: float, y: float) -> dict[str, int]:
     form q = (m+1)*C(3m+1, 2) + (3m+1).  The path takes the fewest
     edges ``path_config`` can build, m = ``fewest_edges(x, y)``.
     """
+    m = as_index(m, "census m")
     if not x > y > 0.0:
         raise GeometryError(f"census needs x > y > 0, got x={x}, y={y}")
     fewest = fewest_edges(x, y)

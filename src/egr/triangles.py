@@ -4,7 +4,11 @@ Given an obtuse triangle with sides a <= b <= c, this module computes
 the associated quadratic invariant and height bound, realizes the
 five-point gadget that transmits color equality across a sphere of
 equal chords, walks equal-hop chains between two points of a sphere,
-and assembles the two-sphere certificate used in the wide-angle regime.
+chains gadget spheres across the E^4 sphere of equal chords, and
+assembles the two-sphere certificate used in the wide-angle regime.
+Each construction is returned as the ``Configuration`` it describes,
+checked before it is returned; ``check_case_b`` re-checks the
+certificate from the configuration alone.
 """
 
 from __future__ import annotations
@@ -176,39 +180,18 @@ def build_five_point(a: float, b: float, c: float, eps: float) -> Configuration:
     )
 
 
-@dataclass(frozen=True)
-class SphereChain:
-    """Equal-hop node chain between two points of a sphere.
-
-    ``nodes`` runs U, X_1, ..., X_k, V; every consecutive pair is d
-    apart and every node lies on the sphere.  ``s_prime`` is the radius
-    of the auxiliary circle carrying the nodes (None for the trivial
-    single-point chain).
-    """
-
-    center: np.ndarray
-    s: float
-    d: float
-    nodes: np.ndarray
-    k: int
-    s_prime: float | None
-    pre_hops: int = 0
-
-    def hops(self) -> list[tuple[int, int]]:
-        return [(i, i + 1) for i in range(len(self.nodes) - 1)]
-
-    def verify(self):
-        radii = [(0, i) for i in range(1, len(self.nodes) + 1)]
-        on_sphere = np.vstack([self.center, self.nodes])
-        check_copies(on_sphere, radii, SimplexSpec.pair(self.s).sq_dist, "center-node pair")
-        check_copies(self.nodes, self.hops(), SimplexSpec.pair(self.d).sq_dist, "hop")
-
-    def as_configuration(self) -> Configuration:
-        return Configuration(
-            points=self.nodes,
-            named_copies={"hops": [list(h) for h in self.hops()]},
-            notes={"s": self.s, "d": self.d, "s_prime": self.s_prime, "k": self.k},
-        )
+def _sphere_chain(center, s: float, d: float, nodes, k: int, s_prime, pre_hops: int) -> Configuration:
+    """Check that every node is s from ``center`` and every hop is d
+    long, then return the chain with its ``hops`` copies."""
+    hops = [(i, i + 1) for i in range(len(nodes) - 1)]
+    radii = [(0, i) for i in range(1, len(nodes) + 1)]
+    check_copies(np.vstack([center, nodes]), radii, SimplexSpec.pair(s).sq_dist, "center-node pair")
+    check_copies(nodes, hops, SimplexSpec.pair(d).sq_dist, "hop")
+    return Configuration(
+        points=nodes,
+        named_copies={"hops": hops},
+        notes={"s": s, "d": d, "s_prime": s_prime, "k": k, "pre_hops": pre_hops},
+    )
 
 
 def _unit_orthogonal(vectors: list[np.ndarray], dim: int) -> np.ndarray:
@@ -239,7 +222,7 @@ def _chain_profile(uv: float, d: float, k: int):
     return f
 
 
-def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
+def chain_on_sphere(center, s: float, U, V, d: float) -> Configuration:
     """Connect U to V on the sphere by the smallest workable equal-hop chain.
 
     Solves f(x) = 2(k+1) asin(d/2x) - 2 asin(|UV|/2x) for a radius
@@ -247,6 +230,12 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
     smallest k for which such a radius exists (some k has one: the gap
     f(p) - f(s) grows with k).  Antipodal endpoints get one
     deterministic pre-hop first.
+
+    Returns rows U, X_1, ..., X_k, V, each checked to lie s from
+    ``center``, with every consecutive pair, the ``hops`` copies,
+    checked d apart.  Its notes are s, d, s_prime (the radius of the
+    circle carrying the nodes; None for the single-point chain of
+    coincident endpoints), k and ``pre_hops``.
     """
     center = as_point(center)
     U = as_point(U)
@@ -265,7 +254,7 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
     scale_slack = sq_slack(s_sq)
     if uv_sq <= scale_slack:
         # Coincident endpoints: nothing to connect.
-        return SphereChain(center=center, s=s, d=d, nodes=U[None, :].copy(), k=0, s_prime=None)
+        return _sphere_chain(center, s, d, U[None, :].copy(), 0, None, 0)
 
     if sq_close(uv_sq, 4.0 * s_sq):
         # Antipodal endpoints: one deterministic pre-hop off the axis.
@@ -274,16 +263,9 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
         xi = 2.0 * math.asin(d / (2.0 * s))
         u_pre = center + math.cos(xi) * (U - center) + math.sin(xi) * s * e
         inner = chain_on_sphere(center, s, u_pre, V, d)
-        nodes = np.vstack([U[None, :], inner.nodes])
-        return SphereChain(
-            center=center,
-            s=s,
-            d=d,
-            nodes=nodes,
-            k=inner.k + 1,
-            s_prime=inner.s_prime,
-            pre_hops=inner.pre_hops + 1,
-        )
+        nodes = np.vstack([U[None, :], inner.points])
+        notes = inner.notes
+        return _sphere_chain(center, s, d, nodes, notes["k"] + 1, notes["s_prime"], notes["pre_hops"] + 1)
 
     uv = math.sqrt(uv_sq)
     half_uv = uv / 2.0
@@ -347,67 +329,41 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> SphereChain:
         ang = i * step
         nodes.append(o_circ + s_prime * (math.cos(ang) * e_a + math.sin(ang) * e_b))
     nodes.append(V)
-    chain = SphereChain(center=center, s=s, d=d, nodes=np.vstack(nodes), k=k, s_prime=s_prime)
-    chain.verify()
-    return chain
+    return _sphere_chain(center, s, d, np.vstack(nodes), k, s_prime, 0)
 
 
-def chain_angle_defect(chain: SphereChain) -> float:
-    """Distance from f(s') to the nearest integer multiple of 2 pi.
+def chain_angle_defect(chain: Configuration) -> float:
+    """Distance from f(s') to the nearest integer multiple of 2 pi, for a
+    chain built by ``chain_on_sphere``.
 
     For antipodal inputs the profile applies to the segment after the
     deterministic pre-hop, which is where s' was solved.
     """
-    if chain.s_prime is None:
+    notes = chain.notes
+    if notes["s_prime"] is None:
         return 0.0
-    u = chain.nodes[chain.pre_hops]
-    v = chain.nodes[-1]
+    u = chain.points[notes["pre_hops"]]
+    v = chain.points[-1]
     uv = math.sqrt(squared_distance(u, v))
-    f = _chain_profile(uv, chain.d, chain.k - chain.pre_hops)
-    val = f(chain.s_prime)
+    f = _chain_profile(uv, notes["d"], notes["k"] - notes["pre_hops"])
+    val = f(notes["s_prime"])
     return abs(val - TWO_PI * round(val / TWO_PI))
 
 
-@dataclass(frozen=True)
-class MonoSphereWitness:
+def mono_sphere_witness(a: float, b: float, c: float, eps: float, U, V) -> Configuration:
     """Chain of gadget spheres showing one color must dominate a sphere.
 
-    The sphere is the locus at distance c from both A and B of the
-    five-point gadget; consecutive chain nodes are one chord ell apart,
-    so each hop, together with A and B, is congruent to {P, M, A, B}.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    chain: SphereChain
-    nodes: np.ndarray
-    tetra_checked: int
-
-
-def equal_chord_sphere(c: float, eps: float) -> tuple[np.ndarray, float]:
-    """Center and radius of {Z in E^4 : |ZA| = |ZB| = c} in gadget frame."""
-    radius = math.sqrt(c * c - (eps / 2.0) ** 2)
-    return np.zeros(4), radius
-
-
-def mono_sphere_witness(
-    a: float,
-    b: float,
-    c: float,
-    eps: float,
-    U,
-    V,
-) -> MonoSphereWitness:
-    """Chain U to V across the equal-distance sphere of the gadget.
-
     U and V are E^4 points with |UA| = |UB| = |VA| = |VB| = c, where A
-    and B straddle the origin on the first axis.  The chain stays in the
-    hyperplane orthogonal to AB, hopping by the gadget chord ell, and
-    every hop is verified congruent to the gadget's {P, M, A, B}.
+    and B straddle the origin on the first axis, eps apart.  The chain
+    stays on the sphere of points c from both, in the hyperplane
+    orthogonal to AB, hopping by the gadget chord ell.  Returns rows A,
+    B, then the chain nodes U, ..., V; each hop, with A and B, is a
+    ``tetra_PMAB`` copy checked congruent to the gadget's {P, M, A, B}.
+    Its notes are a, b, c, eps, ell and the chain's k, s_prime and
+    pre_hops.
     """
     ell = build_five_point(a, b, c, eps).notes["ell"]
-    U = as_point(U)
-    V = as_point(V)
+    U, V = as_point(U), as_point(V)
     if U.shape[0] != 4 or V.shape[0] != 4:
         raise GeometryError("witness endpoints must be E^4 points")
     A4 = np.array([-eps / 2.0, 0.0, 0.0, 0.0])
@@ -415,71 +371,58 @@ def mono_sphere_witness(
     ends = np.vstack([A4, B4, U, V])
     pairs = [(2, 0), (2, 1), (3, 0), (3, 1)]
     check_copies(ends, pairs, SimplexSpec.pair(c).sq_dist, "endpoint-anchor pair")
-    _, radius = equal_chord_sphere(c, eps)
+    radius = math.sqrt(c * c - (eps / 2.0) ** 2)
     chain3 = chain_on_sphere(np.zeros(3), radius, U[1:], V[1:], ell)
-    nodes = np.zeros((len(chain3.nodes), 4))
-    nodes[:, 1:] = chain3.nodes
+    rows = np.zeros((len(chain3) + 2, 4))
+    rows[:2] = A4, B4
+    rows[2:, 1:] = chain3.points
 
     pmab = [2, 3, 0, 1]
     ref = five_point_sq(a, b, c, eps, ell)[np.ix_(pmab, pmab)]
-    hops = [(2 + i, 3 + i, 0, 1) for i in range(len(nodes) - 1)]
-    check_copies(np.vstack([A4, B4, nodes]), hops, ref, "sphere hop")
-    return MonoSphereWitness(A=A4, B=B4, chain=chain3, nodes=nodes, tetra_checked=len(hops))
+    hops = [(2 + i, 3 + i, 0, 1) for i in range(len(chain3) - 1)]
+    check_copies(rows, hops, ref, "sphere hop")
+    return Configuration(
+        points=rows,
+        named_copies={"tetra_PMAB": hops},
+        notes={"a": a, "b": b, "c": c, "eps": eps, "ell": ell,
+               **{key: chain3.notes[key] for key in ("k", "s_prime", "pre_hops")}},
+    )
 
 
-@dataclass(frozen=True)
-class CaseBCertificate:
-    """Concrete two-sphere geometry for the wide-angle regime.
+def check_case_b(cfg: Configuration) -> None:
+    """Raise GeometryError unless ``cfg``, as ``case_b_certificate``
+    returns it, holds every claim of the certificate.
 
-    O is the shared center; Q sits at radius rho - delta, P is reached
-    orthogonally from Q, and Z1 (on the outer sphere S) and Z2 (on the
-    inner forced sphere W) are both at distance c from P and Q.  The
-    ``branch`` records whether rho equals rad_S (P taken on S) or is
-    strictly smaller (P taken at the maximal orthogonal offset).
+    It reads only the configuration: rows O, P, Q, Z1, Z2 and notes c,
+    rho, delta, branch, rad_S and rad_W.  The inequalities come first:
+    (rho - delta)^2 <= |OQ|^2 <= rho^2, OQ orthogonal to QP, and
+    |PQ|^2 <= 2 rho delta.  Then the named copies: ``c_pairs`` at
+    distance c, ``outer_radius`` at rad_S and ``forced_radius`` at
+    rad_W.  On the interior branch, last, rho < |OP| < rad_S.
     """
-
-    a: float
-    b: float
-    c: float
-    eps: float
-    rho: float
-    delta: float
-    branch: str
-    O: np.ndarray
-    Q: np.ndarray
-    P: np.ndarray
-    Z1: np.ndarray
-    Z2: np.ndarray
-    rad_S: float
-    rad_W: float
-
-    def pq(self) -> float:
-        return math.dist(self.P, self.Q)
-
-    def verify(self):
-        slack = sq_slack(self.c * self.c)
-        oq_sq = squared_distance(self.O, self.Q)
-        lo = (self.rho - self.delta) ** 2
-        hi = self.rho * self.rho
-        if not (lo - slack <= oq_sq <= hi + slack):
-            raise GeometryError(f"|OQ|^2 = {oq_sq} outside [{lo}, {hi}]")
-        dot = float(np.dot(self.Q - self.O, self.P - self.Q))
-        if abs(dot) > math.sqrt(slack) * self.rho:
-            raise GeometryError(f"OQ is not orthogonal to QP: dot = {dot}")
-        pq_sq = squared_distance(self.P, self.Q)
-        if pq_sq > 2.0 * self.rho * self.delta + slack:
-            raise GeometryError(f"|PQ|^2 = {pq_sq} exceeds 2 rho delta")
-        pts = np.vstack([self.O, self.P, self.Q, self.Z1, self.Z2])
-        o, p, q, z1, z2 = range(5)
-        z_pq = [(z1, p), (z1, q), (z2, p), (z2, q)]
-        check_copies(pts, z_pq, SimplexSpec.pair(self.c).sq_dist, "Z-P/Q pair")
-        on_s = [(o, z1), (o, p)] if self.branch == "on_sphere" else [(o, z1)]
-        check_copies(pts, on_s, SimplexSpec.pair(self.rad_S).sq_dist, "outer-sphere radius")
-        check_copies(pts, [(o, z2)], SimplexSpec.pair(self.rad_W).sq_dist, "forced-sphere radius")
-        if self.branch != "on_sphere":
-            op_sq = squared_distance(self.O, self.P)
-            if not (hi - slack < op_sq < self.rad_S**2 + slack):
-                raise GeometryError(f"|OP|^2 = {op_sq} outside (rho^2, rad_S^2)")
+    notes = cfg.notes
+    o, p, q = cfg.points[:3]
+    rho, delta = notes["rho"], notes["delta"]
+    slack = sq_slack(notes["c"] ** 2)
+    oq_sq = squared_distance(o, q)
+    lo = (rho - delta) ** 2
+    hi = rho * rho
+    if not (lo - slack <= oq_sq <= hi + slack):
+        raise GeometryError(f"|OQ|^2 = {oq_sq} outside [{lo}, {hi}]")
+    dot = float(np.dot(q - o, p - q))
+    if abs(dot) > math.sqrt(slack) * rho:
+        raise GeometryError(f"OQ is not orthogonal to QP: dot = {dot}")
+    pq_sq = squared_distance(p, q)
+    if pq_sq > 2.0 * rho * delta + slack:
+        raise GeometryError(f"|PQ|^2 = {pq_sq} exceeds 2 rho delta")
+    pts, copies, pair = cfg.points, cfg.named_copies, SimplexSpec.pair
+    check_copies(pts, copies["c_pairs"], pair(notes["c"]).sq_dist, "Z-P/Q pair")
+    check_copies(pts, copies["outer_radius"], pair(notes["rad_S"]).sq_dist, "outer-sphere radius")
+    check_copies(pts, copies["forced_radius"], pair(notes["rad_W"]).sq_dist, "forced-sphere radius")
+    if notes["branch"] != "on_sphere":
+        op_sq = squared_distance(o, p)
+        if not (hi - slack < op_sq < notes["rad_S"] ** 2 + slack):
+            raise GeometryError(f"|OP|^2 = {op_sq} outside (rho^2, rad_S^2)")
 
 
 def forced_sphere_radius(a: float, b: float, c: float, eps: float) -> float:
@@ -501,20 +444,22 @@ def forced_sphere_radius(a: float, b: float, c: float, eps: float) -> float:
     return math.hypot(zx, dcd + zy)
 
 
-def case_b_certificate(
-    a: float,
-    b: float,
-    c: float,
-    eps: float,
-    rho: float,
-    delta: float,
-) -> CaseBCertificate:
-    """Assemble the P, Q, Z1, Z2 certificate in explicit E^3 coordinates.
+def case_b_certificate(a: float, b: float, c: float, eps: float, rho: float, delta: float) -> Configuration:
+    """Concrete two-sphere geometry for the wide-angle regime, rows O, P,
+    Q, Z1, Z2 in E^3.
 
-    Every precondition of the regime is checked by name before any
-    geometry is built; the finished certificate re-verifies all distance
-    and orthogonality claims.
+    O is the shared center; Q sits at radius rho - delta, P is reached
+    orthogonally from Q, and Z1 (on the outer sphere S, radius rad_S)
+    and Z2 (on the inner forced sphere W, radius rad_W) are both at
+    distance c from P and Q: the ``c_pairs`` copies.  ``outer_radius``
+    holds (O, Z1), and (O, P) when rho equals rad_S (``branch`` note
+    ``on_sphere``: P taken on S; else ``interior``: P at the maximal
+    orthogonal offset); ``forced_radius`` holds (O, Z2).  Every
+    precondition is checked by name before any geometry is built, and
+    the result passes ``check_case_b`` before it is returned.
     """
+    if not (math.isfinite(rho) and math.isfinite(delta)):
+        raise GeometryError(f"rho and delta must be finite, got rho={rho}, delta={delta}")
     inv = triangle_invariants(a, b, c)
     if inv.gamma < 5.0 * math.pi / 6.0:
         raise ConstraintViolation("gamma_min", f"largest angle {inv.gamma} below 5*pi/6")
@@ -542,7 +487,6 @@ def case_b_certificate(
 
     rad_w = forced_sphere_radius(a, b, c, eps)
 
-    origin = np.zeros(3)
     oq = rho - delta
     q_pt = np.array([oq, 0.0, 0.0])
     if on_sphere:
@@ -577,21 +521,16 @@ def case_b_certificate(
     z1 = _bisector_point(rad_s, "z1_intersection")
     z2 = _bisector_point(rad_w, "z2_intersection")
 
-    cert = CaseBCertificate(
-        a=a,
-        b=b,
-        c=c,
-        eps=eps,
-        rho=rho,
-        delta=delta,
-        branch=branch,
-        O=origin,
-        Q=q_pt,
-        P=p_pt,
-        Z1=z1,
-        Z2=z2,
-        rad_S=rad_s,
-        rad_W=rad_w,
+    cert = Configuration(
+        points=np.vstack([np.zeros(3), p_pt, q_pt, z1, z2]),
+        labels=["O", "P", "Q", "Z1", "Z2"],
+        named_copies={
+            "c_pairs": [(3, 1), (3, 2), (4, 1), (4, 2)],
+            "outer_radius": [(0, 3), (0, 1)] if on_sphere else [(0, 3)],
+            "forced_radius": [(0, 4)],
+        },
+        notes={"a": a, "b": b, "c": c, "eps": eps, "rho": rho, "delta": delta, "branch": branch,
+               "rad_S": rad_s, "rad_W": rad_w},
     )
-    cert.verify()
+    check_case_b(cert)
     return cert

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from egr.geometry import SimplexSpec, enumerate_copies, pairwise_sq_dists
+from egr.geometry import SimplexSpec, check_copies, enumerate_copies, pairwise_sq_dists
 from egr.rectangles import path_config, product_config, regular_simplex
 from egr.solver import ColoringProblem
 
@@ -58,3 +58,12 @@ def random_spec(rng, k):
         sq = pairwise_sq_dists(pts)
         if sq[np.triu_indices(k, k=1)].min() > 0.05:
             return SimplexSpec(sq)
+
+
+def check_sphere_chain(chain, center):
+    """The checks a sphere chain's build runs: every node s from
+    ``center`` and every ``hops`` copy d long."""
+    s, d = chain.notes["s"], chain.notes["d"]
+    radii = [(0, i) for i in range(1, len(chain) + 1)]
+    check_copies(np.vstack([center, chain.points]), radii, SimplexSpec.pair(s).sq_dist, "center-node pair")
+    check_copies(chain.points, chain.named_copies["hops"], SimplexSpec.pair(d).sq_dist, "hop")

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import census_problem, random_obtuse, random_spec, square_problem
+from helpers import census_problem, check_sphere_chain, random_obtuse, random_spec, square_problem
 
 from egr.cli import main
 from egr.geometry import (
@@ -39,6 +39,7 @@ from egr.perturbation import (
     contract_simplex,
     coordinate_lift,
     eps_max,
+    is_connected,
     lifted_base_copy,
 )
 from egr.rectangles import count_distance_pairs
@@ -122,7 +123,7 @@ def test_criterion_03_sphere_chains():
             continue
         d = rng.uniform(0.1, 1.8) * s
         chain = chain_on_sphere(np.zeros(dim), s, u, v, d)
-        chain.verify()
+        check_sphere_chain(chain, np.zeros(dim))
         assert chain_angle_defect(chain) < 1e-10
         built += 1
     _finish(3, "sphere chains", started, 5.0)
@@ -203,10 +204,10 @@ def test_criterion_07_perturbation_round_trip():
             contract_simplex(spec, 1.001 * em)
         eps = rng.uniform(0.1, 0.9) * em
         out = contract_simplex(spec, eps)
-        lifted = out.contracted.sq_dist + 2.0 * eps * eps
+        lifted = out.sq_dist + 2.0 * eps * eps
         np.fill_diagonal(lifted, 0.0)
         assert np.abs(lifted - spec.sq_dist).max() <= 1e-12
-        pts = coordinate_lift(embed_from_distances(out.contracted), eps)
+        pts = coordinate_lift(embed_from_distances(out), eps)
         back = pairwise_sq_dists(pts)
         assert np.abs(back - spec.sq_dist).max() <= 1e-9 * spec.sq_dist.max() + 1e-12
     _finish(7, "perturbation round trip", started, 5.0)
@@ -217,7 +218,7 @@ def test_criterion_08_perturbation_grid():
     for spec in (SimplexSpec.pair(1.0), SimplexSpec.regular(3, 1.0)):
         k = spec.k
         grid = build_perturbation_grid(spec, [2] * (k - 1), 0.6)
-        assert grid.is_connected()
+        assert is_connected(grid.points, 0.6)
         direction = [1.0] + [0.0] * (k - 2)
         cfg = lifted_base_copy(grid, direction)
         original = embed_from_distances(spec)

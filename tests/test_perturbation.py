@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +17,7 @@ from egr.perturbation import (
     contract_simplex,
     coordinate_lift,
     eps_max,
+    is_connected,
     lifted_base_copy,
     orthogonal_lift_check,
 )
@@ -43,7 +43,7 @@ def test_eps_max_brackets_realizability():
 
 def test_contract_regular_tetrahedron():
     out = contract_simplex(SimplexSpec.regular(4, 1.0), 0.5)
-    off = out.contracted.sq_dist[np.triu_indices(4, k=1)]
+    off = out.sq_dist[np.triu_indices(4, k=1)]
     assert np.abs(off - 0.5).max() == 0.0
     with pytest.raises(ConstraintViolation):
         contract_simplex(SimplexSpec.regular(4, 1.0), 0.71)
@@ -52,7 +52,7 @@ def test_contract_regular_tetrahedron():
 def test_contract_zero_is_identity():
     spec = SimplexSpec.triangle(2.0, 2.0, 3.0)
     out = contract_simplex(spec, 0.0)
-    assert np.array_equal(out.contracted.sq_dist, spec.sq_dist)
+    assert np.array_equal(out.sq_dist, spec.sq_dist)
 
 
 def test_contract_lift_round_trip_random():
@@ -62,12 +62,12 @@ def test_contract_lift_round_trip_random():
         spec = random_spec(rng, k)
         eps = rng.uniform(0.1, 0.9) * eps_max(spec)
         out = contract_simplex(spec, eps)
-        lifted = out.contracted.sq_dist + 2.0 * eps * eps
+        lifted = out.sq_dist + 2.0 * eps * eps
         np.fill_diagonal(lifted, 0.0)
         assert np.abs(lifted - spec.sq_dist).max() <= 1e-12
         # Geometric version: place the contracted simplex, push each
         # vertex along its own fresh axis, recover the original.
-        pts = coordinate_lift(embed_from_distances(out.contracted), eps)
+        pts = coordinate_lift(embed_from_distances(out), eps)
         back = pairwise_sq_dists(pts)
         assert np.abs(back - spec.sq_dist).max() <= 1e-9 * spec.sq_dist.max() + 1e-12
 
@@ -81,33 +81,33 @@ def test_orthogonal_lift_check_values():
 
 def test_grid_segment_example():
     grid = build_perturbation_grid(SimplexSpec.pair(1.0), [2], 0.6)
-    assert grid.n1 == 2
-    assert np.allclose(grid.B.points, [[0.0, 0.0], [1.0, 0.0], [0.5, 0.3]])
-    sq = pairwise_sq_dists(grid.B.points)
+    assert grid.notes["n1"] == 2
+    assert np.allclose(grid.points, [[0.0, 0.0], [1.0, 0.0], [0.5, 0.3]])
+    sq = pairwise_sq_dists(grid.points)
     assert sq[np.triu_indices(3, k=1)].max() < 1.2 ** 2
-    assert grid.is_connected()
+    assert is_connected(grid.points, 0.6)
 
 
 def test_grid_triangle_example():
     grid = build_perturbation_grid(SimplexSpec.regular(3, 1.0), [2, 2], 0.6)
-    assert grid.n1 == 4
-    assert len(grid.B.points) == 5
-    assert grid.is_connected()
-    assert len(grid.B.named_copies["chains"]) == 2
+    assert grid.notes["n1"] == 4
+    assert len(grid.points) == 5
+    assert is_connected(grid.points, 0.6)
+    assert len(grid.named_copies["chains"]) == 2
 
 
 def test_grid_notes_its_connectivity_last():
     grid = build_perturbation_grid(SimplexSpec.regular(3, 1.0), [2, 2], 0.6)
-    assert list(grid.B.notes) == ["kind", "eps", "m_counts", "n1", "eps_steps", "connected"]
-    assert grid.B.notes["connected"] is True
+    assert list(grid.notes) == ["kind", "eps", "m_counts", "n1", "eps_steps", "connected"]
+    assert grid.notes["connected"] is True
 
 
 def test_is_connected_sees_a_split_grid():
     # Rows (0, 0), (1, 0) and (0.5, 0.3) are at least 0.58 apart, so at
     # eps = 0.2 no two balls meet; at 0.3 the middle row joins them.
     grid = build_perturbation_grid(SimplexSpec.pair(1.0), [2], 0.6)
-    assert not dataclasses.replace(grid, eps=0.2).is_connected()
-    assert dataclasses.replace(grid, eps=0.3).is_connected()
+    assert not is_connected(grid.points, 0.2)
+    assert is_connected(grid.points, 0.3)
 
 
 def test_grid_rejects_large_step():
@@ -134,7 +134,7 @@ def test_grid_reads_counts_as_integers(counts):
     # 2.9 and 3.7 were truncated to a grid with counts [2, 3]
     with pytest.raises(GeometryError, match="subdivision count must be an integer"):
         build_perturbation_grid(SimplexSpec.triangle(1.0, 1.0, 1.0), counts, 0.6)
-    assert build_perturbation_grid(SimplexSpec.triangle(1.0, 1.0, 1.0), [np.int64(2), 3], 0.6).B.notes[
+    assert build_perturbation_grid(SimplexSpec.triangle(1.0, 1.0, 1.0), [np.int64(2), 3], 0.6).notes[
         "m_counts"
     ] == [2, 3]
 
@@ -154,26 +154,26 @@ def test_grid_connected_on_random_simplices():
         w = embed_from_distances(spec)
         step = max(np.linalg.norm(w[i + 1]) / m[i] for i in range(k - 1))
         grid = build_perturbation_grid(spec, m, 1.01 * step)
-        assert grid.is_connected()
-        assert len(grid.B.points) == grid.n1 + 1
+        assert is_connected(grid.points, 1.01 * step)
+        assert len(grid.points) == grid.notes["n1"] + 1
 
 
 def test_lifted_base_copy_segment():
     grid = build_perturbation_grid(SimplexSpec.pair(1.0), [2], 0.6)
     cfg = lifted_base_copy(grid, [1.0])
     assert abs(math.dist(cfg.points[0], cfg.points[1]) - 1.0) < 1e-12
-    assert abs(math.dist(cfg.points[0], grid.B.points[0]) - 0.6) < 1e-12
+    assert abs(math.dist(cfg.points[0], grid.points[0]) - 0.6) < 1e-12
 
 
 def test_lifted_base_copy_triangle_random_directions():
     grid = build_perturbation_grid(SimplexSpec.regular(3, 1.0), [3, 3], 0.5)
     rng = np.random.default_rng(7)
-    fiber = grid.n1 - 2
+    fiber = grid.notes["n1"] - 2
     for _ in range(20):
         u = rng.standard_normal(fiber)
         u /= np.linalg.norm(u)
         cfg = lifted_base_copy(grid, u)
-        spec_pts = embed_from_distances(grid.delta_spec)
+        spec_pts = embed_from_distances(SimplexSpec.regular(3, 1.0))
         assert congruence_check(cfg.points, np.pad(spec_pts, ((0, 0), (0, 1)))) is not None
 
 

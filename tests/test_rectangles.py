@@ -145,6 +145,17 @@ def test_path_config_starts_at_fewest_edges():
         assert len(path_config(fewest, x, y).points) == fewest + 1
 
 
+@pytest.mark.parametrize("count", [3.0, 2.5, True, "3"])
+def test_path_and_census_read_counts_as_integers(count):
+    # 3.0 and 2.5 ended in numpy's bare TypeError
+    with pytest.raises(GeometryError, match="path edge count t must be an integer"):
+        path_config(count, 2.5, 1.0)
+    with pytest.raises(GeometryError, match="census m must be an integer"):
+        count_distance_pairs(count, 2.5, 1.0)
+    assert len(path_config(np.int64(3), 2.5, 1.0).points) == 4
+    assert count_distance_pairs(np.int64(3), 2.5, 1.0)["enumerated"] == 190
+
+
 def test_product_unit_square():
     seg = regular_simplex(2, 1.0)
     prod = product_config(seg, seg).product

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_obtuse
+from helpers import check_sphere_chain, random_obtuse
 
 from egr.geometry import ConstraintViolation, GeometryError, check_copies, pairwise_sq_dists, squared_distance
 from egr.triangles import (
     build_five_point,
     case_b_certificate,
     chain_angle_defect,
+    check_case_b,
     chain_on_sphere,
     five_point_sq,
     forced_sphere_radius,
@@ -102,28 +103,30 @@ def test_chain_golden_case():
     u = np.array([0.0, 0.0, 1.0])
     v = np.array([math.sqrt(3.0) / 2.0, 0.0, -0.5])
     chain = chain_on_sphere(np.zeros(3), 1.0, u, v, 1.0)
-    assert chain.k == 1
-    assert abs(chain.s_prime - 1.0) < 1e-12
-    assert chain.nodes.shape == (3, 3)
-    for i, j in chain.hops():
-        assert abs(squared_distance(chain.nodes[i], chain.nodes[j]) - 1.0) < 1e-12
+    assert chain.notes["k"] == 1
+    assert abs(chain.notes["s_prime"] - 1.0) < 1e-12
+    assert chain.points.shape == (3, 3)
+    assert chain.named_copies["hops"] == [(0, 1), (1, 2)]
+    for i, j in chain.named_copies["hops"]:
+        assert abs(squared_distance(chain.points[i], chain.points[j]) - 1.0) < 1e-12
     assert chain_angle_defect(chain) < 1e-12
 
 
 def test_chain_identical_endpoints():
     u = np.array([0.0, 0.0, 1.0])
     chain = chain_on_sphere(np.zeros(3), 1.0, u, u.copy(), 0.5)
-    assert chain.k == 0
-    assert len(chain.nodes) == 1
-    assert chain.s_prime is None
+    assert chain.notes["k"] == 0
+    assert len(chain.points) == 1
+    assert chain.notes["s_prime"] is None
+    assert chain_angle_defect(chain) == 0.0
 
 
 def test_chain_antipodal_endpoints():
     u = np.array([0.0, 0.0, 2.0])
     v = np.array([0.0, 0.0, -2.0])
     chain = chain_on_sphere(np.zeros(3), 2.0, u, v, 1.0)
-    assert chain.pre_hops == 1
-    chain.verify()
+    assert chain.notes["pre_hops"] == 1
+    check_sphere_chain(chain, np.zeros(3))
     assert chain_angle_defect(chain) < 1e-10
 
 
@@ -151,7 +154,7 @@ def test_chain_random_instances():
             continue
         d = rng.uniform(0.1, 1.8) * s
         chain = chain_on_sphere(np.zeros(dim), s, u, v, d)
-        chain.verify()
+        check_sphere_chain(chain, np.zeros(dim))
         assert chain_angle_defect(chain) < 1e-10
 
 
@@ -160,8 +163,8 @@ def test_mono_sphere_witness_generic():
     u = np.array([0.0, r, 0.0, 0.0])
     v = np.array([0.0, 0.0, r, 0.0])
     w = mono_sphere_witness(2.0, 2.0, 3.0, 1.0, u, v)
-    assert w.tetra_checked == len(w.nodes) - 1
-    assert w.chain.pre_hops == 0
+    assert len(w.named_copies["tetra_PMAB"]) == len(w.points[2:]) - 1
+    assert w.notes["pre_hops"] == 0
 
 
 def test_mono_sphere_witness_antipodal():
@@ -169,8 +172,8 @@ def test_mono_sphere_witness_antipodal():
     u = np.array([0.0, r, 0.0, 0.0])
     v = np.array([0.0, -r, 0.0, 0.0])
     w = mono_sphere_witness(2.0, 2.0, 3.0, 1.0, u, v)
-    assert w.chain.pre_hops == 1
-    assert w.tetra_checked >= 2
+    assert w.notes["pre_hops"] == 1
+    assert len(w.named_copies["tetra_PMAB"]) >= 2
 
 
 def test_mono_sphere_witness_rejects_off_sphere():
@@ -189,21 +192,22 @@ def case_b_params():
 def test_case_b_certificate_example():
     a, b, c, eps, rad_s = case_b_params()
     cert = case_b_certificate(a, b, c, eps, rho=rad_s, delta=1e-3)
-    cert.verify()
-    assert cert.branch == "on_sphere"
-    assert abs(cert.rad_S - rad_s) < 1e-12
-    assert cert.rad_W > math.sqrt(3.0 * c * c / 4.0 - eps * eps / 4.0)
-    assert cert.pq() <= math.sqrt(2.0 * cert.rho * cert.delta) + 1e-12
+    check_case_b(cert)
+    notes = cert.notes
+    assert notes["branch"] == "on_sphere"
+    assert abs(notes["rad_S"] - rad_s) < 1e-12
+    assert notes["rad_W"] > math.sqrt(3.0 * c * c / 4.0 - eps * eps / 4.0)
+    assert math.dist(cert.points[1], cert.points[2]) <= math.sqrt(2.0 * notes["rho"] * notes["delta"]) + 1e-12
 
 
 def test_case_b_interior_branch():
     for lam in (1.0, 2.0**-40, 2.0**16):
         a, b, c, eps, rad_s = (lam * v for v in case_b_params())
         cert = case_b_certificate(a, b, c, eps, rho=0.99 * rad_s, delta=1e-4 * lam)
-        cert.verify()
-        assert cert.branch == "interior"
-        op = math.dist(cert.O, cert.P)
-        assert cert.rho < op < cert.rad_S
+        check_case_b(cert)
+        assert cert.notes["branch"] == "interior"
+        op = math.dist(cert.points[0], cert.points[1])
+        assert cert.notes["rho"] < op < cert.notes["rad_S"]
 
 
 def test_case_b_named_violations():
@@ -222,6 +226,70 @@ def test_case_b_named_violations():
     with pytest.raises(ConstraintViolation) as err:
         case_b_certificate(a, b, c, eps, rho=0.5, delta=1e-3)
     assert err.value.name == "rho_min"
+    refusals = [
+        ("eps_h", dict(eps=0.9, rho=rad_s, delta=1e-3)),  # h is about 0.867
+        ("eps_h", dict(eps=0.0, rho=rad_s, delta=1e-3)),
+        ("rho_max", dict(eps=eps, rho=1.1 * rad_s, delta=1e-3)),
+        ("delta_positive", dict(eps=eps, rho=rad_s, delta=0.0)),
+        ("delta_positive", dict(eps=eps, rho=rad_s, delta=-1e-3)),
+        # Interior rho: (rad_S^2 - rho^2)/(2 rho) is about 0.0195, below delta1's 0.0299.
+        ("delta2", dict(eps=eps, rho=0.99 * rad_s, delta=0.025)),
+        # rho^2 = 2.9 leaves h^2/(2 rho) about 0.2205 below delta2's 0.2532.
+        ("delta3", dict(eps=eps, rho=math.sqrt(2.9), delta=0.23)),
+    ]
+    for name, kw in refusals:
+        with pytest.raises(ConstraintViolation) as err:
+            case_b_certificate(a, b, c, **kw)
+        assert err.value.name == name, kw
+
+
+@pytest.mark.parametrize("rho, delta", [(math.nan, 1e-3), (None, math.nan), (math.inf, 1e-3), (None, math.inf)])
+def test_case_b_refuses_non_finite_rho_and_delta(rho, delta):
+    # NaN was refused only at the final inequality chain, as ineq_final
+    a, b, c, eps, rad_s = case_b_params()
+    rho = rad_s if rho is None else rho
+    with pytest.raises(GeometryError, match="rho and delta must be finite") as err:
+        case_b_certificate(a, b, c, eps, rho=rho, delta=delta)
+    assert not isinstance(err.value, ConstraintViolation)
+
+
+def case_b_both_branches():
+    a, b, c, eps, rad_s = case_b_params()
+    return [
+        case_b_certificate(a, b, c, eps, rho=rad_s, delta=1e-3),
+        case_b_certificate(a, b, c, eps, rho=0.99 * rad_s, delta=1e-4),
+    ]
+
+
+# Rows are O, P, Q, Z1, Z2; each move breaks the named claim first.
+CASE_B_TAMPERS = {
+    "oq_outside_rho": (2, (0.05, 0.0, 0.0), r"\|OQ\|\^2 = .* outside"),
+    "qp_not_orthogonal": (1, (0.01, 0.0, 0.0), "OQ is not orthogonal to QP"),
+    "pq_too_long": (1, (0.0, 0.1, 0.0), r"\|PQ\|\^2 = .* exceeds 2 rho delta"),
+    "c_pair_broken": (4, (0.0, 0.0, 0.01), r"Z-P/Q pair \(4, 1\)"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(CASE_B_TAMPERS))
+def test_check_case_b_refuses_a_moved_point(tamper):
+    row, shift, message = CASE_B_TAMPERS[tamper]
+    for cert in case_b_both_branches():
+        check_case_b(cert)
+        cert.points[row] += shift
+        with pytest.raises(GeometryError, match=message):
+            check_case_b(cert)
+
+
+def test_check_case_b_refuses_op_inside_rho():
+    # P is pinned by Q, Z1 and Z2, so no single moved row reaches the
+    # |OP| check; a rho note raised past |OP| does, with delta raised to
+    # keep |OQ| = rho - delta.
+    cert = case_b_both_branches()[1]
+    o, p, q = cert.points[:3]
+    rho = math.dist(o, p) + 1e-3
+    cert.notes.update(rho=rho, delta=rho - math.dist(o, q))
+    with pytest.raises(GeometryError, match=r"\|OP\|\^2 = .* outside"):
+        check_case_b(cert)
 
 
 def test_forced_sphere_radius_exceeds_floor():

@@ -9,11 +9,12 @@ equal, so a change meant to keep behaviour is checked by running this
 on both sides and diffing the outputs.  It prints, one line each:
 
 - the SHA-256 of the artifact written by each of 14 ``construct`` runs
-  of the command line at or near their defaults, and of 8 more of
-  ``hinge``, ``dense-quad`` and ``five-point`` at other inputs (three
-  hinge angles up to 2*theta, a non-regular ``--spec`` that meets the
-  dense-quadruple condition, three seeded obtuse triples), with the
-  exit code of each;
+  of the command line at or near their defaults, and of 11 more of
+  ``hinge``, ``dense-quad``, ``five-point``, ``chain`` and ``contract``
+  at other inputs (three hinge angles up to 2*theta, a non-regular
+  ``--spec`` that meets the dense-quadruple condition, three seeded
+  obtuse triples, an antipodal and an E^4 chain, a contracted
+  triangle), with the exit code of each;
 - a digest of the verdict, node count, witness and static search order
   of each census coloring problem S_s(1.5) x B_m(1.5, 1.0) with r
   colors, for m >= 2, (m+1)*s <= 21 and r <= s+3 (126 cases), with the
@@ -92,8 +93,9 @@ SKEW = SimplexSpec(
 
 
 def varied_constructs(tmp: str) -> list:
-    """Runs of the hinge, dense-quad and five-point builders away from
-    their defaults; the skew spec is written into ``tmp``."""
+    """Runs of the hinge, dense-quad, five-point, chain and contract
+    builders away from their defaults; the skew spec is written into
+    ``tmp``."""
     two_theta = 2.0 * tetra_profile(SimplexSpec.regular(4, 1.0)).theta
     runs = [["hinge", "--phi", repr(phi)] for phi in (0.05, 1.0, two_theta)]
     spec = os.path.join(tmp, "skew.json")
@@ -105,6 +107,11 @@ def varied_constructs(tmp: str) -> list:
         c = float(rng.uniform(math.hypot(a, b) + 1e-3, a + b - 1e-3))
         eps = float(rng.uniform(0.05, 0.95)) * triangle_invariants(a, b, c).h
         runs.append(["five-point", *(f"--{k}={v!r}" for k, v in zip("abc", (a, b, c))), f"--eps={eps!r}"])
+    runs += [
+        ["chain", "--s", "1.0", "--d", "0.4", "--gap", "2.0"],
+        ["chain", "--s", "1.0", "--d", "0.4", "--gap", "1.2", "--dim", "4"],
+        ["contract", "--regular-k", "3", "--eps", "0.3"],
+    ]
     return runs
 
 
@@ -211,7 +218,9 @@ def kernels() -> None:
         u = np.array([s, 0.0, 0.0])
         v = np.array([s * math.cos(alpha), s * math.sin(alpha), 0.0])
         chain = guarded(chain_on_sphere, np.zeros(3), s, u, v, d)
-        rows.append(chain if isinstance(chain, str) else (chain.nodes.tobytes(), chain.k, chain.s_prime, chain.pre_hops))
+        if not isinstance(chain, str):
+            chain = (chain.points.tobytes(), *(chain.notes[key] for key in ("k", "s_prime", "pre_hops")))
+        rows.append(chain)
     print(f"chain_on_sphere x{len(rows)}: {digest(rows)}")
 
 

@@ -172,16 +172,16 @@ def lifted_base_copy(grid: Configuration, unit_dir) -> Configuration:
     of the base simplex, checked against the base rows, with each vertex
     on the sphere of radius eps around its base point.
     """
-    n1, eps = grid.notes["n1"], grid.notes["eps"]
+    eps = grid.notes["eps"]
     base = grid.points[list(grid.named_copies["base"][0])]
     d = len(base) - 1
     u = np.asarray(unit_dir, dtype=float)
-    if u.shape != (n1 - d,):
-        raise GeometryError(f"direction must live in the {n1 - d}-dimensional fiber")
+    if u.shape != (grid.dim - d,):
+        raise GeometryError(f"direction must live in the {grid.dim - d}-dimensional fiber")
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
         raise GeometryError("lift direction must have unit norm")
 
-    shift = np.zeros(n1)
+    shift = np.zeros(grid.dim)
     shift[d:] = eps * u
     pts = base + shift
     check_copies(pts, [range(d + 1)], pairwise_sq_dists(base), "lifted base copy")
@@ -190,13 +190,6 @@ def lifted_base_copy(grid: Configuration, unit_dir) -> Configuration:
         labels=[f"q{i}" for i in range(d + 1)],
         notes={"kind": "lifted_base_copy", "eps": eps},
     )
-
-
-def orthogonal_lift_check(base_sq: float, eps: float) -> float:
-    """Squared distance after both endpoints move eps along fresh axes."""
-    if base_sq < 0.0:
-        raise GeometryError(f"squared distance must be nonnegative, got {base_sq}")
-    return base_sq + 2.0 * eps * eps
 
 
 def coordinate_lift(points: np.ndarray, eps: float) -> np.ndarray:

@@ -152,10 +152,6 @@ def build_five_point(a: float, b: float, c: float, eps: float) -> Configuration:
     if x_sq <= 0.0:
         raise ConstraintViolation("chord_bound", "chord exceeds sphere diameter")
     x = math.sqrt(x_sq)
-    # The algebraic identity behind N's placement; kept as a hard check.
-    x_alg = (b_p * b_p + c_p * c_p - a * a) / (2.0 * b_p)
-    if abs(x_alg - x) > 1e-6 * c:
-        raise GeometryError(f"midpoint identity failed: {x_alg} vs {x}")
     rows = np.array(
         [
             [-eps / 2.0, 0.0, 0.0],
@@ -255,6 +251,10 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> Configuration:
     if uv_sq <= scale_slack:
         # Coincident endpoints: nothing to connect.
         return _sphere_chain(center, s, d, U[None, :].copy(), 0, None, 0)
+    # The chain holds U and V, so its per-axis extent is at least |UV|/sqrt(dim),
+    # and any hop the hop check accepts would be refused as a coincident pair.
+    if d * d + sq_slack(d * d) < sq_slack(uv_sq / dim):
+        raise GeometryError(f"step d={d} is below the coincidence threshold of a chain with |UV|^2 = {uv_sq}")
 
     if sq_close(uv_sq, 4.0 * s_sq):
         # Antipodal endpoints: one deterministic pre-hop off the axis.
@@ -389,75 +389,12 @@ def mono_sphere_witness(a: float, b: float, c: float, eps: float, U, V) -> Confi
     )
 
 
-def check_case_b(cfg: Configuration) -> None:
-    """Raise GeometryError unless ``cfg``, as ``case_b_certificate``
-    returns it, holds every claim of the certificate.
-
-    It reads only the configuration: rows O, P, Q, Z1, Z2 and notes c,
-    rho, delta, branch, rad_S and rad_W.  The inequalities come first:
-    (rho - delta)^2 <= |OQ|^2 <= rho^2, OQ orthogonal to QP, and
-    |PQ|^2 <= 2 rho delta.  Then the named copies: ``c_pairs`` at
-    distance c, ``outer_radius`` at rad_S and ``forced_radius`` at
-    rad_W.  On the interior branch, last, rho < |OP| < rad_S.
-    """
-    notes = cfg.notes
-    o, p, q = cfg.points[:3]
-    rho, delta = notes["rho"], notes["delta"]
-    slack = sq_slack(notes["c"] ** 2)
-    oq_sq = squared_distance(o, q)
-    lo = (rho - delta) ** 2
-    hi = rho * rho
-    if not (lo - slack <= oq_sq <= hi + slack):
-        raise GeometryError(f"|OQ|^2 = {oq_sq} outside [{lo}, {hi}]")
-    dot = float(np.dot(q - o, p - q))
-    if abs(dot) > math.sqrt(slack) * rho:
-        raise GeometryError(f"OQ is not orthogonal to QP: dot = {dot}")
-    pq_sq = squared_distance(p, q)
-    if pq_sq > 2.0 * rho * delta + slack:
-        raise GeometryError(f"|PQ|^2 = {pq_sq} exceeds 2 rho delta")
-    pts, copies, pair = cfg.points, cfg.named_copies, SimplexSpec.pair
-    check_copies(pts, copies["c_pairs"], pair(notes["c"]).sq_dist, "Z-P/Q pair")
-    check_copies(pts, copies["outer_radius"], pair(notes["rad_S"]).sq_dist, "outer-sphere radius")
-    check_copies(pts, copies["forced_radius"], pair(notes["rad_W"]).sq_dist, "forced-sphere radius")
-    if notes["branch"] != "on_sphere":
-        op_sq = squared_distance(o, p)
-        if not (hi - slack < op_sq < notes["rad_S"] ** 2 + slack):
-            raise GeometryError(f"|OP|^2 = {op_sq} outside (rho^2, rad_S^2)")
-
-
-def forced_sphere_radius(a: float, b: float, c: float, eps: float) -> float:
-    """Radius |OZ| of the sphere swept by the apex over a chord of length c.
-
-    C and D sit on the circle of radius rad_S = sqrt(c^2 - eps^2/4) with
-    |CD| = c; Z completes them to the (a, b, c) triangle on the far side
-    of the chord from O, and |OZ| depends only on a, b, c, eps.
-    """
-    rad_s_sq = c * c - (eps * eps) / 4.0
-    if rad_s_sq <= (c * c) / 4.0:
-        raise ConstraintViolation("chord_fit", "chord c does not fit on the sphere")
-    dcd = math.sqrt(rad_s_sq - (c * c) / 4.0)
-    zx = (a * a - b * b) / (2.0 * c)
-    zy_sq = a * a - (zx + c / 2.0) ** 2
-    if zy_sq <= 0.0:
-        raise ConstraintViolation("apex_height", "triangle apex has no height over the chord")
-    zy = math.sqrt(zy_sq)
-    return math.hypot(zx, dcd + zy)
-
-
-def case_b_certificate(a: float, b: float, c: float, eps: float, rho: float, delta: float) -> Configuration:
-    """Concrete two-sphere geometry for the wide-angle regime, rows O, P,
-    Q, Z1, Z2 in E^3.
-
-    O is the shared center; Q sits at radius rho - delta, P is reached
-    orthogonally from Q, and Z1 (on the outer sphere S, radius rad_S)
-    and Z2 (on the inner forced sphere W, radius rad_W) are both at
-    distance c from P and Q: the ``c_pairs`` copies.  ``outer_radius``
-    holds (O, Z1), and (O, P) when rho equals rad_S (``branch`` note
-    ``on_sphere``: P taken on S; else ``interior``: P at the maximal
-    orthogonal offset); ``forced_radius`` holds (O, Z2).  Every
-    precondition is checked by name before any geometry is built, and
-    the result passes ``check_case_b`` before it is returned.
-    """
+def _case_b_plan(a: float, b: float, c: float, eps: float, rho: float, delta: float):
+    """Check each precondition of the case B certificate by name and
+    return rho (clamped to rad_S), rad_S, rad_W, whether P lies on S,
+    and the named copies.  rad_W = |OZ|, for Z the apex of the (a, b,
+    c) triangle over a chord of length c of the circle of radius rad_S,
+    on the far side of the chord from O."""
     if not (math.isfinite(rho) and math.isfinite(delta)):
         raise GeometryError(f"rho and delta must be finite, got rho={rho}, delta={delta}")
     inv = triangle_invariants(a, b, c)
@@ -467,7 +404,8 @@ def case_b_certificate(a: float, b: float, c: float, eps: float, rho: float, del
         raise ConstraintViolation("eps_h", f"eps must lie in (0, h={inv.h})")
     if eps >= c / 2.0:
         raise ConstraintViolation("eps_c_half", f"eps must be below c/2 = {c / 2.0}")
-    rad_s = math.sqrt(c * c - (eps * eps) / 4.0)
+    rad_s_sq = c * c - (eps * eps) / 4.0
+    rad_s = math.sqrt(rad_s_sq)
     rho_floor = math.sqrt(3.0 * c * c / 4.0 - (eps * eps) / 4.0)
     if rho <= rho_floor:
         raise ConstraintViolation("rho_min", f"rho must exceed {rho_floor}")
@@ -485,17 +423,13 @@ def case_b_certificate(a: float, b: float, c: float, eps: float, rho: float, del
     if delta >= inv.h * inv.h / (2.0 * rho):
         raise ConstraintViolation("delta3", "delta must be below h^2/(2 rho)")
 
-    rad_w = forced_sphere_radius(a, b, c, eps)
-
-    oq = rho - delta
-    q_pt = np.array([oq, 0.0, 0.0])
-    if on_sphere:
-        pq = math.sqrt(rad_s * rad_s - oq * oq)
-        branch = "on_sphere"
-    else:
-        pq = math.sqrt(2.0 * rho * delta)
-        branch = "interior"
-    p_pt = np.array([oq, pq, 0.0])
+    # eps < c/2 puts the chord inside the circle; zy^2 cancels for thin triangles.
+    dcd = math.sqrt(rad_s_sq - (c * c) / 4.0)
+    zx = (a * a - b * b) / (2.0 * c)
+    zy_sq = a * a - (zx + c / 2.0) ** 2
+    if zy_sq <= 0.0:
+        raise ConstraintViolation("apex_height", "triangle apex has no height over the chord")
+    rad_w = math.hypot(zx, dcd + math.sqrt(zy_sq))
 
     # The inequality chain guaranteeing both circle intersections.
     mid = ((eps / 2.0) ** 2 + (c / 2.0) ** 2)
@@ -503,7 +437,67 @@ def case_b_certificate(a: float, b: float, c: float, eps: float, rho: float, del
     tol = 1e-12 * c
     if not (mid / denom <= mid / rho + tol and mid / rho <= rho - delta + tol):
         raise ConstraintViolation("ineq_final", "certificate inequality chain failed")
+    outer = [(0, 3), (0, 1)] if on_sphere else [(0, 3)]
+    copies = {"c_pairs": [(3, 1), (3, 2), (4, 1), (4, 2)], "outer_radius": outer, "forced_radius": [(0, 4)]}
+    return rho, rad_s, rad_w, on_sphere, copies
 
+
+def check_case_b(cfg: Configuration) -> None:
+    """Raise GeometryError unless ``cfg``, as ``case_b_certificate``
+    returns it, holds every claim of the certificate.
+
+    It reads only rows O, P, Q, Z1, Z2 and the notes a, b, c, eps, rho
+    and delta, from which it works out the rest as the builder does:
+    each precondition is checked by name again, and the named copies
+    must be the ones the inputs give.  Then (rho - delta)^2 <= |OQ|^2 <=
+    rho^2, OQ orthogonal to QP, |PQ|^2 <= 2 rho delta, ``c_pairs`` at
+    distance c, ``outer_radius`` at rad_S and ``forced_radius`` at
+    rad_W; with P off S, last, rho < |OP| < rad_S.
+    """
+    a, b, c, eps, rho, delta = (cfg.notes[key] for key in ("a", "b", "c", "eps", "rho", "delta"))
+    rho, rad_s, rad_w, on_sphere, copies = _case_b_plan(a, b, c, eps, rho, delta)
+    if cfg.named_copies != copies:
+        raise GeometryError(f"named copies {cfg.named_copies} are not the inputs' {copies}")
+    o, p, q = cfg.points[:3]
+    slack = sq_slack(c**2)
+    oq_sq = squared_distance(o, q)
+    lo = (rho - delta) ** 2
+    hi = rho * rho
+    if not (lo - slack <= oq_sq <= hi + slack):
+        raise GeometryError(f"|OQ|^2 = {oq_sq} outside [{lo}, {hi}]")
+    dot = float(np.dot(q - o, p - q))
+    if abs(dot) > math.sqrt(slack) * rho:
+        raise GeometryError(f"OQ is not orthogonal to QP: dot = {dot}")
+    pq_sq = squared_distance(p, q)
+    if pq_sq > 2.0 * rho * delta + slack:
+        raise GeometryError(f"|PQ|^2 = {pq_sq} exceeds 2 rho delta")
+    pts, pair = cfg.points, SimplexSpec.pair
+    check_copies(pts, copies["c_pairs"], pair(c).sq_dist, "Z-P/Q pair")
+    check_copies(pts, copies["outer_radius"], pair(rad_s).sq_dist, "outer-sphere radius")
+    check_copies(pts, copies["forced_radius"], pair(rad_w).sq_dist, "forced-sphere radius")
+    if not on_sphere:
+        op_sq = squared_distance(o, p)
+        if not (hi - slack < op_sq < rad_s**2 + slack):
+            raise GeometryError(f"|OP|^2 = {op_sq} outside (rho^2, rad_S^2)")
+
+
+def case_b_certificate(a: float, b: float, c: float, eps: float, rho: float, delta: float) -> Configuration:
+    """Concrete two-sphere geometry for the wide-angle regime, rows O, P,
+    Q, Z1, Z2 in E^3.
+
+    O is the shared center; Q sits at radius rho - delta, P is reached
+    orthogonally from Q, and Z1 (on the outer sphere S, radius rad_S)
+    and Z2 (on the inner forced sphere W, radius rad_W) are both at
+    distance c from P and Q: the ``c_pairs`` copies.  ``outer_radius``
+    holds (O, Z1), and (O, P) when rho equals rad_S (P taken on S; else
+    P at the maximal orthogonal offset); ``forced_radius`` holds (O,
+    Z2).  Every precondition is checked by name before any geometry is
+    built.  The notes are the six inputs only (rho clamped to rad_S),
+    from which ``check_case_b``, run last, works out everything else.
+    """
+    rho, rad_s, rad_w, on_sphere, copies = _case_b_plan(a, b, c, eps, rho, delta)
+    oq = rho - delta
+    pq = math.sqrt(rad_s * rad_s - oq * oq) if on_sphere else math.sqrt(2.0 * rho * delta)
     half_pq_sq = (pq / 2.0) ** 2
     r_c = math.sqrt(c * c - half_pq_sq)
 
@@ -520,17 +514,11 @@ def case_b_certificate(a: float, b: float, c: float, eps: float, rho: float, del
 
     z1 = _bisector_point(rad_s, "z1_intersection")
     z2 = _bisector_point(rad_w, "z2_intersection")
-
     cert = Configuration(
-        points=np.vstack([np.zeros(3), p_pt, q_pt, z1, z2]),
+        points=np.vstack([np.zeros(3), [oq, pq, 0.0], [oq, 0.0, 0.0], z1, z2]),
         labels=["O", "P", "Q", "Z1", "Z2"],
-        named_copies={
-            "c_pairs": [(3, 1), (3, 2), (4, 1), (4, 2)],
-            "outer_radius": [(0, 3), (0, 1)] if on_sphere else [(0, 3)],
-            "forced_radius": [(0, 4)],
-        },
-        notes={"a": a, "b": b, "c": c, "eps": eps, "rho": rho, "delta": delta, "branch": branch,
-               "rad_S": rad_s, "rad_W": rad_w},
+        named_copies=copies,
+        notes={"a": a, "b": b, "c": c, "eps": eps, "rho": rho, "delta": delta},
     )
     check_case_b(cert)
     return cert

@@ -19,7 +19,6 @@ from egr.perturbation import (
     eps_max,
     is_connected,
     lifted_base_copy,
-    orthogonal_lift_check,
 )
 
 
@@ -70,13 +69,6 @@ def test_contract_lift_round_trip_random():
         pts = coordinate_lift(embed_from_distances(out), eps)
         back = pairwise_sq_dists(pts)
         assert np.abs(back - spec.sq_dist).max() <= 1e-9 * spec.sq_dist.max() + 1e-12
-
-
-def test_orthogonal_lift_check_values():
-    assert orthogonal_lift_check(0.5, 0.5) == 1.0
-    assert orthogonal_lift_check(1.7, 0.0) == 1.7
-    with pytest.raises(GeometryError):
-        orthogonal_lift_check(-0.1, 0.5)
 
 
 def test_grid_segment_example():

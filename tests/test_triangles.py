@@ -13,7 +13,6 @@ from egr.triangles import (
     check_case_b,
     chain_on_sphere,
     five_point_sq,
-    forced_sphere_radius,
     mono_sphere_witness,
     perturbed_chord,
     triangle_invariants,
@@ -158,6 +157,17 @@ def test_chain_random_instances():
         assert chain_angle_defect(chain) < 1e-10
 
 
+def test_chain_refuses_a_step_below_the_coincidence_threshold():
+    # |UV| = 1 (or 2, antipodal) in E^3: any hop of d <= 1.8e-5 would be
+    # refused as a coincident pair, so the refusal comes before the scan
+    # over k, which grows as 1/d.
+    u = np.array([1.0, 0.0, 0.0])
+    for v in (np.array([0.5, math.sqrt(0.75), 0.0]), -u):
+        for d in (1e-5, 1e-6, 1e-7):
+            with pytest.raises(GeometryError, match="below the coincidence threshold"):
+                chain_on_sphere(np.zeros(3), 1.0, u, v, d)
+
+
 def test_mono_sphere_witness_generic():
     r = math.sqrt(8.75)
     u = np.array([0.0, r, 0.0, 0.0])
@@ -194,9 +204,11 @@ def test_case_b_certificate_example():
     cert = case_b_certificate(a, b, c, eps, rho=rad_s, delta=1e-3)
     check_case_b(cert)
     notes = cert.notes
-    assert notes["branch"] == "on_sphere"
-    assert abs(notes["rad_S"] - rad_s) < 1e-12
-    assert notes["rad_W"] > math.sqrt(3.0 * c * c / 4.0 - eps * eps / 4.0)
+    assert set(notes) == {"a", "b", "c", "eps", "rho", "delta"}
+    o, z1, z2 = cert.points[[0, 3, 4]]
+    assert cert.named_copies["outer_radius"] == [(0, 3), (0, 1)]  # P on S
+    assert abs(math.dist(o, z1) - rad_s) < 1e-12
+    assert math.dist(o, z2) > math.sqrt(3.0 * c * c / 4.0 - eps * eps / 4.0)
     assert math.dist(cert.points[1], cert.points[2]) <= math.sqrt(2.0 * notes["rho"] * notes["delta"]) + 1e-12
 
 
@@ -205,9 +217,9 @@ def test_case_b_interior_branch():
         a, b, c, eps, rad_s = (lam * v for v in case_b_params())
         cert = case_b_certificate(a, b, c, eps, rho=0.99 * rad_s, delta=1e-4 * lam)
         check_case_b(cert)
-        assert cert.notes["branch"] == "interior"
+        assert cert.named_copies["outer_radius"] == [(0, 3)]  # P off S
         op = math.dist(cert.points[0], cert.points[1])
-        assert cert.notes["rho"] < op < cert.notes["rad_S"]
+        assert cert.notes["rho"] < op < math.dist(cert.points[0], cert.points[3])
 
 
 def test_case_b_named_violations():
@@ -292,6 +304,32 @@ def test_check_case_b_refuses_op_inside_rho():
         check_case_b(cert)
 
 
+def test_check_case_b_derives_the_branch_from_rho():
+    # The raised rho is still below rad_S, so P is off S whatever a
+    # branch note says, and the |OP| check runs.
+    cert = case_b_both_branches()[1]
+    o, p, q = cert.points[:3]
+    rho = math.dist(o, p) + 1e-3
+    cert.notes.update(rho=rho, delta=rho - math.dist(o, q), branch="on_sphere")
+    with pytest.raises(GeometryError, match=r"\|OP\|\^2 = .* outside"):
+        check_case_b(cert)
+
+
+def test_check_case_b_derives_the_copies():
+    for cert in case_b_both_branches():
+        cert.named_copies["c_pairs"].pop()
+        with pytest.raises(GeometryError, match="named copies"):
+            check_case_b(cert)
+
+
+def test_check_case_b_rechecks_the_preconditions():
+    for cert in case_b_both_branches():
+        cert.notes["b"] = 1.2  # largest angle about 125 degrees
+        with pytest.raises(ConstraintViolation) as err:
+            check_case_b(cert)
+        assert err.value.name == "gamma_min"
+
+
 def test_forced_sphere_radius_exceeds_floor():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -300,5 +338,7 @@ def test_forced_sphere_radius_exceeds_floor():
         if inv.gamma < 5.0 * math.pi / 6.0:
             continue
         eps = min(inv.h, c / 2.0) * 0.5
-        rw = forced_sphere_radius(a, b, c, eps)
+        rad_s = math.sqrt(c * c - eps * eps / 4.0)
+        cert = case_b_certificate(a, b, c, eps, rho=rad_s, delta=1e-3 * eps * eps / rad_s)
+        rw = math.dist(cert.points[0], cert.points[4])
         assert rw > math.sqrt(3.0 * c * c / 4.0 - eps * eps / 4.0)

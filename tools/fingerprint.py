@@ -23,7 +23,11 @@ on both sides and diffing the outputs.  It prints, one line each:
   points, r <= 4 colors), half of them closed under a declared
   permutation;
 - bit digests of ``path_config``, ``eps_max`` and ``chain_on_sphere``
-  on seeded inputs, refusals included.
+  on seeded inputs, refusals included;
+- the SHA-256 of the point bits, copy lists and notes of six case B
+  certificates (P on the outer sphere and P inside it, at scales 1,
+  2^-40 and 2^16; only the six input notes are read) and of the two
+  E^4 sphere witnesses of the tests (generic and antipodal endpoints).
 
 It imports ``egr`` from this checkout's ``src`` and uses only the
 standard library and numpy, and takes about 3 s on a 2-vCPU VM.
@@ -50,7 +54,7 @@ from egr.perturbation import eps_max  # noqa: E402
 from egr.rectangles import path_config, product_config, regular_simplex  # noqa: E402
 from egr.solver import BudgetExceeded, ColoringProblem, _orbit_order, solve_gr  # noqa: E402
 from egr.tetra import tetra_profile  # noqa: E402
-from egr.triangles import chain_on_sphere, triangle_invariants  # noqa: E402
+from egr.triangles import case_b_certificate, chain_on_sphere, mono_sphere_witness, triangle_invariants  # noqa: E402
 
 CONSTRUCTS = [
     ["x1"],
@@ -224,11 +228,32 @@ def kernels() -> None:
     print(f"chain_on_sphere x{len(rows)}: {digest(rows)}")
 
 
+def config_sha(cfg: Configuration, note_keys) -> str:
+    h = hashlib.sha256(cfg.points.tobytes())
+    h.update(repr((sorted(cfg.named_copies.items()), [(key, cfg.notes[key]) for key in note_keys])).encode())
+    return h.hexdigest()
+
+
+def certificates() -> None:
+    for lam in (1.0, 2.0**-40, 2.0**16):
+        a, b, c, eps = (lam * v for v in (1.0, 1.0, 1.95, 0.4))
+        rad_s = math.sqrt(c * c - eps * eps / 4.0)
+        for where, rho, delta in (("on S", rad_s, 1e-3 * lam), ("inside S", 0.99 * rad_s, 1e-4 * lam)):
+            cert = case_b_certificate(a, b, c, eps, rho, delta)
+            sha = config_sha(cert, ("a", "b", "c", "eps", "rho", "delta"))
+            print(f"case_b scale {lam!r} P {where}: sha256 {sha}")
+    r = math.sqrt(8.75)
+    for name, v in (("generic", [0.0, 0.0, r, 0.0]), ("antipodal", [0.0, -r, 0.0, 0.0])):
+        witness = mono_sphere_witness(2.0, 2.0, 3.0, 1.0, [0.0, r, 0.0, 0.0], v)
+        print(f"mono_sphere_witness {name}: sha256 {config_sha(witness, sorted(witness.notes))}")
+
+
 def run() -> None:
     artifacts()
     census()
     random_problems()
     kernels()
+    certificates()
 
 
 if __name__ == "__main__":

@@ -442,6 +442,7 @@ class SimplexSpec:
 
     @classmethod
     def regular(cls, n: int, side: float) -> "SimplexSpec":
+        n = as_index(n, "simplex point count n")
         if n < 2:
             raise GeometryError("a regular simplex needs at least 2 points")
         if side <= 0:

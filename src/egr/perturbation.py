@@ -60,15 +60,15 @@ def eps_max(spec: SimplexSpec) -> float:
 
     The contracted Gram matrix decreases monotonically in eps, so the
     admissible set is an interval [0, eps_max) whose end ``bisect`` finds.
+    Its upper end sqrt(min side^2 / 2) contracts the smallest side to 0
+    (up to one rounding), so it is never admissible.
     """
     sq = spec.sq_dist
     if not is_nondegenerate(sq):
         raise GeometryError("degenerate simplex has no contraction margin")
     off = sq[np.triu_indices(len(sq), k=1)]
-    lo, hi = 0.0, math.sqrt(float(off.min()) / 2.0)
-    if _contraction_ok(sq, hi):
-        raise GeometryError("contraction bracket failed to pin the collapse point")
-    return bisect(lambda eps: _contraction_ok(sq, eps), lo, hi, 1e-9)[0]
+    hi = math.sqrt(float(off.min()) / 2.0)
+    return bisect(lambda eps: _contraction_ok(sq, eps), 0.0, hi, 1e-9)[0]
 
 
 def contract_simplex(spec: SimplexSpec, eps: float) -> SimplexSpec:
@@ -115,27 +115,24 @@ def build_perturbation_grid(delta_spec: SimplexSpec, m_counts, eps: float) -> Co
             )
 
     n1 = sum(m - 1 for m in m_counts) + d
-    fiber = n1 - d
     pts = np.zeros((n1 + 1, n1))
     labels = []
     for i in range(d + 1):
         pts[i, :d] = w[i]
         labels.append(f"w{i}")
     chains: list[tuple[int, ...]] = []
-    row, axis = d + 1, 0
+    # Chain row r takes the fresh axis r - 1, so the rows fill pts exactly.
+    row = d + 1
     for i in range(1, d + 1):
         chain = [0]
         for j in range(1, m_counts[i - 1]):
             pts[row, :d] = (j / m_counts[i - 1]) * w[i]
-            pts[row, d + axis] = eps / 2.0
+            pts[row, row - 1] = eps / 2.0
             labels.append(f"w{i}_{j}")
             chain.append(row)
             row += 1
-            axis += 1
         chain.append(i)
         chains.append(tuple(chain))
-    if row != n1 + 1 or axis != fiber:
-        raise GeometryError(f"grid filled {row} rows and {axis} axes, wants {n1 + 1} and {fiber}")
 
     diffs = pts[1:] - pts[0]
     if np.linalg.matrix_rank(diffs) != n1:

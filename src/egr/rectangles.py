@@ -4,7 +4,8 @@ Three building blocks combine into the product configurations whose
 pair census drives the rectangle arguments: ``regular_simplex`` places
 n mutually equidistant points, ``path_config`` realizes a polygonal
 path with equal edges and a prescribed endpoint gap on a circular arc,
-and ``product_config`` forms the orthogonal Cartesian product.  The
+and ``product_config`` forms the orthogonal Cartesian product, whose
+squared distances add across the factors by construction.  The
 census ``count_distance_pairs`` enumerates every pair at the long
 distance in such a product and checks the closed-form count
 (m+1)*C(3m+1,2) + (3m+1); a pair that is neither a within-fiber pair
@@ -38,7 +39,6 @@ from .geometry import (
     check_copies,
     embed_from_distances,
     enumerate_copies,
-    pairwise_sq_dists,
 )
 from .solver import COUNTEREXAMPLE, FORCED, declared_symmetry
 
@@ -49,6 +49,7 @@ SYMMETRY_ENTRIES = 1 << 18
 
 def regular_simplex(n: int, x: float) -> Configuration:
     """n points in E^{n-1} with all pairwise distances equal to x."""
+    n = as_index(n, "simplex point count n")
     if n < 2:
         raise GeometryError(f"regular simplex needs at least 2 points, got {n}")
     if not 0.0 < x < math.inf:
@@ -112,6 +113,8 @@ def _arc_span(alpha: float, t: int, y: float) -> float:
 def fewest_edges(x: float, y: float) -> int:
     """The least t >= 2 with x < t*y (in floating point): the fewest edges
     of length y whose path can end x apart."""
+    if not math.isfinite(x / y):
+        raise GeometryError(f"lengths x={x} and y={y} have no finite ratio x/y")
     t = max(2, math.ceil(x / y))
     while x >= t * y:
         t += 1
@@ -166,20 +169,16 @@ class ProductConfig:
     """Orthogonal product of two configurations.
 
     Point (i, j) of the product concatenates left point i with right
-    point j and sits at flat index i*|right| + j.  Squared distances
-    add across the factors.  Each factor's declared symmetry images act
-    on its own index with the other index fixed.
+    point j and sits at flat index i*|right| + j, so squared distances
+    add across the factors by construction, and the lifted copies of
+    each factor hold wherever they held in the factor.  Each factor's
+    declared symmetry images act on its own index with the other index
+    fixed.
     """
 
     left: Configuration
     right: Configuration
     product: Configuration
-
-    def verify(self) -> None:
-        sq_l = pairwise_sq_dists(self.left.points)
-        sq_r = pairwise_sq_dists(self.right.points)
-        expected = np.kron(sq_l, np.ones_like(sq_r)) + np.kron(np.ones_like(sq_l), sq_r)
-        check_copies(self.product.points, [range(len(expected))], expected, "product")
 
 
 def product_config(left: Configuration, right: Configuration) -> ProductConfig:
@@ -211,9 +210,7 @@ def product_config(left: Configuration, right: Configuration) -> ProductConfig:
         notes["symmetry"] = [[g[i] * n_r + j for i in range(n_l) for j in range(n_r)] for g in on_left]
         notes["symmetry"] += [[i * n_r + g[j] for i in range(n_l) for j in range(n_r)] for g in on_right]
     prod = Configuration(points=pts, labels=labels, named_copies=copies, notes=notes)
-    out = ProductConfig(left=left, right=right, product=prod)
-    out.verify()
-    return out
+    return ProductConfig(left=left, right=right, product=prod)
 
 
 def _census_classify(

@@ -634,9 +634,10 @@ class _Builder:
         with this build's roles, hinges and arcs, and check its
         placements once per frame.
 
-        Each template row becomes its affine coefficients over the seed
-        plus its own fresh-axis entries, so ``replay`` places it as one
-        isometric block.
+        Each template row becomes its affine coefficients over the seed,
+        solved on its entries in the seed's columns, plus its own
+        fresh-axis entries, so ``replay`` places it as one isometric
+        block.  No dense copy of the template is made.
         """
         sub = copy.copy(self)  # shares the solved hinges and arcs
         sub.ws = Workspace(seed_points.shape[1])
@@ -647,8 +648,13 @@ class _Builder:
         for frame, tuples in sub.anchors.values():
             check_copies(rows, tuples, frame.anchor_sq, "anchor image")
         n, dim = len(seed), seed_points.shape[1]
+        # The template rows' entries in the seed's columns, read off the CSR rows.
+        owner = np.repeat(np.arange(-n, rows.shape[0] - n), np.diff(rows.indptr))
+        keep = (owner >= 0) & (rows.indices < dim)
+        block = np.zeros((rows.shape[0] - n, dim))
+        block[owner[keep], rows.indices[keep]] = rows.data[keep]
         u = seed_points[1:] - seed_points[0]
-        coeffs = np.linalg.solve(u.T, (rows.dense()[n:, :dim] - seed_points[0]).T).T
+        coeffs = np.linalg.solve(u.T, (block - seed_points[0]).T).T
         residuals = tuple(
             (c[c >= dim] - dim, v[c >= dim]) for c, v in zip(sub.ws._cols[n:], sub.ws._vals[n:])
         )

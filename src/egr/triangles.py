@@ -7,8 +7,8 @@ equal chords, walks equal-hop chains between two points of a sphere,
 chains gadget spheres across the E^4 sphere of equal chords, and
 assembles the two-sphere certificate used in the wide-angle regime.
 Each construction is returned as the ``Configuration`` it describes,
-checked before it is returned; ``check_case_b`` re-checks the
-certificate from the configuration alone.
+checked before it is returned, each fact once; ``check_case_b``
+re-checks the certificate from the configuration alone.
 """
 
 from __future__ import annotations
@@ -85,29 +85,18 @@ def triangle_invariants(a: float, b: float, c: float) -> TriangleInvariants:
     )
 
 
-@dataclass(frozen=True)
-class PerturbedChord:
-    """Chord length of the shifted triangle pair and its admissible bound."""
-
-    ell: float
-    bound: float
-    ok: bool
-
-
-def perturbed_chord(a: float, b: float, c: float, eps: float) -> PerturbedChord:
+def perturbed_chord(a: float, b: float, c: float, eps: float) -> float:
     """Length ell of the chord joining the two equal-distance apexes.
 
-    Requires 0 < eps < h.  The bound 2*sqrt(c^2 - (eps/2)^2) always
-    exceeds ell; ``ok`` records the comparison explicitly.
+    Requires 0 < eps < h.  For an obtuse triple ell stays below the
+    diameter of its sphere (see ``build_five_point``).
     """
     inv = triangle_invariants(a, b, c)
     if not (0.0 < eps < inv.h):
         raise ConstraintViolation("eps_range", f"eps must lie in (0, h={inv.h}), got {eps}")
     num = inv.Delta - (a * eps) ** 2
     den = b * b - (eps / 2.0) ** 2
-    ell = math.sqrt(num / den)
-    bound = 2.0 * math.sqrt(c * c - (eps / 2.0) ** 2)
-    return PerturbedChord(ell=ell, bound=bound, ok=ell < bound)
+    return math.sqrt(num / den)
 
 
 def five_point_sq(a: float, b: float, c: float, eps: float, ell: float) -> np.ndarray:
@@ -139,19 +128,21 @@ def build_five_point(a: float, b: float, c: float, eps: float) -> Configuration:
     (a, b, c).  The named copies, those four ``triangle_*`` and
     ``tetra_PMAB``, cover every entry of ``five_point_sq``, against
     which all five rows are checked.
+
+    P and M sit x off AB: for the diameter bound = 2*sqrt(c^2 - eps^2/4),
+    4x^2 = bound^2 - ell^2 = (b^2 + c^2 - a^2 - eps^2/2)^2 / (b^2 - eps^2/4),
+    which is > 0 for every obtuse triple, since eps < h <= 2b gives
+    eps^2 < 4b^2 < 2(b^2 + c^2 - a^2).  A rounding below 0 gives x = 0,
+    and the distance check judges the rows.
     """
     inv = triangle_invariants(a, b, c)
     if not inv.obtuse:
         raise ConstraintViolation("obtuse", f"{(a, b, c)} is not an obtuse triple")
-    chord = perturbed_chord(a, b, c, eps)
-    ell = chord.ell
+    ell = perturbed_chord(a, b, c, eps)
     c_p = math.sqrt(c * c - (eps / 2.0) ** 2)
     b_p = math.sqrt(b * b - (eps / 2.0) ** 2)
     half = ell / 2.0
-    x_sq = c_p * c_p - half * half
-    if x_sq <= 0.0:
-        raise ConstraintViolation("chord_bound", "chord exceeds sphere diameter")
-    x = math.sqrt(x_sq)
+    x = math.sqrt(max(c_p * c_p - half * half, 0.0))
     rows = np.array(
         [
             [-eps / 2.0, 0.0, 0.0],
@@ -394,7 +385,13 @@ def _case_b_plan(a: float, b: float, c: float, eps: float, rho: float, delta: fl
     return rho (clamped to rad_S), rad_S, rad_W, whether P lies on S,
     and the named copies.  rad_W = |OZ|, for Z the apex of the (a, b,
     c) triangle over a chord of length c of the circle of radius rad_S,
-    on the far side of the chord from O."""
+    on the far side of the chord from O.
+
+    Both circle intersections need mid/sqrt(c^2 - rho delta) <= mid/rho
+    <= rho - delta, mid = eps^2/4 + c^2/4, which needs no check: its
+    first half is delta <= (c^2 - rho^2)/rho, implied by ``delta1``; its
+    second follows from ``delta1``, ``rho_min`` and eps < c/2, as
+    rho^2 - mid - (c^2 - rho^2)/2 > 3c^2/8 - 5eps^2/8 > 0."""
     if not (math.isfinite(rho) and math.isfinite(delta)):
         raise GeometryError(f"rho and delta must be finite, got rho={rho}, delta={delta}")
     inv = triangle_invariants(a, b, c)
@@ -430,13 +427,6 @@ def _case_b_plan(a: float, b: float, c: float, eps: float, rho: float, delta: fl
     if zy_sq <= 0.0:
         raise ConstraintViolation("apex_height", "triangle apex has no height over the chord")
     rad_w = math.hypot(zx, dcd + math.sqrt(zy_sq))
-
-    # The inequality chain guaranteeing both circle intersections.
-    mid = ((eps / 2.0) ** 2 + (c / 2.0) ** 2)
-    denom = math.sqrt(c * c - rho * delta)
-    tol = 1e-12 * c
-    if not (mid / denom <= mid / rho + tol and mid / rho <= rho - delta + tol):
-        raise ConstraintViolation("ineq_final", "certificate inequality chain failed")
     outer = [(0, 3), (0, 1)] if on_sphere else [(0, 3)]
     copies = {"c_pairs": [(3, 1), (3, 2), (4, 1), (4, 2)], "outer_radius": outer, "forced_radius": [(0, 4)]}
     return rho, rad_s, rad_w, on_sphere, copies

@@ -84,11 +84,11 @@ def test_criterion_01_formula_suite():
         assert inv.obtuse
         assert inv.h < 2.0 * b
         eps = rng.uniform(1e-6, inv.h * (1.0 - 1e-9))
-        pc = perturbed_chord(a, b, c, eps)
+        ell = perturbed_chord(a, b, c, eps)
         bound = 2.0 * math.sqrt(c * c - (eps / 2.0) ** 2)
-        assert abs(pc.bound - bound) <= 1e-12 * bound
-        assert pc.ell < bound
-        assert pc.ok
+        gap_sq = (b * b + c * c - a * a - eps * eps / 2.0) ** 2 / (b * b - eps * eps / 4.0)
+        assert abs(bound * bound - ell * ell - gap_sq) <= 1e-12 * bound * bound
+        assert ell < bound
     assert triangle_invariants(2.0, 2.0, 3.0).Delta == 63.0
     _finish(1, "formula suite", started, 1.0)
 

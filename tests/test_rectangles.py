@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from egr import rectangles
+from egr.cli import main
 from egr.geometry import (
     Configuration,
     GeometryError,
@@ -156,6 +158,28 @@ def test_path_and_census_read_counts_as_integers(count):
     assert count_distance_pairs(np.int64(3), 2.5, 1.0)["enumerated"] == 190
 
 
+@pytest.mark.parametrize("count", [3.0, 2.5, True, "3"])
+def test_regular_simplex_reads_n_as_an_integer(count):
+    # 3.0 ended in numpy's bare TypeError
+    for build in (regular_simplex, SimplexSpec.regular):
+        with pytest.raises(GeometryError, match="simplex point count n must be an integer"):
+            build(count, 1.0)
+    assert len(regular_simplex(np.int64(3), 1.0).points) == 3
+    assert SimplexSpec.regular(np.int64(3), 1.0).sq_dist.shape == (3, 3)
+
+
+def test_fewest_edges_refuses_a_ratio_that_overflows(tmp_path, capsys):
+    # each ended in a bare OverflowError from math.ceil(x / y)
+    with pytest.raises(GeometryError, match=r"x=1e\+300 and y=1e-300"):
+        path_config(3, 1e300, 1e-300)
+    with pytest.raises(GeometryError, match=r"x=inf and y=1\.0"):
+        count_distance_pairs(2, math.inf, 1.0)
+    out = tmp_path / "path.json"
+    assert main(["construct", "path", "--t", "3", "--x", "1e300", "--y", "1e-300", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "lengths x=1e+300 and y=1e-300 have no finite ratio" in capsys.readouterr().err
+
+
 def test_product_unit_square():
     seg = regular_simplex(2, 1.0)
     prod = product_config(seg, seg).product
@@ -178,6 +202,20 @@ def test_product_distance_law():
         want = (math.dist(left.points[i], left.points[j]) ** 2
                 + math.dist(right.points[k], right.points[l]) ** 2)
         assert abs(got - want) < 1e-12
+
+
+def test_product_memory_stays_linear_in_its_points():
+    # 2,821 points: the N x N self-check this replaced peaked at 247 MiB traced
+    simplex = regular_simplex(91, 1.5)
+    path = path_config(30, 1.5, 1.0).as_configuration()
+    tracemalloc.start()
+    try:
+        prod = product_config(simplex, path).product
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prod.points.shape == (2821, 92)
+    assert peak < 32 * 2**20
 
 
 def test_product_with_single_point_is_copy():

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 
 from egr import tetra
 from egr.geometry import (
+    CSR,
     ConstraintViolation,
     GeometryError,
     SimplexSpec,
@@ -415,6 +417,21 @@ def test_template_replay_equals_the_walk(monkeypatch, spec, k, corner_angle):
 def test_template_replay_keeps_the_workspace_limit():
     with pytest.raises(GeometryError, match="exceeds the limit"):
         build_anchor_gadget(tetra_profile(REGULAR), corner_angle=0.3)
+
+
+def test_anchor_gadget_makes_one_dense_copy(monkeypatch):
+    # glued_template solves its coefficients on the sparse rows; only
+    # finish writes the dense points the configuration stores
+    callers = []
+    dense = CSR.dense
+
+    def traced(self):
+        callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return dense(self)
+
+    monkeypatch.setattr(CSR, "dense", traced)
+    build_anchor_gadget(tetra_profile(REGULAR), k=1)
+    assert callers == ["finish"]
 
 
 @pytest.mark.parametrize(

@@ -42,16 +42,20 @@ def test_height_bound_and_chord_on_random_obtuse():
         inv = triangle_invariants(a, b, c)
         assert inv.h < 2.0 * b
         eps = rng.uniform(1e-6, inv.h * (1.0 - 1e-9))
-        chord = perturbed_chord(a, b, c, eps)
-        assert chord.ok
-        assert chord.ell < chord.bound
+        ell = perturbed_chord(a, b, c, eps)
+        bound = 2.0 * math.sqrt(c * c - (eps / 2.0) ** 2)
+        # bound^2 - ell^2 is 4x^2 of build_five_point, in closed form
+        gap_sq = (b * b + c * c - a * a - eps * eps / 2.0) ** 2 / (b * b - eps * eps / 4.0)
+        assert abs(bound * bound - ell * ell - gap_sq) <= 1e-12 * bound * bound
+        assert ell < bound
 
 
 def test_perturbed_chord_2_2_3_1():
-    chord = perturbed_chord(2.0, 2.0, 3.0, 1.0)
-    assert abs(chord.ell - math.sqrt(59.0 / 3.75)) < 1e-14
-    assert abs(chord.bound - 2.0 * math.sqrt(8.75)) < 1e-14
-    assert chord.ok
+    ell = perturbed_chord(2.0, 2.0, 3.0, 1.0)
+    bound = 2.0 * math.sqrt(3.0**2 - (1.0 / 2.0) ** 2)
+    assert abs(ell - math.sqrt(59.0 / 3.75)) < 1e-14
+    assert abs(bound - 2.0 * math.sqrt(8.75)) < 1e-14
+    assert ell < bound
 
 
 def test_perturbed_chord_rejects_eps_at_h():

@@ -23,7 +23,8 @@ on both sides and diffing the outputs.  It prints, one line each:
   points, r <= 4 colors), half of them closed under a declared
   permutation;
 - bit digests of ``path_config``, ``eps_max`` and ``chain_on_sphere``
-  on seeded inputs, refusals included;
+  on seeded inputs, refusals included, and of the chord ``ell`` of
+  ``perturbed_chord`` on 200 seeded obtuse triples and eps;
 - the SHA-256 of the point bits, copy lists and notes of six case B
   certificates (P on the outer sphere and P inside it, at scales 1,
   2^-40 and 2^16; only the six input notes are read) and of the two
@@ -54,7 +55,13 @@ from egr.perturbation import eps_max  # noqa: E402
 from egr.rectangles import path_config, product_config, regular_simplex  # noqa: E402
 from egr.solver import BudgetExceeded, ColoringProblem, _orbit_order, solve_gr  # noqa: E402
 from egr.tetra import tetra_profile  # noqa: E402
-from egr.triangles import case_b_certificate, chain_on_sphere, mono_sphere_witness, triangle_invariants  # noqa: E402
+from egr.triangles import (  # noqa: E402
+    case_b_certificate,
+    chain_on_sphere,
+    mono_sphere_witness,
+    perturbed_chord,
+    triangle_invariants,
+)
 
 CONSTRUCTS = [
     ["x1"],
@@ -96,6 +103,13 @@ SKEW = SimplexSpec(
 )
 
 
+def obtuse_draw(rng) -> tuple:
+    """A seeded obtuse triple a <= b <= c and an eps in (0.05 h, 0.95 h)."""
+    a, b = sorted(float(v) for v in rng.uniform(0.3, 4.0, size=2))
+    c = float(rng.uniform(math.hypot(a, b) + 1e-3, a + b - 1e-3))
+    return a, b, c, float(rng.uniform(0.05, 0.95)) * triangle_invariants(a, b, c).h
+
+
 def varied_constructs(tmp: str) -> list:
     """Runs of the hinge, dense-quad, five-point, chain and contract
     builders away from their defaults; the skew spec is written into
@@ -107,10 +121,8 @@ def varied_constructs(tmp: str) -> list:
     runs += [["hinge", "--spec", spec], ["dense-quad", "--spec", spec]]
     rng = np.random.default_rng(25)
     while len(runs) < 8:
-        a, b = sorted(float(v) for v in rng.uniform(0.3, 4.0, size=2))
-        c = float(rng.uniform(math.hypot(a, b) + 1e-3, a + b - 1e-3))
-        eps = float(rng.uniform(0.05, 0.95)) * triangle_invariants(a, b, c).h
-        runs.append(["five-point", *(f"--{k}={v!r}" for k, v in zip("abc", (a, b, c))), f"--eps={eps!r}"])
+        *sides, eps = obtuse_draw(rng)
+        runs.append(["five-point", *(f"--{k}={v!r}" for k, v in zip("abc", sides)), f"--eps={eps!r}"])
     runs += [
         ["chain", "--s", "1.0", "--d", "0.4", "--gap", "2.0"],
         ["chain", "--s", "1.0", "--d", "0.4", "--gap", "1.2", "--dim", "4"],
@@ -226,6 +238,10 @@ def kernels() -> None:
             chain = (chain.points.tobytes(), *(chain.notes[key] for key in ("k", "s_prime", "pre_hops")))
         rows.append(chain)
     print(f"chain_on_sphere x{len(rows)}: {digest(rows)}")
+
+    rng = np.random.default_rng(11)
+    rows = [perturbed_chord(*obtuse_draw(rng)) for _ in range(200)]
+    print(f"perturbed_chord ell x{len(rows)}: {digest(np.array(rows))}")
 
 
 def config_sha(cfg: Configuration, note_keys) -> str:

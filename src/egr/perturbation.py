@@ -10,10 +10,10 @@ certifies the result stays a real nondegenerate simplex;
 ``build_perturbation_grid`` realizes, as a ``Configuration``, the
 block-matrix point set whose rows are the simplex vertices (w_i, 0)
 plus chain rows ((j/m_i) w_i, (eps/2) e_k) subdividing each edge from
-the origin.  Its two load-bearing facts are verified directly: the rows
-are affinely independent, and the graph joining rows at distance
-< 2*eps is connected (``is_connected``), so the eps-balls around the
-rows overlap along every chain.
+the origin.  Its two load-bearing facts are checked once, on its inputs:
+the rows are affinely independent when the simplex is nondegenerate,
+and the graph joining rows at distance < 2*eps (``is_connected``) is
+connected when every chain step is below eps.
 """
 
 from __future__ import annotations
@@ -95,8 +95,18 @@ def build_perturbation_grid(delta_spec: SimplexSpec, m_counts, eps: float) -> Co
     ``base`` copy is the base rows and each ``chains`` copy walks from
     w0 to one w_i.  Its notes are kind, eps, the counts m_i, n1 (the
     ambient and affine dimension sum(m_i - 1) + d), the chain steps and,
-    last, ``connected``.  Refuses a grid whose chain steps reach eps or
-    whose balls do not chain into one piece."""
+    last, ``connected``.  Refuses a grid whose chain steps reach eps
+    (``eps_floor``) or whose simplex is degenerate.
+
+    Both facts the grid certifies follow from those two checks.  The
+    rows less w0 = 0 form a block lower-triangular matrix: the base rows
+    w_1..w_d, then one chain row per fresh axis with eps/2 on it.  So
+    the rows are affinely independent exactly when the simplex is
+    nondegenerate, judged by the Gram rule ``eps_max`` uses.  Along a
+    chain, a hop touching a base row has squared length step^2 +
+    eps^2/4, and a hop between chain rows step^2 + eps^2/2; step < eps
+    makes each below 1.5 eps^2 < 4 eps^2, so every hop is below 2*eps,
+    and every row lies on a chain from w0: the grid is connected."""
     d = len(delta_spec.sq_dist) - 1
     m_counts = tuple(as_index(m, "subdivision count") for m in m_counts)
     if len(m_counts) != d:
@@ -113,6 +123,8 @@ def build_perturbation_grid(delta_spec: SimplexSpec, m_counts, eps: float) -> Co
             raise ConstraintViolation(
                 "eps_floor", f"chain step ||w_{i + 1}||/m = {step} is not below eps={eps}"
             )
+    if not is_nondegenerate(delta_spec.sq_dist):
+        raise GeometryError("grid rows are affinely dependent")
 
     n1 = sum(m - 1 for m in m_counts) + d
     pts = np.zeros((n1 + 1, n1))
@@ -134,30 +146,13 @@ def build_perturbation_grid(delta_spec: SimplexSpec, m_counts, eps: float) -> Co
         chain.append(i)
         chains.append(tuple(chain))
 
-    diffs = pts[1:] - pts[0]
-    if np.linalg.matrix_rank(diffs) != n1:
-        raise GeometryError("grid rows are affinely dependent")
-
-    grid = Configuration(
+    return Configuration(
         points=pts,
         labels=labels,
         named_copies={"base": [tuple(range(d + 1))], "chains": chains},
         notes={"kind": "perturbation_grid", "eps": eps, "m_counts": list(m_counts), "n1": n1,
-               "eps_steps": list(steps)},
+               "eps_steps": list(steps), "connected": True},
     )
-
-    # Each chain must walk from w0 to its vertex in hops below 2*eps;
-    # both facts follow from step < eps but are certified directly.
-    bound_sq = (2.0 * eps) ** 2
-    for chain in chains:
-        for u, v in zip(chain, chain[1:]):
-            gap = float(np.dot(pts[u] - pts[v], pts[u] - pts[v]))
-            if gap >= bound_sq:
-                raise GeometryError(f"chain hop ({u}, {v}) has length >= 2*eps")
-    if not is_connected(pts, eps):
-        raise GeometryError("grid intersection graph is not connected")
-    grid.notes["connected"] = True
-    return grid
 
 
 def lifted_base_copy(grid: Configuration, unit_dir) -> Configuration:

@@ -32,6 +32,7 @@ from .geometry import (
     ConstraintViolation,
     GeometryError,
     SimplexSpec,
+    as_index,
     cayley_menger_volume,
     check_copies,
     congruence_check,
@@ -512,6 +513,9 @@ class _Builder:
         sequence including both neighbors.  A backtracking corner
         (shared neighbor index) needs no fan at all.
 
+        The neighbors' step distance is not checked here: each is the
+        apex of a hinge copy (apex, center, z1, z2) that ``finish`` checks.
+
         Revisiting the same corner with the same neighbors reproduces the
         same interior points, so those are deduplicated through an exact
         symbolic registry instead of being placed twice: it maps (lower
@@ -525,10 +529,7 @@ class _Builder:
         v0 = p0 - c
         v1 = p1 - c
         n0 = float(np.linalg.norm(v0))
-        n1 = float(np.linalg.norm(v1))
         slack = math.sqrt(sq_slack(step * step))
-        if abs(n0 - step) > slack or abs(n1 - step) > slack:
-            raise GeometryError("corner neighbors are not at the path step distance")
         psi = _angle(v0, v1)
         substeps = max(1, math.ceil(psi / self.fan_angles[perm] - 1e-12))
         if substeps == 1:
@@ -800,6 +801,7 @@ def build_anchor_gadget(
     to rounding.
     """
     dq_rows, dq_copies = _quadruple_rows(profile)
+    k = as_index(k, "path length k")
     if k < 1:
         raise GeometryError("path length must be at least 1")
     i_h = profile.hmax_vertex

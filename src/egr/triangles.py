@@ -88,14 +88,16 @@ def triangle_invariants(a: float, b: float, c: float) -> TriangleInvariants:
 def perturbed_chord(a: float, b: float, c: float, eps: float) -> float:
     """Length ell of the chord joining the two equal-distance apexes.
 
-    Requires 0 < eps < h.  For an obtuse triple ell stays below the
-    diameter of its sphere (see ``build_five_point``).
+    Requires 0 < eps < h; an eps within rounding of h that leaves b^2 -
+    eps^2/4 <= 0 or Delta - a^2 eps^2 < 0 is refused as out of range too.
+    For an obtuse triple ell stays below the diameter of its sphere (see
+    ``build_five_point``).
     """
     inv = triangle_invariants(a, b, c)
-    if not (0.0 < eps < inv.h):
-        raise ConstraintViolation("eps_range", f"eps must lie in (0, h={inv.h}), got {eps}")
     num = inv.Delta - (a * eps) ** 2
     den = b * b - (eps / 2.0) ** 2
+    if not (0.0 < eps < inv.h) or den <= 0.0 or num < 0.0:
+        raise ConstraintViolation("eps_range", f"eps must lie in (0, h={inv.h}), got {eps}")
     return math.sqrt(num / den)
 
 
@@ -167,20 +169,6 @@ def build_five_point(a: float, b: float, c: float, eps: float) -> Configuration:
     )
 
 
-def _sphere_chain(center, s: float, d: float, nodes, k: int, s_prime, pre_hops: int) -> Configuration:
-    """Check that every node is s from ``center`` and every hop is d
-    long, then return the chain with its ``hops`` copies."""
-    hops = [(i, i + 1) for i in range(len(nodes) - 1)]
-    radii = [(0, i) for i in range(1, len(nodes) + 1)]
-    check_copies(np.vstack([center, nodes]), radii, SimplexSpec.pair(s).sq_dist, "center-node pair")
-    check_copies(nodes, hops, SimplexSpec.pair(d).sq_dist, "hop")
-    return Configuration(
-        points=nodes,
-        named_copies={"hops": hops},
-        notes={"s": s, "d": d, "s_prime": s_prime, "k": k, "pre_hops": pre_hops},
-    )
-
-
 def _unit_orthogonal(vectors: list[np.ndarray], dim: int) -> np.ndarray:
     """First standard basis direction orthogonalized against ``vectors``."""
     basis = []
@@ -236,12 +224,28 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> Configuration:
         raise GeometryError(f"step must satisfy 0 < d < 2s, got d={d}, s={s}")
     ends = np.vstack([center, U, V])
     check_copies(ends, [(0, 1), (0, 2)], SimplexSpec.pair(s).sq_dist, "center-endpoint pair")
+    nodes, k, s_prime, pre_hops = _chain_nodes(center, s, U, V, d)
+    hops = [(i, i + 1) for i in range(len(nodes) - 1)]
+    radii = [(0, i) for i in range(1, len(nodes) + 1)]
+    check_copies(np.vstack([center, nodes]), radii, SimplexSpec.pair(s).sq_dist, "center-node pair")
+    check_copies(nodes, hops, SimplexSpec.pair(d).sq_dist, "hop")
+    return Configuration(
+        points=nodes,
+        named_copies={"hops": hops},
+        notes={"s": s, "d": d, "s_prime": s_prime, "k": k, "pre_hops": pre_hops},
+    )
+
+
+def _chain_nodes(center, s: float, U, V, d: float):
+    """Unchecked rows U, ..., V of ``chain_on_sphere``'s chain, with its
+    k, s_prime and pre_hops.  An antipodal pair takes its pre-hop and
+    prepends U to the rows of the chain from there."""
+    dim = center.shape[0]
     s_sq = s * s
     uv_sq = squared_distance(U, V)
-    scale_slack = sq_slack(s_sq)
-    if uv_sq <= scale_slack:
+    if uv_sq <= sq_slack(s_sq):
         # Coincident endpoints: nothing to connect.
-        return _sphere_chain(center, s, d, U[None, :].copy(), 0, None, 0)
+        return U[None, :].copy(), 0, None, 0
     # The chain holds U and V, so its per-axis extent is at least |UV|/sqrt(dim),
     # and any hop the hop check accepts would be refused as a coincident pair.
     if d * d + sq_slack(d * d) < sq_slack(uv_sq / dim):
@@ -253,10 +257,8 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> Configuration:
         e = _unit_orthogonal([radial], dim)
         xi = 2.0 * math.asin(d / (2.0 * s))
         u_pre = center + math.cos(xi) * (U - center) + math.sin(xi) * s * e
-        inner = chain_on_sphere(center, s, u_pre, V, d)
-        nodes = np.vstack([U[None, :], inner.points])
-        notes = inner.notes
-        return _sphere_chain(center, s, d, nodes, notes["k"] + 1, notes["s_prime"], notes["pre_hops"] + 1)
+        nodes, k, s_prime, pre_hops = _chain_nodes(center, s, u_pre, V, d)
+        return np.vstack([U[None, :], nodes]), k + 1, s_prime, pre_hops + 1
 
     uv = math.sqrt(uv_sq)
     half_uv = uv / 2.0
@@ -320,7 +322,7 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> Configuration:
         ang = i * step
         nodes.append(o_circ + s_prime * (math.cos(ang) * e_a + math.sin(ang) * e_b))
     nodes.append(V)
-    return _sphere_chain(center, s, d, np.vstack(nodes), k, s_prime, 0)
+    return np.vstack(nodes), k, s_prime, 0
 
 
 def chain_angle_defect(chain: Configuration) -> float:
@@ -491,19 +493,16 @@ def case_b_certificate(a: float, b: float, c: float, eps: float, rho: float, del
     half_pq_sq = (pq / 2.0) ** 2
     r_c = math.sqrt(c * c - half_pq_sq)
 
-    def _bisector_point(radius: float, name: str) -> np.ndarray:
-        # Circle about the projected center meets the circle about the midpoint of PQ.
+    def _bisector_point(radius: float) -> np.ndarray:
+        # Circle about the projected center meets the circle about the
+        # midpoint of PQ, as ``_case_b_plan``'s inputs prove; a rounding
+        # of z^2 below 0 gives z = 0, and ``check_case_b`` judges the rows.
         r_slice_sq = radius * radius - half_pq_sq
-        if r_slice_sq <= 0.0:
-            raise ConstraintViolation(name, "sphere does not reach the bisector plane")
         x = (r_slice_sq - r_c * r_c + oq * oq) / (2.0 * oq)
-        z_sq = r_slice_sq - x * x
-        if z_sq < 0.0:
-            raise ConstraintViolation(name, "bisector circles do not intersect")
-        return np.array([x, pq / 2.0, math.sqrt(z_sq)])
+        return np.array([x, pq / 2.0, math.sqrt(max(r_slice_sq - x * x, 0.0))])
 
-    z1 = _bisector_point(rad_s, "z1_intersection")
-    z2 = _bisector_point(rad_w, "z2_intersection")
+    z1 = _bisector_point(rad_s)
+    z2 = _bisector_point(rad_w)
     cert = Configuration(
         points=np.vstack([np.zeros(3), [oq, pq, 0.0], [oq, 0.0, 0.0], z1, z2]),
         labels=["O", "P", "Q", "Z1", "Z2"],

@@ -160,6 +160,15 @@ def test_construct_dense_quad_requires_condition(tmp_path):
     assert not out.exists()
 
 
+def test_construct_grid_refuses_a_collinear_spec(tmp_path, capsys):
+    spec_path = tmp_path / "collinear.json"
+    SimplexSpec(np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])).save(str(spec_path))
+    out = tmp_path / "grid.json"
+    assert main(["construct", "grid", "--spec", str(spec_path), "--m", "2", "--eps", "1.5", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "affinely dependent" in capsys.readouterr().err
+
+
 def test_construct_workspace_limit(tmp_path, monkeypatch, capsys):
     # anchor-gadget reaches 1513 points x 1506 axes
     monkeypatch.setattr(tetra, "MAX_COORDINATES", 10**6)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_is_connected_sees_a_split_grid():
     grid = build_perturbation_grid(SimplexSpec.pair(1.0), [2], 0.6)
     assert not is_connected(grid.points, 0.2)
     assert is_connected(grid.points, 0.3)
+
+
+def test_grid_memory_stays_linear_in_its_rows():
+    # 901 rows: the n1 x n1 rank check and the all-pairs connectivity
+    # check this replaced peaked at 31.7 MiB traced
+    tracemalloc.start()
+    try:
+        grid = build_perturbation_grid(SimplexSpec.regular(4, 1.0), [300] * 3, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.points.shape == (901, 900)
+    assert peak < 16 * 2**20
 
 
 def test_grid_rejects_large_step():

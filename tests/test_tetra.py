@@ -457,6 +457,13 @@ def test_anchor_gadget_requires_condition():
     assert err.value.name == "condition"
 
 
+@pytest.mark.parametrize("k", [True, 1.5, 2.0, "1"])
+def test_anchor_gadget_reads_k_as_an_integer(k):
+    # True built the k=1 gadget; 1.5 failed on a path of 2.5 edges
+    with pytest.raises(GeometryError, match="path length k must be an integer"):
+        build_anchor_gadget(tetra_profile(REGULAR), k=k)
+
+
 def test_anchor_gadget_rejects_edge_off_face():
     prof = tetra_profile(SKEW)
     with pytest.raises(GeometryError):

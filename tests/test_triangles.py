@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import check_sphere_chain, random_obtuse
 
+from egr.cli import main
 from egr.geometry import ConstraintViolation, GeometryError, check_copies, pairwise_sq_dists, squared_distance
 from egr.triangles import (
     build_five_point,
@@ -62,6 +63,26 @@ def test_perturbed_chord_rejects_eps_at_h():
     inv = triangle_invariants(2.0, 2.0, 3.0)
     with pytest.raises(ConstraintViolation):
         perturbed_chord(2.0, 2.0, 3.0, inv.h)
+
+
+@pytest.mark.parametrize(
+    "sides, eps",
+    [
+        ((1.0, 2.2701552558896165, 2.480646062242365), 4.540310511779233),
+        ((1.0, 2.6880615289253376, 2.8680437206026923), 5.376123057850676),
+    ],
+)
+def test_perturbed_chord_refuses_eps_within_rounding_of_h(tmp_path, capsys, sides, eps):
+    # b^2 - eps^2/4 rounds to 0 (ZeroDivisionError) and below it (math domain error)
+    assert eps < triangle_invariants(*sides).h
+    with pytest.raises(ConstraintViolation) as err:
+        perturbed_chord(*sides, eps)
+    assert err.value.name == "eps_range"
+    out = tmp_path / "five.json"
+    argv = [f"--{k}={v!r}" for k, v in zip("abc", sides)] + [f"--eps={eps!r}"]
+    assert main(["construct", "five-point", *argv, "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "eps_range" in capsys.readouterr().err
 
 
 def test_five_point_gadget_2_2_3_1():

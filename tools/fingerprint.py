@@ -9,12 +9,13 @@ equal, so a change meant to keep behaviour is checked by running this
 on both sides and diffing the outputs.  It prints, one line each:
 
 - the SHA-256 of the artifact written by each of 14 ``construct`` runs
-  of the command line at or near their defaults, and of 11 more of
-  ``hinge``, ``dense-quad``, ``five-point``, ``chain`` and ``contract``
-  at other inputs (three hinge angles up to 2*theta, a non-regular
-  ``--spec`` that meets the dense-quadruple condition, three seeded
-  obtuse triples, an antipodal and an E^4 chain, a contracted
-  triangle), with the exit code of each;
+  of the command line at or near their defaults, and of 14 more of
+  ``hinge``, ``dense-quad``, ``five-point``, ``grid``, ``chain`` and
+  ``contract`` at other inputs (three hinge angles up to 2*theta, a
+  non-regular ``--spec`` that meets the dense-quadruple condition,
+  three seeded obtuse triples, grids over a tetrahedron at m = 7, a
+  segment and the non-regular spec, an antipodal and an E^4 chain, a
+  contracted triangle), with the exit code of each;
 - a digest of the verdict, node count, witness and static search order
   of each census coloring problem S_s(1.5) x B_m(1.5, 1.0) with r
   colors, for m >= 2, (m+1)*s <= 21 and r <= s+3 (126 cases), with the
@@ -111,9 +112,9 @@ def obtuse_draw(rng) -> tuple:
 
 
 def varied_constructs(tmp: str) -> list:
-    """Runs of the hinge, dense-quad, five-point, chain and contract
-    builders away from their defaults; the skew spec is written into
-    ``tmp``."""
+    """Runs of the hinge, dense-quad, five-point, grid, chain and
+    contract builders away from their defaults; the skew spec is written
+    into ``tmp``."""
     two_theta = 2.0 * tetra_profile(SimplexSpec.regular(4, 1.0)).theta
     runs = [["hinge", "--phi", repr(phi)] for phi in (0.05, 1.0, two_theta)]
     spec = os.path.join(tmp, "skew.json")
@@ -124,6 +125,9 @@ def varied_constructs(tmp: str) -> list:
         *sides, eps = obtuse_draw(rng)
         runs.append(["five-point", *(f"--{k}={v!r}" for k, v in zip("abc", sides)), f"--eps={eps!r}"])
     runs += [
+        ["grid", "--regular-k", "4", "--m", "7", "--eps", "0.2"],
+        ["grid", "--regular-k", "2", "--m", "3", "--eps", "0.4"],
+        ["grid", "--spec", spec, "--m", "3", "--eps", "0.5"],
         ["chain", "--s", "1.0", "--d", "0.4", "--gap", "2.0"],
         ["chain", "--s", "1.0", "--d", "0.4", "--gap", "1.2", "--dim", "4"],
         ["contract", "--regular-k", "3", "--eps", "0.3"],

@@ -46,6 +46,20 @@ class ConstraintViolation(GeometryError):
 
 REL_TOL = 1e-9
 
+# Largest points x axes a builder may produce: 512 MB as dense float64,
+# so an oversized build ends in GeometryError, not an OOM kill.
+MAX_COORDINATES = 1 << 26
+
+
+def check_coordinates(what: str, points: int, dim: int) -> None:
+    """Refuse a dense output of ``points`` x ``dim`` coordinates past
+    ``MAX_COORDINATES``; builders call it before they allocate it."""
+    if points * dim > MAX_COORDINATES:
+        raise GeometryError(
+            f"{what} of {points} points x {dim} axes = {points * dim} coordinates "
+            f"exceeds the limit of {MAX_COORDINATES}"
+        )
+
 
 def sq_close(d1, d2):
     """Comparison policy for squared distances: one relative rule, so a

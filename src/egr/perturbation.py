@@ -29,6 +29,7 @@ from .geometry import (
     SimplexSpec,
     as_index,
     bisect,
+    check_coordinates,
     check_copies,
     components,
     embed_from_distances,
@@ -127,6 +128,7 @@ def build_perturbation_grid(delta_spec: SimplexSpec, m_counts, eps: float) -> Co
         raise GeometryError("grid rows are affinely dependent")
 
     n1 = sum(m - 1 for m in m_counts) + d
+    check_coordinates("grid", n1 + 1, n1)
     pts = np.zeros((n1 + 1, n1))
     labels = []
     for i in range(d + 1):

@@ -7,9 +7,9 @@ bitmask domains, a conflict-weighted variable order (forced points
 first, then the smallest domain per unit of failure weight), and
 first-use color symmetry breaking; a problem whose configuration
 declares point symmetries that keep its targets is searched in a static
-orbit order under lex-leader constraints instead.  One propagation rule
-serves both target kinds: when a target has one uncolored point left,
-that point loses every color that would complete the target.  FORCED
+orbit order under lex-leader constraints instead.  Each target kind has
+its own propagator with one rule: when a target has one uncolored point
+left, that point loses every color that would complete the target.  FORCED
 means the search space closed with no avoiding coloring, COUNTEREXAMPLE
 ships the avoiding coloring it found.  Running out of budget raises; an
 undecided instance never masquerades as a verdict.
@@ -22,6 +22,9 @@ chord-endpoint agreement that the gadget geometry encodes.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -63,12 +66,14 @@ def declared_symmetry(cfg: Configuration) -> list[tuple[int, ...]]:
 class ColoringProblem:
     """Targets over the points of ``cfg`` and a color count.
 
-    ``watch[p]`` lists each distinct target through point p, read once
-    as a point set: a ``(sorted tuple, rainbow)`` pair, mono targets first.
-    ``generators`` are the point permutations declared in
+    Each distinct target is read once as a point set, mono targets
+    first, each kind in first-occurrence order.  ``mono_partners[p]``
+    and ``rainbow_partners[p]`` list, in that order, the other points of
+    each distinct mono or rainbow target through point p, as sorted
+    tuples.  ``generators`` are the point permutations declared in
     ``cfg.notes["symmetry"]`` that map the mono target set and the
-    rainbow target set each onto itself, checked on every watched
-    target; the others are dropped, which is always sound.
+    rainbow target set each onto itself, checked on every target through
+    a point they move; the others are dropped, which is always sound.
     """
 
     cfg: Configuration
@@ -76,7 +81,8 @@ class ColoringProblem:
     rainbow_targets: list[tuple[int, ...]]
     r: int
     generators: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    watch: list[list[tuple[tuple[int, ...], bool]]] = field(init=False, repr=False, compare=False)
+    mono_partners: list[list[tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+    rainbow_partners: list[list[tuple[int, ...]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.cfg.points)
@@ -88,25 +94,32 @@ class ColoringProblem:
         self.r = as_index(self.r, "color count")
         if self.r < 1:
             raise ValueError(f"color count must be positive, got {self.r}")
-        # Mono targets come first in each watch list: the order decides which
-        # target fails first, hence solve_gr's weights and search tree.
+        # The order of each partner list decides which target fails first,
+        # hence solve_gr's weights and search tree.
         kinds = ((self.mono_targets, False), (self.rainbow_targets, True))
         targets = dict.fromkeys((tuple(sorted(t)), rainbow) for ts, rainbow in kinds for t in ts)
-        self.watch = [[] for _ in range(n)]
-        for entry in targets:
-            for p in entry[0]:
-                self.watch[p].append(entry)
+        self.mono_partners = [[] for _ in range(n)]
+        self.rainbow_partners = [[] for _ in range(n)]
+        for t, rainbow in targets:
+            partners = self.rainbow_partners if rainbow else self.mono_partners
+            # combinations(t, k - 1) leaves out the points of t last to first.
+            for p, others in zip(reversed(t), itertools.combinations(t, len(t) - 1)):
+                partners[p].append(others)
         images = dict.fromkeys(declared_symmetry(self.cfg))
         images.pop(tuple(range(n)), None)  # the identity breaks nothing
-        # Only the targets through a point an image moves can move.
-        self.generators = [
-            img
-            for img in images
-            if all(
-                (tuple(sorted([img[i] for i in t])), rainbow) in targets
-                for p, q in enumerate(img) if p != q for t, rainbow in self.watch[p]
-            )
-        ]
+        self.generators = []
+        if not images:
+            return
+        entries = list(targets)
+        through = [[] for _ in range(n)]
+        for j, (t, _) in enumerate(entries):
+            for p in t:
+                through[p].append(j)
+        for img in images:
+            # Only the targets through a point the image moves can move.
+            moved = set().union(*(through[p] for p, q in enumerate(img) if p != q))
+            if all((tuple(sorted([img[i] for i in entries[j][0]])), entries[j][1]) in targets for j in moved):
+                self.generators.append(img)
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,14 +186,29 @@ def _orbit_order(generators: list[tuple[int, ...]], n: int) -> list[int]:
     return sorted(range(n), key=lambda i: (low[i], i))
 
 
+_SCAN, _REBUILD, _REPAIR = "scan", "rebuild", "repair"
+
+
+def _by_arity(partners: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
+    """The list with its common length when that is 1 or 2, else 0."""
+    lengths = set(map(len, partners))
+    return (lengths.pop() if lengths in ({1}, {2}) else 0), partners
+
+
 def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> SearchResult:
     """Backtracking search for an avoiding coloring.
 
-    Each point watches its targets in ``problem.watch``.  Once a
-    watched target has one uncolored point left and its colors can still
-    complete it, that point loses every color that would (unit
+    Coloring a point runs two propagators over its partner lists
+    (``problem.mono_partners`` and ``rainbow_partners``), mono first:
+    once a target through it has one uncolored point left and its colors
+    can still complete it, that point loses every color that would (unit
     propagation; Davis, Logemann and Loveland, CACM 1962): the one color
-    of a mono target, or each color not yet on a rainbow one.
+    of a mono target, or each color not yet on a rainbow one.  A list
+    whose targets all have 2 or 3 points runs a loop unrolled for that
+    size.  Both lists follow the order of the problem's distinct targets
+    (each kind in first-occurrence order) and the mono one runs first, so
+    the failing target and the order of narrowings are those of one loop
+    over the point's mono targets and then its rainbow ones.
 
     Colors are interchangeable in every constraint, so each point may
     only take an already-used color or the lowest unused one; the used
@@ -198,6 +226,27 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     smallest domain size per unit of weight, ties going to the lowest
     index.  Weights depend only on which targets failed, so the search
     is deterministic and its tree is isomorphic under color permutation.
+
+    That choice is read from two lazy heaps instead of a scan of every
+    point; entries that no longer hold are dropped or re-keyed when they
+    reach the top.  A narrowing that leaves a point one color pushes it
+    on a heap of forced points by index.  No other push is needed: a
+    point with two candidate colors is only chosen when no point is
+    forced, so backtracking to it and recoloring it starts from a state
+    with no forced point.  The other points sit in a heap keyed by
+    (-weight * lcm(1..r) / size, index), integers whose order is the
+    size / weight order exactly, ties to the lowest index.  A key falls
+    when a narrowing shrinks a domain or a failure raises a weight.  The
+    failing target's other points are all colored but the one whose
+    domain the failure emptied, and colored points re-enter the order
+    only when backtracking uncolors them; so pushing the narrowed and the
+    uncolored points anew before the next choice leaves every uncolored
+    point an entry at or below its key, and a top whose key is current
+    is the point a scan would choose.  When more points were touched
+    since the last choice than n / log2(n), about what a scan costs, the
+    choice scans instead and the heap is rebuilt at the next choice after
+    few touches; a heap grown past 2n entries is rebuilt too.  Either
+    way the choice, and so the tree, is the scan's.
 
     With the problem's ``generators`` (point permutations that keep both
     target sets), the order is static: the orbits of the group G they
@@ -225,10 +274,11 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     full = (1 << r) - 1
     colors = [-1] * n
     domains = [full] * n
+    weight = [1] * n
 
     # A rainbow target longer than r can never be colored all-distinct.
-    watch = [[e for e in w if not e[1] or len(e[0]) <= r] for w in problem.watch]
-    weight = [1] * n
+    mono = [_by_arity(ps) for ps in problem.mono_partners]
+    rainbow = [_by_arity([o for o in ps if len(o) < r]) for ps in problem.rainbow_partners]
 
     # waiting[k] holds the lex comparisons (g, j, renaming) that resume
     # once position k of the static order is colored: X and norm(X o g)
@@ -242,45 +292,150 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     for img in problem.generators:
         waiting[rank[img[order[0]]]].append((img, 0, {}))
 
+    # The weighted order's state: ``forced`` holds every uncolored point
+    # with one color left, ``ratio`` holds (key, point) entries with key
+    # -weight * lcm(1..r) / size (an integer: every size divides the lcm),
+    # and ``touched`` the points whose key may have fallen below their
+    # entries since the last choice from ``ratio``.  ``heap_state`` says
+    # how the next choice that no point forces is made: _REPAIR pushes
+    # the touched points, _REBUILD keys every point anew, and _SCAN (after
+    # too many touches to repair) scans and leaves _REBUILD for the next.
+    forced = list(range(n)) if r == 1 else []
+    ratio: list[tuple[int, int]] = []
+    touched: list[int] = []
+    heap_state = _REBUILD
+    # lcm(1..r) has about 1.44 r bits, so ``scale`` takes about as much
+    # memory as r <= n domains of r bits.
+    lcm = math.lcm(*range(1, r + 1))
+    scale = [0] + [lcm // size for size in range(1, r + 1)]
+    repair_limit = n // max(n.bit_length(), 1)
+
     start = time.monotonic()
     deadline = start + budget
     stats = SearchStats()
 
-    def propagate(idx: int, trail: list[tuple[int, int | None]]) -> tuple[int, ...] | None:
-        """Narrow the domains the new color of ``idx`` constrains.
+    def narrow(p: int, dom: int, narrowed: int, trail: list) -> bool:
+        """Narrow the domain of uncolored point p; True when it empties."""
+        trail.append((p, dom))
+        domains[p] = narrowed
+        touched.append(p)
+        if narrowed & (narrowed - 1):
+            return False
+        if narrowed:
+            heapq.heappush(forced, p)
+            return False
+        return True
 
-        Returns None on success, else the failing target: one colored
-        into a violation, or the one whose rule emptied a domain.
+    def propagate(idx: int, c: int, trail: list) -> tuple[int, ...] | None:
+        """Narrow the domains the new color c of ``idx`` constrains, by
+        the mono rule and then by the rainbow rule.
+
+        Returns None on success, else the failing target's other points:
+        the target was colored into a violation, or its rule emptied a
+        domain.
         """
-        c = colors[idx]
-        for t, rainbow in watch[idx]:
-            free = -1
-            used = 0
-            for p in t:
-                cp = colors[p]
-                if cp < 0:
-                    if free >= 0:
-                        break
-                    free = p
+        bit = 1 << c
+        arity, partners = mono[idx]
+        # Mono: the last uncolored point of a target whose colored points
+        # all have color c loses c.
+        if arity == 1:
+            for o in partners:
+                q = o[0]
+                cq = colors[q]
+                if cq < 0:
+                    dom = domains[q]
+                    if dom & bit and narrow(q, dom, dom ^ bit, trail):
+                        return o
+                elif cq == c:
+                    return o
+        elif arity == 2:
+            for o in partners:
+                a, b = o
+                ca, cb = colors[a], colors[b]
+                if ca < 0:
+                    if cb != c:
+                        continue
+                    free = a
+                elif ca != c:
                     continue
-                bit = 1 << cp
-                if used & bit if rainbow else cp != c:
-                    break
-                used |= bit
-            else:
-                # Unit propagation: the last uncolored point loses every
-                # color that would complete the target.  Earlier steps leave
-                # no target fully colored; the guard keeps free = -1 from
-                # narrowing domains[-1].
-                if free < 0:
-                    return t
+                elif cb < 0:
+                    free = b
+                elif cb == c:
+                    return o
+                else:
+                    continue
                 dom = domains[free]
-                narrowed = dom & used if rainbow else dom & ~used
-                if narrowed != dom:
-                    trail.append((free, dom))
-                    domains[free] = narrowed
-                    if not narrowed:
-                        return t
+                if dom & bit and narrow(free, dom, dom ^ bit, trail):
+                    return o
+        else:
+            for o in partners:
+                free = -1
+                for q in o:
+                    cq = colors[q]
+                    if cq < 0:
+                        if free >= 0:
+                            break
+                        free = q
+                    elif cq != c:
+                        break
+                else:
+                    if free < 0:
+                        return o
+                    dom = domains[free]
+                    if dom & bit and narrow(free, dom, dom ^ bit, trail):
+                        return o
+        # Rainbow: the last uncolored point of a target whose colored
+        # points have distinct colors keeps only those colors.
+        arity, partners = rainbow[idx]
+        if arity == 1:
+            for o in partners:
+                q = o[0]
+                cq = colors[q]
+                if cq < 0:
+                    dom = domains[q]
+                    if dom != bit and narrow(q, dom, dom & bit, trail):
+                        return o
+                elif cq != c:
+                    return o
+        elif arity == 2:
+            for o in partners:
+                a, b = o
+                ca, cb = colors[a], colors[b]
+                if ca < 0:
+                    if cb < 0 or cb == c:
+                        continue
+                    free, used = a, bit | 1 << cb
+                elif ca == c:
+                    continue
+                elif cb < 0:
+                    free, used = b, bit | 1 << ca
+                elif cb == c or cb == ca:
+                    continue
+                else:
+                    return o
+                dom = domains[free]
+                if dom & used != dom and narrow(free, dom, dom & used, trail):
+                    return o
+        else:
+            for o in partners:
+                free = -1
+                used = bit
+                for q in o:
+                    cq = colors[q]
+                    if cq < 0:
+                        if free >= 0:
+                            break
+                        free = q
+                        continue
+                    if used >> cq & 1:
+                        break
+                    used |= 1 << cq
+                else:
+                    if free < 0:
+                        return o
+                    dom = domains[free]
+                    if dom & used != dom and narrow(free, dom, dom & used, trail):
+                        return o
         return None
 
     def lex_leader(k: int, trail: list[tuple[int, int | None]]) -> bool:
@@ -305,20 +460,60 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                 j += 1
         return True
 
-    def pick(depth: int) -> int:
-        if order:
-            return order[depth] if depth < n else -1
+    def key(i: int) -> int:
+        return -weight[i] * scale[domains[i].bit_count()]
+
+    def scan() -> int:
         # size / weight is compared by cross-multiplication, so no float
         # rounding can break the index tie order.
         best, best_size, best_w = -1, r + 1, 1
         for i in range(n):
             if colors[i] < 0:
                 size = domains[i].bit_count()
-                if size == 1:
-                    return i
                 if size * best_w < best_size * weight[i]:
                     best, best_size, best_w = i, size, weight[i]
         return best
+
+    def pick(depth: int) -> int:
+        nonlocal ratio, heap_state
+        if order:
+            forced.clear()
+            touched.clear()
+            return order[depth] if depth < n else -1
+        if len(touched) > repair_limit:
+            # Repairing the ratio heap would cost more than a scan.
+            touched.clear()
+            heap_state = _SCAN
+        while forced:
+            i = heapq.heappop(forced)
+            dom = domains[i]
+            if colors[i] < 0 and not dom & (dom - 1):
+                return i
+        if depth == n:
+            return -1
+        # No point is forced, so every uncolored one has two colors or more.
+        if heap_state is _SCAN:
+            heap_state = _REBUILD
+            return scan()
+        if heap_state is _REPAIR and len(ratio) <= 2 * n:
+            for i in touched:
+                if colors[i] < 0:
+                    heapq.heappush(ratio, (key(i), i))
+        else:
+            ratio = [(key(i), i) for i in range(n) if colors[i] < 0]
+            heapq.heapify(ratio)
+            heap_state = _REPAIR
+        touched.clear()
+        # Every uncolored point now has an entry at or below its key.
+        while True:
+            k, i = ratio[0]
+            if colors[i] >= 0:
+                heapq.heappop(ratio)
+                continue
+            now = key(i)
+            if now == k:
+                return i
+            heapq.heapreplace(ratio, (now, i))
 
     def dfs() -> bool:
         # The point being colored lives in locals; every point above it
@@ -339,6 +534,9 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                             domains[p] = dom
                     colors[idx] = -1
                 if not cand:
+                    # idx is uncolored again, perhaps at a key below its
+                    # entries in ``ratio``.
+                    touched.append(idx)
                     if not stack:
                         return False
                     idx, cand, trail, opened = stack.pop()
@@ -355,9 +553,10 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                 trail = []
                 if order and not lex_leader(len(stack), trail):
                     continue
-                failed = propagate(idx, trail)
+                failed = propagate(idx, c, trail)
                 if failed is None:
                     break
+                weight[idx] += 1
                 for p in failed:
                     weight[p] += 1
             stack.append((idx, cand, trail, opened))

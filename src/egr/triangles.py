@@ -204,7 +204,9 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> Configuration:
     s' in [p, s] with f(s') an integer multiple of 2 pi, taking the
     smallest k for which such a radius exists (some k has one: the gap
     f(p) - f(s) grows with k).  Antipodal endpoints get one
-    deterministic pre-hop first.
+    deterministic pre-hop first.  The hops split the angle to V on the
+    circle evenly.  A chain that winds round its circle and brings nodes
+    of two laps within the coincidence threshold is refused by name.
 
     Returns rows U, X_1, ..., X_k, V, each checked to lie s from
     ``center``, with every consecutive pair, the ``hops`` copies,
@@ -295,34 +297,46 @@ def _chain_nodes(center, s: float, U, V, d: float):
     k, s_prime, n = solution
 
     # Circle of radius s' through U and V on the sphere, tilted off the
-    # great-circle plane by a deterministic third direction.
+    # great-circle plane by a deterministic third direction.  With h the
+    # distance from its centre o to the chord midpoint and g the unit
+    # vector from o to that midpoint, U - o = -half*e1 + h*g and
+    # V - o = half*e1 + h*g, so the frame and V's angle come in closed
+    # form, with no cancellation when V is nearly opposite U.
     w_mid = (U + V) / 2.0
     e1 = (V - U) / uv
     m_vec = w_mid - center
-    m = math.sqrt(max(s_sq - half_uv * half_uv, 0.0))
+    m = float(np.linalg.norm(m_vec))
     w_hat = m_vec / m
     e3 = _unit_orthogonal([e1, w_hat], dim)
-    q_sq = s_prime * s_prime - half_uv * half_uv
-    alpha = -q_sq / m
-    beta_sq = q_sq * (m * m - q_sq)
-    beta = math.sqrt(max(beta_sq, 0.0)) / m
-    o_circ = w_mid + alpha * w_hat + beta * e3
+    h = math.sqrt((s_prime - half_uv) * (s_prime + half_uv))
+    g = (h * w_hat - math.sqrt(max((m - h) * (m + h), 0.0)) * e3) / m
+    o_circ = w_mid - h * g
+    e_a = (h * g - half_uv * e1) / s_prime
+    e_b = (h * e1 + half_uv * g) / s_prime
+    theta_v = math.atan2(2.0 * half_uv * h, (h - half_uv) * (h + half_uv))
 
-    e_a = (U - o_circ) / s_prime
-    v_rel = V - o_circ
-    e_b = v_rel - np.dot(v_rel, e_a) * e_a
-    e_b_norm = np.linalg.norm(e_b)
-    if e_b_norm <= 1e-12 * s_prime:
-        raise GeometryError("degenerate circle frame")
-    e_b = e_b / e_b_norm
-
-    step = 2.0 * math.asin(d / (2.0 * s_prime))
+    # f(s') = (k+1)*step - theta_v equals 2 pi n up to the radius solve's
+    # error; the hops split the angle theta_v + 2 pi n to V evenly, so that
+    # error does not pile up on the closing hop.
+    step = (theta_v + TWO_PI * n) / (k + 1)
     nodes = [U]
     for i in range(1, k + 1):
         ang = i * step
         nodes.append(o_circ + s_prime * (math.cos(ang) * e_a + math.sin(ang) * e_b))
     nodes.append(V)
-    return np.vstack(nodes), k, s_prime, 0
+    nodes = np.vstack(nodes)
+    if n:
+        # The chain laps its circle n times, so nodes of different laps can
+        # fall within the coincidence threshold of one another.
+        ang = np.sort(np.arange(k + 2) * step % TWO_PI)
+        gap = min(float(np.diff(ang).min()), TWO_PI - float(ang[-1] - ang[0]))
+        extent = float((nodes.max(0) - nodes.min(0)).max())
+        if (2.0 * s_prime * math.sin(gap / 2.0)) ** 2 <= sq_slack(extent * extent):
+            raise GeometryError(
+                f"chain of {k + 1} hops laps its circle {n} times and brings two nodes within "
+                f"the coincidence threshold (angular gap {gap:.3g})"
+            )
+    return nodes, k, s_prime, 0
 
 
 def chain_angle_defect(chain: Configuration) -> float:

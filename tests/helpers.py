@@ -1,10 +1,11 @@
 """Builders shared by several test modules."""
 
+import itertools
 import math
 
 import numpy as np
 
-from egr.geometry import SimplexSpec, check_copies, enumerate_copies, pairwise_sq_dists
+from egr.geometry import Configuration, SimplexSpec, check_copies, enumerate_copies, pairwise_sq_dists
 from egr.rectangles import path_config, product_config, regular_simplex
 from egr.solver import ColoringProblem
 
@@ -67,3 +68,19 @@ def check_sphere_chain(chain, center):
     radii = [(0, i) for i in range(1, len(chain) + 1)]
     check_copies(np.vstack([center, chain.points]), radii, SimplexSpec.pair(s).sq_dist, "center-node pair")
     check_copies(chain.points, chain.named_copies["hops"], SimplexSpec.pair(d).sq_dist, "hop")
+
+
+def planted_problem(seed):
+    """400 mono and 400 rainbow triples over 60 points that a hidden
+    balanced 3-coloring avoids, so a COUNTEREXAMPLE by construction: mono
+    triples it does not color all-same, rainbow triples it does not
+    color all-distinct."""
+    rng = np.random.default_rng(seed)
+    hidden = rng.permutation(np.arange(60) % 3)
+    triples = np.array(list(itertools.combinations(range(60), 3)))
+    a, b, c = hidden[triples].T
+    distinct = 1 + (a != b) + ((c != a) & (c != b))
+    mono = triples[np.sort(rng.choice(np.flatnonzero(distinct > 1), 400, replace=False))]
+    rainbow = triples[np.sort(rng.choice(np.flatnonzero(distinct < 3), 400, replace=False))]
+    cfg = Configuration(points=np.arange(60, dtype=float)[:, None])
+    return ColoringProblem(cfg=cfg, mono_targets=mono.tolist(), rainbow_targets=rainbow.tolist(), r=3)

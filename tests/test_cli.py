@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,11 +172,34 @@ def test_construct_grid_refuses_a_collinear_spec(tmp_path, capsys):
 
 def test_construct_workspace_limit(tmp_path, monkeypatch, capsys):
     # anchor-gadget reaches 1513 points x 1506 axes
-    monkeypatch.setattr(tetra, "MAX_COORDINATES", 10**6)
+    monkeypatch.setattr(geometry, "MAX_COORDINATES", 10**6)
     out = tmp_path / "anchor.json"
     assert main(["construct", "anchor-gadget", "-o", str(out)]) == 2
     assert not out.exists()
     assert "coordinates exceeds the limit of 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["grid", "--regular-k", "4", "--m", "100000", "--eps", "0.5"], "300001 points x 300000 axes = 90000300000"),
+        (["regular-simplex", "--n", "10000", "--x", "1.0"], "10000 points x 9999 axes = 99990000"),
+        (["product", "--n", "200", "--x", "1.5", "--t", "2000", "--y", "1.0"], "400200 points x 201 axes = 80440200"),
+        (["path", "--t", "40000000", "--x", "1.0", "--y", "0.6"], "40000001 points x 2 axes = 80000002"),
+    ],
+)
+def test_construct_refuses_an_oversized_output_before_allocating_it(tmp_path, capsys, argv, size):
+    out = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        code = main(["construct", *argv, "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert not out.exists()
+    assert f"{size} coordinates exceeds the limit of {geometry.MAX_COORDINATES}" in capsys.readouterr().err
+    assert peak < 4 << 20
 
 
 def test_construct_round_trip_compares_bits(tmp_path, monkeypatch, capsys):

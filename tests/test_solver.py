@@ -1,9 +1,10 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import census_problem, square_problem
+from helpers import census_problem, planted_problem, square_problem
 
 from egr.geometry import Configuration, GeometryError, SimplexSpec, embed_from_distances
 from egr.palettes import as_palette
@@ -20,7 +21,7 @@ from egr.solver import (
     _orbit_order,
     verify_coloring,
 )
-from egr.tetra import build_x1, tetra_profile
+from egr.tetra import build_anchor_gadget, build_x1, tetra_profile
 
 
 def pair_problem(r):
@@ -298,6 +299,97 @@ def test_x1_tetra_targets_counterexample_in_pinned_nodes():
     assert out.verdict == COUNTEREXAMPLE
     assert out.stats.nodes == 416
     assert verify_coloring(p, out.witness)["clean"]
+
+
+def witness_digest(witness):
+    return hashlib.sha256(bytes(witness)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "seed, nodes, digest",
+    [(1, 932, "0630f184657eeefb"), (2, 1886, "19b27ba49f629fdd"), (3, 2305, "2ec3e2953070fd10")],
+)
+def test_planted_triples_decide_in_pinned_trees(seed, nodes, digest):
+    # 60 points, 400 + 400 triples, r = 3: most choices are forced points,
+    # and the unrolled 3-point propagators do all the narrowing.
+    p = planted_problem(seed)
+    out = solve_gr(p)
+    assert out.verdict == COUNTEREXAMPLE
+    assert (out.stats.nodes, witness_digest(out.witness)) == (nodes, digest)
+    assert verify_coloring(p, out.witness)["clean"]
+
+
+def test_anchor_tetra_targets_counterexample_in_pinned_tree():
+    # 1,513 points whose distinct tetra copies are mono and rainbow
+    # targets, r = 4: one node per point, each chosen from the ratio heap.
+    cfg = build_anchor_gadget(tetra_profile(SimplexSpec.regular(4, 1.0))).cfg
+    tetras = sorted({tuple(sorted(t)) for t in cfg.named_copies["tetra"]})
+    p = ColoringProblem(cfg=cfg, mono_targets=tetras, rainbow_targets=tetras, r=4)
+    out = solve_gr(p)
+    assert out.verdict == COUNTEREXAMPLE
+    assert (out.stats.nodes, witness_digest(out.witness)) == (1513, "f4225709e6908571")
+    assert verify_coloring(p, out.witness)["clean"]
+
+
+def wide_problem(seed):
+    """150 to 400 points with about n mono and n rainbow targets of 2 to
+    4 points, r = 2 or 3."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(150, 400))
+    r = int(rng.integers(2, 4))
+
+    def draw(count):
+        return [tuple(int(i) for i in rng.choice(n, int(rng.integers(2, 5)), replace=False)) for _ in range(count)]
+
+    mono = draw(int(rng.uniform(0.5, 2.5) * n))
+    rainbow = draw(int(rng.uniform(0.0, 2.0) * n))
+    cfg = Configuration(points=np.arange(n, dtype=float)[:, None])
+    return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=r)
+
+
+@pytest.mark.parametrize(
+    "seed, verdict, nodes, digest",
+    [(5, FORCED, 897, None), (72, COUNTEREXAMPLE, 963, "695d5897c0f140df"), (175, COUNTEREXAMPLE, 458, "1feb2e2588fb939f")],
+)
+def test_wide_problems_decide_in_pinned_trees(seed, verdict, nodes, digest):
+    # Most choices here repair the ratio heap from the points a step
+    # touched, and seeds 72 and 175 re-key stale entries; a repair that
+    # missed a point, or a stale entry taken as current, visits another tree.
+    out = solve_gr(wide_problem(seed))
+    assert (out.verdict, out.stats.nodes) == (verdict, nodes)
+    assert (out.witness and witness_digest(out.witness)) == digest
+
+
+def mixed_problem(rng):
+    """Mono and rainbow targets of 2 to 4 points over 4 to 8 points, one
+    point set among both, and r up to 4."""
+    n = int(rng.integers(4, 9))
+
+    def draw(count):
+        return [tuple(int(i) for i in rng.choice(n, int(rng.integers(2, 5)), replace=False)) for _ in range(count)]
+
+    both = draw(1)
+    mono = draw(int(rng.integers(0, n)))
+    rainbow = draw(int(rng.integers(0, n)))
+    mono.insert(int(rng.integers(0, len(mono) + 1)), both[0])
+    rainbow.insert(int(rng.integers(0, len(rainbow) + 1)), both[0][::-1])
+    cfg = Configuration(points=np.arange(n, dtype=float)[:, None])
+    return ColoringProblem(cfg=cfg, mono_targets=mono, rainbow_targets=rainbow, r=int(rng.integers(1, 5)))
+
+
+def test_solver_matches_oracle_on_mixed_target_sizes():
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for _ in range(400):
+        p = mixed_problem(rng)
+        got = solve_gr(p)
+        assert got.verdict == exhaustive_oracle(p).verdict
+        if got.verdict == COUNTEREXAMPLE:
+            assert verify_coloring(p, got.witness)["clean"]
+        verdicts.append((got.verdict, p.r))
+    # Both verdicts occur at every r from 2 up.
+    for r in (2, 3, 4):
+        assert min(verdicts.count((FORCED, r)), verdicts.count((COUNTEREXAMPLE, r))) >= 10, r
 
 
 def random_problem(rng):

@@ -154,6 +154,25 @@ def test_chain_antipodal_endpoints():
     assert chain_angle_defect(chain) < 1e-10
 
 
+def test_long_antipodal_chain_builds():
+    # 768 hops between antipodal points: the hops split the angle to V
+    # evenly, so the radius solve's error does not pile up on the closing hop.
+    u = np.array([-0.029, -0.437, -0.038, -0.898])
+    u /= np.linalg.norm(u)
+    chain = chain_on_sphere(np.zeros(4), 1.0, u, -u, 0.00409)
+    assert (chain.notes["k"], chain.notes["pre_hops"]) == (768, 1)
+    check_sphere_chain(chain, np.zeros(4))
+    assert chain_angle_defect(chain) < 1e-10
+
+
+def test_chain_that_laps_onto_its_own_nodes_is_refused_by_name():
+    # The smallest k winds this chain 30 times round its circle, and two
+    # nodes of different laps land within the coincidence threshold.
+    u = np.array([-0.6909073849208768, -0.21527646255758554, 0.5831542457805953, 0.3690991137330907])
+    with pytest.raises(GeometryError, match="laps its circle 30 times"):
+        chain_on_sphere(np.zeros(4), 1.0, u, -u, 0.039764083720630006)
+
+
 def test_chain_rejects_bad_inputs():
     u = np.array([0.0, 0.0, 1.0])
     v = np.array([0.0, 1.0, 0.0])

@@ -23,6 +23,12 @@ on both sides and diffing the outputs.  It prints, one line each:
 - one digest of the same over 1,000 seeded random problems (n <= 8
   points, r <= 4 colors), half of them closed under a declared
   permutation;
+- one digest of the same over three seeded planted problems (60 points,
+  400 mono and 400 rainbow triples that a hidden balanced 3-coloring
+  avoids), and one for the anchor gadget's tetra problem (1,513 points,
+  its distinct tetra copies as mono and rainbow targets, r = 4), so the
+  search is checked past n <= 8 on the shapes its propagators and
+  variable order are tuned for;
 - bit digests of ``path_config``, ``eps_max`` and ``chain_on_sphere``
   on seeded inputs, refusals included, and of the chord ``ell`` of
   ``perturbed_chord`` on 200 seeded obtuse triples and eps;
@@ -40,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import os
 import sys
@@ -55,7 +62,7 @@ from egr.geometry import Configuration, GeometryError, SimplexSpec, enumerate_co
 from egr.perturbation import eps_max  # noqa: E402
 from egr.rectangles import path_config, product_config, regular_simplex  # noqa: E402
 from egr.solver import BudgetExceeded, ColoringProblem, _orbit_order, solve_gr  # noqa: E402
-from egr.tetra import tetra_profile  # noqa: E402
+from egr.tetra import build_anchor_gadget, tetra_profile  # noqa: E402
 from egr.triangles import (  # noqa: E402
     case_b_certificate,
     chain_on_sphere,
@@ -206,6 +213,29 @@ def random_problems() -> None:
     print(f"random problems x1000: {digest(lines)}")
 
 
+def planted_problem(seed: int) -> ColoringProblem:
+    """400 mono and 400 rainbow triples over 60 points that a hidden
+    balanced 3-coloring avoids."""
+    rng = np.random.default_rng(seed)
+    hidden = rng.permutation(np.arange(60) % 3)
+    triples = np.array(list(itertools.combinations(range(60), 3)))
+    a, b, c = hidden[triples].T
+    distinct = 1 + (a != b) + ((c != a) & (c != b))
+    mono = triples[np.sort(rng.choice(np.flatnonzero(distinct > 1), 400, replace=False))]
+    rainbow = triples[np.sort(rng.choice(np.flatnonzero(distinct < 3), 400, replace=False))]
+    cfg = Configuration(points=np.arange(60, dtype=float)[:, None])
+    return ColoringProblem(cfg=cfg, mono_targets=mono.tolist(), rainbow_targets=rainbow.tolist(), r=3)
+
+
+def search_shapes() -> None:
+    lines = [search_digest(planted_problem(seed)) for seed in (1, 2, 3)]
+    print(f"planted problems x3: {digest(lines)}")
+    cfg = build_anchor_gadget(tetra_profile(SimplexSpec.regular(4, 1.0))).cfg
+    tetras = sorted({tuple(sorted(t)) for t in cfg.named_copies["tetra"]})
+    problem = ColoringProblem(cfg=cfg, mono_targets=tetras, rainbow_targets=tetras, r=4)
+    print(f"anchor tetra problem: {search_digest(problem)}")
+
+
 def guarded(fn, *args):
     try:
         return fn(*args)
@@ -272,6 +302,7 @@ def run() -> None:
     artifacts()
     census()
     random_problems()
+    search_shapes()
     kernels()
     certificates()
 

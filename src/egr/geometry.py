@@ -46,18 +46,21 @@ class ConstraintViolation(GeometryError):
 
 REL_TOL = 1e-9
 
-# Largest points x axes a builder may produce: 512 MB as dense float64,
-# so an oversized build ends in GeometryError, not an OOM kill.
-MAX_COORDINATES = 1 << 26
+# More coordinates than this are 128 TiB as float64, the whole user
+# address space of x86-64 with 4-level paging and more memory than any
+# one machine has, so no dense build past it can finish.
+MAX_DENSE_COORDINATES = 1 << 44
 
 
-def check_coordinates(what: str, points: int, dim: int) -> None:
-    """Refuse a dense output of ``points`` x ``dim`` coordinates past
-    ``MAX_COORDINATES``; builders call it before they allocate it."""
-    if points * dim > MAX_COORDINATES:
+def check_coordinates(what: str, points: int, dim: int, limit: int | None = None) -> None:
+    """Refuse an output of ``points`` x ``dim`` coordinates past ``limit``
+    (by default ``MAX_DENSE_COORDINATES``); builders call it before they
+    allocate the output, so the refusal is an error, not an OOM kill."""
+    limit = MAX_DENSE_COORDINATES if limit is None else limit
+    if points * dim > limit:
         raise GeometryError(
             f"{what} of {points} points x {dim} axes = {points * dim} coordinates "
-            f"exceeds the limit of {MAX_COORDINATES}"
+            f"exceeds the limit of {limit}"
         )
 
 

@@ -186,9 +186,6 @@ def _orbit_order(generators: list[tuple[int, ...]], n: int) -> list[int]:
     return sorted(range(n), key=lambda i: (low[i], i))
 
 
-_SCAN, _REBUILD, _REPAIR = "scan", "rebuild", "repair"
-
-
 def _by_arity(partners: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
     """The list with its common length when that is 1 or 2, else 0."""
     lengths = set(map(len, partners))
@@ -242,11 +239,12 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     only when backtracking uncolors them; so pushing the narrowed and the
     uncolored points anew before the next choice leaves every uncolored
     point an entry at or below its key, and a top whose key is current
-    is the point a scan would choose.  When more points were touched
-    since the last choice than n / log2(n), about what a scan costs, the
-    choice scans instead and the heap is rebuilt at the next choice after
-    few touches; a heap grown past 2n entries is rebuilt too.  Either
-    way the choice, and so the tree, is the scan's.
+    is the point a scan would choose.  When the heap and the touched
+    points together pass 2n entries, the heap is dropped and rebuilt from
+    every uncolored point at the next choice no point forces.  A heap of
+    at most n entries is dropped only after more than n touches, so the
+    rebuilds add O(1) work per touch.  Either way the choice, and so the
+    tree, is the scan's.
 
     With the problem's ``generators`` (point permutations that keep both
     target sets), the order is static: the orbits of the group G they
@@ -296,19 +294,15 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     # with one color left, ``ratio`` holds (key, point) entries with key
     # -weight * lcm(1..r) / size (an integer: every size divides the lcm),
     # and ``touched`` the points whose key may have fallen below their
-    # entries since the last choice from ``ratio``.  ``heap_state`` says
-    # how the next choice that no point forces is made: _REPAIR pushes
-    # the touched points, _REBUILD keys every point anew, and _SCAN (after
-    # too many touches to repair) scans and leaves _REBUILD for the next.
+    # entries since the last choice from ``ratio``.  An empty ``ratio`` is
+    # rebuilt from every uncolored point at the next choice no point forces.
     forced = list(range(n)) if r == 1 else []
     ratio: list[tuple[int, int]] = []
     touched: list[int] = []
-    heap_state = _REBUILD
     # lcm(1..r) has about 1.44 r bits, so ``scale`` takes about as much
     # memory as r <= n domains of r bits.
     lcm = math.lcm(*range(1, r + 1))
     scale = [0] + [lcm // size for size in range(1, r + 1)]
-    repair_limit = n // max(n.bit_length(), 1)
 
     start = time.monotonic()
     deadline = start + budget
@@ -460,30 +454,16 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                 j += 1
         return True
 
-    def key(i: int) -> int:
-        return -weight[i] * scale[domains[i].bit_count()]
-
-    def scan() -> int:
-        # size / weight is compared by cross-multiplication, so no float
-        # rounding can break the index tie order.
-        best, best_size, best_w = -1, r + 1, 1
-        for i in range(n):
-            if colors[i] < 0:
-                size = domains[i].bit_count()
-                if size * best_w < best_size * weight[i]:
-                    best, best_size, best_w = i, size, weight[i]
-        return best
-
     def pick(depth: int) -> int:
-        nonlocal ratio, heap_state
         if order:
             forced.clear()
             touched.clear()
             return order[depth] if depth < n else -1
-        if len(touched) > repair_limit:
-            # Repairing the ratio heap would cost more than a scan.
+        if len(ratio) + len(touched) > 2 * n:
+            # The heap would outgrow 2n entries: drop it, and rebuild it
+            # at the next choice no point forces.
             touched.clear()
-            heap_state = _SCAN
+            ratio.clear()
         while forced:
             i = heapq.heappop(forced)
             dom = domains[i]
@@ -492,17 +472,15 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
         if depth == n:
             return -1
         # No point is forced, so every uncolored one has two colors or more.
-        if heap_state is _SCAN:
-            heap_state = _REBUILD
-            return scan()
-        if heap_state is _REPAIR and len(ratio) <= 2 * n:
+        # Keys are written out: a helper call per key cost about 3% of the
+        # 60-point planted searches.
+        if ratio:
             for i in touched:
                 if colors[i] < 0:
-                    heapq.heappush(ratio, (key(i), i))
+                    heapq.heappush(ratio, (-weight[i] * scale[domains[i].bit_count()], i))
         else:
-            ratio = [(key(i), i) for i in range(n) if colors[i] < 0]
+            ratio[:] = [(-weight[i] * scale[domains[i].bit_count()], i) for i in range(n) if colors[i] < 0]
             heapq.heapify(ratio)
-            heap_state = _REPAIR
         touched.clear()
         # Every uncolored point now has an entry at or below its key.
         while True:
@@ -510,7 +488,7 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
             if colors[i] >= 0:
                 heapq.heappop(ratio)
                 continue
-            now = key(i)
+            now = -weight[i] * scale[domains[i].bit_count()]
             if now == k:
                 return i
             heapq.heapreplace(ratio, (now, i))

@@ -49,6 +49,9 @@ SWAPPED_ROLES = (2, 3, 0, 1)
 # Hinge angles closer than this (rad) share one solved hinge; the grid
 # is 1000x finer than the 1e-9 angle check of _hinge_rows.
 HINGE_GRID = 1e-12
+# Largest points x dim a builder workspace may reach: 512 MB as dense
+# float64, so an oversized build ends in GeometryError, not an OOM kill.
+MAX_COORDINATES = 1 << 26
 
 
 def _face_frame(sq: np.ndarray, apex: int):
@@ -259,8 +262,8 @@ class Workspace:
     Each row is kept sparse, as sorted columns plus values: a builder
     reads the local column block of the points it touches and writes
     new rows over that block plus any fresh axes.  Growth past
-    ``geometry.MAX_COORDINATES`` (points x dim, the size of the dense
-    matrix the builders end with) raises GeometryError.
+    ``MAX_COORDINATES`` (points x dim, the size of the dense matrix the
+    builders end with) raises GeometryError.
     """
 
     def __init__(self, dim: int):
@@ -270,14 +273,14 @@ class Workspace:
         self.aux_axes = 0
 
     def add_axis(self) -> int:
-        check_coordinates("workspace", len(self._cols), self.dim + 1)
+        check_coordinates("workspace", len(self._cols), self.dim + 1, MAX_COORDINATES)
         self.dim += 1
         self.aux_axes += 1
         return self.dim - 1
 
     def add_row(self, cols, vals) -> int:
         """Add a point with values ``vals`` at the sorted columns ``cols``."""
-        check_coordinates("workspace", len(self._cols) + 1, self.dim)
+        check_coordinates("workspace", len(self._cols) + 1, self.dim, MAX_COORDINATES)
         self._cols.append(np.asarray(cols, dtype=np.intp))
         self._vals.append(np.asarray(vals, dtype=float))
         return len(self._cols) - 1

@@ -205,8 +205,9 @@ def chain_on_sphere(center, s: float, U, V, d: float) -> Configuration:
     smallest k for which such a radius exists (some k has one: the gap
     f(p) - f(s) grows with k).  Antipodal endpoints get one
     deterministic pre-hop first.  The hops split the angle to V on the
-    circle evenly.  A chain that winds round its circle and brings nodes
-    of two laps within the coincidence threshold is refused by name.
+    circle evenly.  A chain that winds round its circle can bring nodes
+    of two laps within the coincidence threshold; Configuration refuses
+    it like any other coincident pair.
 
     Returns rows U, X_1, ..., X_k, V, each checked to lie s from
     ``center``, with every consecutive pair, the ``hops`` copies,
@@ -324,19 +325,7 @@ def _chain_nodes(center, s: float, U, V, d: float):
         ang = i * step
         nodes.append(o_circ + s_prime * (math.cos(ang) * e_a + math.sin(ang) * e_b))
     nodes.append(V)
-    nodes = np.vstack(nodes)
-    if n:
-        # The chain laps its circle n times, so nodes of different laps can
-        # fall within the coincidence threshold of one another.
-        ang = np.sort(np.arange(k + 2) * step % TWO_PI)
-        gap = min(float(np.diff(ang).min()), TWO_PI - float(ang[-1] - ang[0]))
-        extent = float((nodes.max(0) - nodes.min(0)).max())
-        if (2.0 * s_prime * math.sin(gap / 2.0)) ** 2 <= sq_slack(extent * extent):
-            raise GeometryError(
-                f"chain of {k + 1} hops laps its circle {n} times and brings two nodes within "
-                f"the coincidence threshold (angular gap {gap:.3g})"
-            )
-    return nodes, k, s_prime, 0
+    return np.vstack(nodes), k, s_prime, 0
 
 
 def chain_angle_defect(chain: Configuration) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from helpers import census_problem, square_problem
 
-from egr import cli, geometry, palettes, tetra
+from egr import cli, geometry, palettes, perturbation, rectangles, tetra
 from egr.cli import main
 from egr.geometry import (
     Configuration,
@@ -172,7 +172,7 @@ def test_construct_grid_refuses_a_collinear_spec(tmp_path, capsys):
 
 def test_construct_workspace_limit(tmp_path, monkeypatch, capsys):
     # anchor-gadget reaches 1513 points x 1506 axes
-    monkeypatch.setattr(geometry, "MAX_COORDINATES", 10**6)
+    monkeypatch.setattr(tetra, "MAX_COORDINATES", 10**6)
     out = tmp_path / "anchor.json"
     assert main(["construct", "anchor-gadget", "-o", str(out)]) == 2
     assert not out.exists()
@@ -180,15 +180,18 @@ def test_construct_workspace_limit(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, size",
+    "argv, size, limit",
     [
-        (["grid", "--regular-k", "4", "--m", "100000", "--eps", "0.5"], "300001 points x 300000 axes = 90000300000"),
-        (["regular-simplex", "--n", "10000", "--x", "1.0"], "10000 points x 9999 axes = 99990000"),
-        (["product", "--n", "200", "--x", "1.5", "--t", "2000", "--y", "1.0"], "400200 points x 201 axes = 80440200"),
-        (["path", "--t", "40000000", "--x", "1.0", "--y", "0.6"], "40000001 points x 2 axes = 80000002"),
+        (["grid", "--regular-k", "4", "--m", "10000000", "--eps", "0.5"], "30000001 points x 30000000 axes = 900000030000000", None),
+        (["regular-simplex", "--n", "5000000", "--x", "1.0"], "5000000 points x 4999999 axes = 24999995000000", None),
+        (["path", "--t", "10000000000000", "--x", "1.0", "--y", "0.6"], "10000000000001 points x 2 axes = 20000000000002", None),
+        # No product of factors this small reaches 2^44, so the cap is lowered.
+        (["product", "--n", "200", "--x", "1.5", "--t", "2000", "--y", "1.0"], "400200 points x 201 axes = 80440200", 1 << 26),
     ],
 )
-def test_construct_refuses_an_oversized_output_before_allocating_it(tmp_path, capsys, argv, size):
+def test_construct_refuses_an_oversized_output_before_allocating_it(tmp_path, monkeypatch, capsys, argv, size, limit):
+    if limit is not None:
+        monkeypatch.setattr(geometry, "MAX_DENSE_COORDINATES", limit)
     out = tmp_path / "big.json"
     tracemalloc.start()
     try:
@@ -198,8 +201,38 @@ def test_construct_refuses_an_oversized_output_before_allocating_it(tmp_path, ca
         tracemalloc.stop()
     assert code == 2
     assert not out.exists()
-    assert f"{size} coordinates exceeds the limit of {geometry.MAX_COORDINATES}" in capsys.readouterr().err
+    assert f"{size} coordinates exceeds the limit of {geometry.MAX_DENSE_COORDINATES}" in capsys.readouterr().err
     assert peak < 4 << 20
+
+
+class _SizeChecked(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "module, build, count",
+    [
+        (perturbation, lambda: perturbation.build_perturbation_grid(SimplexSpec.regular(4, 1.0), [2731] * 3, 0.5), 8194 * 8193),
+        (rectangles, lambda: rectangles.regular_simplex(8193, 1.0), 8193 * 8192),
+        (rectangles, lambda: rectangles.path_config(1 << 25, 1.0, 0.6), ((1 << 25) + 1) * 2),
+    ],
+)
+def test_dense_outputs_past_the_workspace_limit_pass_the_size_check(monkeypatch, module, build, count):
+    # Just past tetra's 2^26 workspace limit: these outputs fit in memory
+    # and have always built, so the size check lets them through (the
+    # build is stopped right after it, before the allocation).
+    assert count > tetra.MAX_COORDINATES
+    passed = []
+
+    def check(*args):
+        geometry.check_coordinates(*args)
+        passed.append(args[1] * args[2])
+        raise _SizeChecked
+
+    monkeypatch.setattr(module, "check_coordinates", check)
+    with pytest.raises(_SizeChecked):
+        build()
+    assert passed == [count]
 
 
 def test_construct_round_trip_compares_bits(tmp_path, monkeypatch, capsys):

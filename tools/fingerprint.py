@@ -37,8 +37,9 @@ on both sides and diffing the outputs.  It prints, one line each:
   2^-40 and 2^16; only the six input notes are read) and of the two
   E^4 sphere witnesses of the tests (generic and antipodal endpoints).
 
-It imports ``egr`` from this checkout's ``src`` and uses only the
-standard library and numpy, and takes about 3 s on a 2-vCPU VM.
+It imports ``egr`` from this checkout's ``src`` and the planted problems
+from ``tests/helpers.py``, uses only the standard library and numpy, and
+takes about 3 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import itertools
 import math
 import os
 import sys
@@ -55,7 +55,9 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from egr.cli import main  # noqa: E402
 from egr.geometry import Configuration, GeometryError, SimplexSpec, enumerate_copies, pairwise_sq_dists  # noqa: E402
@@ -70,6 +72,7 @@ from egr.triangles import (  # noqa: E402
     perturbed_chord,
     triangle_invariants,
 )
+from helpers import planted_problem  # noqa: E402
 
 CONSTRUCTS = [
     ["x1"],
@@ -211,20 +214,6 @@ def random_problems() -> None:
     rng = np.random.default_rng(2024)
     lines = [search_digest(random_problem(rng)) for _ in range(1000)]
     print(f"random problems x1000: {digest(lines)}")
-
-
-def planted_problem(seed: int) -> ColoringProblem:
-    """400 mono and 400 rainbow triples over 60 points that a hidden
-    balanced 3-coloring avoids."""
-    rng = np.random.default_rng(seed)
-    hidden = rng.permutation(np.arange(60) % 3)
-    triples = np.array(list(itertools.combinations(range(60), 3)))
-    a, b, c = hidden[triples].T
-    distinct = 1 + (a != b) + ((c != a) & (c != b))
-    mono = triples[np.sort(rng.choice(np.flatnonzero(distinct > 1), 400, replace=False))]
-    rainbow = triples[np.sort(rng.choice(np.flatnonzero(distinct < 3), 400, replace=False))]
-    cfg = Configuration(points=np.arange(60, dtype=float)[:, None])
-    return ColoringProblem(cfg=cfg, mono_targets=mono.tolist(), rainbow_targets=rainbow.tolist(), r=3)
 
 
 def search_shapes() -> None:

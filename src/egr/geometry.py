@@ -11,6 +11,7 @@ distance matrix into coordinates.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -117,6 +118,13 @@ def as_indices(values, n: int, what: str) -> list[int]:
     return out
 
 
+def lex_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array of indices in lexicographic order: one
+    ``lexsort`` of them as the smallest unsigned type that holds them,
+    which numpy sorts by radix up to 16 bits."""
+    return rows[np.lexsort(rows.T[::-1].astype(np.min_scalar_type(rows.max(initial=0))))]
+
+
 def components(n: int, pairs) -> list[int]:
     """For each point of ``range(n)``, the lowest index in its component
     of the graph whose edges are the index pairs ``pairs``."""
@@ -160,7 +168,8 @@ def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     sq_norms = np.einsum("ij,ij->i", pts, pts)
     # Mirror the upper triangle: a strided ``pts @ pts.T`` need not be
-    # symmetric, and copy enumeration relies on d == d.T.
+    # symmetric.  ``_neighbour_lists`` mirrors it the same way, a block
+    # of rows at a time.
     d = np.triu(sq_norms[:, None] + sq_norms[None, :] - 2.0 * (pts @ pts.T), 1)
     return np.maximum(d + d.T, 0.0)
 
@@ -494,58 +503,205 @@ class SimplexSpec:
         return cls.from_json_dict(read_json(path))
 
 
-def _embeddings(d: np.ndarray, s: np.ndarray):
+MAX_NEIGHBOUR_ENTRIES = 1 << 24  # neighbour list entries one copy enumeration may store
+_CANDIDATE_CHUNK = 1 << 16  # candidates one step of _embeddings gathers at once
+
+
+def _distance_classes(s: np.ndarray, same) -> tuple[np.ndarray, list[list[float]]]:
+    """The k x k matrix of the class of each entry of ``s`` (-1 on the
+    diagonal) and the classes: the distinct off-diagonal values in
+    increasing order, a new class begun at each value v that is not
+    ``same(u, v)`` for the value u before it."""
+    off = ~np.eye(len(s), dtype=bool)
+    classes: list[list[float]] = []
+    for v in sorted(set(s[off].tolist())):
+        if classes and same(classes[-1][-1], v):
+            classes[-1].append(v)
+        else:
+            classes.append([v])
+    label = {v: c for c, members in enumerate(classes) for v in members}
+    labels = np.full(s.shape, -1)
+    labels[off] = [label[v] for v in s[off].tolist()]
+    return labels, classes
+
+
+def _neighbour_lists(points: np.ndarray, classes: list[list[float]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each class of squared distances, the sorted keys ``a * n + b``
+    of the ordered pairs of distinct points a, b whose d[a, b] is
+    ``sq_close`` to a value of the class, and those d[a, b]; d is the
+    matrix ``pairwise_sq_dists`` gives.
+
+    d is never held whole: its upper triangle is formed in blocks of
+    rows, by the same Gram-form arithmetic, and each entry near a class
+    is stored for (a, b) and for (b, a), so the lists are as symmetric
+    as the mirrored matrix.  Refuses, while scanning, to store more than
+    ``MAX_NEIGHBOUR_ENTRIES`` entries in all."""
+    n = len(points)
+    if not classes:
+        return []
+    norms = np.einsum("ij,ij->i", points, points)
+    # Every entry sq_close to a value lies in this window, widened far
+    # past rounding; only the entries inside it are compared exactly.
+    floor, ceil = classes[0][0] * (1.0 - 2.0 * REL_TOL), classes[-1][-1] * (1.0 + 2.0 * REL_TOL)
+    found: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in classes]
+    total = lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, _GATHER_ENTRIES // (n - lo)))
+        block = np.add.outer(norms[lo:hi], norms[lo:])
+        gram = points[lo:hi] @ points[lo:].T
+        gram *= 2.0
+        block -= gram
+        del gram
+        np.maximum(block, 0.0, out=block)
+        rows, cols = np.nonzero((block >= floor) & (block <= ceil))
+        upper = cols > rows
+        rows, cols = rows[upper], cols[upper]
+        near = block[rows, cols]
+        pairs = (rows + lo) * n + (cols + lo)
+        for entries, members in zip(found, classes):
+            hit = np.logical_or.reduce([sq_close(near, v) for v in members])
+            entries.append((pairs[hit], near[hit]))
+            total += 2 * len(entries[-1][0])
+        if total > MAX_NEIGHBOUR_ENTRIES:
+            raise GeometryError(
+                f"copy enumeration stores {total} neighbour entries after {hi} of {n} points, "
+                f"over the limit of {MAX_NEIGHBOUR_ENTRIES}"
+            )
+        lo = hi
+    lists = []
+    for entries in found:
+        pairs = np.concatenate([pairs for pairs, _ in entries])
+        dists = np.concatenate([near for _, near in entries])
+        a, b = np.divmod(pairs, n)
+        keys = np.concatenate([pairs, b * n + a])
+        order = np.argsort(keys)
+        lists.append((keys[order], np.concatenate([dists, dists])[order]))
+    return lists
+
+
+def _stabiliser_orbits(s: np.ndarray) -> list[list[int]]:
+    """``above[q]``: the rows p < q whose orbit, under the automorphisms
+    of ``s`` (exact equality) that fix rows 0..p-1, holds q.
+
+    One search per pair (p, q) for an automorphism that fixes rows
+    0..p-1 and maps p to q, extended row by row; the group itself is
+    never listed."""
+    k = len(s)
+    rows = s.tolist()
+    shape = [sorted(row) for row in rows]
+
+    def extends(image: list[int]) -> bool:
+        i = len(image)
+        if i == k:
+            return True
+        return any(
+            c not in image
+            and shape[c] == shape[i]
+            and all(rows[c][image[t]] == rows[i][t] for t in range(i))
+            and extends(image + [c])
+            for c in range(k)
+        )
+
+    above: list[list[int]] = [[] for _ in range(k)]
+    for p in range(k):
+        for q in range(p + 1, k):
+            if shape[q] == shape[p] and rows[q][:p] == rows[p][:p] and extends([*range(p), q]):
+                above[q].append(p)
+    return above
+
+
+def _embeddings(points: np.ndarray, s: np.ndarray, same):
     """Yield non-empty ``(rows, k)`` int blocks of injective assignments
-    ``a`` of the k rows of ``s`` to the points of ``d`` with
-    ``sq_close(d[a[i], a[t]], s[i, t])`` for all t < i, all rows in
-    lexicographic order.
+    ``a`` of the k rows of ``s`` to ``points``, all rows in
+    lexicographic order: one for each copy of ``s`` in ``points`` (a
+    point set with an assignment that has ``sq_close(d[a[i], a[t]],
+    s[i, t])`` for all t < i, d the matrix ``pairwise_sq_dists`` gives),
+    and at most one per copy unless two classes below are closer than
+    twice the tolerance.
 
-    Rows i > j are twins when swapping them leaves ``s`` exactly
-    unchanged; a row must take a larger point than its previous twin.
-    Sorting any assignment within its twin classes gives another one
-    (``d`` must be symmetric), so every copy keeps at least one, and the
-    lexicographically first assignment is never pruned.
+    The values of ``s`` are cut into classes by ``same``
+    (``_distance_classes``); the search asks only that d[a[i], a[t]] be
+    close to a value of the class of s[i, t].  Of the assignments an
+    automorphism of the classes maps to one another it keeps the
+    lexicographically least: a[p] < a[q] for each row p and each q in
+    p's orbit under the automorphisms that fix rows 0..p-1
+    (``_stabiliser_orbits``).  Such an automorphism maps an assignment
+    to another, so the least is never pruned.  When a class holds
+    unequal values, a kept assignment is yielded only if one of its
+    images under the automorphisms (at most k! of them, listed) is an
+    assignment of ``s`` itself.  With ``same`` the exact equality there
+    is nothing to check, and the first assignment yielded is the
+    lexicographically first assignment of ``s``.
 
-    Partial assignments grow one row per level: the candidates of row i
-    are the AND of the closeness rows of the points already assigned.
-    Each level is split into chunks of at most ``_GATHER_ENTRIES // n``
-    partial assignments, kept on a stack so that memory stays bounded
-    and rows still come out in order.
+    Candidates come from one neighbour list per class
+    (``_neighbour_lists``): row i takes the neighbours of the assigned
+    row whose class has the shortest list, and the other constraints
+    are membership tests of ``a * n + b`` keys in the sorted lists.
+    Partial assignments grow one row per level, kept on a stack in
+    chunks halved until they gather at most ``_CANDIDATE_CHUNK``
+    candidates, so that memory stays bounded and rows come out in order.
     """
-    n, k = d.shape[0], s.shape[0]
-    close: dict[float, np.ndarray] = {}
+    pts = np.asarray(points, dtype=float)
+    s = np.asarray(s, dtype=float)
+    n, k = len(pts), len(s)
+    labels, classes = _distance_classes(s, same)
+    lists = _neighbour_lists(pts, classes)
+    if any(len(keys) == 0 for keys, _ in lists):
+        return
+    starts = [np.searchsorted(keys, np.arange(n + 1) * n) for keys, _ in lists]
+    above = _stabiliser_orbits(labels)
+    autos = None
+    if any(len(members) > 1 for members in classes):
+        perms = np.array(list(itertools.permutations(range(k))))
+        autos = perms[(labels[perms[:, :, None], perms[:, None, :]] == labels).all(axis=(1, 2))]
 
-    def close_rows(v: float, points: np.ndarray) -> np.ndarray:
-        if v not in close:
-            close[v] = sq_close(d.T, v)
-        return close[v][points]
-
-    twin = [-1] * k
-    for i in range(k):
-        for j in range(i - 1, -1, -1):
-            perm = np.arange(k)
-            perm[[i, j]] = j, i
-            if np.array_equal(s[np.ix_(perm, perm)], s):
-                twin[i] = j
+    def realize(part: np.ndarray) -> np.ndarray:
+        """The rows of ``part`` an automorphism maps to an assignment of ``s``."""
+        d = np.zeros((len(part), k, k))
+        for i, j in zip(*np.triu_indices(k, 1)):
+            keys, dists = lists[labels[i, j]]
+            d[:, i, j] = d[:, j, i] = dists[np.searchsorted(keys, part[:, i] * n + part[:, j])]
+        ok = np.zeros(len(part), dtype=bool)
+        for perm in autos:
+            rest = np.flatnonzero(~ok)
+            if not rest.size:
                 break
+            ok[rest] = sq_close(d[rest][:, perm][:, :, perm], s).all(axis=(1, 2))
+        return part[ok]
 
-    step = max(1, _GATHER_ENTRIES // max(n, 1))
     stack = [np.empty((1, 0), dtype=np.intp)]
     while stack:
         part = stack.pop()
         m, i = part.shape
         if i == k:
-            yield part
+            part = part if autos is None else realize(part)
+            if len(part):
+                yield part
             continue
-        mask = np.ones((m, n), dtype=bool)
+        if i == 0:
+            stack.append(np.arange(n)[:, None])
+            continue
+        src = min(range(i), key=lambda t: len(lists[labels[i, t]][0]))
+        keys, start = lists[labels[i, src]][0], starts[labels[i, src]]
+        first = start[part[:, src]]
+        counts = start[part[:, src] + 1] - first
+        total = int(counts.sum())
+        if total > _CANDIDATE_CHUNK and m > 1:
+            stack += [part[m // 2 :], part[: m // 2]]
+            continue
+        rows = np.repeat(np.arange(m), counts)
+        cand = keys[np.arange(total) + np.repeat(first - np.cumsum(counts) + counts, counts)] % n
+        for p in above[i]:
+            keep = cand > part[rows, p]
+            rows, cand = rows[keep], cand[keep]
         for t in range(i):
-            mask &= close_rows(float(s[i, t]), part[:, t])
-        mask[np.arange(m)[:, None], part] = False
-        if twin[i] >= 0:
-            mask &= np.arange(n) > part[:, twin[i], None]
-        rows, cols = np.nonzero(mask)
-        grown = np.column_stack([part[rows], cols])
-        stack.extend(grown[start : start + step] for start in reversed(range(0, len(grown), step)))
+            if t != src:
+                want = part[rows, t] * n + cand
+                other = lists[labels[i, t]][0]
+                keep = other[np.minimum(np.searchsorted(other, want), len(other) - 1)] == want
+                rows, cand = rows[keep], cand[keep]
+        if rows.size:
+            stack.append(np.column_stack([part[rows], cand]))
 
 
 def congruence_check(A, B):
@@ -553,8 +709,9 @@ def congruence_check(A, B):
 
     Returns a tuple ``perm`` with ``|A_i A_j| == |B_perm[i] B_perm[j]|``
     for all i, j (within tolerance), or None when no such bijection
-    exists.  The first embedding of ``_embeddings``, so the
-    lexicographically first such bijection; capped at 12 points.
+    exists.  The first assignment ``_embeddings`` yields for A's
+    distances in B, so the lexicographically first such bijection (the
+    automorphism pruning never drops it); capped at 12 points.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -572,37 +729,33 @@ def congruence_check(A, B):
     iu = np.triu_indices(n, k=1)
     if not np.all(sq_close(np.sort(da[iu]), np.sort(db[iu]))):
         return None
-    block = next(_embeddings(db, da), None)
+    block = next(_embeddings(B, da, operator.eq), None)
     return None if block is None else tuple(block[0].tolist())
-
-
-MAX_DIST_ENTRIES = 1 << 24  # entries of the n x n distance matrix enumerate_copies builds
 
 
 def enumerate_copies(cfg: Configuration, spec: SimplexSpec):
     """All k-subsets of ``cfg`` congruent to ``spec``.
 
     Returns sorted index tuples in lexicographic order; every subset
-    congruent to the spec appears exactly once.  Capped at k <= 6, and
-    at ``MAX_DIST_ENTRIES`` entries of the n x n distance matrix (4096
-    points), which with one boolean n x n closeness matrix per distinct
-    spec distance bounds the memory.
+    congruent to the spec appears exactly once.  ``_embeddings`` joins
+    spec distances within tolerance of each other and finds each copy
+    once, unless two of the joined classes lie within twice the
+    tolerance; the sorted rows are ordered by one ``lexsort`` and such
+    repeats, then adjacent, are dropped.  Capped at k <= 6, and at
+    ``MAX_NEIGHBOUR_ENTRIES`` stored neighbour entries, which bounds the
+    memory together with the blocks of distances scanned.
     """
     k = spec.k
-    n = len(cfg)
     if k > 6:
         raise GeometryError("enumerate_copies capped at spec size 6")
-    if n * n > MAX_DIST_ENTRIES:
-        raise GeometryError(
-            f"enumerate_copies: {n} points need {n * n} distance entries, "
-            f"over the limit of {MAX_DIST_ENTRIES}"
-        )
-    if k > n:
+    if k > len(cfg):
         return []
-    blocks = [np.sort(b, axis=1) for b in _embeddings(pairwise_sq_dists(cfg.points), spec.sq_dist)]
+    blocks = [np.sort(b, axis=1) for b in _embeddings(cfg.points, spec.sq_dist, sq_close)]
     if not blocks:
         return []
-    return [tuple(row) for row in np.unique(np.concatenate(blocks), axis=0).tolist()]
+    rows = lex_rows(np.concatenate(blocks))
+    rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    return list(zip(*rows.T.tolist()))
 
 
 def cayley_menger_volume(spec: SimplexSpec) -> float:

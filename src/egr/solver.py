@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Configuration, as_index, as_indices, components
+from .geometry import Configuration, as_index, as_indices, components, lex_rows
 
 FORCED = "FORCED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
 ORACLE_CAP = 10**7
 DEFAULT_BUDGET = 300.0
+_IMAGE_ENTRIES = 1 << 20  # mapped target entries the generator check holds at once
 
 
 class BudgetExceeded(RuntimeError):
@@ -72,8 +73,8 @@ class ColoringProblem:
     each distinct mono or rainbow target through point p, as sorted
     tuples.  ``generators`` are the point permutations declared in
     ``cfg.notes["symmetry"]`` that map the mono target set and the
-    rainbow target set each onto itself, checked on every target through
-    a point they move; the others are dropped, which is always sound.
+    rainbow target set each onto itself, checked on every distinct
+    target; the others are dropped, which is always sound.
     """
 
     cfg: Configuration
@@ -110,16 +111,26 @@ class ColoringProblem:
         self.generators = []
         if not images:
             return
-        entries = list(targets)
-        through = [[] for _ in range(n)]
-        for j, (t, _) in enumerate(entries):
-            for p in t:
-                through[p].append(j)
-        for img in images:
-            # Only the targets through a point the image moves can move.
-            moved = set().union(*(through[p] for p, q in enumerate(img) if p != q))
-            if all((tuple(sorted([img[i] for i in entries[j][0]])), entries[j][1]) in targets for j in moved):
-                self.generators.append(img)
+        # The distinct targets of one kind and size, as rows in lexsort
+        # order; an image keeps them when their images, sorted the same
+        # way, are the same rows.  Images go in batches, the batch index
+        # the first sort key; the smallest integer types that hold the
+        # indices let numpy sort them by radix.
+        groups: dict[tuple[bool, int], list[tuple[int, ...]]] = {}
+        for t, rainbow in targets:
+            groups.setdefault((rainbow, len(t)), []).append(t)
+        perms = np.array(list(images), dtype=np.min_scalar_type(n - 1))
+        keep = np.ones(len(perms), dtype=bool)
+        for ts in groups.values():
+            table = lex_rows(np.array(ts, dtype=perms.dtype))
+            m, size = table.shape
+            step = max(1, _IMAGE_ENTRIES // table.size)
+            for lo in range(0, len(perms), step):
+                mapped = np.sort(perms[lo : lo + step][:, table].reshape(-1, size), axis=1)
+                batch = np.arange(len(mapped) // m, dtype=np.min_scalar_type(step)).repeat(m)
+                mapped = mapped[np.lexsort((*mapped.T[::-1], batch))].reshape(-1, m, size)
+                keep[lo : lo + step] &= (mapped == table).all(axis=(1, 2))
+        self.generators = [img for img, ok in zip(images, keep) if ok]
 
     def to_json_dict(self) -> dict:
         return {

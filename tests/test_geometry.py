@@ -29,6 +29,7 @@ from egr.geometry import (
     squared_distance,
     write_json_atomic,
 )
+from egr.rectangles import path_config
 
 
 def brute_force_congruence(A, B):
@@ -520,6 +521,11 @@ def test_congruence_returns_lex_first_permutation_with_twin_rows():
             assert congruence_check(pts, moved) == brute_force_congruence(pts, moved)
 
 
+def test_congruence_of_one_point_and_of_none():
+    assert congruence_check(np.zeros((1, 2)), np.ones((1, 2))) == (0,)
+    assert congruence_check(np.zeros((0, 2)), np.zeros((0, 3))) == ()
+
+
 def test_congruence_twelve_point_regular_simplex_is_fast():
     a = embed_from_distances(SimplexSpec.regular(12, 1.0))
     rng = np.random.default_rng(12)
@@ -580,15 +586,32 @@ def test_enumerate_copies_tolerance_is_relative():
 
 
 def test_enumerate_copies_caps(monkeypatch):
-    pts = np.random.default_rng(0).standard_normal((4097, 2))
-    with pytest.raises(GeometryError, match="4097 points need 16785409 distance entries"):
-        enumerate_copies(Configuration(points=pts), SimplexSpec.pair(1.0))
-    monkeypatch.setattr(geometry, "MAX_DIST_ENTRIES", 200 * 200)
-    with pytest.raises(GeometryError, match="201 points need 40401 distance entries, over the limit of 40000"):
-        enumerate_copies(Configuration(points=pts[:201]), SimplexSpec.pair(1.0))
-    enumerate_copies(Configuration(points=pts[:200]), SimplexSpec.pair(1.0))
+    # A 10^3 lattice has 2,700 unit pairs, stored as 5,400 neighbour
+    # entries; the refusal names the count and the limit.
+    lattice = Configuration(points=np.array(list(itertools.product(range(10), repeat=3)), dtype=float))
+    monkeypatch.setattr(geometry, "MAX_NEIGHBOUR_ENTRIES", 5399)
+    refusal = "stores 5400 neighbour entries after 1000 of 1000 points, over the limit of 5399"
+    with pytest.raises(GeometryError, match=refusal):
+        enumerate_copies(lattice, SimplexSpec.pair(1.0))
+    monkeypatch.setattr(geometry, "MAX_NEIGHBOUR_ENTRIES", 5400)
+    assert len(enumerate_copies(lattice, SimplexSpec.pair(1.0))) == 2700
     with pytest.raises(GeometryError, match="spec size 6"):
-        enumerate_copies(Configuration(points=pts[:10]), SimplexSpec.regular(7, 1.0))
+        enumerate_copies(Configuration(points=lattice.points[:10]), SimplexSpec.regular(7, 1.0))
+
+
+def test_enumerate_copies_memory_follows_the_candidates():
+    # Past the old 4096-point bound: the distances are scanned in blocks
+    # of rows, never held as an n x n matrix.
+    cfg = path_config(6000, 1.5, 1.0).as_configuration()
+    n = len(cfg)
+    tracemalloc.start()
+    try:
+        found = enumerate_copies(cfg, SimplexSpec.pair(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [(i, i + 1) for i in range(n - 1)]
+    assert peak < n * n * 8 // 10
 
 
 def brute_force_copies(points, spec):
@@ -603,37 +626,63 @@ def brute_force_copies(points, spec):
 
 
 LATTICE_SPECS = {
-    # Specs with twin rows (swapping two rows leaves sq_dist unchanged) ...
-    "isosceles": ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], True),
-    "regular-triangle": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], True),
-    "regular-tetrahedron": ([[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]], True),
-    "square": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], True),
-    # ... and without.
-    "rectangle": ([[0, 0, 0], [2, 0, 0], [0, 1, 0], [2, 1, 0]], False),
-    "scalene": ([[0, 0, 0], [1, 0, 0], [0, 2, 0]], False),
+    # corners and the order of the spec's automorphism group: with single
+    # row swaps ...
+    "isosceles": ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], 2),
+    "regular-triangle": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 6),
+    "regular-tetrahedron": ([[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1]], 24),
+    "square": ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], 8),
+    # ... with double swaps only, row 3 drawing its candidates from row
+    # 2's list and, with the rows permuted, from row 1's ...
+    "rectangle": ([[0, 0, 0], [2, 0, 0], [0, 1, 0], [2, 1, 0]], 4),
+    "rectangle-permuted": ([[0, 0, 0], [2, 1, 0], [2, 0, 0], [0, 1, 0]], 4),
+    # ... and none.
+    "scalene": ([[0, 0, 0], [1, 0, 0], [0, 2, 0]], 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_SPECS))
 def test_enumerate_copies_matches_brute_force_on_lattice_clouds(name):
-    corners, twins = LATTICE_SPECS[name]
+    corners, order = LATTICE_SPECS[name]
     spec = SimplexSpec.from_points(np.array(corners, dtype=float))
-    swaps = []
-    for i, j in itertools.combinations(range(spec.k), 2):
-        p = np.arange(spec.k)
-        p[[i, j]] = j, i
-        swaps.append(spec.sq_dist[np.ix_(p, p)])
-    assert twins == any(np.array_equal(swapped, spec.sq_dist) for swapped in swaps)
+    perms = itertools.permutations(range(spec.k))
+    assert sum(np.array_equal(spec.sq_dist[np.ix_(p, p)], spec.sq_dist) for p in perms) == order
     lattice = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
     rng = np.random.default_rng(7)
     for _ in range(4):
         pts = lattice[rng.permutation(len(lattice))[: int(rng.integers(12, 20))]]
         copies = enumerate_copies(Configuration(points=pts), spec)
         assert copies == brute_force_copies(pts, spec)
-        if name.startswith("regular"):
-            # Twin pruning leaves one embedding per copy of a regular simplex.
-            d = pairwise_sq_dists(pts)
-            assert sum(len(b) for b in geometry._embeddings(d, spec.sq_dist)) == len(copies)
+        # Automorphism pruning leaves one embedding per copy.
+        assert sum(len(b) for b in geometry._embeddings(pts, spec.sq_dist, sq_close)) == len(copies)
+
+
+def test_enumerate_copies_with_close_unequal_spec_distances():
+    # A right isosceles triangle whose legs differ by 0.8e-9 (relative):
+    # within tolerance of each other, so the legs' classes merge and the
+    # swap of rows 1 and 2 prunes, yet a point pair may be close to one
+    # leg and not the other.
+    spec = SimplexSpec(np.array([[0.0, 1.0, 1.0 + 0.8e-9], [1.0, 0.0, 2.0], [1.0 + 0.8e-9, 2.0, 0.0]]))
+
+    def triangle(u: float, v: float) -> np.ndarray:
+        """Legs u and v (squared) from point 0; points 1 and 2 are 2 apart."""
+        x = (u + v - 2.0) / (2.0 * math.sqrt(u))
+        return np.array([[0.0, 0.0], [math.sqrt(u), 0.0], [x, math.sqrt(v - x * x)]])
+
+    # Legs 1 + 1.6e-9 (close to the long leg only) and 1 - 0.5e-9 (close
+    # to the short leg only): only the order that swaps rows 1 and 2 fits.
+    swapped = triangle(1.0 + 1.6e-9, 1.0 - 0.5e-9)
+    # Both legs close to the long leg only: no order fits.
+    neither = triangle(1.0 + 1.6e-9, 1.0 + 1.6e-9)
+    for pts, want in ((swapped, [(0, 1, 2)]), (neither, [])):
+        assert brute_force_copies(pts, spec) == want
+        assert enumerate_copies(Configuration(points=pts), spec) == want
+    # Legs 1.5e-9 apart do not merge: both orders fit a triangle whose
+    # legs sit between them, and the copy is listed once.
+    spec = SimplexSpec(np.array([[0.0, 1.0, 1.0 + 1.5e-9], [1.0, 0.0, 2.0], [1.0 + 1.5e-9, 2.0, 0.0]]))
+    middle = triangle(1.0 + 0.75e-9, 1.0 + 0.75e-9)
+    assert sum(len(b) for b in geometry._embeddings(middle, spec.sq_dist, sq_close)) == 2
+    assert enumerate_copies(Configuration(points=middle), spec) == brute_force_copies(middle, spec) == [(0, 1, 2)]
 
 
 def test_pairwise_sq_dists_symmetric_on_strided_input():

@@ -29,6 +29,11 @@ on both sides and diffing the outputs.  It prints, one line each:
   its distinct tetra copies as mono and rainbow targets, r = 4), so the
   search is checked past n <= 8 on the shapes its propagators and
   variable order are tuned for;
+- the count and digest of the copies ``enumerate_copies`` lists for
+  each of the four specs of the copies scan (a pair, a rectangle, a
+  triangle and a tetrahedron) in a seeded 200-point product, a 6-point
+  spec in the 8^3 integer lattice and the regular tetrahedron in the
+  anchor gadget;
 - bit digests of ``path_config``, ``eps_max`` and ``chain_on_sphere``
   on seeded inputs, refusals included, and of the chord ``ell`` of
   ``perturbed_chord`` on 200 seeded obtuse triples and eps;
@@ -47,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import os
 import sys
@@ -225,6 +231,28 @@ def search_shapes() -> None:
     print(f"anchor tetra problem: {search_digest(problem)}")
 
 
+def copies() -> None:
+    simplex = regular_simplex(10, 1.0)
+    path = path_config(19, 1.0, 0.6).as_configuration()
+    points = product_config(simplex, path).product.points
+    product = Configuration(points=points[np.random.default_rng(0).permutation(len(points))])
+    specs = {
+        "pair": SimplexSpec.pair(1.0),
+        "rectangle": SimplexSpec.rectangle(1.0, 0.6),
+        "triangle": SimplexSpec.regular(3, 1.0),
+        "tetrahedron": SimplexSpec.regular(4, 1.0),
+    }
+    cases = [(f"product {name}", product, spec) for name, spec in specs.items()]
+    lattice = Configuration(points=np.array(list(itertools.product(range(8), repeat=3)), dtype=float))
+    corners = np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0], [0, 0, 3], [1, 1, 1], [2, 1, 0]], dtype=float)
+    cases.append(("lattice 8^3 six-point", lattice, SimplexSpec.from_points(corners)))
+    regular = SimplexSpec.regular(4, 1.0)
+    cases.append(("anchor tetrahedron", build_anchor_gadget(tetra_profile(regular)).cfg, regular))
+    for name, cfg, spec in cases:
+        found = enumerate_copies(cfg, spec)
+        print(f"copies {name}: {len(found)} {digest(found)}")
+
+
 def guarded(fn, *args):
     try:
         return fn(*args)
@@ -292,6 +320,7 @@ def run() -> None:
     census()
     random_problems()
     search_shapes()
+    copies()
     kernels()
     certificates()
 

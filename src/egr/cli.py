@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -28,6 +29,7 @@ from .geometry import (
     Configuration,
     GeometryError,
     SimplexSpec,
+    check_entries,
     embed_from_distances,
     enumerate_copies,
     read_json,
@@ -79,6 +81,7 @@ def _construct_chain(args) -> Configuration:
         raise GeometryError(f"need a finite s and a gap in (0, 2s], got s={args.s}, gap={args.gap}")
     if args.dim < 3:
         raise GeometryError(f"a sphere chain needs --dim >= 3, got {args.dim}")
+    check_entries(f"sphere chain centre and ends of 3 points x {args.dim} axes", 3 * args.dim)
     center = np.zeros(args.dim)
     u = center.copy()
     u[0] = args.s
@@ -205,9 +208,11 @@ def _cmd_copies(args) -> int:
     cfg = Configuration.load(args.config)
     spec = SimplexSpec.load(args.spec)
     found = enumerate_copies(cfg, spec)
+    # The config path is relative to the output's directory, so the
+    # artifact's bytes do not depend on where the files live.
     payload = {
         "kind": "copies",
-        "config": args.config,
+        "config": os.path.relpath(args.config, os.path.dirname(os.path.abspath(args.output))),
         "spec": spec.to_json_dict(),
         "count": len(found),
         "copies": [list(t) for t in found],

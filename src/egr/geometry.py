@@ -47,22 +47,17 @@ class ConstraintViolation(GeometryError):
 
 REL_TOL = 1e-9
 
-# More coordinates than this are 128 TiB as float64, the whole user
-# address space of x86-64 with 4-level paging and more memory than any
-# one machine has, so no dense build past it can finish.
-MAX_DENSE_COORDINATES = 1 << 44
+# The one size rule: no input may make egr store more than this many
+# 8-byte numbers (512 MiB as float64) in one array or set of lists.
+MAX_ENTRIES = 1 << 26
 
 
-def check_coordinates(what: str, points: int, dim: int, limit: int | None = None) -> None:
-    """Refuse an output of ``points`` x ``dim`` coordinates past ``limit``
-    (by default ``MAX_DENSE_COORDINATES``); builders call it before they
-    allocate the output, so the refusal is an error, not an OOM kill."""
-    limit = MAX_DENSE_COORDINATES if limit is None else limit
-    if points * dim > limit:
-        raise GeometryError(
-            f"{what} of {points} points x {dim} axes = {points * dim} coordinates "
-            f"exceeds the limit of {limit}"
-        )
+def check_entries(what: str, count: int) -> None:
+    """Refuse ``what`` when it would store ``count`` entries, 8-byte
+    numbers, past ``MAX_ENTRIES``.  Callers check before they allocate,
+    so an oversized input ends in GeometryError, not an OOM kill."""
+    if count > MAX_ENTRIES:
+        raise GeometryError(f"{what} would store {count} entries, more than the limit of {MAX_ENTRIES}")
 
 
 def sq_close(d1, d2):
@@ -473,17 +468,22 @@ class SimplexSpec:
             raise GeometryError("a regular simplex needs at least 2 points")
         if side <= 0:
             raise GeometryError("side must be positive")
+        check_entries(f"regular simplex spec of {n} points ({n} x {n} squared distances)", n * n)
         sq = np.full((n, n), side * side)
         np.fill_diagonal(sq, 0.0)
         return cls(sq)
 
     @classmethod
     def rectangle(cls, a: float, b: float) -> "SimplexSpec":
-        """Rectangle with side lengths a and b, corners (0,0),(a,0),(0,b),(a,b)."""
+        """Rectangle with side lengths a and b, corners (0,0),(a,0),(0,b),(a,b).
+
+        Filled in closed form, so equal sides hold equal values and the
+        spec is exactly invariant under the rectangle's symmetries."""
         if a <= 0 or b <= 0:
             raise GeometryError("rectangle sides must be positive")
-        pts = np.array([[0.0, 0.0], [a, 0.0], [0.0, b], [a, b]])
-        return cls.from_points(pts)
+        a2, b2 = a * a, b * b
+        d2 = a2 + b2
+        return cls(np.array([[0.0, a2, b2, d2], [a2, 0.0, d2, b2], [b2, d2, 0.0, a2], [d2, b2, a2, 0.0]]))
 
     def to_json_dict(self) -> dict:
         return {"sq_dist": self.sq_dist.tolist()}
@@ -503,7 +503,6 @@ class SimplexSpec:
         return cls.from_json_dict(read_json(path))
 
 
-MAX_NEIGHBOUR_ENTRIES = 1 << 24  # neighbour list entries one copy enumeration may store
 _CANDIDATE_CHUNK = 1 << 16  # candidates one step of _embeddings gathers at once
 
 
@@ -534,8 +533,8 @@ def _neighbour_lists(points: np.ndarray, classes: list[list[float]]) -> list[tup
     d is never held whole: its upper triangle is formed in blocks of
     rows, by the same Gram-form arithmetic, and each entry near a class
     is stored for (a, b) and for (b, a), so the lists are as symmetric
-    as the mirrored matrix.  Refuses, while scanning, to store more than
-    ``MAX_NEIGHBOUR_ENTRIES`` entries in all."""
+    as the mirrored matrix.  Each stored ordered pair is two entries, its
+    key and its distance; ``check_entries`` refuses them while scanning."""
     n = len(points)
     if not classes:
         return []
@@ -561,12 +560,8 @@ def _neighbour_lists(points: np.ndarray, classes: list[list[float]]) -> list[tup
         for entries, members in zip(found, classes):
             hit = np.logical_or.reduce([sq_close(near, v) for v in members])
             entries.append((pairs[hit], near[hit]))
-            total += 2 * len(entries[-1][0])
-        if total > MAX_NEIGHBOUR_ENTRIES:
-            raise GeometryError(
-                f"copy enumeration stores {total} neighbour entries after {hi} of {n} points, "
-                f"over the limit of {MAX_NEIGHBOUR_ENTRIES}"
-            )
+            total += 4 * len(entries[-1][0])
+        check_entries(f"copy enumeration's neighbour lists after {hi} of {n} points", total)
         lo = hi
     lists = []
     for entries in found:
@@ -741,9 +736,9 @@ def enumerate_copies(cfg: Configuration, spec: SimplexSpec):
     spec distances within tolerance of each other and finds each copy
     once, unless two of the joined classes lie within twice the
     tolerance; the sorted rows are ordered by one ``lexsort`` and such
-    repeats, then adjacent, are dropped.  Capped at k <= 6, and at
-    ``MAX_NEIGHBOUR_ENTRIES`` stored neighbour entries, which bounds the
-    memory together with the blocks of distances scanned.
+    repeats, then adjacent, are dropped.  Capped at k <= 6; the stored
+    neighbour lists pass ``check_entries``, which bounds the memory
+    together with the blocks of distances scanned.
     """
     k = spec.k
     if k > 6:

@@ -29,8 +29,8 @@ from .geometry import (
     SimplexSpec,
     as_index,
     bisect,
-    check_coordinates,
     check_copies,
+    check_entries,
     components,
     embed_from_distances,
     is_nondegenerate,
@@ -128,7 +128,7 @@ def build_perturbation_grid(delta_spec: SimplexSpec, m_counts, eps: float) -> Co
         raise GeometryError("grid rows are affinely dependent")
 
     n1 = sum(m - 1 for m in m_counts) + d
-    check_coordinates("grid", n1 + 1, n1)
+    check_entries(f"grid of {n1 + 1} points x {n1} axes", (n1 + 1) * n1)
     pts = np.zeros((n1 + 1, n1))
     labels = []
     for i in range(d + 1):

@@ -36,8 +36,8 @@ from .geometry import (
     SimplexSpec,
     as_index,
     bisect,
-    check_coordinates,
     check_copies,
+    check_entries,
     embed_from_distances,
     enumerate_copies,
 )
@@ -55,7 +55,6 @@ def regular_simplex(n: int, x: float) -> Configuration:
         raise GeometryError(f"regular simplex needs at least 2 points, got {n}")
     if not 0.0 < x < math.inf:
         raise GeometryError(f"side length must be positive and finite, got {x}")
-    check_coordinates("regular simplex", n, n - 1)
     pts = embed_from_distances(SimplexSpec.regular(n, x))
     notes = {"kind": "regular_simplex", "n": n, "side": x}
     if math.comb(n, 2) * n <= SYMMETRY_ENTRIES:
@@ -137,7 +136,7 @@ def path_config(t: int, x: float, y: float) -> PathConfig:
     fewest = fewest_edges(x, y)
     if t < fewest:
         raise GeometryError(f"endpoint gap {x} needs at least {fewest} edges of length {y}, got t={t}")
-    check_coordinates("path", t + 1, 2)
+    check_entries(f"path of {t + 1} points x 2 axes", (t + 1) * 2)
 
     lo, hi = 1e-12, 2.0 * math.pi / t - 1e-12
     if _arc_span(lo, t, y) < x or _arc_span(hi, t, y) > x:
@@ -187,7 +186,8 @@ class ProductConfig:
 def product_config(left: Configuration, right: Configuration) -> ProductConfig:
     """Cartesian product with concatenated coordinates."""
     n_l, n_r = len(left.points), len(right.points)
-    check_coordinates("product", n_l * n_r, left.points.shape[1] + right.points.shape[1])
+    dim = left.points.shape[1] + right.points.shape[1]
+    check_entries(f"product of {n_l * n_r} points x {dim} axes", n_l * n_r * dim)
     pts = np.hstack([np.repeat(left.points, n_r, axis=0), np.tile(right.points, (n_l, 1))])
 
     def lab(cfg, side, idx):

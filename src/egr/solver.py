@@ -218,6 +218,13 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     the failing target and the order of narrowings are those of one loop
     over the point's mono targets and then its rainbow ones.
 
+    No target is ever colored into a violation: coloring its
+    second-to-last point narrows its last one, and every color the
+    search tries comes from the chosen point's domain.  So the
+    propagators only report a target whose rule emptied a domain, and
+    never test a fully colored target.  A found coloring is still
+    replayed against every target before it is returned.
+
     Colors are interchangeable in every constraint, so each point may
     only take an already-used color or the lowest unused one; the used
     colors are then always a prefix 0..opened-1, and since backtracking
@@ -335,9 +342,8 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
         """Narrow the domains the new color c of ``idx`` constrains, by
         the mono rule and then by the rainbow rule.
 
-        Returns None on success, else the failing target's other points:
-        the target was colored into a violation, or its rule emptied a
-        domain.
+        Returns None on success, else the other points of the target
+        whose rule emptied a domain.
         """
         bit = 1 << c
         arity, partners = mono[idx]
@@ -351,8 +357,6 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                     dom = domains[q]
                     if dom & bit and narrow(q, dom, dom ^ bit, trail):
                         return o
-                elif cq == c:
-                    return o
         elif arity == 2:
             for o in partners:
                 a, b = o
@@ -365,8 +369,6 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                     continue
                 elif cb < 0:
                     free = b
-                elif cb == c:
-                    return o
                 else:
                     continue
                 dom = domains[free]
@@ -384,8 +386,6 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                     elif cq != c:
                         break
                 else:
-                    if free < 0:
-                        return o
                     dom = domains[free]
                     if dom & bit and narrow(free, dom, dom ^ bit, trail):
                         return o
@@ -400,8 +400,6 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                     dom = domains[q]
                     if dom != bit and narrow(q, dom, dom & bit, trail):
                         return o
-                elif cq != c:
-                    return o
         elif arity == 2:
             for o in partners:
                 a, b = o
@@ -414,10 +412,8 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                     continue
                 elif cb < 0:
                     free, used = b, bit | 1 << ca
-                elif cb == c or cb == ca:
-                    continue
                 else:
-                    return o
+                    continue
                 dom = domains[free]
                 if dom & used != dom and narrow(free, dom, dom & used, trail):
                     return o
@@ -436,8 +432,6 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
                         break
                     used |= 1 << cq
                 else:
-                    if free < 0:
-                        return o
                     dom = domains[free]
                     if dom & used != dom and narrow(free, dom, dom & used, trail):
                         return o

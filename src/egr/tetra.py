@@ -34,8 +34,8 @@ from .geometry import (
     SimplexSpec,
     as_index,
     cayley_menger_volume,
-    check_coordinates,
     check_copies,
+    check_entries,
     congruence_check,
     embed_from_distances,
     pairwise_sq_dists,
@@ -49,9 +49,6 @@ SWAPPED_ROLES = (2, 3, 0, 1)
 # Hinge angles closer than this (rad) share one solved hinge; the grid
 # is 1000x finer than the 1e-9 angle check of _hinge_rows.
 HINGE_GRID = 1e-12
-# Largest points x dim a builder workspace may reach: 512 MB as dense
-# float64, so an oversized build ends in GeometryError, not an OOM kill.
-MAX_COORDINATES = 1 << 26
 
 
 def _face_frame(sq: np.ndarray, apex: int):
@@ -261,9 +258,9 @@ class Workspace:
 
     Each row is kept sparse, as sorted columns plus values: a builder
     reads the local column block of the points it touches and writes
-    new rows over that block plus any fresh axes.  Growth past
-    ``MAX_COORDINATES`` (points x dim, the size of the dense matrix the
-    builders end with) raises GeometryError.
+    new rows over that block plus any fresh axes.  Each growth passes
+    ``check_entries`` on points x dim, the size of the dense matrix the
+    builders end with, so an oversized build raises GeometryError.
     """
 
     def __init__(self, dim: int):
@@ -273,14 +270,14 @@ class Workspace:
         self.aux_axes = 0
 
     def add_axis(self) -> int:
-        check_coordinates("workspace", len(self._cols), self.dim + 1, MAX_COORDINATES)
+        check_entries(f"workspace of {len(self._cols)} points x {self.dim + 1} axes", len(self._cols) * (self.dim + 1))
         self.dim += 1
         self.aux_axes += 1
         return self.dim - 1
 
     def add_row(self, cols, vals) -> int:
         """Add a point with values ``vals`` at the sorted columns ``cols``."""
-        check_coordinates("workspace", len(self._cols) + 1, self.dim, MAX_COORDINATES)
+        check_entries(f"workspace of {len(self._cols) + 1} points x {self.dim} axes", (len(self._cols) + 1) * self.dim)
         self._cols.append(np.asarray(cols, dtype=np.intp))
         self._vals.append(np.asarray(vals, dtype=float))
         return len(self._cols) - 1

@@ -27,6 +27,7 @@ from .geometry import (
     as_point,
     bisect,
     check_copies,
+    check_entries,
     sq_close,
     sq_slack,
     squared_distance,
@@ -320,6 +321,7 @@ def _chain_nodes(center, s: float, U, V, d: float):
     # error; the hops split the angle theta_v + 2 pi n to V evenly, so that
     # error does not pile up on the closing hop.
     step = (theta_v + TWO_PI * n) / (k + 1)
+    check_entries(f"sphere chain of {k + 2} points x {dim} axes", (k + 2) * dim)
     nodes = [U]
     for i in range(1, k + 1):
         ang = i * step

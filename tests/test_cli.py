@@ -172,26 +172,29 @@ def test_construct_grid_refuses_a_collinear_spec(tmp_path, capsys):
 
 def test_construct_workspace_limit(tmp_path, monkeypatch, capsys):
     # anchor-gadget reaches 1513 points x 1506 axes
-    monkeypatch.setattr(tetra, "MAX_COORDINATES", 10**6)
+    monkeypatch.setattr(geometry, "MAX_ENTRIES", 10**6)
     out = tmp_path / "anchor.json"
     assert main(["construct", "anchor-gadget", "-o", str(out)]) == 2
     assert not out.exists()
-    assert "coordinates exceeds the limit of 1000000" in capsys.readouterr().err
+    assert "entries, more than the limit of 1000000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "argv, size, limit",
+    "argv, size, count",
     [
-        (["grid", "--regular-k", "4", "--m", "10000000", "--eps", "0.5"], "30000001 points x 30000000 axes = 900000030000000", None),
-        (["regular-simplex", "--n", "5000000", "--x", "1.0"], "5000000 points x 4999999 axes = 24999995000000", None),
-        (["path", "--t", "10000000000000", "--x", "1.0", "--y", "0.6"], "10000000000001 points x 2 axes = 20000000000002", None),
-        # No product of factors this small reaches 2^44, so the cap is lowered.
-        (["product", "--n", "200", "--x", "1.5", "--t", "2000", "--y", "1.0"], "400200 points x 201 axes = 80440200", 1 << 26),
+        (["grid", "--regular-k", "4", "--m", "10000000", "--eps", "0.5"], "30000001 points x 30000000 axes", 30000001 * 30000000),
+        (["regular-simplex", "--n", "5000000", "--x", "1.0"], "5000000 points (5000000 x 5000000 squared distances)", 5000000**2),
+        (["path", "--t", "10000000000000", "--x", "1.0", "--y", "0.6"], "10000000000001 points x 2 axes", 10000000000001 * 2),
+        (["product", "--n", "200", "--x", "1.5", "--t", "2000", "--y", "1.0"], "400200 points x 201 axes", 400200 * 201),
+        (["grid", "--regular-k", "100000", "--m", "2", "--eps", "0.5"], "100000 points (100000 x 100000 squared distances)", 10**10),
+        (["contract", "--regular-k", "100000", "--eps", "0.1"], "100000 points (100000 x 100000 squared distances)", 10**10),
+        (["chain", "--s", "1", "--d", "0.5", "--gap", "1", "--dim", "1000000000"], "3 points x 1000000000 axes", 3 * 10**9),
+        (["regular-simplex", "--n", "8193", "--x", "1.0"], "8193 points (8193 x 8193 squared distances)", 8193**2),
+        (["grid", "--regular-k", "4", "--m", "2731", "--eps", "0.5"], "8194 points x 8193 axes", 8194 * 8193),
+        (["path", "--t", str(1 << 25), "--x", "1.0", "--y", "0.6"], f"{(1 << 25) + 1} points x 2 axes", ((1 << 25) + 1) * 2),
     ],
 )
-def test_construct_refuses_an_oversized_output_before_allocating_it(tmp_path, monkeypatch, capsys, argv, size, limit):
-    if limit is not None:
-        monkeypatch.setattr(geometry, "MAX_DENSE_COORDINATES", limit)
+def test_construct_refuses_an_oversized_output_before_allocating_it(tmp_path, capsys, argv, size, count):
     out = tmp_path / "big.json"
     tracemalloc.start()
     try:
@@ -201,7 +204,8 @@ def test_construct_refuses_an_oversized_output_before_allocating_it(tmp_path, mo
         tracemalloc.stop()
     assert code == 2
     assert not out.exists()
-    assert f"{size} coordinates exceeds the limit of {geometry.MAX_DENSE_COORDINATES}" in capsys.readouterr().err
+    refusal = f"{size} would store {count} entries, more than the limit of {geometry.MAX_ENTRIES}"
+    assert refusal in capsys.readouterr().err
     assert peak < 4 << 20
 
 
@@ -210,29 +214,37 @@ class _SizeChecked(Exception):
 
 
 @pytest.mark.parametrize(
-    "module, build, count",
+    "module, build, size, count",
     [
-        (perturbation, lambda: perturbation.build_perturbation_grid(SimplexSpec.regular(4, 1.0), [2731] * 3, 0.5), 8194 * 8193),
-        (rectangles, lambda: rectangles.regular_simplex(8193, 1.0), 8193 * 8192),
-        (rectangles, lambda: rectangles.path_config(1 << 25, 1.0, 0.6), ((1 << 25) + 1) * 2),
+        (geometry, lambda n: rectangles.regular_simplex(n, 1.0), 8192, lambda n: n * n),
+        (
+            perturbation,
+            lambda m: perturbation.build_perturbation_grid(SimplexSpec.regular(4, 1.0), [m] * 3, 0.5),
+            2730,
+            lambda m: (3 * m + 1) * 3 * m,
+        ),
+        (rectangles, lambda t: rectangles.path_config(t, 1.0, 0.6), (1 << 25) - 1, lambda t: (t + 1) * 2),
     ],
+    ids=["regular-simplex", "grid", "path"],
 )
-def test_dense_outputs_past_the_workspace_limit_pass_the_size_check(monkeypatch, module, build, count):
-    # Just past tetra's 2^26 workspace limit: these outputs fit in memory
-    # and have always built, so the size check lets them through (the
-    # build is stopped right after it, before the allocation).
-    assert count > tetra.MAX_COORDINATES
-    passed = []
+def test_dense_outputs_at_the_entry_limit_pass_the_size_check(monkeypatch, module, build, size, count):
+    # The largest regular simplex, grid and path whose entries fit the
+    # limit pass the size check (the build is stopped right after it,
+    # before the allocation); the next size up is refused.
+    assert count(size) <= geometry.MAX_ENTRIES < count(size + 1)
+    with pytest.raises(geometry.GeometryError, match=f"{count(size + 1)} entries, more than the limit"):
+        build(size + 1)
+    check_entries, passed = geometry.check_entries, []
 
-    def check(*args):
-        geometry.check_coordinates(*args)
-        passed.append(args[1] * args[2])
+    def check(what, entries):
+        check_entries(what, entries)
+        passed.append(entries)
         raise _SizeChecked
 
-    monkeypatch.setattr(module, "check_coordinates", check)
+    monkeypatch.setattr(module, "check_entries", check)
     with pytest.raises(_SizeChecked):
-        build()
-    assert passed == [count]
+        build(size)
+    assert passed == [count(size)]
 
 
 def test_construct_round_trip_compares_bits(tmp_path, monkeypatch, capsys):
@@ -400,6 +412,27 @@ def test_copies_round_trip(tmp_path):
     cfg = Configuration.load(str(cfg_path))
     found = enumerate_copies(cfg, SimplexSpec.pair(1.0))
     assert [list(t) for t in found] == body["copies"]
+
+
+def test_copies_records_the_config_relative_to_the_output(tmp_path, monkeypatch):
+    # The same copies written at two depths, each config one level above
+    # its output, and the config given once absolute and once relative
+    # to the working directory: the artifacts are byte-identical.
+    spec_path = tmp_path / "pair.json"
+    SimplexSpec.pair(1.0).save(str(spec_path))
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for base, given in ((tmp_path / "a", str), (tmp_path / "deeper" / "b", lambda p: str(p.relative_to(tmp_path)))):
+        (base / "out").mkdir(parents=True)
+        cfg_path, out = base / "square.json", base / "out" / "copies.json"
+        argv = ["construct", "product", "--n", "2", "--x", "1.0", "--t", "2", "--y", "1.0", "-o", str(cfg_path)]
+        assert main(argv) == 0
+        assert main(["copies", given(cfg_path), "--spec", str(spec_path), "-o", str(out)]) == 0
+        written.append(out.read_bytes())
+        # the recorded path resolves from the output's directory
+        assert (out.parent / json.loads(written[-1])["config"]).resolve() == cfg_path.resolve()
+    assert json.loads(written[0])["config"] == "../square.json"
+    assert written[0] == written[1]
 
 
 def test_scan_classification_r5_writes_pinned_bytes(tmp_path, capsys):

@@ -586,14 +586,14 @@ def test_enumerate_copies_tolerance_is_relative():
 
 
 def test_enumerate_copies_caps(monkeypatch):
-    # A 10^3 lattice has 2,700 unit pairs, stored as 5,400 neighbour
-    # entries; the refusal names the count and the limit.
+    # A 10^3 lattice has 2,700 unit pairs, stored as 5,400 ordered pairs
+    # of a key and a distance each; the refusal names the count and the limit.
     lattice = Configuration(points=np.array(list(itertools.product(range(10), repeat=3)), dtype=float))
-    monkeypatch.setattr(geometry, "MAX_NEIGHBOUR_ENTRIES", 5399)
-    refusal = "stores 5400 neighbour entries after 1000 of 1000 points, over the limit of 5399"
+    monkeypatch.setattr(geometry, "MAX_ENTRIES", 10799)
+    refusal = "neighbour lists after 1000 of 1000 points would store 10800 entries, more than the limit of 10799"
     with pytest.raises(GeometryError, match=refusal):
         enumerate_copies(lattice, SimplexSpec.pair(1.0))
-    monkeypatch.setattr(geometry, "MAX_NEIGHBOUR_ENTRIES", 5400)
+    monkeypatch.setattr(geometry, "MAX_ENTRIES", 10800)
     assert len(enumerate_copies(lattice, SimplexSpec.pair(1.0))) == 2700
     with pytest.raises(GeometryError, match="spec size 6"):
         enumerate_copies(Configuration(points=lattice.points[:10]), SimplexSpec.regular(7, 1.0))
@@ -655,6 +655,32 @@ def test_enumerate_copies_matches_brute_force_on_lattice_clouds(name):
         assert copies == brute_force_copies(pts, spec)
         # Automorphism pruning leaves one embedding per copy.
         assert sum(len(b) for b in geometry._embeddings(pts, spec.sq_dist, sq_close)) == len(copies)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.6), (1.5, 1.0), (0.3, 7.0)])
+def test_rectangle_spec_keeps_the_rectangle_symmetries(a, b):
+    # Filled in closed form, equal sides hold equal values, so the
+    # exact-equality pruning sees the Klein group: every row is in row
+    # 0's orbit, and only the identity fixes row 0.
+    s = SimplexSpec.rectangle(a, b).sq_dist
+    assert s[0].tolist() == [0.0, a * a, b * b, a * a + b * b]
+    for perm in ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
+        assert np.array_equal(s[np.ix_(perm, perm)], s)
+    assert geometry._stabiliser_orbits(s) == [[], [0], [0], [0]]
+
+
+def test_enumerate_copies_of_a_rounded_spec_equal_the_exact_ones():
+    # from_points rounds the rectangle's equal sides apart (0.36 and
+    # 0.3599999999999999, say): the classes join them, each kept copy is
+    # checked against the spec through the listed automorphisms, and
+    # the copies are the exact spec's.
+    rounded = SimplexSpec.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 0.6], [1.0, 0.6]])
+    exact = SimplexSpec.rectangle(1.0, 0.6)
+    assert not np.array_equal(rounded.sq_dist, exact.sq_dist)
+    pts = np.array(list(itertools.product([0.0, 1.0, 2.0], [0.0, 0.6, 1.2], [0.0, 1.0])))
+    copies = enumerate_copies(Configuration(points=pts), rounded)
+    assert len(copies) == 14
+    assert copies == enumerate_copies(Configuration(points=pts), exact) == brute_force_copies(pts, exact)
 
 
 def test_enumerate_copies_with_close_unequal_spec_distances():

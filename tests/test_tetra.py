@@ -415,7 +415,7 @@ def test_template_replay_equals_the_walk(monkeypatch, spec, k, corner_angle):
 
 
 def test_template_replay_keeps_the_workspace_limit():
-    with pytest.raises(GeometryError, match="exceeds the limit"):
+    with pytest.raises(GeometryError, match="more than the limit"):
         build_anchor_gadget(tetra_profile(REGULAR), corner_angle=0.3)
 
 

@@ -11,7 +11,6 @@ distance matrix into coordinates.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -506,43 +505,25 @@ class SimplexSpec:
 _CANDIDATE_CHUNK = 1 << 16  # candidates one step of _embeddings gathers at once
 
 
-def _distance_classes(s: np.ndarray, same) -> tuple[np.ndarray, list[list[float]]]:
-    """The k x k matrix of the class of each entry of ``s`` (-1 on the
-    diagonal) and the classes: the distinct off-diagonal values in
-    increasing order, a new class begun at each value v that is not
-    ``same(u, v)`` for the value u before it."""
-    off = ~np.eye(len(s), dtype=bool)
-    classes: list[list[float]] = []
-    for v in sorted(set(s[off].tolist())):
-        if classes and same(classes[-1][-1], v):
-            classes[-1].append(v)
-        else:
-            classes.append([v])
-    label = {v: c for c, members in enumerate(classes) for v in members}
-    labels = np.full(s.shape, -1)
-    labels[off] = [label[v] for v in s[off].tolist()]
-    return labels, classes
-
-
-def _neighbour_lists(points: np.ndarray, classes: list[list[float]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each class of squared distances, the sorted keys ``a * n + b``
-    of the ordered pairs of distinct points a, b whose d[a, b] is
-    ``sq_close`` to a value of the class, and those d[a, b]; d is the
-    matrix ``pairwise_sq_dists`` gives.
+def _neighbour_lists(points: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """For each squared distance v of the increasing ``values``, the
+    sorted keys ``a * n + b`` of the ordered pairs of distinct points a,
+    b whose d[a, b] is ``sq_close`` to v; d is the matrix
+    ``pairwise_sq_dists`` gives.
 
     d is never held whole: its upper triangle is formed in blocks of
-    rows, by the same Gram-form arithmetic, and each entry near a class
-    is stored for (a, b) and for (b, a), so the lists are as symmetric
-    as the mirrored matrix.  Each stored ordered pair is two entries, its
-    key and its distance; ``check_entries`` refuses them while scanning."""
+    rows, by the same Gram-form arithmetic, and each entry near a value
+    is stored as (a, b) and as (b, a), so the lists are as symmetric as
+    the mirrored matrix.  Each stored ordered pair is one entry, its
+    key; ``check_entries`` refuses them while scanning."""
     n = len(points)
-    if not classes:
+    if not len(values):
         return []
     norms = np.einsum("ij,ij->i", points, points)
     # Every entry sq_close to a value lies in this window, widened far
     # past rounding; only the entries inside it are compared exactly.
-    floor, ceil = classes[0][0] * (1.0 - 2.0 * REL_TOL), classes[-1][-1] * (1.0 + 2.0 * REL_TOL)
-    found: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in classes]
+    floor, ceil = values[0] * (1.0 - 2.0 * REL_TOL), values[-1] * (1.0 + 2.0 * REL_TOL)
+    found: list[list[np.ndarray]] = [[] for _ in values]
     total = lo = 0
     while lo < n:
         hi = min(n, lo + max(1, _GATHER_ENTRIES // (n - lo)))
@@ -556,21 +537,23 @@ def _neighbour_lists(points: np.ndarray, classes: list[list[float]]) -> list[tup
         upper = cols > rows
         rows, cols = rows[upper], cols[upper]
         near = block[rows, cols]
-        pairs = (rows + lo) * n + (cols + lo)
-        for entries, members in zip(found, classes):
-            hit = np.logical_or.reduce([sq_close(near, v) for v in members])
-            entries.append((pairs[hit], near[hit]))
-            total += 4 * len(entries[-1][0])
+        del block
+        rows += lo
+        cols += lo
+        for pieces, v in zip(found, values):
+            hit = sq_close(near, v)
+            a, b = rows[hit], cols[hit]
+            pieces += [a * n + b, b * n + a]
+            total += 2 * len(a)
+        del rows, cols, near, a, b  # before the next block is formed
         check_entries(f"copy enumeration's neighbour lists after {hi} of {n} points", total)
         lo = hi
     lists = []
-    for entries in found:
-        pairs = np.concatenate([pairs for pairs, _ in entries])
-        dists = np.concatenate([near for _, near in entries])
-        a, b = np.divmod(pairs, n)
-        keys = np.concatenate([pairs, b * n + a])
-        order = np.argsort(keys)
-        lists.append((keys[order], np.concatenate([dists, dists])[order]))
+    for pieces in found:
+        keys = np.concatenate(pieces)
+        pieces.clear()
+        keys.sort()
+        lists.append(keys)
     return lists
 
 
@@ -605,32 +588,25 @@ def _stabiliser_orbits(s: np.ndarray) -> list[list[int]]:
     return above
 
 
-def _embeddings(points: np.ndarray, s: np.ndarray, same):
+def _embeddings(points: np.ndarray, s: np.ndarray):
     """Yield non-empty ``(rows, k)`` int blocks of injective assignments
     ``a`` of the k rows of ``s`` to ``points``, all rows in
-    lexicographic order: one for each copy of ``s`` in ``points`` (a
-    point set with an assignment that has ``sq_close(d[a[i], a[t]],
-    s[i, t])`` for all t < i, d the matrix ``pairwise_sq_dists`` gives),
-    and at most one per copy unless two classes below are closer than
-    twice the tolerance.
+    lexicographic order: each copy of ``s`` in ``points`` (a point set
+    with an assignment that has ``sq_close(d[a[i], a[t]], s[i, t])`` for
+    all t < i, d the matrix ``pairwise_sq_dists`` gives) at least once,
+    and once unless two distinct values of ``s`` lie within twice the
+    tolerance.
 
-    The values of ``s`` are cut into classes by ``same``
-    (``_distance_classes``); the search asks only that d[a[i], a[t]] be
-    close to a value of the class of s[i, t].  Of the assignments an
-    automorphism of the classes maps to one another it keeps the
-    lexicographically least: a[p] < a[q] for each row p and each q in
-    p's orbit under the automorphisms that fix rows 0..p-1
-    (``_stabiliser_orbits``).  Such an automorphism maps an assignment
-    to another, so the least is never pruned.  When a class holds
-    unequal values, a kept assignment is yielded only if one of its
-    images under the automorphisms (at most k! of them, listed) is an
-    assignment of ``s`` itself.  With ``same`` the exact equality there
-    is nothing to check, and the first assignment yielded is the
-    lexicographically first assignment of ``s``.
+    Of the assignments an automorphism of ``s`` (exact equality) maps to
+    one another it keeps the lexicographically least: a[p] < a[q] for
+    each row p and each q in p's orbit under the automorphisms that fix
+    rows 0..p-1 (``_stabiliser_orbits``).  Such an automorphism maps an
+    assignment to another, so the least is never pruned, and the first
+    assignment yielded is the lexicographically first.
 
-    Candidates come from one neighbour list per class
+    Candidates come from one neighbour list per distinct value of ``s``
     (``_neighbour_lists``): row i takes the neighbours of the assigned
-    row whose class has the shortest list, and the other constraints
+    row whose value has the shortest list, and the other constraints
     are membership tests of ``a * n + b`` keys in the sorted lists.
     Partial assignments grow one row per level, kept on a stack in
     chunks halved until they gather at most ``_CANDIDATE_CHUNK``
@@ -639,45 +615,26 @@ def _embeddings(points: np.ndarray, s: np.ndarray, same):
     pts = np.asarray(points, dtype=float)
     s = np.asarray(s, dtype=float)
     n, k = len(pts), len(s)
-    labels, classes = _distance_classes(s, same)
-    lists = _neighbour_lists(pts, classes)
-    if any(len(keys) == 0 for keys, _ in lists):
+    values = np.unique(s[~np.eye(k, dtype=bool)])
+    lists = _neighbour_lists(pts, values)
+    if any(len(keys) == 0 for keys in lists):
         return
-    starts = [np.searchsorted(keys, np.arange(n + 1) * n) for keys, _ in lists]
-    above = _stabiliser_orbits(labels)
-    autos = None
-    if any(len(members) > 1 for members in classes):
-        perms = np.array(list(itertools.permutations(range(k))))
-        autos = perms[(labels[perms[:, :, None], perms[:, None, :]] == labels).all(axis=(1, 2))]
-
-    def realize(part: np.ndarray) -> np.ndarray:
-        """The rows of ``part`` an automorphism maps to an assignment of ``s``."""
-        d = np.zeros((len(part), k, k))
-        for i, j in zip(*np.triu_indices(k, 1)):
-            keys, dists = lists[labels[i, j]]
-            d[:, i, j] = d[:, j, i] = dists[np.searchsorted(keys, part[:, i] * n + part[:, j])]
-        ok = np.zeros(len(part), dtype=bool)
-        for perm in autos:
-            rest = np.flatnonzero(~ok)
-            if not rest.size:
-                break
-            ok[rest] = sq_close(d[rest][:, perm][:, :, perm], s).all(axis=(1, 2))
-        return part[ok]
+    value = np.searchsorted(values, s)  # the list of each entry off the diagonal
+    starts = [np.searchsorted(keys, np.arange(n + 1) * n) for keys in lists]
+    above = _stabiliser_orbits(s)
 
     stack = [np.empty((1, 0), dtype=np.intp)]
     while stack:
         part = stack.pop()
         m, i = part.shape
         if i == k:
-            part = part if autos is None else realize(part)
-            if len(part):
-                yield part
+            yield part
             continue
         if i == 0:
             stack.append(np.arange(n)[:, None])
             continue
-        src = min(range(i), key=lambda t: len(lists[labels[i, t]][0]))
-        keys, start = lists[labels[i, src]][0], starts[labels[i, src]]
+        src = min(range(i), key=lambda t: len(lists[value[i, t]]))
+        keys, start = lists[value[i, src]], starts[value[i, src]]
         first = start[part[:, src]]
         counts = start[part[:, src] + 1] - first
         total = int(counts.sum())
@@ -692,7 +649,7 @@ def _embeddings(points: np.ndarray, s: np.ndarray, same):
         for t in range(i):
             if t != src:
                 want = part[rows, t] * n + cand
-                other = lists[labels[i, t]][0]
+                other = lists[value[i, t]]
                 keep = other[np.minimum(np.searchsorted(other, want), len(other) - 1)] == want
                 rows, cand = rows[keep], cand[keep]
         if rows.size:
@@ -724,7 +681,7 @@ def congruence_check(A, B):
     iu = np.triu_indices(n, k=1)
     if not np.all(sq_close(np.sort(da[iu]), np.sort(db[iu]))):
         return None
-    block = next(_embeddings(B, da, operator.eq), None)
+    block = next(_embeddings(B, da), None)
     return None if block is None else tuple(block[0].tolist())
 
 
@@ -732,20 +689,20 @@ def enumerate_copies(cfg: Configuration, spec: SimplexSpec):
     """All k-subsets of ``cfg`` congruent to ``spec``.
 
     Returns sorted index tuples in lexicographic order; every subset
-    congruent to the spec appears exactly once.  ``_embeddings`` joins
-    spec distances within tolerance of each other and finds each copy
-    once, unless two of the joined classes lie within twice the
-    tolerance; the sorted rows are ordered by one ``lexsort`` and such
-    repeats, then adjacent, are dropped.  Capped at k <= 6; the stored
-    neighbour lists pass ``check_entries``, which bounds the memory
-    together with the blocks of distances scanned.
+    congruent to the spec appears exactly once.  ``_embeddings`` finds
+    each copy once, or more often when spec values within tolerance of
+    each other are unequal (a spec rounded from points, say); the sorted
+    rows are ordered by one ``lexsort`` and such repeats, then adjacent,
+    are dropped.  Capped at k <= 6; the stored neighbour lists pass
+    ``check_entries``, which bounds the memory together with the blocks
+    of distances scanned.
     """
     k = spec.k
     if k > 6:
         raise GeometryError("enumerate_copies capped at spec size 6")
     if k > len(cfg):
         return []
-    blocks = [np.sort(b, axis=1) for b in _embeddings(cfg.points, spec.sq_dist, sq_close)]
+    blocks = [np.sort(b, axis=1) for b in _embeddings(cfg.points, spec.sq_dist)]
     if not blocks:
         return []
     rows = lex_rows(np.concatenate(blocks))

@@ -587,13 +587,13 @@ def test_enumerate_copies_tolerance_is_relative():
 
 def test_enumerate_copies_caps(monkeypatch):
     # A 10^3 lattice has 2,700 unit pairs, stored as 5,400 ordered pairs
-    # of a key and a distance each; the refusal names the count and the limit.
+    # of one key each; the refusal names the count and the limit.
     lattice = Configuration(points=np.array(list(itertools.product(range(10), repeat=3)), dtype=float))
-    monkeypatch.setattr(geometry, "MAX_ENTRIES", 10799)
-    refusal = "neighbour lists after 1000 of 1000 points would store 10800 entries, more than the limit of 10799"
+    monkeypatch.setattr(geometry, "MAX_ENTRIES", 5399)
+    refusal = "neighbour lists after 1000 of 1000 points would store 5400 entries, more than the limit of 5399"
     with pytest.raises(GeometryError, match=refusal):
         enumerate_copies(lattice, SimplexSpec.pair(1.0))
-    monkeypatch.setattr(geometry, "MAX_ENTRIES", 10800)
+    monkeypatch.setattr(geometry, "MAX_ENTRIES", 5400)
     assert len(enumerate_copies(lattice, SimplexSpec.pair(1.0))) == 2700
     with pytest.raises(GeometryError, match="spec size 6"):
         enumerate_copies(Configuration(points=lattice.points[:10]), SimplexSpec.regular(7, 1.0))
@@ -612,6 +612,25 @@ def test_enumerate_copies_memory_follows_the_candidates():
         tracemalloc.stop()
     assert found == [(i, i + 1) for i in range(n - 1)]
     assert peak < n * n * 8 // 10
+
+
+def test_neighbour_lists_peak_near_their_stored_keys():
+    # Two orthogonal circles of radius 1/sqrt(2) in E^4: every pair across
+    # them is a unit chord and no pair on one circle is, so the lists
+    # hold 2 x 1023 x 1025 keys, each ordered pair once.
+    r = math.sqrt(0.5)
+    pts = np.zeros((2048, 4))
+    for start, count, axes in ((0, 1023, [0, 1]), (1023, 1025, [2, 3])):
+        angles = 2.0 * math.pi * np.arange(count) / count
+        pts[start : start + count, axes] = r * np.column_stack([np.cos(angles), np.sin(angles)])
+    tracemalloc.start()
+    try:
+        (keys,) = geometry._neighbour_lists(pts, np.array([1.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 2 * 1023 * 1025
+    assert peak <= 2.5 * keys.nbytes
 
 
 def brute_force_copies(points, spec):
@@ -641,20 +660,38 @@ LATTICE_SPECS = {
 }
 
 
+def rotation(a: float, b: float) -> np.ndarray:
+    """A rotation by a about the z axis after one by b about the x axis."""
+    ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+    about_z = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    about_x = np.array([[1.0, 0.0, 0.0], [0.0, cb, -sb], [0.0, sb, cb]])
+    return about_z @ about_x
+
+
 @pytest.mark.parametrize("name", sorted(LATTICE_SPECS))
 def test_enumerate_copies_matches_brute_force_on_lattice_clouds(name):
     corners, order = LATTICE_SPECS[name]
     spec = SimplexSpec.from_points(np.array(corners, dtype=float))
     perms = itertools.permutations(range(spec.k))
     assert sum(np.array_equal(spec.sq_dist[np.ix_(p, p)], spec.sq_dist) for p in perms) == order
+    # Turned, the equal distances of every symmetric spec round apart, so
+    # the exact automorphisms no longer prune.
+    turn = rotation(0.3, 0.4)
+    turned = SimplexSpec.from_points(np.array(corners, dtype=float) @ turn.T)
+    off = ~np.eye(spec.k, dtype=bool)
+    assert order == 1 or len(np.unique(turned.sq_dist[off])) > len(np.unique(spec.sq_dist[off]))
     lattice = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
     rng = np.random.default_rng(7)
     for _ in range(4):
         pts = lattice[rng.permutation(len(lattice))[: int(rng.integers(12, 20))]]
         copies = enumerate_copies(Configuration(points=pts), spec)
         assert copies == brute_force_copies(pts, spec)
-        # Automorphism pruning leaves one embedding per copy.
-        assert sum(len(b) for b in geometry._embeddings(pts, spec.sq_dist, sq_close)) == len(copies)
+        # Automorphism pruning leaves one embedding per copy of an exact spec.
+        assert sum(len(b) for b in geometry._embeddings(pts, spec.sq_dist)) == len(copies)
+        # A rounded spec may be embedded several times per copy; the
+        # repeats are dropped.
+        moved = pts @ turn.T
+        assert enumerate_copies(Configuration(points=moved), turned) == brute_force_copies(moved, turned) == copies
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 0.6), (1.5, 1.0), (0.3, 7.0)])
@@ -671,9 +708,10 @@ def test_rectangle_spec_keeps_the_rectangle_symmetries(a, b):
 
 def test_enumerate_copies_of_a_rounded_spec_equal_the_exact_ones():
     # from_points rounds the rectangle's equal sides apart (0.36 and
-    # 0.3599999999999999, say): the classes join them, each kept copy is
-    # checked against the spec through the listed automorphisms, and
-    # the copies are the exact spec's.
+    # 0.3599999999999999, say): each value gets its own neighbour list,
+    # fewer automorphisms prune, each copy may be found in several
+    # orders, and once the repeats are dropped the copies are the exact
+    # spec's.
     rounded = SimplexSpec.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 0.6], [1.0, 0.6]])
     exact = SimplexSpec.rectangle(1.0, 0.6)
     assert not np.array_equal(rounded.sq_dist, exact.sq_dist)
@@ -685,9 +723,10 @@ def test_enumerate_copies_of_a_rounded_spec_equal_the_exact_ones():
 
 def test_enumerate_copies_with_close_unequal_spec_distances():
     # A right isosceles triangle whose legs differ by 0.8e-9 (relative):
-    # within tolerance of each other, so the legs' classes merge and the
-    # swap of rows 1 and 2 prunes, yet a point pair may be close to one
-    # leg and not the other.
+    # within tolerance of each other, yet a point pair may be close to
+    # one leg and not the other, so each leg is matched on its own value
+    # and the swap of rows 1 and 2, not an exact automorphism, does not
+    # prune.
     spec = SimplexSpec(np.array([[0.0, 1.0, 1.0 + 0.8e-9], [1.0, 0.0, 2.0], [1.0 + 0.8e-9, 2.0, 0.0]]))
 
     def triangle(u: float, v: float) -> np.ndarray:
@@ -703,11 +742,11 @@ def test_enumerate_copies_with_close_unequal_spec_distances():
     for pts, want in ((swapped, [(0, 1, 2)]), (neither, [])):
         assert brute_force_copies(pts, spec) == want
         assert enumerate_copies(Configuration(points=pts), spec) == want
-    # Legs 1.5e-9 apart do not merge: both orders fit a triangle whose
-    # legs sit between them, and the copy is listed once.
+    # Legs 1.5e-9 apart: both orders fit a triangle whose legs sit
+    # between them, and the copy is listed once.
     spec = SimplexSpec(np.array([[0.0, 1.0, 1.0 + 1.5e-9], [1.0, 0.0, 2.0], [1.0 + 1.5e-9, 2.0, 0.0]]))
     middle = triangle(1.0 + 0.75e-9, 1.0 + 0.75e-9)
-    assert sum(len(b) for b in geometry._embeddings(middle, spec.sq_dist, sq_close)) == 2
+    assert sum(len(b) for b in geometry._embeddings(middle, spec.sq_dist)) == 2
     assert enumerate_copies(Configuration(points=middle), spec) == brute_force_copies(middle, spec) == [(0, 1, 2)]
 
 

@@ -33,7 +33,9 @@ on both sides and diffing the outputs.  It prints, one line each:
   each of the four specs of the copies scan (a pair, a rectangle, a
   triangle and a tetrahedron) in a seeded 200-point product, a 6-point
   spec in the 8^3 integer lattice and the regular tetrahedron in the
-  anchor gadget;
+  anchor gadget, and for two specs ``SimplexSpec.from_points`` rounds
+  (equal distances a bit apart): the 1.0 x 0.6 rectangle in a 3x3x2
+  grid and the regular tetrahedron in the anchor gadget;
 - bit digests of ``path_config``, ``eps_max`` and ``chain_on_sphere``
   on seeded inputs, refusals included, and of the chord ``ell`` of
   ``perturbed_chord`` on 200 seeded obtuse triples and eps;
@@ -66,7 +68,14 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from egr.cli import main  # noqa: E402
-from egr.geometry import Configuration, GeometryError, SimplexSpec, enumerate_copies, pairwise_sq_dists  # noqa: E402
+from egr.geometry import (  # noqa: E402
+    Configuration,
+    GeometryError,
+    SimplexSpec,
+    embed_from_distances,
+    enumerate_copies,
+    pairwise_sq_dists,
+)
 from egr.perturbation import eps_max  # noqa: E402
 from egr.rectangles import path_config, product_config, regular_simplex  # noqa: E402
 from egr.solver import BudgetExceeded, ColoringProblem, _orbit_order, solve_gr  # noqa: E402
@@ -247,7 +256,12 @@ def copies() -> None:
     corners = np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0], [0, 0, 3], [1, 1, 1], [2, 1, 0]], dtype=float)
     cases.append(("lattice 8^3 six-point", lattice, SimplexSpec.from_points(corners)))
     regular = SimplexSpec.regular(4, 1.0)
-    cases.append(("anchor tetrahedron", build_anchor_gadget(tetra_profile(regular)).cfg, regular))
+    anchor = build_anchor_gadget(tetra_profile(regular)).cfg
+    cases.append(("anchor tetrahedron", anchor, regular))
+    grid = Configuration(points=np.array(list(itertools.product([0.0, 1.0, 2.0], [0.0, 0.6, 1.2], [0.0, 1.0]))))
+    rectangle = SimplexSpec.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 0.6], [1.0, 0.6]])
+    cases.append(("grid 3x3x2 rounded rectangle", grid, rectangle))
+    cases.append(("anchor rounded tetrahedron", anchor, SimplexSpec.from_points(embed_from_distances(regular))))
     for name, cfg, spec in cases:
         found = enumerate_copies(cfg, spec)
         print(f"copies {name}: {len(found)} {digest(found)}")

@@ -693,16 +693,21 @@ def enumerate_copies(cfg: Configuration, spec: SimplexSpec):
     each copy once, or more often when spec values within tolerance of
     each other are unequal (a spec rounded from points, say); the sorted
     rows are ordered by one ``lexsort`` and such repeats, then adjacent,
-    are dropped.  Capped at k <= 6; the stored neighbour lists pass
-    ``check_entries``, which bounds the memory together with the blocks
-    of distances scanned.
+    are dropped.  Capped at k <= 6; the stored neighbour lists and the
+    gathered rows, counted as their blocks arrive, pass ``check_entries``,
+    which bounds the memory together with the blocks of distances scanned.
+    The copies returned are never more than the rows gathered.
     """
     k = spec.k
     if k > 6:
         raise GeometryError("enumerate_copies capped at spec size 6")
     if k > len(cfg):
         return []
-    blocks = [np.sort(b, axis=1) for b in _embeddings(cfg.points, spec.sq_dist)]
+    blocks, gathered = [], 0
+    for block in _embeddings(cfg.points, spec.sq_dist):
+        gathered += block.size
+        check_entries(f"copy enumeration's {gathered // k} gathered embeddings of {k} points", gathered)
+        blocks.append(np.sort(block, axis=1))
     if not blocks:
         return []
     rows = lex_rows(np.concatenate(blocks))
@@ -772,25 +777,26 @@ def write_json_atomic(path: str, payload: dict):
     rename, so readers never see a torn file.
 
     The text is ``json.dumps(payload)`` with each top-level ndarray value
-    in place of its ``tolist()``.  Other values go through the C encoder
-    one at a time; a 2-D float64 array is streamed a block of rows at a
-    time by ``_write_rows``, which holds Python floats for at most one
-    block and never the whole text.  Floats are written with
-    ``float.__repr__`` either way, so they reload bit-identical."""
+    in place of its ``tolist()``, written as bytes (it is ASCII).  Other
+    values go through the C encoder one at a time; a 2-D float64 array is
+    streamed a block of rows at a time by ``_write_rows``, which formats
+    each distinct nonzero value of its sparse blocks once and never holds
+    the whole text.  Floats are written with ``float.__repr__`` either
+    way, so they reload bit-identical."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("{")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"{")
             for i, (key, value) in enumerate(payload.items()):
                 if not isinstance(key, str):
                     raise TypeError(f"JSON object keys must be str, got {key!r}")
-                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ".encode())
                 if isinstance(value, np.ndarray):
                     _write_rows(fh, value)
                 else:
-                    fh.write(json.dumps(value))
-            fh.write("}\n")
+                    fh.write(json.dumps(value).encode())
+            fh.write(b"}\n")
         # mkstemp creates the file 0600; give it the mode a plain open
         # would.  The umask can only be read by setting it.
         umask = os.umask(0)
@@ -804,31 +810,41 @@ def write_json_atomic(path: str, payload: dict):
 
 
 def _write_rows(fh, a: np.ndarray):
-    """Write a 2-D float64 array as ``json.dumps(a.tolist())`` does, a block of
-    rows at a time: one ``json.dumps`` if most entries are nonzero, else ``0.0``
-    for each entry whose bits are zero (not ``-0.0``) and json for the rest."""
+    """Write a 2-D float64 array to the binary file ``fh`` as the bytes of
+    ``json.dumps(a.tolist())``, a block of rows at a time.  A block with at
+    least half its entries nonzero is one ``json.dumps``.  In any other
+    block the text is cut from one all-zero template of the block's rows,
+    each nonzero entry's text in place of the ``0.0`` at its fixed offset;
+    each distinct nonzero bit pattern (``-0.0`` included) is formatted once
+    per call, by one ``json.dumps`` of the patterns a block adds."""
     if a.ndim != 2 or a.dtype != np.float64:
         raise TypeError(f"only 2-D float64 arrays are written, got {a.dtype} {a.shape}")
-    dim, zeros = a.shape[1], "0.0, " * a.shape[1]
+    n, dim = a.shape
     step = max(1, _TOKEN_CHUNK // max(dim, 1))
-    fh.write("[")
-    for lo in range(0, len(a), step):
-        block = a[lo : lo + step]
-        rows, cols = np.divmod(np.flatnonzero(block.view(np.uint64) != 0), max(dim, 1))
-        if 2 * rows.size > block.size:
-            fh.write((", " if lo else "") + json.dumps(block.tolist())[1:-1])
+    width = 5 * dim + 2  # bytes of one row "[0.0, ..., 0.0], " of the template
+    template = memoryview((b"[" + b", ".join([b"0.0"] * dim) + b"], ") * min(step, n))
+    texts: dict[int, bytes] = {}  # bit pattern -> its JSON text
+    fh.write(b"[")
+    for lo in range(0, n, step):
+        block = a[lo : lo + step].view(np.uint64).reshape(-1)
+        at = np.flatnonzero(block != 0)
+        if lo:
+            fh.write(b", ")
+        if 2 * at.size >= block.size:
+            fh.write(json.dumps(a[lo : lo + step].tolist())[1:-1].encode())
             continue
-        values = json.dumps(block[rows, cols].tolist())[1:-1].split(", ")
-        cols, k = cols.tolist(), 0
-        for i, end in enumerate(np.searchsorted(rows, np.arange(1, len(block) + 1)).tolist()):
-            parts, done = [", [" if lo + i else "["], 0
-            for j, v in zip(cols[k:end], values[k:end]):
-                parts += (zeros[: 5 * (j - done)], v, ", ")
-                done = j + 1
-            parts.append(zeros[: 5 * (dim - done)])
-            fh.write("".join(parts).removesuffix(", ") + "]")
-            k = end
-    fh.write("]")
+        values = block[at].tolist()
+        new = list(set(values).difference(texts))
+        formatted = json.dumps(np.array(new, np.uint64).view(np.float64).tolist())[1:-1].encode().split(b", ")
+        texts.update(zip(new, formatted))
+        rows, cols = np.divmod(at, dim)
+        offsets = rows * width + 5 * cols + 1  # of each nonzero entry's "0.0"
+        parts = [None] * (2 * len(values) + 1)
+        cuts = map(slice, [0, *(offsets + 3).tolist()], [*offsets.tolist(), len(block) // dim * width - 2])
+        parts[::2] = map(template.__getitem__, cuts)
+        parts[1::2] = map(texts.__getitem__, values)
+        fh.write(b"".join(parts))
+    fh.write(b"]")
 
 
 _WS = rb"[ \t\n\r]*"
@@ -836,6 +852,7 @@ _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
 _KEY_COLON = re.compile(_WS + b":" + _WS)
 _ROWS_OPEN = re.compile(rb"\[" + _WS + rb"\[")
 _ROWS_CLOSE = re.compile(_WS + rb"\]")
+_GAP = re.compile(_WS + b"," + _WS + rb"\[")
 
 
 def read_json(path: str):
@@ -843,7 +860,9 @@ def read_json(path: str):
     ``"points"`` key that is a rectangular array of number rows comes back
     as a float64 ndarray, bit-equal to ``np.asarray(value, dtype=float)``,
     decoded from the file's bytes a chunk of rows at a time (the peak is about
-    the file plus the array); only the rest is decoded, as strict UTF-8."""
+    the file plus the array) by ``_dense_rows``: tokens ``0.0`` are found by
+    numpy and left at zero, and each distinct text of the other tokens is
+    decoded once a batch.  Only the rest is decoded, as strict UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read()
     arrays, pieces, done, pos = [], [], 0, 0
@@ -877,11 +896,59 @@ def read_json(path: str):
 def _dense_rows(data: bytes, pos: int):
     """The rectangular array of JSON-number rows at ``data[pos]`` as float64
     and the end of its bytes, or None (empty, ragged, nested, not numbers).
-    Numpy finds the brackets in windows that start small and double, so a
-    value given up early (nested, say) is scanned about as far as it goes."""
+    Rows of at least ``_LONG_ROW`` bytes, judged by the first, are found by
+    ``_walk_rows``, shorter ones by ``_window_rows``."""
     if not (m := _ROWS_OPEN.match(data, pos)):
         return None
-    q, starts, ends, size = m.end() - 1, [], [], 64
+    q = m.end() - 1
+    rows = _walk_rows if data.find(b"]", q, q + _LONG_ROW) < 0 else _window_rows
+    if not (found := rows(data, q)):
+        return None
+    starts, ends = found
+    if not (close := _ROWS_CLOSE.match(data, int(ends[-1]) + 1)):
+        return None
+    n, dim = len(starts), data.count(b",", starts[0], ends[0]) + 1
+    out = np.zeros((n, dim))
+    step = max(1, _TOKEN_CHUNK // dim)
+    left, count = [], 0  # the tokens the chunks left, decoded a quarter chunk or more at a time
+    try:
+        for lo in range(0, n, step):
+            at, hi = _parse_rows(data, starts[lo : lo + step], ends[lo : lo + step], out[lo : lo + step])
+            left.append((at + lo * dim, hi))
+            count += len(at)
+            if 4 * count >= _TOKEN_CHUNK or lo + step >= n:
+                at, hi = map(np.concatenate, zip(*left))
+                left, count = [], 0
+                if at.size:
+                    out.reshape(-1)[at] = _numbers_at(data, hi, starts[at // dim])
+    except (ValueError, OverflowError):  # json's errors, and ints beyond float range
+        return None
+    return out, close.end()
+
+
+_LONG_ROW = 1024  # bytes from which a row costs less to find by bytes.find than by numpy
+
+
+def _walk_rows(data: bytes, q: int):
+    """The starts and ends of the rows from the ``[`` at ``data[q]``, or
+    None: each row runs to the first ``]`` after it, holds no ``[``, and is
+    followed by whitespace, one comma and the next row's ``[``, or ends
+    the rows.  Two ``bytes.find`` calls and one regex match per row."""
+    starts, ends = [], []
+    while (e := data.find(b"]", q)) >= 0 and data.find(b"[", q + 1, e) < 0:
+        starts.append(q + 1)
+        ends.append(e)
+        if not (gap := _GAP.match(data, e + 1)):
+            return np.array(starts), np.array(ends)
+        q = gap.end() - 1
+    return None
+
+
+def _window_rows(data: bytes, q: int):
+    """As ``_walk_rows``, by numpy over windows of bytes that start small
+    and double, so a value given up early (nested, say) is scanned about
+    as far as it goes."""
+    starts, ends, size = [], [], 64
     while True:
         c = np.frombuffer(data, np.uint8, min(size, len(data) - q), q)
         at = np.flatnonzero((c == 91) | (c == 93))  # at[0] is the "[" of a row, at q
@@ -903,53 +970,102 @@ def _dense_rows(data: bytes, pos: int):
             return None
         q += int(at[2 * rows])
         size = 2 * size if rows == 0 else min(2 * size, 8 * _TOKEN_CHUNK)
-    starts, ends = np.concatenate(starts), np.concatenate(ends)
-    if not (close := _ROWS_CLOSE.match(data, int(ends[-1]) + 1)):
-        return None
-    out = np.zeros((len(starts), data.count(b",", starts[0], ends[0]) + 1))
-    step = max(1, _TOKEN_CHUNK // out.shape[1])
-    for lo in range(0, len(starts), step):
-        try:
-            _parse_rows(data, starts[lo : lo + step], ends[lo : lo + step], out[lo : lo + step])
-        except (ValueError, OverflowError):  # json's errors, and ints beyond float range
-            return None
-    return out, close.end()
+    return np.concatenate(starts), np.concatenate(ends)
 
 
 def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray, out: np.ndarray):
     """Fill ``out`` from the rows ``data[starts[i]:ends[i]]`` as ``np.asarray``
-    does from ``json.loads``: tokens ``0.0`` or `` 0.0`` after a comma stay
-    zero, json decodes the rest (all, if most are nonzero).  Raises
-    ValueError unless each row has ``out.shape[1]`` JSON numbers."""
+    does from ``json.loads``, but for the tokens it leaves to its caller, of
+    which it returns the flat indices into ``out`` and the ends in ``data``.
+    Tokens ``0.0`` or `` 0.0`` after a comma stay zero and the rest are
+    left, unless most are nonzero: then json decodes the whole chunk.
+    Raises ValueError unless each row has ``out.shape[1]`` JSON numbers."""
     base = int(starts[0]) - 8  # so that even the first comma has five bytes before it
-    c = np.frombuffer(data, np.uint8)[base : int(ends[-1]) + 1]
+    c = np.frombuffer(data, np.uint8, int(ends[-1]) + 1 - base, base)
     n, dim = out.shape
-    comma, zero = c == 44, c == 48
-    # A token holds no comma, and a "[" follows the comma after a row.
-    literal = zero[7:-1] & (c[6:-2] == 46) & zero[5:-3] & (comma[4:-4] | (c[4:-4] == 32) & comma[3:-5])
-    words = np.packbits(np.append(comma, np.zeros(-c.size % 64, bool)), bitorder="little").view("<u8")
-    counts = np.bitwise_count(words)
-    before = np.cumsum(counts, dtype=np.int64) - counts - np.count_nonzero(comma[:8])
+
+    def where(char):  # bit p of the 64-bit little-endian words is set where c[p] == char
+        bits = np.zeros(-(-c.size // 64) * 8, np.uint8)
+        bits[: -(-c.size // 8)] = np.packbits(c == char, bitorder="little")
+        return bits.view("<u8")
+
+    def back(bits, s):  # bit p is bit p - s of ``bits``
+        moved = bits << np.uint64(s)
+        moved[1:] |= bits[:-1] >> np.uint64(64 - s)
+        return moved
+
+    comma, zero, dot, space = map(where, b",0. ")
+    counts = np.bitwise_count(comma)
+    before = np.cumsum(counts, dtype=np.int64) - counts - int(np.bitwise_count(comma[0] & np.uint64(0xFF)))
 
     def rank(p):  # the commas before each position: popcounts of the comma bits in 64-bit words
-        return before[p >> 6] + np.bitwise_count(words[p >> 6] & (np.uint64(1) << (p & 63).astype(np.uint64)) - 1)
+        return before[p >> 6] + np.bitwise_count(comma[p >> 6] & (np.uint64(1) << (p & 63).astype(np.uint64)) - 1)
 
     # With one comma between rows, row i has dim - 1 iff (i + 1) * dim - 1 precede its "]".
     if (rank(ends - base) != np.arange(dim - 1, n * dim, dim)).any():
         raise ValueError("rows of different widths")
-    nonzero = comma[8:] > literal
-    if 2 * np.count_nonzero(nonzero) > n * dim:  # mostly nonzero: decode the whole chunk
-        rest, tokens = slice(None), bytearray(c)
+    # A token holds no comma, and a "[" follows the comma after a row.
+    literal = back(zero, 1) & back(dot, 2) & back(zero, 3) & (back(comma, 4) | back(space, 4) & back(comma, 5))
+    nonzero = comma & ~literal
+    nonzero[0] &= ~np.uint64(0xFF)  # the commas before the first row end none of its tokens
+    if 2 * int(np.bitwise_count(nonzero).sum()) > n * dim:  # mostly nonzero: decode the whole chunk
+        tokens = bytearray(c)
         np.frombuffer(tokens, np.uint8)[np.r_[0:8, starts - base - 1, ends - base]] = 32  # blank the brackets
-    else:
-        # Comma k ends token k; the comma after a row's "]" ends its last token.
-        at = np.flatnonzero(nonzero) + 8
-        rest = np.append(rank(at), n * dim - 1)
-        row, col = np.divmod(rest, dim)
-        hi, first = np.append(at + base, 0), starts[row]
-        hi[col == dim - 1] = ends[row[col == dim - 1]]
-        tokens = b",".join([data[data.rfind(b",", f, j) + 1 or f : j] for f, j in zip(first.tolist(), hi.tolist())])
+        out.reshape(-1)[:] = _numbers(bytes(tokens), n * dim)
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    # Comma k ends token k; the comma after a row's "]" ends its last token.
+    words = np.flatnonzero(nonzero != 0)
+    word, bit = np.nonzero(np.unpackbits(nonzero[words].view(np.uint8), bitorder="little").reshape(-1, 64))
+    at = words[word] * 64 + bit
+    rest = np.append(rank(at), n * dim - 1)
+    row, col = np.divmod(rest, dim)
+    hi = np.append(at + base, 0)
+    hi[col == dim - 1] = ends[row[col == dim - 1]]
+    return rest, hi
+
+
+_TOKEN_BYTES = 32  # bytes read before the end of each token _numbers_at decodes
+# Odd multipliers that hash the 8-byte words of a token's text.
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93], np.uint64)
+
+
+def _numbers_at(data: bytes, ends: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """The JSON numbers that end at ``ends`` in ``data``, each after the last
+    comma before it or at the start ``firsts`` of its row, as float64.
+
+    Each token is read from the ``_TOKEN_BYTES`` bytes before its end, with
+    those up to its comma or its row's ``[`` blanked, and each distinct such
+    text is decoded once: the texts are sorted by a hash of their words, so
+    equal texts sit together, and each run of equal texts is one.  A token
+    not within its bytes (or within the file's first bytes) is sliced out."""
+    width = min(_TOKEN_BYTES, len(data) // 8 * 8)
+    texts = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), width)[np.maximum(ends - width, 0)]
+    sep = (texts == 44) | (texts == 91)
+    texts[np.arange(width) <= width - 1 - np.argmax(sep[:, ::-1], axis=1)[:, None]] = 32
+    inside = sep.any(axis=1) & (ends >= width)
+    words = texts[inside].view("<u8")
+    order = np.argsort(words @ _MIX[: width // 8])
+    words = words[order]
+    first = np.ones(len(words), bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty(len(order), np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    texts = np.concatenate((words[first].view(np.uint8), np.full((np.count_nonzero(first), 1), 44, np.uint8)), axis=1)
+    values = np.empty(len(ends))
+    values[inside] = np.array(_numbers(texts.tobytes()[:-1], len(texts)), dtype=float)[inverse]
+    if not inside.all():
+        spans = zip(firsts[~inside].tolist(), ends[~inside].tolist())
+        sliced = b",".join(data[data.rfind(b",", f, e) + 1 or f : e] for f, e in spans)
+        values[~inside] = _numbers(sliced, np.count_nonzero(~inside))
+    return values
+
+
+def _numbers(text: bytes, count: int) -> list:
+    """json's list of the ``count`` comma-separated tokens ``text``, which
+    may hold only number characters and whitespace."""
     # With no quote, brace, bracket or letter of true/false/null, json reads numbers or fails.
-    if tokens.translate(None, b"0123456789+-.eENaInfity,\t\n\r "):
+    if text.translate(None, b"0123456789+-.eENaInfity,\t\n\r "):
         raise ValueError("a number row holds a character no JSON number has")
-    out.reshape(-1)[rest] = json.loads(b"[" + tokens + b"]")
+    if len(numbers := json.loads(b"[" + text + b"]")) != count:  # one blank token reads as []
+        raise ValueError("a token is blank")
+    return numbers

@@ -12,6 +12,7 @@ bar its float64 ``points`` arrays, and raise wherever ``json.load``
 raises.
 """
 
+import io
 import itertools
 import json
 import math
@@ -26,7 +27,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from egr import geometry
 from egr.cli import main
@@ -492,3 +493,51 @@ def test_read_json_equals_json_load_in_small_chunks(text, mutation, at, char):
     the whole-chunk decoding run."""
     with mock.patch.object(geometry, "_TOKEN_CHUNK", 8):
         test_read_json_equals_json_load.hypothesis.inner_test(text, mutation, at, char)
+
+
+@settings(FUZZ, max_examples=400)
+@given(json_documents(), st.sampled_from([None, None, "delete", "insert", "truncate"]), st.integers(0, 10**6),
+       st.sampled_from(list('[]{},:"0.-eN ')))
+def test_read_json_equals_json_load_walking_rows(text, mutation, at, char):
+    """The same equality with every array's rows found by ``bytes.find``,
+    as rows of ``_LONG_ROW`` bytes or more are, instead of in windows."""
+    assume(not any("\ud800" <= c <= "\udfff" for c in text))  # a lone surrogate, which no UTF-8 file holds
+    with mock.patch.object(geometry, "_LONG_ROW", 0):
+        test_read_json_equals_json_load.hypothesis.inner_test(text, mutation, at, char)
+
+
+# Each array below repeats a few values, as the tetra artifacts do: its
+# entries are zeros and the values of a pool of at most four.
+POOL = st.sampled_from([-0.0, 5e-324, 1e308, 1 / 3]) | st.floats()
+# Equal values spelled differently, so that equal values do not share a text.
+SPELLINGS = ["1.5", "1.50", "15e-1", "-0.0", "5e-324", "1e308", "0.3333333333333333", "0.0", "0", "0.00"]
+
+
+@settings(FUZZ, max_examples=200)
+@given(st.lists(POOL, min_size=1, max_size=4), st.integers(1, 12), st.integers(1, 12), st.data(),
+       st.sampled_from([None, 8]))
+def test_write_rows_writes_what_json_dumps_writes_on_repeated_values(pool, n, dim, data, chunk):
+    """The writer formats each distinct value once per array and cuts its
+    zeros from a template; its text is still ``json.dumps`` of the rows,
+    over one block and over many (eight coordinates a block)."""
+    entries = st.sampled_from([0.0, *pool])
+    points = np.array([[data.draw(entries) for _ in range(dim)] for _ in range(n)])
+    out = io.BytesIO()
+    with mock.patch.object(geometry, "_TOKEN_CHUNK", chunk or geometry._TOKEN_CHUNK):
+        geometry._write_rows(out, points)
+    assert out.getvalue() == json.dumps(points.tolist()).encode()
+
+
+@settings(FUZZ, max_examples=200)
+@given(st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=4), st.integers(1, 12), st.integers(1, 12),
+       st.data(), st.sampled_from(["compact", "default", "random"]), st.sampled_from([None, 8]))
+def test_read_json_equals_json_load_on_respelled_values(pool, n, dim, data, style, chunk):
+    """``read_json`` decodes each distinct token text once; equal values
+    spelled differently in one chunk (``1.5``, ``1.50``, ``15e-1``) must
+    still read as ``json.load`` reads them, with the default chunk and
+    with eight coordinates a chunk."""
+    entries = st.sampled_from(["0.0", *pool]).map(Raw)
+    rows = [[data.draw(entries) for _ in range(dim)] for _ in range(n)]
+    text = _json_text(Pairs([("dim", dim), ("points", rows)]), style, random.Random(n * 13 + dim))
+    with mock.patch.object(geometry, "_TOKEN_CHUNK", chunk or geometry._TOKEN_CHUNK):
+        test_read_json_equals_json_load.hypothesis.inner_test(text, None, 0, " ")

@@ -29,7 +29,7 @@ from egr.geometry import (
     squared_distance,
     write_json_atomic,
 )
-from egr.rectangles import path_config
+from egr.rectangles import path_config, regular_simplex
 
 
 def brute_force_congruence(A, B):
@@ -597,6 +597,25 @@ def test_enumerate_copies_caps(monkeypatch):
     assert len(enumerate_copies(lattice, SimplexSpec.pair(1.0))) == 2700
     with pytest.raises(GeometryError, match="spec size 6"):
         enumerate_copies(Configuration(points=lattice.points[:10]), SimplexSpec.regular(7, 1.0))
+
+
+def test_enumerate_copies_counts_every_gathered_embedding(monkeypatch):
+    # Read back from points, the regular 6-point spec holds two rounded
+    # side values, so its 924 copies in the 12-point simplex are found
+    # 13,860 times; each gathered row of 6 indices is counted by the size
+    # rule before the repeats are dropped, and bounds the copies returned.
+    spec = SimplexSpec.from_points(embed_from_distances(SimplexSpec.regular(6, 1.0)))
+    check_entries, counted = geometry.check_entries, []
+
+    def check(what, entries):
+        check_entries(what, entries)
+        if "gathered" in what:
+            counted.append(entries)
+
+    monkeypatch.setattr(geometry, "check_entries", check)
+    copies = enumerate_copies(regular_simplex(12, 1.0), spec)
+    assert len(copies) == math.comb(12, 6) == 924
+    assert counted == sorted(counted) and counted[-1] == 13_860 * 6
 
 
 def test_enumerate_copies_memory_follows_the_candidates():

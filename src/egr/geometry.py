@@ -815,8 +815,11 @@ def _write_rows(fh, a: np.ndarray):
     least half its entries nonzero is one ``json.dumps``.  In any other
     block the text is cut from one all-zero template of the block's rows,
     each nonzero entry's text in place of the ``0.0`` at its fixed offset;
-    each distinct nonzero bit pattern (``-0.0`` included) is formatted once
-    per call, by one ``json.dumps`` of the patterns a block adds."""
+    each distinct nonzero bit pattern (``-0.0`` included) is formatted once,
+    by one ``json.dumps`` of the patterns a block adds.  The formatted texts
+    are kept for the next blocks until they pass a quarter chunk, then
+    dropped, so they hold about one block's worth however many values the
+    array has."""
     if a.ndim != 2 or a.dtype != np.float64:
         raise TypeError(f"only 2-D float64 arrays are written, got {a.dtype} {a.shape}")
     n, dim = a.shape
@@ -834,6 +837,8 @@ def _write_rows(fh, a: np.ndarray):
             fh.write(json.dumps(a[lo : lo + step].tolist())[1:-1].encode())
             continue
         values = block[at].tolist()
+        if len(texts) > _TOKEN_CHUNK // 4:
+            texts.clear()
         new = list(set(values).difference(texts))
         formatted = json.dumps(np.array(new, np.uint64).view(np.float64).tolist())[1:-1].encode().split(b", ")
         texts.update(zip(new, formatted))
@@ -895,14 +900,10 @@ def read_json(path: str):
 
 def _dense_rows(data: bytes, pos: int):
     """The rectangular array of JSON-number rows at ``data[pos]`` as float64
-    and the end of its bytes, or None (empty, ragged, nested, not numbers).
-    Rows of at least ``_LONG_ROW`` bytes, judged by the first, are found by
-    ``_walk_rows``, shorter ones by ``_window_rows``."""
+    and the end of its bytes, or None (empty, ragged, nested, not numbers)."""
     if not (m := _ROWS_OPEN.match(data, pos)):
         return None
-    q = m.end() - 1
-    rows = _walk_rows if data.find(b"]", q, q + _LONG_ROW) < 0 else _window_rows
-    if not (found := rows(data, q)):
+    if not (found := _walk_rows(data, m.end() - 1)):
         return None
     starts, ends = found
     if not (close := _ROWS_CLOSE.match(data, int(ends[-1]) + 1)):
@@ -926,9 +927,6 @@ def _dense_rows(data: bytes, pos: int):
     return out, close.end()
 
 
-_LONG_ROW = 1024  # bytes from which a row costs less to find by bytes.find than by numpy
-
-
 def _walk_rows(data: bytes, q: int):
     """The starts and ends of the rows from the ``[`` at ``data[q]``, or
     None: each row runs to the first ``]`` after it, holds no ``[``, and is
@@ -942,35 +940,6 @@ def _walk_rows(data: bytes, q: int):
             return np.array(starts), np.array(ends)
         q = gap.end() - 1
     return None
-
-
-def _window_rows(data: bytes, q: int):
-    """As ``_walk_rows``, by numpy over windows of bytes that start small
-    and double, so a value given up early (nested, say) is scanned about
-    as far as it goes."""
-    starts, ends, size = [], [], 64
-    while True:
-        c = np.frombuffer(data, np.uint8, min(size, len(data) - q), q)
-        at = np.flatnonzero((c == 91) | (c == 93))  # at[0] is the "[" of a row, at q
-        # "[" and "]" alternate; a "]" for a "[" closes, a "[" for a "]" nests
-        wrong = np.flatnonzero((c[at] == 91) != (np.arange(at.size) % 2 == 0))
-        if wrong.size and wrong[0] % 2:
-            return None
-        rows = wrong[0] // 2 if wrong.size else (at.size - 1) // 2
-        gaps = rows - 1 if wrong.size else rows  # each through the next "[": whitespace and one comma
-        lo, lens = at[1 : 2 * gaps : 2] + 1, at[2 : 2 * gaps + 1 : 2] - at[1 : 2 * gaps : 2]
-        gap = c[np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)]
-        if gap.tobytes().translate(None, b" \t\n\r") != b",[" * gaps:
-            return None
-        starts.append(at[0 : 2 * rows : 2] + q + 1)
-        ends.append(at[1 : 2 * rows : 2] + q)
-        if wrong.size:
-            break
-        if rows == 0 and q + size >= len(data):
-            return None
-        q += int(at[2 * rows])
-        size = 2 * size if rows == 0 else min(2 * size, 8 * _TOKEN_CHUNK)
-    return np.concatenate(starts), np.concatenate(ends)
 
 
 def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray, out: np.ndarray):
@@ -1025,8 +994,6 @@ def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray, out: np.ndarr
 
 
 _TOKEN_BYTES = 32  # bytes read before the end of each token _numbers_at decodes
-# Odd multipliers that hash the 8-byte words of a token's text.
-_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93], np.uint64)
 
 
 def _numbers_at(data: bytes, ends: np.ndarray, firsts: np.ndarray) -> np.ndarray:
@@ -1035,22 +1002,16 @@ def _numbers_at(data: bytes, ends: np.ndarray, firsts: np.ndarray) -> np.ndarray
 
     Each token is read from the ``_TOKEN_BYTES`` bytes before its end, with
     those up to its comma or its row's ``[`` blanked, and each distinct such
-    text is decoded once: the texts are sorted by a hash of their words, so
-    equal texts sit together, and each run of equal texts is one.  A token
-    not within its bytes (or within the file's first bytes) is sliced out."""
+    text (``np.unique`` of the texts as byte strings) is decoded once.  A
+    token not within its bytes (or within the file's first bytes) is sliced
+    out."""
     width = min(_TOKEN_BYTES, len(data) // 8 * 8)
     texts = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), width)[np.maximum(ends - width, 0)]
     sep = (texts == 44) | (texts == 91)
     texts[np.arange(width) <= width - 1 - np.argmax(sep[:, ::-1], axis=1)[:, None]] = 32
     inside = sep.any(axis=1) & (ends >= width)
-    words = texts[inside].view("<u8")
-    order = np.argsort(words @ _MIX[: width // 8])
-    words = words[order]
-    first = np.ones(len(words), bool)
-    first[1:] = (words[1:] != words[:-1]).any(axis=1)
-    inverse = np.empty(len(order), np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    texts = np.concatenate((words[first].view(np.uint8), np.full((np.count_nonzero(first), 1), 44, np.uint8)), axis=1)
+    distinct, inverse = np.unique(texts[inside].view(f"V{width}").ravel(), return_inverse=True)
+    texts = np.concatenate((distinct.view(np.uint8).reshape(-1, width), np.full((len(distinct), 1), 44, np.uint8)), axis=1)
     values = np.empty(len(ends))
     values[inside] = np.array(_numbers(texts.tobytes()[:-1], len(texts)), dtype=float)[inverse]
     if not inside.all():

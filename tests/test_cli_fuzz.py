@@ -27,7 +27,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from egr import geometry
 from egr.cli import main
@@ -488,21 +488,10 @@ def test_read_json_equals_json_load(text, mutation, at, char):
        st.sampled_from(list('[]{},:"0.-eN ')))
 def test_read_json_equals_json_load_in_small_chunks(text, mutation, at, char):
     """The same equality with eight coordinates a chunk, on arrays up to
-    12 x 12 and mostly zeros: they span several chunks and scan windows,
+    12 x 12 and mostly zeros: they span several chunks,
     rows wider than eight are chunks of one row, and both the sliced and
     the whole-chunk decoding run."""
     with mock.patch.object(geometry, "_TOKEN_CHUNK", 8):
-        test_read_json_equals_json_load.hypothesis.inner_test(text, mutation, at, char)
-
-
-@settings(FUZZ, max_examples=400)
-@given(json_documents(), st.sampled_from([None, None, "delete", "insert", "truncate"]), st.integers(0, 10**6),
-       st.sampled_from(list('[]{},:"0.-eN ')))
-def test_read_json_equals_json_load_walking_rows(text, mutation, at, char):
-    """The same equality with every array's rows found by ``bytes.find``,
-    as rows of ``_LONG_ROW`` bytes or more are, instead of in windows."""
-    assume(not any("\ud800" <= c <= "\udfff" for c in text))  # a lone surrogate, which no UTF-8 file holds
-    with mock.patch.object(geometry, "_LONG_ROW", 0):
         test_read_json_equals_json_load.hypothesis.inner_test(text, mutation, at, char)
 
 

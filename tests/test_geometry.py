@@ -344,6 +344,23 @@ def test_save_and_load_memory_follows_the_array(tmp_path):
     assert load_extra < path.stat().st_size + 1.5 * cfg.points.nbytes
 
 
+def test_save_memory_stays_near_one_block_on_distinct_values(tmp_path):
+    # 48,000 distinct nonzero values at 10% density: the writer formats
+    # each once but keeps only about a block's worth of their texts (about
+    # 6 MB at the peak), where keeping them all would take over 10 MB.
+    points = np.zeros((12_000, 40))
+    points[:, ::10] = np.random.default_rng(1).standard_normal((12_000, 4))
+    cfg = Configuration(points=points)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cfg.save(str(tmp_path / "cfg.json"))
+        save_extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert save_extra < 8e6
+
+
 def _reads_as_json_load(path, text: str):
     """``read_json`` of ``text`` is ``json.load`` of it with each
     rectangular number-row ``points`` value as its float64 array, bit for

@@ -780,9 +780,9 @@ def write_json_atomic(path: str, payload: dict):
     in place of its ``tolist()``, written as bytes (it is ASCII).  Other
     values go through the C encoder one at a time; a 2-D float64 array is
     streamed a block of rows at a time by ``_write_rows``, which formats
-    each distinct nonzero value of its sparse blocks once and never holds
-    the whole text.  Floats are written with ``float.__repr__`` either
-    way, so they reload bit-identical."""
+    each distinct nonzero value of its sparse blocks once and holds about
+    one block of text, never the whole.  Floats are written with
+    ``float.__repr__`` either way, so they reload bit-identical."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

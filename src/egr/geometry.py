@@ -508,38 +508,51 @@ _CANDIDATE_CHUNK = 1 << 16  # candidates one step of _embeddings gathers at once
 def _neighbour_lists(points: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
     """For each squared distance v of the increasing ``values``, the
     sorted keys ``a * n + b`` of the ordered pairs of distinct points a,
-    b whose d[a, b] is ``sq_close`` to v; d is the matrix
-    ``pairwise_sq_dists`` gives.
+    b whose squared distance d[a, b] is ``sq_close`` to v.
 
     d is never held whole: its upper triangle is formed in blocks of
-    rows, by the same Gram-form arithmetic, and each entry near a value
-    is stored as (a, b) and as (b, a), so the lists are as symmetric as
-    the mirrored matrix.  Each stored ordered pair is one entry, its
-    key; ``check_entries`` refuses them while scanning."""
+    rows in Gram form, |a|^2 + |b|^2 - 2 a.b, whose rounding error in a
+    block is at most err = 4 (dim + 4) eps (max |a|^2 + max |b|^2), eps
+    the float64 machine epsilon.  Where that error could change a
+    verdict, an entry within 2 err of a tolerance edge, d is taken in
+    difference form, |a - b|^2, so no verdict depends on where the
+    points sit.  Each entry near a value is stored as (a, b) and as
+    (b, a), so the lists are symmetric.  Each stored ordered pair is
+    one entry, its key; ``check_entries`` refuses them while scanning."""
     n = len(points)
     if not len(values):
         return []
     norms = np.einsum("ij,ij->i", points, points)
-    # Every entry sq_close to a value lies in this window, widened far
-    # past rounding; only the entries inside it are compared exactly.
+    rounding = 4.0 * (points.shape[1] + 4) * np.finfo(float).eps
+    # Every entry sq_close to a value lies in this window, widened past
+    # the tolerance; each block widens it by its own err.
     floor, ceil = values[0] * (1.0 - 2.0 * REL_TOL), values[-1] * (1.0 + 2.0 * REL_TOL)
     found: list[list[np.ndarray]] = [[] for _ in values]
     total = lo = 0
     while lo < n:
         hi = min(n, lo + max(1, _GATHER_ENTRIES // (n - lo)))
+        err = rounding * (norms[lo:hi].max() + norms[lo:].max())
         block = np.add.outer(norms[lo:hi], norms[lo:])
         gram = points[lo:hi] @ points[lo:].T
         gram *= 2.0
         block -= gram
         del gram
         np.maximum(block, 0.0, out=block)
-        rows, cols = np.nonzero((block >= floor) & (block <= ceil))
+        rows, cols = np.nonzero((block >= floor - err) & (block <= ceil + err))
         upper = cols > rows
         rows, cols = rows[upper], cols[upper]
         near = block[rows, cols]
         del block
         rows += lo
         cols += lo
+        edge = np.zeros(len(near), dtype=bool)
+        for v in values:
+            edge |= np.abs(np.abs(near - v) - REL_TOL * np.maximum(near, v)) <= 2.0 * err
+        edge = np.flatnonzero(edge)
+        step = max(1, _GATHER_ENTRIES // max(1, points.shape[1]))
+        for at in (edge[i : i + step] for i in range(0, len(edge), step)):
+            diff = points[rows[at]] - points[cols[at]]
+            near[at] = np.einsum("ij,ij->i", diff, diff)
         for pieces, v in zip(found, values):
             hit = sq_close(near, v)
             a, b = rows[hit], cols[hit]
@@ -593,7 +606,8 @@ def _embeddings(points: np.ndarray, s: np.ndarray):
     ``a`` of the k rows of ``s`` to ``points``, all rows in
     lexicographic order: each copy of ``s`` in ``points`` (a point set
     with an assignment that has ``sq_close(d[a[i], a[t]], s[i, t])`` for
-    all t < i, d the matrix ``pairwise_sq_dists`` gives) at least once,
+    all t < i, d the squared distances ``_neighbour_lists`` decides,
+    with its Gram-form error bound) at least once,
     and once unless two distinct values of ``s`` lie within twice the
     tolerance.
 
@@ -661,9 +675,11 @@ def congruence_check(A, B):
 
     Returns a tuple ``perm`` with ``|A_i A_j| == |B_perm[i] B_perm[j]|``
     for all i, j (within tolerance), or None when no such bijection
-    exists.  The first assignment ``_embeddings`` yields for A's
-    distances in B, so the lexicographically first such bijection (the
-    automorphism pruning never drops it); capped at 12 points.
+    exists.  ``_embeddings`` alone decides: the first assignment it
+    yields in B for A's squared distances, measured from A's first
+    point as ``check_copies`` measures a tuple, is the lexicographically
+    first such bijection (the automorphism pruning never drops it), so
+    neither answer depends on where A or B sits; capped at 12 points.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -674,14 +690,7 @@ def congruence_check(A, B):
         raise GeometryError(f"point counts differ: {n} vs {B.shape[0]}")
     if n > 12:
         raise GeometryError("congruence_check capped at 12 points")
-    da = pairwise_sq_dists(A)
-    db = pairwise_sq_dists(B)
-
-    # Quick reject on the sorted distance multisets.
-    iu = np.triu_indices(n, k=1)
-    if not np.all(sq_close(np.sort(da[iu]), np.sort(db[iu]))):
-        return None
-    block = next(_embeddings(B, da), None)
+    block = next(_embeddings(B, pairwise_sq_dists(A - A[:1])), None)
     return None if block is None else tuple(block[0].tolist())
 
 
@@ -740,35 +749,32 @@ def embed_from_distances(spec: SimplexSpec) -> np.ndarray:
 
     Point 0 sits at the origin, point 1 on the positive first axis, and
     each later point i gets a nonnegative coordinate on axis i-1
-    (triangular pattern).  The result is validated by recomputing all
-    pairwise distances; failure raises NonRealizableError.
+    (triangular pattern).  Rows 1..k-1 are the Cholesky factor of
+    ``gram_from_sq_dist(spec.sq_dist)``, swept one axis at a time: axis
+    j's pivot is point j+1's height, and one matrix-vector product gives
+    every later point's coordinate on it (0 when the pivot is within
+    rounding of zero).  A height^2 below minus the slack, or rows that
+    ``check_copies`` finds off ``spec`` by the copy rule, raise
+    NonRealizableError.
     """
     sq = spec.sq_dist
     k = spec.k
-    dim = max(1, k - 1)
-    x = np.zeros((k, dim))
-    scale = float(np.max(sq))
-    pivot_floor = math.sqrt(sq_slack(scale))
-    for i in range(1, k):
-        v = np.zeros(dim)
-        for m in range(i - 1):
-            pivot = x[m + 1, m]
-            g = (sq[0, i] + sq[0, m + 1] - sq[i, m + 1]) / 2.0
-            proj = float(np.dot(x[m + 1, :m], v[:m]))
-            v[m] = (g - proj) / pivot if pivot > pivot_floor else 0.0
-        h2 = sq[0, i] - float(np.dot(v[: i - 1], v[: i - 1]))
-        if h2 < -sq_slack(scale):
-            raise NonRealizableError(f"embedding failed at point {i}: height^2 = {h2}")
-        v[i - 1] = math.sqrt(max(h2, 0.0))
-        x[i] = v
-    got = pairwise_sq_dists(x)
-    for i in range(k):
-        for j2 in range(i):
-            if not sq_close(float(got[i, j2]), float(sq[i, j2])):
-                raise NonRealizableError(
-                    f"embedding round trip failed on pair ({j2}, {i}): "
-                    f"{got[i, j2]} vs {sq[i, j2]}"
-                )
+    x = np.zeros((k, max(1, k - 1)))
+    g = gram_from_sq_dist(sq)
+    slack = sq_slack(float(np.max(sq)))
+    pivot_floor = math.sqrt(slack)
+    low = x[1:]  # row j is point j + 1
+    for j in range(k - 1):
+        h2 = g[j, j] - float(np.dot(low[j, :j], low[j, :j]))
+        if h2 < -slack:
+            raise NonRealizableError(f"embedding failed at point {j + 1}: height^2 = {h2}")
+        pivot = low[j, j] = math.sqrt(max(h2, 0.0))
+        if pivot > pivot_floor:
+            low[j + 1 :, j] = (g[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / pivot
+    try:
+        check_copies(x, [tuple(range(k))], sq, "embedding")
+    except GeometryError as exc:
+        raise NonRealizableError(str(exc)) from None
     return x
 
 

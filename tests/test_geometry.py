@@ -543,6 +543,20 @@ def test_congruence_of_one_point_and_of_none():
     assert congruence_check(np.zeros((0, 2)), np.zeros((0, 3))) == ()
 
 
+@pytest.mark.parametrize("t", [1e3, 1e4, 1e5])
+def test_congruence_ignores_translation(t):
+    # A's distances are measured from its first point and B's pairs are
+    # decided in difference form near a tolerance edge, so moving either
+    # set far from the origin keeps the bijection.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 3))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    b = (a @ q.T)[rng.permutation(6)]
+    perm = congruence_check(a, b)
+    assert perm is not None and perm == brute_force_congruence(a, b)
+    assert congruence_check(a + t, b) == congruence_check(a, b + t) == perm
+
+
 def test_congruence_twelve_point_regular_simplex_is_fast():
     a = embed_from_distances(SimplexSpec.regular(12, 1.0))
     rng = np.random.default_rng(12)
@@ -669,6 +683,20 @@ def test_neighbour_lists_peak_near_their_stored_keys():
     assert peak <= 2.5 * keys.nbytes
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+def test_enumerate_copies_counts_ignore_translation(scale):
+    # The 8^3 lattice, turned and moved far from the origin: the Gram
+    # form's rounding there reaches past the tolerance, so pairs near a
+    # tolerance edge are decided in difference form and every offset
+    # gives the counts of the lattice at the origin.
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    lattice = np.array(list(itertools.product(range(8), repeat=3)), dtype=float) @ q.T * scale
+    specs = [SimplexSpec.pair(scale), SimplexSpec.rectangle(scale, scale), SimplexSpec.regular(3, math.sqrt(2.0) * scale)]
+    for offset in (0.0, 1e2, 1e3, 3e3, 1e4, 1e5):
+        cfg = Configuration(points=lattice + offset * scale)
+        assert [len(enumerate_copies(cfg, spec)) for spec in specs] == [1344, 1176, 2744]
+
+
 def brute_force_copies(points, spec):
     """Oracle: every k-subset, tried in every vertex order."""
     d = pairwise_sq_dists(points)
@@ -710,12 +738,18 @@ def test_enumerate_copies_matches_brute_force_on_lattice_clouds(name):
     spec = SimplexSpec.from_points(np.array(corners, dtype=float))
     perms = itertools.permutations(range(spec.k))
     assert sum(np.array_equal(spec.sq_dist[np.ix_(p, p)], spec.sq_dist) for p in perms) == order
-    # Turned, the equal distances of every symmetric spec round apart, so
-    # the exact automorphisms no longer prune.
+    # Entry (i, j) moved up i + j ulps, as rounding a turned copy's
+    # distances may move them on one BLAS kernel, the equal distances of
+    # every symmetric spec come apart on any, so the exact automorphisms
+    # no longer prune.
     turn = rotation(0.3, 0.4)
-    turned = SimplexSpec.from_points(np.array(corners, dtype=float) @ turn.T)
+    i, j = np.indices(spec.sq_dist.shape)
+    sq = spec.sq_dist.copy()
+    for step in range(1, 2 * spec.k - 2):
+        sq = np.where((i != j) & (i + j >= step), np.nextafter(sq, np.inf), sq)
+    rounded = SimplexSpec(sq)
     off = ~np.eye(spec.k, dtype=bool)
-    assert order == 1 or len(np.unique(turned.sq_dist[off])) > len(np.unique(spec.sq_dist[off]))
+    assert order == 1 or len(np.unique(rounded.sq_dist[off])) > len(np.unique(spec.sq_dist[off]))
     lattice = np.array(list(itertools.product(range(3), repeat=3)), dtype=float)
     rng = np.random.default_rng(7)
     for _ in range(4):
@@ -727,7 +761,7 @@ def test_enumerate_copies_matches_brute_force_on_lattice_clouds(name):
         # A rounded spec may be embedded several times per copy; the
         # repeats are dropped.
         moved = pts @ turn.T
-        assert enumerate_copies(Configuration(points=moved), turned) == brute_force_copies(moved, turned) == copies
+        assert enumerate_copies(Configuration(points=moved), rounded) == brute_force_copies(moved, rounded) == copies
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 0.6), (1.5, 1.0), (0.3, 7.0)])
@@ -850,6 +884,16 @@ def test_embed_rejects_unrealizable_quad():
     assert not is_realizable(sq)
     with pytest.raises(NonRealizableError):
         SimplexSpec(sq)
+
+
+def test_embed_points_far_apart_by_the_copy_rule():
+    # The 1e-6 entry is below one ulp of 1e8, so no float64 rows meet it
+    # within 1e-9 of itself; the rows meet the copy rule, 1e-9 of the
+    # largest squared distance, as every builder's copies do.
+    spec = SimplexSpec(np.array([[0.0, 1e8, 1e8 + 1e-6], [1e8, 0.0, 1e-6], [1e8 + 1e-6, 1e-6, 0.0]]))
+    pts = embed_from_distances(spec)
+    check_copies(pts, [(0, 1, 2)], spec.sq_dist)
+    assert pts[1, 1] == 0.0 and pts[2, 1] >= 0.0
 
 
 def test_realizability_predicates():

@@ -7,8 +7,8 @@ file, ``scan`` runs one of the exhaustive logic scans, and ``report``
 prints a human-readable summary of any artifact.
 
 Every artifact is JSON and written atomically, then read back and
-compared with what was written before the verb reports success: an
-array of ``points`` bit for bit, the rest as JSON text, without
+compared with what was written before the verb reports success: the
+sparse rows of ``points`` bit for bit, the rest as JSON text, without
 validating a configuration a second time.  Exit
 codes: 0 for success (FORCED for solve, zero violations for scan), 1
 for a found counterexample or scan violations, 2 for any error or
@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from .geometry import (
+    CSR,
     Configuration,
     GeometryError,
     SimplexSpec,
@@ -176,20 +177,23 @@ CONSTRUCTORS = {
 
 def _check_written(path: str, payload: dict) -> None:
     """Compare the file at ``path`` with the ``payload`` written there:
-    an ndarray ``points`` bit for bit, the rest as JSON text, so NaN and
-    -0.0 compare exactly.  Without an array the writer's text is
+    ``CSR`` rows of ``points`` by their shape, ``indptr``, ``indices``
+    and ``data`` bits (both sides are canonical), the rest as JSON text,
+    so NaN and -0.0 compare exactly.  Without rows the writer's text is
     ``json.dumps(payload)``, so the file's bytes are compared with it."""
     want = payload.get("points")
-    if not isinstance(want, np.ndarray):
+    if not isinstance(want, CSR):
         with open(path, "rb") as fh:
             same = fh.read() == f"{json.dumps(payload)}\n".encode()
     else:
         back = read_json(path)
         got = back.get("points")
         same = (
-            isinstance(got, np.ndarray)
-            and got.dtype == want.dtype
-            and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            isinstance(got, CSR)
+            and tuple(got.shape) == tuple(want.shape)
+            and np.array_equal(got.indptr, want.indptr)
+            and np.array_equal(got.indices, want.indices)
+            and np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
             and json.dumps({**back, "points": None}) == json.dumps({**payload, "points": None})
         )
     if not same:
@@ -230,7 +234,7 @@ def _cmd_solve(args) -> int:
     result = solve_gr(problem, budget=args.budget)
     payload = result.to_json_dict()
     payload["r"] = problem.r
-    payload["points"] = len(problem.cfg.points)
+    payload["points"] = len(problem.cfg)
     write_json_atomic(args.output, payload)
     _check_written(args.output, payload)
     print(f"{result.verdict} in {result.stats.nodes} nodes -> {args.output}")
@@ -278,9 +282,10 @@ def _summarize(data: dict) -> list:
                 lines.append(f"  kind: {kind}")
         return lines
     if "config" in data and "mono" in data:
+        points = data["config"]["points"]
         return [
             "problem: "
-            f"{len(data['config']['points'])} points, r={data['r']}, "
+            f"{points.shape[0] if isinstance(points, CSR) else len(points)} points, r={data['r']}, "
             f"{len(data['mono'])} mono targets, {len(data['rainbow'])} rainbow targets"
         ]
     raise GeometryError("unrecognized artifact shape")

@@ -11,13 +11,14 @@ distance matrix into coordinates.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.decoder import scanstring
 from typing import NamedTuple
 
@@ -157,6 +158,14 @@ def squared_distance(p, q) -> float:
     return float(np.dot(diff, diff))
 
 
+def sq_dists_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The squared distances |a_i - b_j|^2 between the rows of ``a`` and
+    of ``b``, in difference form: exact for equal rows, and with rounding
+    that follows the distance, not the rows' distance from the origin."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     """Full n x n matrix of squared distances, exactly symmetric."""
     pts = np.asarray(points, dtype=float)
@@ -177,12 +186,37 @@ _TOKEN_CHUNK = 1 << 16  # coordinates read_json and _write_rows handle at once
 class CSR(NamedTuple):
     """Compressed sparse rows: row i holds the values
     ``data[indptr[i]:indptr[i + 1]]`` at the sorted columns
-    ``indices[indptr[i]:indptr[i + 1]]`` of a ``shape`` matrix."""
+    ``indices[indptr[i]:indptr[i + 1]]`` of a ``shape`` matrix.  The rows
+    are canonical when no stored value has the bits of +0.0 (a -0.0 is
+    stored), so equal matrices, bit for bit, have equal rows."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, values: np.ndarray, shape: tuple) -> "CSR":
+        """The rows of a ``shape`` matrix holding ``values`` at the rising
+        row-major indices ``flat``."""
+        n, dim = shape
+        return cls(np.searchsorted(flat, np.arange(n + 1) * dim), flat % max(dim, 1), values, (n, dim))
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "CSR":
+        """The canonical rows of a 2-D float64 array."""
+        if a.ndim != 2 or a.dtype != np.float64:
+            raise TypeError(f"only 2-D float64 arrays are stored as rows, got {a.dtype} {a.shape}")
+        flat = np.flatnonzero(a.view(np.uint64))
+        return cls.from_flat(flat, a.ravel()[flat], a.shape)
+
+    def canonical(self) -> "CSR":
+        """These rows without their stored +0.0 values."""
+        keep = self.data.view(np.uint64) != 0
+        if keep.all():
+            return self
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return CSR(kept[self.indptr], self.indices[keep], self.data[keep], self.shape)
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -253,68 +287,89 @@ def check_copies(points, tuples, sq_dist, what: str = "copy") -> float:
     return worst / scale if scale > 0.0 else worst
 
 
-@dataclass
 class Configuration:
     """An ordered finite point set in a common E^n.
 
-    ``named_copies`` maps a name to a list of index tuples into
-    ``points``; builders use it to record which sub-tuples carry which
-    structural role.  Coincident points are rejected: glued
+    ``rows`` holds the points as canonical CSR rows (``CSR``), which
+    validation, ``save`` and ``load`` read; ``points`` is the dense
+    n x dim array, the one given or else built from ``rows`` once, on
+    first use.  ``named_copies`` maps a name to a list of index tuples
+    into the points; builders use it to record which sub-tuples carry
+    which structural role.  Coincident points are rejected: glued
     constructions share points by index, so an unplanned coordinate
     collision is treated as a bug.
     """
 
-    points: np.ndarray
-    labels: list[str] | None = None
-    named_copies: dict[str, list[tuple[int, ...]]] = field(default_factory=dict)
-    notes: dict | None = None
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise GeometryError(f"points must be a non-empty 2-D array, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+    def __init__(self, points, labels=None, named_copies=None, notes=None):
+        if isinstance(points, CSR):
+            rows = points.canonical()
+        else:
+            pts = np.asarray(points, dtype=float)
+            if pts.ndim != 2:
+                raise GeometryError(f"points must be a non-empty 2-D array, got {pts.shape}")
+            rows = CSR.from_dense(pts)
+            self.points = pts
+        if rows.shape[0] < 1 or rows.shape[1] < 1:
+            raise GeometryError(f"points must be a non-empty 2-D array, got {rows.shape}")
+        if not np.all(np.isfinite(rows.data)):
             raise GeometryError("configuration has non-finite coordinates")
-        self.points = pts
-        if self.labels is not None:
-            self.labels = [str(s) for s in self.labels]
-            if len(self.labels) != len(pts):
-                raise GeometryError("labels length does not match point count")
+        self.rows = rows
+        self.notes = notes
+        n = len(self)
+        self.labels = None if labels is None else [str(s) for s in labels]
+        if self.labels is not None and len(self.labels) != n:
+            raise GeometryError("labels length does not match point count")
         self.named_copies = {
-            str(k): [tuple(as_indices(t, len(pts), f"{k!r} copy index")) for t in v]
-            for k, v in self.named_copies.items()
+            str(k): [tuple(as_indices(t, n, f"{k!r} copy index")) for t in v] for k, v in (named_copies or {}).items()
         }
         dup = self._find_coincident()
         if dup is not None:
             raise GeometryError(f"points {dup[0]} and {dup[1]} coincide within tolerance")
 
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        return self.rows.dense()
+
     def _find_coincident(self):
         """A pair of points within the coincidence threshold, or None.
 
-        The threshold is relative to the largest per-axis extent, so it
-        does not depend on where the configuration sits.  The search is
-        exact at every size and dimension: a projection onto a unit
-        direction never lengthens a distance, so a close pair stays
-        within the window on every projection.  Pairs inside the window
-        of the first (sorted) projection are enumerated in chunks,
-        filtered on the other projections, and the survivors tested
-        exactly.
+        The threshold is relative to the largest per-axis extent, the
+        implicit zeros of the rows counted, so it does not depend on
+        where the configuration sits.  The search is exact at every size
+        and dimension: a projection onto a unit direction never
+        lengthens a distance, so a close pair stays within the window on
+        every projection, which is widened by the projections' rounding
+        bound.  The projections are summed from the rows by
+        ``np.bincount``.  Pairs inside the window of the first (sorted)
+        projection are enumerated in chunks, filtered on the other
+        projections, and the survivors decided in difference form,
+        |a - b|^2 over the union of their columns.
         """
-        pts = self.points
-        n, dim = pts.shape
-        scale = float((pts.max(0) - pts.min(0)).max())
+        rows = self.rows
+        n, dim = rows.shape
+        cols, data = rows.indices, rows.data
+        owner = np.repeat(np.arange(n), np.diff(rows.indptr))
+        full = np.bincount(cols, minlength=dim) == n  # columns with no implicit zero
+        top, bottom = np.where(full, -np.inf, 0.0), np.where(full, np.inf, 0.0)
+        np.maximum.at(top, cols, data)
+        np.minimum.at(bottom, cols, data)
+        scale = float((top - bottom).max())
         thresh = sq_slack(scale * scale)
-        # Widened a hair so rounding in the projections cannot drop a
-        # pair right at the threshold; survivors are tested exactly.
-        window = 1.001 * math.sqrt(thresh)
+        width = int(np.diff(rows.indptr).max())
+        # Widened a hair past the threshold, and by twice the bound
+        # (width + 1) eps sum |a_c u_c| <= (width + 1) eps width max|a_c|
+        # on each projection's rounding, so no close pair is dropped.
+        rounding = 4.0 * (width + 1) * width * np.finfo(float).eps * float(np.abs(data).max(initial=0.0))
+        window = 1.001 * math.sqrt(thresh) + rounding
         dirs = np.random.default_rng(0).standard_normal((dim, _PROJECTIONS))
-        proj = pts @ (dirs / np.linalg.norm(dirs, axis=0))
+        dirs /= np.linalg.norm(dirs, axis=0)
+        proj = np.column_stack([np.bincount(owner, weights=data * dirs[cols, p], minlength=n) for p in range(_PROJECTIONS)])
         order = np.argsort(proj[:, 0], kind="stable")
         proj = proj[order]
         ends = np.searchsorted(proj[:, 0], proj[:, 0] + window, side="right")
         counts = ends - np.arange(1, n + 1)
         starts = np.concatenate(([0], np.cumsum(counts)))
-        gather = max(1, _GATHER_ENTRIES // dim)
+        gather = max(1, _GATHER_ENTRIES // (2 * max(1, width)))
         lo = 0
         while lo < n:
             hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _PAIR_CHUNK, "right")) - 1)
@@ -324,7 +379,8 @@ class Configuration:
                 keep = np.abs(proj[i, axis] - proj[j, axis]) <= window
                 i, j = i[keep], j[keep]
             for s in range(0, i.size, gather):
-                diff = pts[order[i[s : s + gather]]] - pts[order[j[s : s + gather]]]
+                pair = _csr_block(rows, np.column_stack([order[i[s : s + gather]], order[j[s : s + gather]]]))
+                diff = pair[:, 0] - pair[:, 1]
                 hit = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= thresh)
                 if hit.size:
                     a, b = order[i[s + hit[0]]], order[j[s + hit[0]]]
@@ -333,11 +389,11 @@ class Configuration:
         return None
 
     def __len__(self) -> int:
-        return int(self.points.shape[0])
+        return int(self.rows.shape[0])
 
     @property
     def dim(self) -> int:
-        return int(self.points.shape[1])
+        return int(self.rows.shape[1])
 
     def to_json_dict(self) -> dict:
         return self._payload(self.points.tolist())
@@ -357,11 +413,13 @@ class Configuration:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
         try:
-            pts = np.asarray(data["points"], dtype=float)
+            pts = data["points"]
+            if not isinstance(pts, CSR):
+                pts = np.asarray(pts, dtype=float)
             dim = as_index(data["dim"], "dim")
         except (KeyError, TypeError, ValueError) as exc:
             raise GeometryError(f"malformed configuration payload: {exc}") from None
-        if pts.ndim != 2 or pts.shape[1] != dim:
+        if len(pts.shape) != 2 or pts.shape[1] != dim:
             raise GeometryError("declared dim does not match point rows")
         return cls(
             points=pts,
@@ -372,8 +430,8 @@ class Configuration:
 
     def save(self, path: str) -> dict:
         """Write the configuration; returns the payload written, with
-        ``points`` as the array."""
-        payload = self._payload(self.points)
+        ``points`` as the rows."""
+        payload = self._payload(self.rows)
         write_json_atomic(path, payload)
         return payload
 
@@ -440,7 +498,7 @@ class SimplexSpec:
     @classmethod
     def from_points(cls, points) -> "SimplexSpec":
         pts = np.asarray(points, dtype=float)
-        return cls(pairwise_sq_dists(pts))
+        return cls(sq_dists_between(pts, pts))
 
     @classmethod
     def pair(cls, d: float) -> "SimplexSpec":
@@ -782,12 +840,13 @@ def write_json_atomic(path: str, payload: dict):
     """Write ``payload`` as compact one-line JSON via a temp file plus
     rename, so readers never see a torn file.
 
-    The text is ``json.dumps(payload)`` with each top-level ndarray value
-    in place of its ``tolist()``, written as bytes (it is ASCII).  Other
-    values go through the C encoder one at a time; a 2-D float64 array is
-    streamed a block of rows at a time by ``_write_rows``, which formats
-    each distinct nonzero value of its sparse blocks once and holds about
-    one block of text, never the whole.  Floats are written with
+    The text is ``json.dumps(payload)`` with each top-level ``CSR`` value
+    in place of its dense ``tolist()``, and each 2-D float64 ndarray
+    value in place of its ``tolist()``, written as bytes (it is ASCII).
+    An ndarray is taken to its canonical rows (``CSR.from_dense``) and
+    the rows are streamed a block at a time by ``_write_rows``, which
+    holds about one block of text, never the whole.  Other values go
+    through the C encoder one at a time.  Floats are written with
     ``float.__repr__`` either way, so they reload bit-identical."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -799,6 +858,8 @@ def write_json_atomic(path: str, payload: dict):
                     raise TypeError(f"JSON object keys must be str, got {key!r}")
                 fh.write(f"{', ' if i else ''}{json.dumps(key)}: ".encode())
                 if isinstance(value, np.ndarray):
+                    value = CSR.from_dense(value)
+                if isinstance(value, CSR):
                     _write_rows(fh, value)
                 else:
                     fh.write(json.dumps(value).encode())
@@ -815,43 +876,45 @@ def write_json_atomic(path: str, payload: dict):
         raise
 
 
-def _write_rows(fh, a: np.ndarray):
-    """Write a 2-D float64 array to the binary file ``fh`` as the bytes of
-    ``json.dumps(a.tolist())``, a block of rows at a time.  A block with at
-    least half its entries nonzero is one ``json.dumps``.  In any other
+def _write_rows(fh, rows: CSR):
+    """Write ``rows`` to the binary file ``fh`` as the bytes of
+    ``json.dumps(rows.dense().tolist())``, a block of rows at a time, from
+    the stored values only.  A block with at least half its entries stored
+    is scattered into a dense block for one ``json.dumps``.  In any other
     block the text is cut from one all-zero template of the block's rows,
-    each nonzero entry's text in place of the ``0.0`` at its fixed offset;
-    each distinct nonzero bit pattern (``-0.0`` included) is formatted once,
+    each stored value's text in place of the ``0.0`` at its fixed offset;
+    each distinct stored bit pattern (``-0.0`` included) is formatted once,
     by one ``json.dumps`` of the patterns a block adds.  The formatted texts
     are kept for the next blocks until they pass a quarter chunk, then
     dropped, so they hold about one block's worth however many values the
-    array has."""
-    if a.ndim != 2 or a.dtype != np.float64:
-        raise TypeError(f"only 2-D float64 arrays are written, got {a.dtype} {a.shape}")
-    n, dim = a.shape
+    rows have."""
+    n, dim = rows.shape
     step = max(1, _TOKEN_CHUNK // max(dim, 1))
     width = 5 * dim + 2  # bytes of one row "[0.0, ..., 0.0], " of the template
     template = memoryview((b"[" + b", ".join([b"0.0"] * dim) + b"], ") * min(step, n))
     texts: dict[int, bytes] = {}  # bit pattern -> its JSON text
     fh.write(b"[")
     for lo in range(0, n, step):
-        block = a[lo : lo + step].view(np.uint64).reshape(-1)
-        at = np.flatnonzero(block != 0)
+        hi = min(n, lo + step)
+        first, last = rows.indptr[lo], rows.indptr[hi]
+        local = np.repeat(np.arange(hi - lo), np.diff(rows.indptr[lo : hi + 1]))  # each value's row in the block
+        cols = rows.indices[first:last]
         if lo:
             fh.write(b", ")
-        if 2 * at.size >= block.size:
-            fh.write(json.dumps(a[lo : lo + step].tolist())[1:-1].encode())
+        if 2 * (last - first) >= (hi - lo) * dim:
+            block = np.zeros((hi - lo, dim))
+            block[local, cols] = rows.data[first:last]
+            fh.write(json.dumps(block.tolist())[1:-1].encode())
             continue
-        values = block[at].tolist()
+        values = rows.data[first:last].view(np.uint64).tolist()
         if len(texts) > _TOKEN_CHUNK // 4:
             texts.clear()
         new = list(set(values).difference(texts))
         formatted = json.dumps(np.array(new, np.uint64).view(np.float64).tolist())[1:-1].encode().split(b", ")
         texts.update(zip(new, formatted))
-        rows, cols = np.divmod(at, dim)
-        offsets = rows * width + 5 * cols + 1  # of each nonzero entry's "0.0"
+        offsets = local * width + 5 * cols + 1  # of each stored value's "0.0"
         parts = [None] * (2 * len(values) + 1)
-        cuts = map(slice, [0, *(offsets + 3).tolist()], [*offsets.tolist(), len(block) // dim * width - 2])
+        cuts = map(slice, [0, *(offsets + 3).tolist()], [*offsets.tolist(), (hi - lo) * width - 2])
         parts[::2] = map(template.__getitem__, cuts)
         parts[1::2] = map(texts.__getitem__, values)
         fh.write(b"".join(parts))
@@ -869,11 +932,12 @@ _GAP = re.compile(_WS + b"," + _WS + rb"\[")
 def read_json(path: str):
     """Load a JSON file as ``json.load`` does, except that each value of a
     ``"points"`` key that is a rectangular array of number rows comes back
-    as a float64 ndarray, bit-equal to ``np.asarray(value, dtype=float)``,
-    decoded from the file's bytes a chunk of rows at a time (the peak is about
-    the file plus the array) by ``_dense_rows``: tokens ``0.0`` are found by
-    numpy and left at zero, and each distinct text of the other tokens is
-    decoded once a batch.  Only the rest is decoded, as strict UTF-8."""
+    as its canonical ``CSR`` rows, whose ``dense()`` is bit-equal to
+    ``np.asarray(value, dtype=float)``, decoded from the file's bytes a
+    chunk of rows at a time (the peak is about the file plus the stored
+    values) by ``_csr_rows``: tokens ``0.0`` are found by numpy and never
+    stored, and each distinct text of the other tokens is decoded once a
+    batch.  Only the rest is decoded, as strict UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read()
     arrays, pieces, done, pos = [], [], 0, 0
@@ -883,7 +947,7 @@ def read_json(path: str):
             colon = scanstring(string[0].decode(), 1)[0] == "points" and _KEY_COLON.match(data, pos)
         except ValueError:  # a bad string: json reports it below
             break
-        if found := colon and _dense_rows(data, colon.end()):
+        if found := colon and _csr_rows(data, colon.end()):
             arrays.append(found[0])
             pieces.append(data[done : colon.end()])
             done = pos = found[1]
@@ -904,9 +968,10 @@ def read_json(path: str):
             return json.load(fh)
 
 
-def _dense_rows(data: bytes, pos: int):
-    """The rectangular array of JSON-number rows at ``data[pos]`` as float64
-    and the end of its bytes, or None (empty, ragged, nested, not numbers)."""
+def _csr_rows(data: bytes, pos: int):
+    """The rectangular array of JSON-number rows at ``data[pos]`` as
+    canonical ``CSR`` rows and the end of its bytes, or None (empty,
+    ragged, nested, not numbers)."""
     if not (m := _ROWS_OPEN.match(data, pos)):
         return None
     if not (found := _walk_rows(data, m.end() - 1)):
@@ -915,22 +980,28 @@ def _dense_rows(data: bytes, pos: int):
     if not (close := _ROWS_CLOSE.match(data, int(ends[-1]) + 1)):
         return None
     n, dim = len(starts), data.count(b",", starts[0], ends[0]) + 1
-    out = np.zeros((n, dim))
     step = max(1, _TOKEN_CHUNK // dim)
+    flat, values = [np.empty(0, np.intp)], [np.empty(0)]  # decoded entries by flat index, in order
     left, count = [], 0  # the tokens the chunks left, decoded a quarter chunk or more at a time
     try:
         for lo in range(0, n, step):
-            at, hi = _parse_rows(data, starts[lo : lo + step], ends[lo : lo + step], out[lo : lo + step])
-            left.append((at + lo * dim, hi))
-            count += len(at)
-            if 4 * count >= _TOKEN_CHUNK or lo + step >= n:
-                at, hi = map(np.concatenate, zip(*left))
+            at, hi, decoded = _parse_rows(data, starts[lo : lo + step], ends[lo : lo + step], dim)
+            if decoded is None:
+                left.append((at + lo * dim, hi))
+                count += len(at)
+            if left and (decoded is not None or 4 * count >= _TOKEN_CHUNK or lo + step >= n):
+                at_left, hi_left = map(np.concatenate, zip(*left))
                 left, count = [], 0
-                if at.size:
-                    out.reshape(-1)[at] = _numbers_at(data, hi, starts[at // dim])
+                flat.append(at_left)
+                values.append(_numbers_at(data, hi_left, starts[at_left // dim]))
+            if decoded is not None:
+                flat.append(at + lo * dim)
+                values.append(decoded)
     except (ValueError, OverflowError):  # json's errors, and ints beyond float range
         return None
-    return out, close.end()
+    flat, values = np.concatenate(flat), np.concatenate(values)
+    keep = values.view(np.uint64) != 0
+    return CSR.from_flat(flat[keep], values[keep], (n, dim)), close.end()
 
 
 def _walk_rows(data: bytes, q: int):
@@ -948,16 +1019,16 @@ def _walk_rows(data: bytes, q: int):
     return None
 
 
-def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray, out: np.ndarray):
-    """Fill ``out`` from the rows ``data[starts[i]:ends[i]]`` as ``np.asarray``
-    does from ``json.loads``, but for the tokens it leaves to its caller, of
-    which it returns the flat indices into ``out`` and the ends in ``data``.
-    Tokens ``0.0`` or `` 0.0`` after a comma stay zero and the rest are
-    left, unless most are nonzero: then json decodes the whole chunk.
-    Raises ValueError unless each row has ``out.shape[1]`` JSON numbers."""
+def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray, dim: int):
+    """Read the rows ``data[starts[i]:ends[i]]`` as ``np.asarray`` does from
+    ``json.loads``.  Tokens ``0.0`` or `` 0.0`` after a comma are zeros and
+    the rest are left to the caller: returns their flat indices, their ends
+    in ``data`` and None.  Unless most are nonzero: then json decodes the
+    whole chunk, and every flat index, None and the values are returned.
+    Raises ValueError unless each row has ``dim`` JSON numbers."""
     base = int(starts[0]) - 8  # so that even the first comma has five bytes before it
     c = np.frombuffer(data, np.uint8, int(ends[-1]) + 1 - base, base)
-    n, dim = out.shape
+    n = len(starts)
 
     def where(char):  # bit p of the 64-bit little-endian words is set where c[p] == char
         bits = np.zeros(-(-c.size // 64) * 8, np.uint8)
@@ -986,8 +1057,7 @@ def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray, out: np.ndarr
     if 2 * int(np.bitwise_count(nonzero).sum()) > n * dim:  # mostly nonzero: decode the whole chunk
         tokens = bytearray(c)
         np.frombuffer(tokens, np.uint8)[np.r_[0:8, starts - base - 1, ends - base]] = 32  # blank the brackets
-        out.reshape(-1)[:] = _numbers(bytes(tokens), n * dim)
-        return np.empty(0, np.intp), np.empty(0, np.intp)
+        return np.arange(n * dim), None, np.array(_numbers(bytes(tokens), n * dim), dtype=float)
     # Comma k ends token k; the comma after a row's "]" ends its last token.
     words = np.flatnonzero(nonzero != 0)
     word, bit = np.nonzero(np.unpackbits(nonzero[words].view(np.uint8), bitorder="little").reshape(-1, 64))
@@ -996,7 +1066,7 @@ def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray, out: np.ndarr
     row, col = np.divmod(rest, dim)
     hi = np.append(at + base, 0)
     hi[col == dim - 1] = ends[row[col == dim - 1]]
-    return rest, hi
+    return rest, hi, None
 
 
 _TOKEN_BYTES = 32  # bytes read before the end of each token _numbers_at decodes

@@ -48,7 +48,7 @@ def declared_symmetry(cfg: Configuration) -> list[tuple[int, ...]]:
     """The point permutations in ``cfg.notes["symmetry"]``, each the
     full image list of one generator.  Anything but a list of
     permutations of ``range(n)`` is refused."""
-    n = len(cfg.points)
+    n = len(cfg)
     declared = cfg.notes.get("symmetry", []) if isinstance(cfg.notes, dict) else []
     if not isinstance(declared, list):
         raise ValueError(f"notes.symmetry must be a list of point images, got {type(declared).__name__}")
@@ -86,7 +86,7 @@ class ColoringProblem:
     rainbow_partners: list[list[tuple[int, ...]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.cfg.points)
+        n = len(self.cfg)
         self.mono_targets = [tuple(as_indices(t, n, "mono target index")) for t in self.mono_targets]
         self.rainbow_targets = [tuple(as_indices(t, n, "rainbow target index")) for t in self.rainbow_targets]
         for t in self.mono_targets + self.rainbow_targets:
@@ -177,7 +177,7 @@ def verify_coloring(problem: ColoringProblem, coloring) -> dict:
     rainbow targets (colored all-distinct); ``clean`` means the
     coloring avoids everything and therefore certifies COUNTEREXAMPLE.
     """
-    n = len(problem.cfg.points)
+    n = len(problem.cfg)
     cols = as_indices(coloring, problem.r, "color")
     if len(cols) != n:
         raise ValueError(f"coloring covers {len(cols)} of {n} points")
@@ -283,7 +283,7 @@ def solve_gr(problem: ColoringProblem, budget: float = DEFAULT_BUDGET) -> Search
     The search keeps its own stack, so its depth is not bounded by the
     interpreter's recursion limit.
     """
-    n = len(problem.cfg.points)
+    n = len(problem.cfg)
     # First-use symmetry breaking opens at most one new color per point,
     # so colors beyond the point count are never reached.
     r = min(problem.r, n)
@@ -586,7 +586,7 @@ def _avoids(digits: np.ndarray, mono, rainbow) -> np.ndarray:
 
 def exhaustive_oracle(problem: ColoringProblem) -> SearchResult:
     """Enumerate every coloring; independent reference for solve_gr."""
-    n = len(problem.cfg.points)
+    n = len(problem.cfg)
     r = problem.r
     total = r**n
     if total > ORACLE_CAP:

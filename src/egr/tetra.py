@@ -39,6 +39,7 @@ from .geometry import (
     congruence_check,
     embed_from_distances,
     pairwise_sq_dists,
+    sq_dists_between,
     sq_slack,
     squared_distance,
 )
@@ -522,7 +523,13 @@ class _Builder:
         n0 = float(np.linalg.norm(v0))
         slack = math.sqrt(sq_slack(step * step))
         psi = _angle(v0, v1)
-        substeps = max(1, math.ceil(psi / self.fan_angles[perm] - 1e-12))
+        # Each coordinate carries a rounding of about eps * (its size),
+        # from a translated input or a row placed from one, which turns
+        # psi by up to |dv0| / |v0| + |dv1| / |v1|: a corner at a multiple
+        # of the fan angle keeps its substeps wherever the points sit.
+        size = float(np.abs([p0, c, p1]).max())
+        turn = 8.0 * math.sqrt(len(cols)) * np.finfo(float).eps * size / min(n0, float(np.linalg.norm(v1)))
+        substeps = max(1, math.ceil((psi - turn) / self.fan_angles[perm] - 1e-12))
         if substeps == 1:
             return [i_prev, i_next]
         lo, hi = sorted((i_prev, i_next))
@@ -695,7 +702,7 @@ class _Builder:
         }
         notes.update(extra_notes)
         cfg = Configuration(
-            points=rows.dense(),
+            points=rows,
             named_copies={"tetra": [tuple(t) for t in self.copies]},
             notes=notes,
         )
@@ -724,7 +731,7 @@ def build_link(
     # Points shared between the endpoint copies are identified by
     # coordinates once, here at the seam; everything downstream shares
     # by index.
-    cross_sq = pairwise_sq_dists(ends)[:4, 4:]
+    cross_sq = sq_dists_between(t1_points, t2_points)
     slack = sq_slack(float(profile.spec.sq_dist.max()))
     t2 = tuple(
         int(t1[np.nonzero(cross_sq[:, j] <= slack)[0][0]])

@@ -5,9 +5,24 @@ import math
 
 import numpy as np
 
-from egr.geometry import Configuration, SimplexSpec, check_copies, enumerate_copies, pairwise_sq_dists
+from egr.geometry import CSR, Configuration, SimplexSpec, check_copies, enumerate_copies, pairwise_sq_dists
 from egr.rectangles import path_config, product_config, regular_simplex
 from egr.solver import ColoringProblem
+
+
+def assert_canonical(rows):
+    """``rows`` are canonical CSR rows: ``indptr`` runs from 0 to the
+    stored count without falling, each row's columns rise strictly inside
+    the shape, and no stored value has the bits of +0.0."""
+    assert isinstance(rows, CSR)
+    n, dim = rows.shape
+    assert rows.indptr.shape == (n + 1,) and rows.indptr[0] == 0 and rows.indptr[-1] == len(rows.indices)
+    assert np.all(np.diff(rows.indptr) >= 0)
+    assert rows.data.dtype == np.float64 and len(rows.data) == len(rows.indices)
+    assert np.all((rows.indices >= 0) & (rows.indices < dim))
+    owner = np.repeat(np.arange(n), np.diff(rows.indptr))
+    assert np.all(np.diff(rows.indices)[owner[1:] == owner[:-1]] > 0)
+    assert np.all(rows.data.view(np.uint64) != 0)
 
 
 def square_problem(r=2):

@@ -209,6 +209,23 @@ def test_construct_refuses_an_oversized_output_before_allocating_it(tmp_path, ca
     assert peak < 4 << 20
 
 
+def test_anchor_gadget_round_trip_and_report_hold_no_dense_matrix(tmp_path, capsys):
+    # Anchor k=2 has 2268 points in 2257 axes and 19,618 nonzero
+    # coordinates: its construct round trip and its report each peak below
+    # one dense float64 matrix of it, which alone would be 40.9 MB.
+    out = tmp_path / "anchor.json"
+    for argv in (["construct", "anchor-gadget", "--k", "2", "-o", str(out)], ["report", str(out)]):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2268 * 2257 * 8, argv[0]
+    assert "configuration: 2268 points, dim 2257" in capsys.readouterr().out
+
+
 class _SizeChecked(Exception):
     pass
 
@@ -250,7 +267,12 @@ def test_dense_outputs_at_the_entry_limit_pass_the_size_check(monkeypatch, modul
 def test_construct_round_trip_compares_bits(tmp_path, monkeypatch, capsys):
     # a writer that turns +0.0 into -0.0 writes equal values but other bits
     write_rows = geometry._write_rows
-    monkeypatch.setattr(geometry, "_write_rows", lambda fh, a: write_rows(fh, np.where(a == 0, -0.0, a)))
+
+    def signed_zeros(fh, rows):
+        dense = rows.dense()
+        write_rows(fh, geometry.CSR.from_dense(np.where(dense == 0, -0.0, dense)))
+
+    monkeypatch.setattr(geometry, "_write_rows", signed_zeros)
     assert main(["construct", "hinge", "--side", "1.0", "-o", str(tmp_path / "h.json")]) == 2
     assert "written configuration does not round-trip" in capsys.readouterr().err
 
@@ -343,6 +365,7 @@ def test_solve_forced_exit_zero(tmp_path):
     assert body["verdict"] == "FORCED"
     assert body["witness"] is None
     assert body["stats"]["nodes"] > 0
+    assert body["points"] == 21
 
 
 def test_solve_counterexample_exit_one(tmp_path):
@@ -512,6 +535,8 @@ def test_report_each_artifact_shape(tmp_path, capsys):
     assert main(["construct", "hinge", "-o", str(cfg_path)]) == 0
     problem_path = tmp_path / "p.json"
     write_json_atomic(str(problem_path), square_problem().to_json_dict())
+    census_path = tmp_path / "census.json"
+    write_json_atomic(str(census_path), census_problem(2, 3, 2).to_json_dict())
     result_path = tmp_path / "result.json"
     assert main(["solve", str(problem_path), "-o", str(result_path)]) == 1
     scan_path = tmp_path / "scan.json"
@@ -525,7 +550,9 @@ def test_report_each_artifact_shape(tmp_path, capsys):
     assert main(["report", str(cfg_path)]) == 0
     assert "configuration: 5 points" in capsys.readouterr().out
     assert main(["report", str(problem_path)]) == 0
-    assert "r=2" in capsys.readouterr().out
+    assert "problem: 4 points, r=2" in capsys.readouterr().out
+    assert main(["report", str(census_path)]) == 0
+    assert "problem: 9 points, r=2" in capsys.readouterr().out
     assert main(["report", str(result_path)]) == 0
     assert "COUNTEREXAMPLE" in capsys.readouterr().out
     assert main(["report", str(scan_path)]) == 0

@@ -33,6 +33,7 @@ from egr import geometry
 from egr.cli import main
 from egr.geometry import Configuration, read_json, sq_close
 from egr.solver import ColoringProblem, exhaustive_oracle, verify_coloring
+from helpers import assert_canonical
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -432,7 +433,8 @@ def _is_number_rows(value) -> bool:
 
 def _assert_same(got, want):
     """``got`` equals ``want`` with types and float bits, except that a
-    ``points`` value numpy can read as float64 rows is that ndarray."""
+    ``points`` value numpy can read as float64 rows is canonical rows
+    whose dense array is that ndarray."""
     if isinstance(want, dict):
         assert isinstance(got, dict) and list(got) == list(want)
         for key, value in want.items():
@@ -442,8 +444,8 @@ def _assert_same(got, want):
                 except OverflowError:  # an integer beyond float range stays a list, as from json
                     ref = None
                 if ref is not None:
-                    assert isinstance(got[key], np.ndarray) and got[key].dtype == np.float64
-                    assert np.array_equal(got[key].view(np.uint64), ref.view(np.uint64))
+                    assert_canonical(got[key])
+                    assert np.array_equal(got[key].dense().view(np.uint64), ref.view(np.uint64))
                     continue
             _assert_same(got[key], value)
     elif isinstance(want, list):
@@ -506,14 +508,15 @@ SPELLINGS = ["1.5", "1.50", "15e-1", "-0.0", "5e-324", "1e308", "0.3333333333333
 @given(st.lists(POOL, min_size=1, max_size=4), st.integers(1, 12), st.integers(1, 12), st.data(),
        st.sampled_from([None, 8]))
 def test_write_rows_writes_what_json_dumps_writes_on_repeated_values(pool, n, dim, data, chunk):
-    """The writer formats each distinct value once per array and cuts its
-    zeros from a template; its text is still ``json.dumps`` of the rows,
-    over one block and over many (eight coordinates a block)."""
+    """The writer formats each distinct stored value once per array and
+    cuts its zeros from a template; fed the canonical rows of an array,
+    its text is still ``json.dumps`` of the array's rows, over one block
+    and over many (eight coordinates a block)."""
     entries = st.sampled_from([0.0, *pool])
     points = np.array([[data.draw(entries) for _ in range(dim)] for _ in range(n)])
     out = io.BytesIO()
     with mock.patch.object(geometry, "_TOKEN_CHUNK", chunk or geometry._TOKEN_CHUNK):
-        geometry._write_rows(out, points)
+        geometry._write_rows(out, geometry.CSR.from_dense(points))
     assert out.getvalue() == json.dumps(points.tolist()).encode()
 
 

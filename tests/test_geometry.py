@@ -30,6 +30,7 @@ from egr.geometry import (
     write_json_atomic,
 )
 from egr.rectangles import path_config, regular_simplex
+from helpers import assert_canonical
 
 
 def brute_force_congruence(A, B):
@@ -178,6 +179,10 @@ def test_check_copies_names_the_bad_tuple():
 
 
 def test_configuration_validates_copies_and_labels():
+    empty = CSR(np.zeros(1, np.intp), np.empty(0, np.intp), np.empty(0), (0, 2))
+    for bad in (np.zeros(3), np.zeros((1, 2, 2)), np.zeros((0, 2)), np.zeros((2, 0)), empty):
+        with pytest.raises(GeometryError, match="non-empty 2-D array"):
+            Configuration(points=bad)
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(GeometryError):
         Configuration(points=pts, labels=["a"])
@@ -363,8 +368,8 @@ def test_save_memory_stays_near_one_block_on_distinct_values(tmp_path):
 
 def _reads_as_json_load(path, text: str):
     """``read_json`` of ``text`` is ``json.load`` of it with each
-    rectangular number-row ``points`` value as its float64 array, bit for
-    bit, or raises json's exact error."""
+    rectangular number-row ``points`` value as canonical rows whose dense
+    float64 array equals it bit for bit, or raises json's exact error."""
     path.write_text(text)
     try:
         with open(path) as fh:
@@ -381,7 +386,8 @@ def _reads_as_json_load(path, text: str):
         except OverflowError:  # an integer beyond float range: a list, as from json
             ref = None
         if ref is not None:
-            assert got["points"].dtype == np.float64 and np.array_equal(got["points"].view(np.uint64), ref), text
+            assert_canonical(got["points"])
+            assert np.array_equal(got["points"].dense().view(np.uint64), ref), text
             got["points"] = want["points"] = None
     assert json.dumps(got) == json.dumps(want), text
 
@@ -445,8 +451,8 @@ def test_read_json_decodes_escaped_keys(tmp_path, key):
     got, want = read_json(str(path)), json.loads(path.read_text())
     assert list(got) == list(want)
     if "points" in want:
-        assert isinstance(got["points"], np.ndarray)
-        assert np.array_equal(got["points"], want["points"])
+        assert isinstance(got["points"], CSR)
+        assert np.array_equal(got["points"].dense(), want["points"])
     else:
         assert got == want
 
@@ -458,16 +464,18 @@ def test_read_json_splices_arrays_for_a_literal_the_file_lacks(tmp_path):
     path.write_text('{"dim": 2, "points": [[0.0, 1.0], [2.0, 3.0]], "notes": {"x": 1.%s}}' % ("0" * 21))
     got = read_json(str(path))
     assert got["notes"] == {"x": 1.0}
-    assert np.array_equal(got["points"], [[0.0, 1.0], [2.0, 3.0]])
+    assert np.array_equal(got["points"].dense(), [[0.0, 1.0], [2.0, 3.0]])
 
 
 def test_write_json_atomic_failure_keeps_the_old_file(tmp_path):
     path = tmp_path / "out.json"
     path.write_text("old\n")
-    with pytest.raises(TypeError):
-        write_json_atomic(str(path), {"points": {1, 2}})
-    assert path.read_text() == "old\n"
-    assert not list(tmp_path.glob("*.tmp"))
+    # a set, and arrays the rows writer does not take
+    for bad in ({1, 2}, np.zeros(3), np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(TypeError):
+            write_json_atomic(str(path), {"points": bad})
+        assert path.read_text() == "old\n"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_simplex_spec_validation():
@@ -631,11 +639,12 @@ def test_enumerate_copies_caps(monkeypatch):
 
 
 def test_enumerate_copies_counts_every_gathered_embedding(monkeypatch):
-    # Read back from points, the regular 6-point spec holds two rounded
-    # side values, so its 924 copies in the 12-point simplex are found
-    # 13,860 times; each gathered row of 6 indices is counted by the size
-    # rule before the repeats are dropped, and bounds the copies returned.
-    spec = SimplexSpec.from_points(embed_from_distances(SimplexSpec.regular(6, 1.0)))
+    # Read back from points in Gram form, the regular 6-point spec holds
+    # two rounded side values, so its 924 copies in the 12-point simplex
+    # are found 13,860 times; each gathered row of 6 indices is counted by
+    # the size rule before the repeats are dropped, and bounds the copies
+    # returned.
+    spec = SimplexSpec(pairwise_sq_dists(embed_from_distances(SimplexSpec.regular(6, 1.0))))
     check_entries, counted = geometry.check_entries, []
 
     def check(what, entries):
@@ -777,13 +786,16 @@ def test_rectangle_spec_keeps_the_rectangle_symmetries(a, b):
 
 
 def test_enumerate_copies_of_a_rounded_spec_equal_the_exact_ones():
-    # from_points rounds the rectangle's equal sides apart (0.36 and
-    # 0.3599999999999999, say): each value gets its own neighbour list,
+    # The Gram form rounds the rectangle's equal sides apart (0.36 and
+    # 0.3599999999999999, say), where from_points' difference form keeps
+    # them equal: each value gets its own neighbour list,
     # fewer automorphisms prune, each copy may be found in several
     # orders, and once the repeats are dropped the copies are the exact
     # spec's.
-    rounded = SimplexSpec.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 0.6], [1.0, 0.6]])
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.6], [1.0, 0.6]])
+    rounded = SimplexSpec(pairwise_sq_dists(corners))
     exact = SimplexSpec.rectangle(1.0, 0.6)
+    assert np.array_equal(SimplexSpec.from_points(corners).sq_dist, exact.sq_dist)
     assert not np.array_equal(rounded.sq_dist, exact.sq_dist)
     pts = np.array(list(itertools.product([0.0, 1.0, 2.0], [0.0, 0.6, 1.2], [0.0, 1.0])))
     copies = enumerate_copies(Configuration(points=pts), rounded)

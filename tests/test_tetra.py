@@ -246,6 +246,28 @@ def test_translated_link():
     check_copies(out.cfg.points, out.tetra_copies, REGULAR.sq_dist, "tetra copy")
 
 
+@pytest.mark.parametrize("offset", [3e3, 3e4])
+def test_translated_mirror_link_is_the_untranslated_one(offset):
+    # The regular tetrahedron and its mirror image through face (0, 1, 2)
+    # share that face, and meet at a corner of exactly twice the fan
+    # angle.  Translated far from the origin in any direction, the spec
+    # read from the points, the shared face at the seam and the two fan
+    # substeps at that corner are all found as they are at the origin.
+    t1 = embed_from_distances(REGULAR)
+    t2 = t1.copy()
+    t2[3, 2] = -t2[3, 2]
+    base = build_link(tetra_profile(REGULAR), t1, t2)
+    assert len(base.cfg) == 15
+    dirs = np.random.default_rng(0).standard_normal((6, 3))
+    for shift in offset * dirs / np.linalg.norm(dirs, axis=1, keepdims=True):
+        out = build_link(tetra_profile(SimplexSpec.from_points(t1 + shift)), t1 + shift, t2 + shift)
+        assert out.tetra_copies == base.tetra_copies
+        assert {**out.cfg.notes, "max_rel_sq_err": None} == {**base.cfg.notes, "max_rel_sq_err": None}
+        moved = out.cfg.points.copy()
+        moved[:, :3] -= shift
+        assert np.abs(moved - base.cfg.points).max() <= 1e-9
+
+
 def test_link_deduplicates_shared_seam_points():
     prof = tetra_profile(REGULAR)
     pts = glue_two_copies(prof, prof.theta).points
@@ -419,9 +441,19 @@ def test_template_replay_keeps_the_workspace_limit():
         build_anchor_gadget(tetra_profile(REGULAR), corner_angle=0.3)
 
 
-def test_anchor_gadget_makes_one_dense_copy(monkeypatch):
-    # glued_template solves its coefficients on the sparse rows; only
-    # finish writes the dense points the configuration stores
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda prof, pts: build_x1(prof, pts),
+        lambda prof, pts: build_link(prof, pts, pts + np.array([30.0, 0.0, 0.0])),
+        lambda prof, pts: build_anchor_gadget(prof, k=1),
+    ],
+    ids=["x1", "link", "anchor"],
+)
+def test_tetra_builds_make_no_dense_copy(monkeypatch, build):
+    # glued_template solves its coefficients on the sparse rows, and
+    # finish hands the workspace rows to the configuration, which
+    # validates them as they are
     callers = []
     dense = CSR.dense
 
@@ -430,8 +462,9 @@ def test_anchor_gadget_makes_one_dense_copy(monkeypatch):
         return dense(self)
 
     monkeypatch.setattr(CSR, "dense", traced)
-    build_anchor_gadget(tetra_profile(REGULAR), k=1)
-    assert callers == ["finish"]
+    out = build(tetra_profile(REGULAR), embed_from_distances(REGULAR))
+    assert callers == []
+    assert "points" not in vars(out.cfg)  # nor was the dense array built on demand
 
 
 @pytest.mark.parametrize(

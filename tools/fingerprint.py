@@ -33,9 +33,10 @@ on both sides and diffing the outputs.  It prints, one line each:
   each of the four specs of the copies scan (a pair, a rectangle, a
   triangle and a tetrahedron) in a seeded 200-point product, a 6-point
   spec in the 8^3 integer lattice and the regular tetrahedron in the
-  anchor gadget, and for two specs ``SimplexSpec.from_points`` rounds
-  (equal distances a bit apart): the 1.0 x 0.6 rectangle in a 3x3x2
-  grid and the regular tetrahedron in the anchor gadget;
+  anchor gadget, and for two specs the Gram form of
+  ``pairwise_sq_dists`` rounds (equal distances a bit apart): the
+  1.0 x 0.6 rectangle in a 3x3x2 grid and the regular tetrahedron in the
+  anchor gadget;
 - bit digests of ``path_config``, ``eps_max`` and ``chain_on_sphere``
   on seeded inputs, refusals included, and of the chord ``ell`` of
   ``perturbed_chord`` on 200 seeded obtuse triples and eps;
@@ -259,9 +260,9 @@ def copies() -> None:
     anchor = build_anchor_gadget(tetra_profile(regular)).cfg
     cases.append(("anchor tetrahedron", anchor, regular))
     grid = Configuration(points=np.array(list(itertools.product([0.0, 1.0, 2.0], [0.0, 0.6, 1.2], [0.0, 1.0]))))
-    rectangle = SimplexSpec.from_points([[0.0, 0.0], [1.0, 0.0], [0.0, 0.6], [1.0, 0.6]])
+    rectangle = SimplexSpec(pairwise_sq_dists(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.6], [1.0, 0.6]])))
     cases.append(("grid 3x3x2 rounded rectangle", grid, rectangle))
-    cases.append(("anchor rounded tetrahedron", anchor, SimplexSpec.from_points(embed_from_distances(regular))))
+    cases.append(("anchor rounded tetrahedron", anchor, SimplexSpec(pairwise_sq_dists(embed_from_distances(regular)))))
     for name, cfg, spec in cases:
         found = enumerate_copies(cfg, spec)
         print(f"copies {name}: {len(found)} {digest(found)}")

@@ -36,6 +36,7 @@ from .geometry import (
     is_nondegenerate,
     min_gram_eigenvalue,
     pairwise_sq_dists,
+    sq_dists_between,
     sq_slack,
 )
 
@@ -85,6 +86,8 @@ def contract_simplex(spec: SimplexSpec, eps: float) -> SimplexSpec:
 def is_connected(points, eps: float) -> bool:
     """Whether the rows of ``points`` chain into one piece through pairs
     at distance strictly below 2*eps."""
+    # The Gram form on purpose: this is the tests' oracle, and its n x n
+    # matrix fits at grid sizes where n x n x dim differences would not.
     close = np.triu(pairwise_sq_dists(points) < (2.0 * eps) ** 2, k=1)
     return all(low == 0 for low in components(len(points), np.argwhere(close)))
 
@@ -178,7 +181,7 @@ def lifted_base_copy(grid: Configuration, unit_dir) -> Configuration:
     shift = np.zeros(grid.dim)
     shift[d:] = eps * u
     pts = base + shift
-    check_copies(pts, [range(d + 1)], pairwise_sq_dists(base), "lifted base copy")
+    check_copies(pts, [range(d + 1)], sq_dists_between(base, base), "lifted base copy")
     return Configuration(
         points=pts,
         labels=[f"q{i}" for i in range(d + 1)],

@@ -38,7 +38,6 @@ from .geometry import (
     check_entries,
     congruence_check,
     embed_from_distances,
-    pairwise_sq_dists,
     sq_dists_between,
     sq_slack,
     squared_distance,
@@ -48,7 +47,7 @@ from .rectangles import fewest_edges, path_config
 IDENTITY_ROLES = (0, 1, 2, 3)
 SWAPPED_ROLES = (2, 3, 0, 1)
 # Hinge angles closer than this (rad) share one solved hinge; the grid
-# is 1000x finer than the 1e-9 angle check of _hinge_rows.
+# is 1000x finer than the 1e-9 angle check of glue_two_copies.
 HINGE_GRID = 1e-12
 
 
@@ -164,7 +163,8 @@ def apex_circle(profile: TetraProfile, gamma: float) -> np.ndarray:
 
 def _hinge_rows(profile: TetraProfile, phi: float) -> np.ndarray:
     """Rows a, b, c, d, a' of two copies sharing the base face at apex
-    angle phi, with both copies and the angle at b checked (to 1e-9 rad).
+    angle phi; refuses a phi outside the hinge range or whose apexes
+    coincide.
 
     The apex circle parameter gap solves
     cos(phi) = (B2 + A2 cos(gap)) / (B2 + A2) with B2 the squared
@@ -183,27 +183,30 @@ def _hinge_rows(profile: TetraProfile, phi: float) -> np.ndarray:
     rows[1:4, :2] = profile.base2d
     if squared_distance(rows[0], rows[4]) <= sq_slack(float(profile.spec.sq_dist.max())):
         raise ConstraintViolation("apex_coincidence", f"apexes coincide at phi={phi}")
-    check_copies(rows, [(0, 1, 2, 3), (4, 1, 2, 3)], profile.spec.sq_dist, "hinge copy")
-    realized = _angle(rows[0] - rows[1], rows[4] - rows[1])
-    if abs(realized - phi) > 1e-9:
-        raise GeometryError(f"hinge angle {realized} misses requested {phi}")
     return rows
 
 
 def glue_two_copies(profile: TetraProfile, phi: float) -> Configuration:
     """The hinge pair: rows a, b, c, d, a' (``_hinge_rows``), whose two
-    ``tetra`` copies share the base face b, c, d."""
+    ``tetra`` copies share the base face b, c, d; both copies and the
+    angle at b (to 1e-9 rad) are checked."""
+    rows = _hinge_rows(profile, phi)
+    copies = [(0, 1, 2, 3), (4, 1, 2, 3)]
+    check_copies(rows, copies, profile.spec.sq_dist, "hinge copy")
+    realized = _angle(rows[0] - rows[1], rows[4] - rows[1])
+    if abs(realized - phi) > 1e-9:
+        raise GeometryError(f"hinge angle {realized} misses requested {phi}")
     return Configuration(
-        points=_hinge_rows(profile, phi),
+        points=rows,
         labels=["a", "b", "c", "d", "a_prime"],
-        named_copies={"tetra": [(0, 1, 2, 3), (4, 1, 2, 3)]},
+        named_copies={"tetra": copies},
         notes={"kind": "hinge_pair", "phi": phi},
     )
 
 
 def _quadruple_rows(profile: TetraProfile) -> tuple[np.ndarray, list]:
     """Rows z, y1-y3, x1-x3 of four congruent copies stacked over one
-    face in E^5, and those copies, checked, in simplex row order.
+    face in E^5, and those copies in simplex row order.
 
     x1 x2 x3 realize the face under the largest height; y1 y2 y3 sit on
     the sphere of apex positions over it, arranged as the face of
@@ -238,14 +241,14 @@ def _quadruple_rows(profile: TetraProfile) -> tuple[np.ndarray, list]:
 
     copies = [_in_row_order((k, 4, 5, 6), (i_h,) + face_h) for k in (1, 2, 3)]
     copies.append(_in_row_order((0, 1, 2, 3), (i_r,) + face_r))
-    check_copies(rows, copies, sq, "dense quadruple copy")
     return rows, copies
 
 
 def dense_quadruple(profile: TetraProfile) -> Configuration:
     """The dense quadruple: rows z, y1-y3, x1-x3 and their four
-    ``tetra`` copies (``_quadruple_rows``)."""
+    ``tetra`` copies (``_quadruple_rows``), checked."""
     rows, copies = _quadruple_rows(profile)
+    check_copies(rows, copies, profile.spec.sq_dist, "dense quadruple copy")
     return Configuration(
         points=rows,
         labels=["z", "y1", "y2", "y3", "x1", "x2", "x3"],
@@ -315,12 +318,9 @@ class IsometryFrame:
 
     Extra point i is ``anchor 0 + coeffs[i] @ (anchor j - anchor 0)``
     plus ``residuals[i]``, a pair (fresh-axis offsets, values) along
-    ``axes`` new orthonormal directions; ``anchor_sq`` holds the
-    anchors' squared distances, which the anchor images of every
-    placement must realize.
+    ``axes`` new orthonormal directions.
     """
 
-    anchor_sq: np.ndarray
     coeffs: np.ndarray
     axes: int
     residuals: tuple
@@ -331,7 +331,6 @@ def isometry_frame(src_anchors, src_extras) -> IsometryFrame:
     residuals, orthonormalized by Gram-Schmidt."""
     src_anchors = np.asarray(src_anchors, dtype=float)
     src_extras = np.atleast_2d(np.asarray(src_extras, dtype=float))
-    anchor_sq = pairwise_sq_dists(src_anchors)
     u = src_anchors[1:] - src_anchors[0]
     coeffs = []
     residuals = []
@@ -340,10 +339,11 @@ def isometry_frame(src_anchors, src_extras) -> IsometryFrame:
         coeffs.append(c)
         residuals.append(e - src_anchors[0] - c @ u)
 
-    # Each independent residual direction costs one fresh axis.
+    # Each independent residual direction costs one fresh axis; a part
+    # within the tolerance of the anchors' reach from anchor 0 costs none.
     basis: list[np.ndarray] = []
     rows = []
-    floor = math.sqrt(sq_slack(float(anchor_sq.max())))
+    floor = math.sqrt(sq_slack(float(np.einsum("ij,ij->i", u, u).max(initial=0.0))))
     for res in residuals:
         comps = []
         vec = res.copy()
@@ -358,7 +358,6 @@ def isometry_frame(src_anchors, src_extras) -> IsometryFrame:
         rows.append(comps)
     axes = np.arange(len(basis))
     return IsometryFrame(
-        anchor_sq=anchor_sq,
         coeffs=np.array(coeffs),
         axes=len(basis),
         residuals=tuple((axes, np.pad(comps, (0, len(basis) - len(comps)))) for comps in rows),
@@ -408,12 +407,13 @@ class _Builder:
     apexes is refused before the first row is placed.
 
     One build solves each distinct hinge and arc once: ``hinges`` maps
-    the roles and the angle on a ``HINGE_GRID`` grid to the verified
-    hinge pair's isometry frame, ``arcs`` an exact (edges, gap, step)
-    triple to the verified arc, and ``fan_registry`` a path corner to
-    its fan's interior rows.  ``place`` records each placement's anchor
-    indices under its frame, and ``finish`` checks them once per frame,
-    so a frame reused at an angle a grid step off is checked there.
+    the roles and the angle on a ``HINGE_GRID`` grid to the hinge
+    pair's isometry frame, ``arcs`` an exact (edges, gap, step) triple
+    to the arc, and ``fan_registry`` a path corner to its fan's
+    interior rows.  Every row a frame places, anchor images included,
+    lies in some stored copy, so ``finish`` checking the copies checks
+    every placement too, a frame reused at an angle a grid step off
+    among them.
 
     ``glued_template`` builds the glued double polygon once, over the
     simplex's own seed, and ``replay`` places it over any copy as one
@@ -430,7 +430,6 @@ class _Builder:
         self.hinges: dict = {}
         self.arcs: dict = {}
         self.placements = 0
-        self.anchors: dict = {}  # id(frame) -> (frame, anchor index tuples)
         swapped = list(SWAPPED_ROLES)
         self.role_profiles = {
             IDENTITY_ROLES: profile,
@@ -452,11 +451,8 @@ class _Builder:
         ``block`` is the anchors' column block as ``Workspace.block``
         returns it, when the caller already holds it; the new rows span
         that block plus their own fresh axes.  ``reuse`` maps extras to
-        placed points that stand in for them, which get no row.  The
-        check of the anchor images against ``frame.anchor_sq`` waits
-        for ``finish``.
+        placed points that stand in for them, which get no row.
         """
-        self.anchors.setdefault(id(frame), (frame, []))[1].append(tuple(idx))
         cols, dst = block or self.ws.block(idx)
         base = self.ws.dim
         for _ in range(frame.axes):
@@ -630,8 +626,8 @@ class _Builder:
     def glued_template(self, seed_points) -> GluingTemplate:
         """Run ``glued_polygons`` once on ``seed_points`` (the simplex in
         row order, spanning its own space) in a workspace of its own,
-        with this build's roles, hinges and arcs, and check its
-        placements once per frame.
+        with this build's roles, hinges and arcs.  Its copies are
+        checked where ``replay`` places them, by ``finish``.
 
         Each template row becomes its affine coefficients over the seed,
         solved on its entries in the seed's columns, plus its own
@@ -640,12 +636,10 @@ class _Builder:
         """
         sub = copy.copy(self)  # shares the solved hinges and arcs
         sub.ws = Workspace(seed_points.shape[1])
-        sub.copies, sub.fan_registry, sub.anchors, sub.placements = [], {}, {}, 0
+        sub.copies, sub.fan_registry, sub.placements = [], {}, 0
         seed = tuple(sub.ws.add_point(p) for p in seed_points)
         sub.glued_polygons(seed)
         rows = sub.ws.csr()
-        for frame, tuples in sub.anchors.values():
-            check_copies(rows, tuples, frame.anchor_sq, "anchor image")
         n, dim = len(seed), seed_points.shape[1]
         # The template rows' entries in the seed's columns, read off the CSR rows.
         owner = np.repeat(np.arange(-n, rows.shape[0] - n), np.diff(rows.indptr))
@@ -657,7 +651,7 @@ class _Builder:
         residuals = tuple(
             (c[c >= dim] - dim, v[c >= dim]) for c, v in zip(sub.ws._cols[n:], sub.ws._vals[n:])
         )
-        frame = IsometryFrame(pairwise_sq_dists(seed_points), coeffs, sub.ws.aux_axes, residuals)
+        frame = IsometryFrame(coeffs, sub.ws.aux_axes, residuals)
         seed_fans = [
             (key, [i - n for i in mids])
             for key, mids in sub.fan_registry.items()
@@ -685,11 +679,9 @@ class _Builder:
         self.placements += tpl.placements
 
     def finish(self, extra_notes: dict) -> LinkedConfig:
-        """The configuration, after every placement's anchor images and
-        every stored copy are checked on the sparse rows."""
+        """The configuration, after every stored copy is checked on the
+        sparse rows: the build's one check of what it placed."""
         rows = self.ws.csr()
-        for frame, tuples in self.anchors.values():
-            check_copies(rows, tuples, frame.anchor_sq, "anchor image")
         worst = check_copies(rows, self.copies, self.spec.sq_dist, "tetra copy")
         notes = {
             "aux_axes": self.ws.aux_axes,

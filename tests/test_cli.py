@@ -302,8 +302,9 @@ def test_construct_link_refuses_non_finite_offset(tmp_path, capsys):
 
 def test_construct_runs_each_check_once(tmp_path, monkeypatch):
     # the coincidence check runs on the built configuration only, and the
-    # anchor images of all placements from one frame are checked together
-    calls = {"check_copies": 0, "_find_coincident": 0}
+    # build's copies are checked once, by finish; a link also checks its
+    # two endpoint copies on input
+    calls = {}
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -316,10 +317,14 @@ def test_construct_runs_each_check_once(tmp_path, monkeypatch):
 
     counted(tetra, "check_copies")
     counted(geometry.Configuration, "_find_coincident")
-    out = tmp_path / "anchor.json"
-    assert main(["construct", "anchor-gadget", "--k", "2", "-o", str(out)]) == 0
-    assert calls["_find_coincident"] == 1
-    assert calls["check_copies"] <= 2 * Configuration.load(str(out)).notes["distinct_hinges"] + 8
+    for argv, copy_checks in [
+        (["x1"], 1),
+        (["link", "--offset", "30"], 2),
+        (["anchor-gadget", "--k", "2"], 1),
+    ]:
+        calls.update(check_copies=0, _find_coincident=0)
+        assert main(["construct", *argv, "-o", str(tmp_path / "out.json")]) == 0
+        assert calls == {"check_copies": copy_checks, "_find_coincident": 1}, argv
 
 
 @pytest.mark.parametrize("name", ["path", "product"])

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from egr import tetra
+from egr.cli import main
 from egr.geometry import (
     CSR,
     ConstraintViolation,
@@ -212,20 +214,45 @@ def test_extend_isometry_over_anchors_with_disjoint_columns():
     assert set(np.flatnonzero(got.any(axis=0))) == {1, 4, 6, 7}
 
 
-def test_finish_checks_the_anchor_images_of_each_frame():
-    # a builder's placements wait for finish, which checks every frame's
-    # anchor images at once: a frame whose anchors the placed rows do not
-    # realize is named there
-    src = embed_from_distances(REGULAR)
-    extra = np.array([[0.3, 0.2, 2.0]])
-    b = tetra._Builder(tetra_profile(REGULAR), 3)
-    idx = [b.ws.add_point(p) for p in src]
-    b.place(tetra.isometry_frame(src[:3], extra), idx[:3])
-    b.place(tetra.isometry_frame(src[1:], extra), idx[1:])
-    assert len(b.finish({}).cfg) == 6
-    b.place(tetra.isometry_frame(1.5 * src[:3], extra), idx[:3])
-    with pytest.raises(GeometryError, match=r"anchor image \(0, 1, 2\) is off"):
-        b.finish({})
+def test_construct_refuses_a_faulty_frame_inside_a_real_build(tmp_path, monkeypatch, capsys):
+    # finish checks only the tetra copies, and that is enough: the rows
+    # placed by one frame whose coefficients are a millionth off fail it
+    frame = tetra.isometry_frame
+    faulty = []
+
+    def scale_the_first(*args):
+        out = frame(*args)
+        if not faulty:
+            out = dataclasses.replace(out, coeffs=out.coeffs * (1.0 + 1e-6))
+            faulty.append(out)
+        return out
+
+    monkeypatch.setattr(tetra, "isometry_frame", scale_the_first)
+    out = tmp_path / "x1.json"
+    assert main(["construct", "x1", "-o", str(out)]) == 2
+    assert faulty and not out.exists()
+    assert re.search(r"tetra copy \(\d+, \d+, \d+, \d+\) is off", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("spec", [REGULAR, SKEW], ids=["regular", "skew"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda prof, pts: build_x1(prof, pts),
+        lambda prof, pts: build_x1(prof, pts, corner_angle=0.9),
+        lambda prof, pts: build_link(prof, pts, pts + np.array([30.0, 0.0, 0.0])),
+        lambda prof, pts: build_anchor_gadget(prof, k=1),
+        lambda prof, pts: build_anchor_gadget(prof, k=2),
+    ],
+    ids=["x1", "x1-corner-0.9", "link", "anchor-k1", "anchor-k2"],
+)
+def test_every_built_row_lies_in_a_tetra_copy(build, spec):
+    # finish checks only the copies, so every row a build places, each
+    # anchor image and frame extra among them, must be a row of one
+    out = build(tetra_profile(spec), embed_from_distances(spec))
+    covered = np.zeros(len(out.cfg), dtype=bool)
+    covered[np.asarray(out.tetra_copies).ravel()] = True
+    assert covered.all(), np.flatnonzero(~covered)[:10]
 
 
 def test_trivial_link():
